@@ -32,7 +32,6 @@ from .semantics import (
     Label,
     PLTS,
     System,
-    build_plts,
     weak_transition,
 )
 from .bisim import (

@@ -6,6 +6,12 @@ distribution-based), are they lambda-bisimilar for a given lambda, and what
 verified lambda makes them lambda-bisimilar (an upper bound on the
 bisimulation distance, never the infimum).
 
+One greatest-fixpoint refinement decides both ground questions when the
+canonical collapse below does not apply.  It runs over a finite family of
+distributions; state-based bisimulation is the special case whose family
+holds only point distributions, so a state-based decision is relation
+search over the point distributions of the reachable configurations.
+
 Two checking engines coexist.  The exhaustive engine enumerates extreme
 strong moves and matches them against the convex closure of the candidate
 relation by exact rational feasibility; it is the literal reading of the
@@ -30,19 +36,18 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import calculus as ca
 from .errors import (
     BudgetExceededError,
     CyclicModelError,
     QuantumInputFragmentError,
 )
 from .lp import combination_weights
-from .quantum import _matrix_digest, apply_superop, random_superoperator, trace_distance
+from .quantum import _matrix_digest, random_superoperator, trace_distance
 from .semantics import (
     TAU,
     ConfigDistribution,
@@ -92,15 +97,13 @@ def _environment(dist: ConfigDistribution):
     return dist._env
 
 
-def _env_distance(a: ConfigDistribution, b: ConfigDistribution):
-    """Trace distance between environments, or None when qv sets differ.
+def _env_distance(a: ConfigDistribution, b: ConfigDistribution) -> float:
+    """Trace distance between environments; the held qubits must agree.
 
     Arguments are ordered by matrix digest before subtracting so the float
     result is bit-identical under swapping, which the bound-symmetry
     contract relies on.
     """
-    if a.held_qubits() != b.held_qubits():
-        return None
     _, ma = _environment(a)
     _, mb = _environment(b)
     da, db = _matrix_digest(ma), _matrix_digest(mb)
@@ -109,6 +112,17 @@ def _env_distance(a: ConfigDistribution, b: ConfigDistribution):
     if db < da:
         ma, mb = mb, ma
     return trace_distance(ma, mb)
+
+
+def _clause_i(x: ConfigDistribution, y: ConfigDistribution, bound: float) -> Optional[str]:
+    """Why (x, y) breaks clause (i) with environments `bound` apart, or None."""
+    held_x, held_y = x.held_qubits(), y.held_qubits()
+    if held_x != held_y:
+        return f"quantum variables differ: {sorted(held_x)} vs {sorted(held_y)}"
+    dist = _env_distance(x, y)
+    if dist > bound:
+        return f"environment trace distance {dist:.6g} exceeds {bound:.6g}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -484,31 +498,50 @@ def _certified(system: System, dists, configs, trials: int = 3, seed: int = 0):
 # feasibility queries: convex-closure membership and weak-move matching
 
 
-def _member_lin(pairs, mu: ConfigDistribution, nu: ConfigDistribution) -> bool:
-    """Is (mu, nu) a convex combination of `pairs` plus identity pairs?"""
-    # all coefficients are nonnegative, so a usable pair cannot put mass
-    # outside the target supports; dropping the rest is exact
-    left = {c.index for c in mu.support}
-    right = {d.index for d in nu.support}
+def _closure_columns(pairs, left: ConfigDistribution, row=("L",), right=None) -> list:
+    """LP columns spanning the convex closure of `pairs` plus identity pairs.
+
+    A pair column puts its left side on the `row`-tagged rows and its right
+    side on the ("R", index) rows; an identity carrier does both for one
+    configuration of supp(left).  The left rows only ever receive
+    nonnegative mass, so a pair reaching outside supp(left) can carry no
+    weight and is dropped, which is exact; with `right` given, the same
+    holds for the right side and supp(right).
+    """
+    inside = {c.index for c in left.support}
+    within = None if right is None else {d.index for d in right.support}
     columns = []
     for mk, nk in pairs:
-        if any(c.index not in left for c in mk.support):
+        if any(c.index not in inside for c in mk.support):
             continue
-        if any(d.index not in right for d in nk.support):
+        if within is not None and any(d.index not in within for d in nk.support):
             continue
-        col = {}
-        for c, p in mk:
-            col[("L", c.index)] = col.get(("L", c.index), 0.0) + p
-        for d, q in nk:
-            col[("R", d.index)] = col.get(("R", d.index), 0.0) + q
+        col = {row + (c.index,): p for c, p in mk}
+        col.update((("R", d.index), q) for d, q in nk)
         columns.append(col)
-    for c in mu.support:
-        if nu.probability(c) > 0.0:
-            columns.append({("L", c.index): 1.0, ("R", c.index): 1.0})
+    for c in left.support:
+        if right is None or right.probability(c) > 0.0:
+            columns.append({row + (c.index,): 1.0, ("R", c.index): 1.0})
+    return columns
+
+
+def _extreme_columns(per_config) -> list:
+    """Defender columns: configuration d spends its ("D", d) mass on one of
+    its extreme weak moves, which is debited from the right rows."""
+    columns = []
+    for d, extremes in per_config:
+        for e in extremes:
+            col = {("D", d.index): 1.0}
+            col.update((("R", y.index), -q) for y, q in e)
+            columns.append(col)
+    return columns
+
+
+def _member_lin(pairs, mu: ConfigDistribution, nu: ConfigDistribution) -> bool:
+    """Is (mu, nu) a convex combination of `pairs` plus identity pairs?"""
     target = {("L", c.index): p for c, p in mu}
-    for d, q in nu:
-        target[("R", d.index)] = q
-    return combination_weights(columns, target) is not None
+    target.update((("R", d.index), q) for d, q in nu)
+    return combination_weights(_closure_columns(pairs, mu, right=nu), target) is not None
 
 
 def _weak_extremes(system: System, config: Configuration, label: Label):
@@ -534,32 +567,9 @@ def _match_weak(system: System, pairs, attack: ConfigDistribution,
         if not extremes:
             return False
         per_config.append((d, extremes))
-
-    # attack rows only ever receive nonnegative mass, so pairs reaching
-    # outside the attack's support can never be used; dropping them is exact
-    left = {c.index for c in attack.support}
-    columns = []
-    for mk, nk in pairs:
-        if any(c.index not in left for c in mk.support):
-            continue
-        col = {}
-        for c, p in mk:
-            col[("L", c.index)] = col.get(("L", c.index), 0.0) + p
-        for d, q in nk:
-            col[("R", d.index)] = col.get(("R", d.index), 0.0) + q
-        columns.append(col)
-    for c in attack.support:  # identity carriers
-        columns.append({("L", c.index): 1.0, ("R", c.index): 1.0})
-    for d, extremes in per_config:
-        for e in extremes:
-            col = {("D", d.index): 1.0}
-            for y, q in e:
-                col[("R", y.index)] = col.get(("R", y.index), 0.0) - q
-            columns.append(col)
-
+    columns = _closure_columns(pairs, attack) + _extreme_columns(per_config)
     target = {("L", c.index): p for c, p in attack}
-    for d, p in defender:
-        target[("D", d.index)] = p
+    target.update((("D", d.index), p) for d, p in defender)
     return combination_weights(columns, target) is not None
 
 
@@ -573,47 +583,26 @@ def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
     order of decreasing matched mass.
     """
     classes = decomp.classes
-    per_config = []
-    for d in defender.support:
-        extremes = system.weak_tau_extremes(d)
-        per_config.append((d, extremes))
+    per_config = [(d, system.weak_tau_extremes(d)) for d in defender.support]
+    extreme_columns = _extreme_columns(per_config)
     free_keys = {("R", y.index)
                  for _, extremes in per_config for e in extremes for y, _ in e}
+    # defender mass on unmatched classes
+    free_columns = [{key: 1.0} for key in sorted(free_keys, key=repr)]
 
     def feasible(matched):
         columns = []
         for i in matched:
-            cls = classes[i]
-            # class rows only receive nonnegative mass: pairs reaching
-            # outside the class support can never carry weight
-            left = {c.index for c in cls.dist.support}
-            for mk, nk in pairs:
-                if any(c.index not in left for c in mk.support):
-                    continue
-                col = {}
-                for c, p in mk:
-                    col[("L", i, c.index)] = col.get(("L", i, c.index), 0.0) + p
-                for d, q in nk:
-                    col[("R", d.index)] = col.get(("R", d.index), 0.0) + q
-                columns.append(col)
-            for c in cls.dist.support:
-                columns.append({("L", i, c.index): 1.0, ("R", c.index): 1.0})
-        for d, extremes in per_config:
-            for e in extremes:
-                col = {("D", d.index): 1.0}
-                for y, q in e:
-                    col[("R", y.index)] = col.get(("R", y.index), 0.0) - q
-                columns.append(col)
+            columns += _closure_columns(pairs, classes[i].dist, row=("L", i))
+        columns += extreme_columns
         if len(matched) < len(classes):
-            for key in sorted(free_keys, key=repr):  # defender mass on unmatched classes
-                columns.append({key: 1.0})
+            columns += free_columns
         target = {}
         for i in matched:
             cls = classes[i]
             for c, p in cls.dist:
                 target[("L", i, c.index)] = cls.weight * p
-        for d, p in defender:
-            target[("D", d.index)] = p
+        target.update((("D", d.index), p) for d, p in defender)
         return combination_weights(columns, target) is not None
 
     indices = range(len(classes))
@@ -690,16 +679,40 @@ def _strong_attacks(system: System, dist: ConfigDistribution, cache: dict) -> tu
 # relation checking
 
 
-def _oriented(pairs) -> tuple:
+def _unique_pairs(pairs) -> tuple:
     out = []
     seen = set()
     for a, b in pairs:
-        for x, y in ((a, b), (b, a)):
-            key = (x.digest, y.digest)
-            if key not in seen:
-                seen.add(key)
-                out.append((x, y))
+        key = (a.digest, b.digest)
+        if key not in seen:
+            seen.add(key)
+            out.append((a, b))
     return tuple(out)
+
+
+def _oriented(pairs) -> tuple:
+    return _unique_pairs(p for a, b in pairs for p in ((a, b), (b, a)))
+
+
+def _violation(system: System, rel, x: ConfigDistribution, y: ConfigDistribution,
+               lam: float, tol: float, attack_cache: dict) -> Optional[dict]:
+    """The first clause (ii) or (iii) obligation of x, attacking y, that the
+    closure of `rel` fails to meet, as CheckReport fields; None if all hold.
+
+    Clause (ii): every extreme strong move of x has a weak match by y.
+    Clause (iii): when x is not transition consistent, an internal split of
+    y matches its canonical classes with at most `lam` mass unmatched.
+    """
+    for label, attack in _strong_attacks(system, x, attack_cache):
+        if not _match_weak(system, rel, attack, y, label):
+            return dict(clause="ii", label=label, attack=attack,
+                        detail=f"strong {label} move has no weak match in the closure")
+    if not is_transition_consistent(x, system):
+        if not _match_decomposition(system, rel, tc_decompose(x, system), y, lam, tol):
+            return dict(clause="iii", label=TAU,
+                        detail="no internal split of the defending side matches the "
+                               "transition-consistent classes within the allowed mass")
+    return None
 
 
 def _check_exhaustive(system: System, relation: RelationCandidate,
@@ -707,30 +720,14 @@ def _check_exhaustive(system: System, relation: RelationCandidate,
     rel = _oriented(relation.pairs)
     attack_cache = {}
     for x, y in rel:
-        if x.held_qubits() != y.held_qubits():
-            return CheckReport(
-                False, "exhaustive", clause="i", pair=(x, y), lam=lam, tol=tol,
-                detail=f"quantum variables differ: {sorted(x.held_qubits())} "
-                       f"vs {sorted(y.held_qubits())}")
-        dist = _env_distance(x, y)
-        if dist > lam + tol:
-            return CheckReport(
-                False, "exhaustive", clause="i", pair=(x, y), lam=lam, tol=tol,
-                detail=f"environment trace distance {dist:.6g} exceeds {lam + tol:.6g}")
-        for label, attack in _strong_attacks(system, x, attack_cache):
-            if not _match_weak(system, rel, attack, y, label):
-                return CheckReport(
-                    False, "exhaustive", clause="ii", pair=(x, y), lam=lam, tol=tol,
-                    direction="left", label=label, attack=attack,
-                    detail=f"strong {label} move has no weak match in the closure")
-        if not is_transition_consistent(x, system):
-            decomp = tc_decompose(x, system)
-            if not _match_decomposition(system, rel, decomp, y, lam, tol):
-                return CheckReport(
-                    False, "exhaustive", clause="iii", pair=(x, y), lam=lam, tol=tol,
-                    direction="left", label=TAU,
-                    detail="no internal split of the right side matches the "
-                           "transition-consistent classes within the allowed mass")
+        detail = _clause_i(x, y, lam + tol)
+        if detail is not None:
+            return CheckReport(False, "exhaustive", clause="i", pair=(x, y),
+                               lam=lam, tol=tol, detail=detail)
+        bad = _violation(system, rel, x, y, lam, tol, attack_cache)
+        if bad is not None:
+            return CheckReport(False, "exhaustive", pair=(x, y), lam=lam, tol=tol,
+                               direction="left", **bad)
     return CheckReport(True, "exhaustive", lam=lam, tol=tol, witness=relation,
                        detail=f"{len(rel)} oriented pairs verified by enumeration")
 
@@ -738,9 +735,8 @@ def _check_exhaustive(system: System, relation: RelationCandidate,
 def _check_saturated(system: System, relation: RelationCandidate,
                      lam: float, tol: float, certificate: str) -> CheckReport:
     canon = _Canon(system)
-    digests = {(a.digest, b.digest) for a, b in relation.pairs}
-    digests |= {(b, a) for a, b in digests}
     rel = _oriented(relation.pairs)
+    digests = {(a.digest, b.digest) for a, b in rel}
     memo = {}
 
     def related(a, b):
@@ -753,16 +749,10 @@ def _check_saturated(system: System, relation: RelationCandidate,
         return got
 
     for x, y in rel:
-        if x.held_qubits() != y.held_qubits():
-            return CheckReport(
-                False, "saturated", clause="i", pair=(x, y), lam=lam, tol=tol,
-                detail=f"quantum variables differ: {sorted(x.held_qubits())} "
-                       f"vs {sorted(y.held_qubits())}")
-        dist = _env_distance(x, y)
-        if dist > lam + tol:
-            return CheckReport(
-                False, "saturated", clause="i", pair=(x, y), lam=lam, tol=tol,
-                detail=f"environment trace distance {dist:.6g} exceeds {lam + tol:.6g}")
+        detail = _clause_i(x, y, lam + tol)
+        if detail is not None:
+            return CheckReport(False, "saturated", clause="i", pair=(x, y),
+                               lam=lam, tol=tol, detail=detail)
 
         sx, sy = canon.saturate(x), canon.saturate(y)
         if sx.digest != x.digest or sy.digest != y.digest:
@@ -895,14 +885,9 @@ def _compare_forms(canon: _Canon, fl: _Form, fr: _Form, tol: float,
     seen.add(key)
     pairs.append((fl.sat, fr.sat))
 
-    held_l, held_r = fl.sat.held_qubits(), fr.sat.held_qubits()
-    if held_l != held_r:
-        return dict(clause="i", pair=(fl.sat, fr.sat),
-                    detail=f"quantum variables differ: {sorted(held_l)} vs {sorted(held_r)}")
-    dist = _env_distance(fl.sat, fr.sat)
-    if dist > tol:
-        return dict(clause="i", pair=(fl.sat, fr.sat),
-                    detail=f"environment trace distance {dist:.6g} exceeds {tol:.6g}")
+    detail = _clause_i(fl.sat, fr.sat, tol)
+    if detail is not None:
+        return dict(clause="i", pair=(fl.sat, fr.sat), detail=detail)
 
     by_sig_l = {cls.signature: cls for cls in fl.classes}
     by_sig_r = {cls.signature: cls for cls in fr.classes}
@@ -929,15 +914,9 @@ def _compare_forms(canon: _Canon, fl: _Form, fr: _Form, tol: float,
             return dict(clause="iii", pair=(fl.sat, fr.sat),
                         detail=f"class {list(_sig_key(sig))} has weight "
                                f"{cl.weight:.6g} vs {cr.weight:.6g}")
-        if cl.qv != cr.qv:
-            return dict(clause="i", pair=(cl.dist, cr.dist),
-                        detail=f"class quantum variables differ: "
-                               f"{sorted(cl.qv)} vs {sorted(cr.qv)}")
-        dist = _env_distance(cl.dist, cr.dist)
-        if dist > tol:
-            return dict(clause="i", pair=(cl.dist, cr.dist),
-                        detail=f"class environment trace distance {dist:.6g} "
-                               f"exceeds {tol:.6g}")
+        detail = _clause_i(cl.dist, cr.dist, tol)
+        if detail is not None:
+            return dict(clause="i", pair=(cl.dist, cr.dist), detail=f"class {detail}")
         pairs.append((cl.dist, cr.dist))
         for (label, child_l), (_, child_r) in zip(cl.children, cr.children):
             bad = _compare_forms(canon, child_l, child_r, tol, pairs, seen)
@@ -954,32 +933,15 @@ def _compare_forms(canon: _Canon, fl: _Form, fr: _Form, tol: float,
     return None
 
 
-def _unique_pairs(pairs) -> tuple:
-    out = []
-    seen = set()
-    for a, b in pairs:
-        key = (a.digest, b.digest)
-        if key not in seen:
-            seen.add(key)
-            out.append((a, b))
-    return tuple(out)
-
-
 def _decide_canonical(system: System, mu, nu, tol: float, certificate: str,
                       chooser=_first_choice) -> CheckReport:
     canon = _Canon(system, chooser)
     pairs = [(mu, nu)]
 
-    if mu.held_qubits() != nu.held_qubits():
-        return CheckReport(
-            False, "canonical", clause="i", pair=(mu, nu), tol=tol,
-            detail=f"quantum variables differ: {sorted(mu.held_qubits())} "
-                   f"vs {sorted(nu.held_qubits())}; {certificate}")
-    dist = _env_distance(mu, nu)
-    if dist > tol:
-        return CheckReport(
-            False, "canonical", clause="i", pair=(mu, nu), tol=tol,
-            detail=f"environment trace distance {dist:.6g} exceeds {tol:.6g}; {certificate}")
+    detail = _clause_i(mu, nu, tol)
+    if detail is not None:
+        return CheckReport(False, "canonical", clause="i", pair=(mu, nu), tol=tol,
+                           detail=f"{detail}; {certificate}")
 
     bad = _compare_forms(canon, canon.form(mu), canon.form(nu), tol, pairs, set())
     if bad is not None:
@@ -992,15 +954,73 @@ def _decide_canonical(system: System, mu, nu, tol: float, certificate: str,
                        detail=f"behaviour forms coincide; {certificate}")
 
 
+def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> CheckReport:
+    """Greatest fixpoint of the ground clauses over pairs of `members`.
+
+    Candidates are the pairs meeting clause (i) whose transition-consistent
+    members agree on their weak visible sets (tc members related in any
+    ground bisimulation must).  A sweep deletes every pair that violates
+    clause (ii) or (iii), in either orientation, against the surviving
+    family, until a sweep deletes nothing; the verdict is whether (mu, nu),
+    both members, survives.  Deletions shrink the relation, so survivors
+    are re-validated on the next sweep and the final sweep is exact.
+    """
+    shapes = []
+    for m in members:
+        sigs = {system.weak_enabled(c) for c in m.support}
+        shapes.append(sigs.pop() if len(sigs) == 1 else None)
+    alive = set()
+    for i, a in enumerate(members):
+        for j in range(i, len(members)):
+            if (shapes[i] is not None and shapes[j] is not None
+                    and shapes[i] != shapes[j]):
+                continue
+            if _clause_i(a, members[j], tol) is None:
+                alive.add((i, j))
+
+    attack_cache = {}
+
+    def violation(a, b, rel):
+        for x, y, side in ((a, b, "left"), (b, a, "right")):
+            bad = _violation(system, rel, x, y, 0.0, tol, attack_cache)
+            if bad is not None:
+                return dict(bad, direction=side)
+        return None
+
+    def relation():
+        return _oriented([(members[i], members[j]) for i, j in sorted(alive)])
+
+    changed = True
+    while changed:
+        changed = False
+        rel = relation()
+        for i, j in sorted(alive):
+            if violation(members[i], members[j], rel) is not None:
+                alive.discard((i, j))
+                changed = True
+
+    pos = {m.digest: k for k, m in enumerate(members)}
+    if tuple(sorted((pos[mu.digest], pos[nu.digest]))) in alive or mu.digest == nu.digest:
+        witness = RelationCandidate(tuple(
+            (members[i], members[j]) for i, j in sorted(alive)))
+        return CheckReport(True, mode, tol=tol, witness=witness,
+                           detail=f"{len(alive)} pairs survive over a family of "
+                                  f"{len(members)} distributions")
+    detail = _clause_i(mu, nu, tol)
+    if detail is not None:
+        return CheckReport(False, mode, clause="i", pair=(mu, nu), tol=tol, detail=detail)
+    bad = violation(mu, nu, relation() + ((mu, nu), (nu, mu))) or {}
+    detail = bad.pop("detail", "deleted during refinement")
+    return CheckReport(False, mode, pair=(mu, nu), tol=tol, detail=detail, **bad)
+
+
 def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
-    """Greatest fixpoint over a finite family of reachable distributions.
+    """Refinement over a finite family of reachable distributions.
 
     The family holds the queried pair, every point distribution, every
     one-step target, canonical saturations, and the canonical classes of
-    each member.  Pairs violating a clause against the surviving family are
-    deleted until stable; the verdict is whether the queried pair survives.
-    Complete only as far as the family reaches, which covers the acyclic
-    desk-scale systems this mode is meant for.
+    each member.  Complete only as far as the family reaches, which covers
+    the acyclic desk-scale systems this mode is meant for.
     """
     family = {}
 
@@ -1023,75 +1043,8 @@ def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
     for d in list(family.values()):
         for cls in tc_decompose(d, system).classes:
             add(cls.dist)
-
     members = sorted(family.values(), key=lambda d: d.digest)
-    # (is-tc, shared signature); tc members related in any ground
-    # bisimulation must agree on their weak visible sets, so mismatched
-    # tc pairs can be discarded before any feasibility work
-    shapes = []
-    for m in members:
-        sigs = {system.weak_enabled(c) for c in m.support}
-        shapes.append(sigs.pop() if len(sigs) == 1 else None)
-    alive = set()
-    for i, a in enumerate(members):
-        for j in range(i, len(members)):
-            b = members[j]
-            if a.held_qubits() != b.held_qubits():
-                continue
-            if (shapes[i] is not None and shapes[j] is not None
-                    and shapes[i] != shapes[j]):
-                continue
-            e = _env_distance(a, b)
-            if e is not None and e <= tol:
-                alive.add((i, j))
-
-    attack_cache = {}
-
-    def violation(a, b, rel):
-        for x, y in ((a, b), (b, a)):
-            for label, attack in _strong_attacks(system, x, attack_cache):
-                if not _match_weak(system, rel, attack, y, label):
-                    return dict(clause="ii", label=label, attack=attack,
-                                direction="left" if x is a else "right",
-                                detail=f"strong {label} move has no weak match")
-            if not is_transition_consistent(x, system):
-                if not _match_decomposition(system, rel, tc_decompose(x, system),
-                                            y, 0.0, tol):
-                    return dict(clause="iii", direction="left" if x is a else "right",
-                                detail="transition-consistent classes unmatched")
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        rel = _oriented([(members[i], members[j]) for i, j in sorted(alive)])
-        # chaotic sweep: deletions shrink the relation, so survivors are
-        # re-validated on the next pass and the final pass is exact
-        for i, j in sorted(alive):
-            if violation(members[i], members[j], rel) is not None:
-                alive.discard((i, j))
-                changed = True
-
-    pos = {m.digest: k for k, m in enumerate(members)}
-    root = tuple(sorted((pos[mu.digest], pos[nu.digest])))
-    if root in alive or mu.digest == nu.digest:
-        witness = RelationCandidate(tuple(
-            (members[i], members[j]) for i, j in sorted(alive)))
-        return CheckReport(True, "relation-search", tol=tol, witness=witness,
-                           detail=f"{len(alive)} pairs survive over a family of "
-                                  f"{len(members)} distributions")
-    rel = _oriented([(members[i], members[j]) for i, j in sorted(alive)])
-    if mu.held_qubits() != nu.held_qubits():
-        return CheckReport(False, "relation-search", clause="i", pair=(mu, nu),
-                           tol=tol, detail="quantum variables differ")
-    e = _env_distance(mu, nu)
-    if e > tol:
-        return CheckReport(False, "relation-search", clause="i", pair=(mu, nu),
-                           tol=tol, detail=f"environment trace distance {e:.6g}")
-    bad = violation(mu, nu, rel + ((mu, nu), (nu, mu)))
-    detail = bad.pop("detail", "") if bad else "deleted during refinement"
-    return CheckReport(False, "relation-search", pair=(mu, nu), tol=tol,
-                       detail=detail, **(bad or {}))
+    return _refine(system, members, mu, nu, tol, "relation-search")
 
 
 def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> CheckReport:
@@ -1127,10 +1080,13 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
 def decide_state_based(c, d, context, tol: float = None) -> CheckReport:
     """Decide state-based ground bisimilarity of two configurations.
 
-    Greatest-fixpoint refinement over configuration pairs: candidates agree
-    on quantum variables and environment, and every strong move of one side
-    must be weakly matched by the other with successor distributions in the
-    lifting of the surviving candidates.  Complete on acyclic
+    State-based bisimulation is distribution-based bisimulation in which
+    every related distribution is a point distribution, so this is the
+    refinement of relation search over the point distributions of every
+    reachable configuration.  On point distributions the held qubits are
+    the configuration's quantum variables, every member is transition
+    consistent with its weak enabled set as its shape, and the strong
+    attacks are exactly the configuration's moves.  Complete on acyclic
     quantum-input-free systems.
     """
     system = _system_of(context)
@@ -1139,71 +1095,9 @@ def decide_state_based(c, d, context, tol: float = None) -> CheckReport:
         (c,) = c.support
     if isinstance(d, ConfigDistribution):
         (d,) = d.support
-    _prepare(system, (system.dirac(c), system.dirac(d)))
-
-    configs = system.reachable([c, d])
-    sigs = [system.weak_enabled(x) for x in configs]
-    alive = set()
-    for i, a in enumerate(configs):
-        for j in range(i, len(configs)):
-            b = configs[j]
-            if a.qv != b.qv or sigs[i] != sigs[j]:
-                continue
-            e = _env_distance(system.dirac(a), system.dirac(b))
-            if e is not None and e <= tol:
-                alive.add((i, j))
-
-    def rel_pairs():
-        out = []
-        for i, j in sorted(alive):
-            out.append((system.dirac(configs[i]), system.dirac(configs[j])))
-            if i != j:
-                out.append((system.dirac(configs[j]), system.dirac(configs[i])))
-        return tuple(out)
-
-    def violation(a, b, rel):
-        for x, y in ((a, b), (b, a)):
-            for t in system.step(x):
-                if not _match_weak(system, rel, t.dist, system.dirac(y), t.label):
-                    return dict(clause="ii", label=t.label, attack=t.dist,
-                                direction="left" if x is a else "right",
-                                detail=f"strong {t.label} move of "
-                                       f"{ca.pretty(x.term)} has no weak match")
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        rel = rel_pairs()
-        # chaotic sweep: deletions shrink the relation, so survivors are
-        # re-validated on the next pass and the final pass is exact
-        for i, j in sorted(alive):
-            if violation(configs[i], configs[j], rel) is not None:
-                alive.discard((i, j))
-                changed = True
-
-    index = {x: i for i, x in enumerate(configs)}
-    root = tuple(sorted((index[c], index[d])))
-    if c is d or root in alive:
-        witness = RelationCandidate(rel_pairs())
-        return CheckReport(True, "state-based", tol=tol, witness=witness,
-                           detail=f"{len(alive)} configuration pairs survive")
-    if c.qv != d.qv:
-        return CheckReport(False, "state-based", clause="i", tol=tol,
-                           pair=(system.dirac(c), system.dirac(d)),
-                           detail=f"quantum variables differ: {sorted(c.qv)} "
-                                  f"vs {sorted(d.qv)}")
-    e = _env_distance(system.dirac(c), system.dirac(d))
-    if e > tol:
-        return CheckReport(False, "state-based", clause="i", tol=tol,
-                           pair=(system.dirac(c), system.dirac(d)),
-                           detail=f"environment trace distance {e:.6g} exceeds {tol:.6g}")
-    bad = violation(c, d, rel_pairs() + ((system.dirac(c), system.dirac(d)),
-                                         (system.dirac(d), system.dirac(c))))
-    detail = bad.pop("detail", "") if bad else "deleted during refinement"
-    return CheckReport(False, "state-based", tol=tol,
-                       pair=(system.dirac(c), system.dirac(d)),
-                       detail=detail, **(bad or {}))
+    mu, nu = system.dirac(c), system.dirac(d)
+    family = [system.dirac(x) for x in _prepare(system, (mu, nu))]
+    return _refine(system, family, mu, nu, tol, "state-based")
 
 
 # ---------------------------------------------------------------------------
@@ -1354,8 +1248,8 @@ def superop_closure_sample_test(relation, context, samples: int = 20,
             for dist in (a, b):
                 probs = {}
                 for c, p in dist:
-                    nc = system._intern(c.term, apply_superop(
-                        sop, c.matrix, system.register, complement))
+                    nc = system._intern(c.term, sop.apply(
+                        c.matrix, system.register, complement))
                     probs[nc] = probs.get(nc, 0.0) + p
                 mapped.append(ConfigDistribution(probs))
             transformed.append(tuple(mapped))
@@ -1399,10 +1293,7 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
     lam = report.lam if report.lam is not None else 0.0
 
     if report.clause == "i":
-        if x.held_qubits() != y.held_qubits():
-            return True
-        e = _env_distance(x, y)
-        return e is not None and e > lam + tol
+        return _clause_i(x, y, lam + tol) is not None
 
     attacker = x if report.direction != "right" else y
     confirmed = False

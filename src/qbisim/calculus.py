@@ -576,21 +576,6 @@ def fv(term: Process) -> frozenset:
     raise TypeError(f"not a process: {term!r}")
 
 
-def has_quantum_input(term: Process) -> bool:
-    """True if any quantum input prefix occurs anywhere in the term."""
-    if isinstance(term, Prefix):
-        return isinstance(term.action, QIn) or has_quantum_input(term.cont)
-    if isinstance(term, (Sum, Par)):
-        return any(has_quantum_input(p) for p in term.parts)
-    if isinstance(term, (Restrict, Relabel)):
-        return has_quantum_input(term.body)
-    if isinstance(term, If):
-        return has_quantum_input(term.body)
-    if isinstance(term, PChoice):
-        return any(has_quantum_input(t) for _, t in term.branches)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # substitution
 

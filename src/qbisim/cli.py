@@ -33,7 +33,7 @@ from .errors import (BudgetExceededError, ChannelDomainError,
                      EvaluationError, ParseError, QuantumInputFragmentError,
                      UnknownOperationError, WellFormednessError)
 from .quantum import QuantumState, QubitRegister
-from .semantics import System, build_plts
+from .semantics import PLTS, System
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -191,7 +191,7 @@ def cmd_lts(cfg: CommandConfig) -> int:
     system, (root,) = _build_roots(cfg, [cfg.root])
     if cfg.depth is not None:
         _check_depth(system, root, cfg.depth)
-    plts = build_plts(system, root, max_configs=cfg.max_configs)
+    plts = PLTS(system, root, max_configs=cfg.max_configs)
     if cfg.fmt == "dot":
         _emit(plts.to_dot(), cfg.output)
     elif cfg.fmt == "text":

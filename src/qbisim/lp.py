@@ -136,13 +136,11 @@ def solve_nonneg(a, b):
     return x
 
 
-def combination_weights(columns, target, extra_rows=()):
+def combination_weights(columns, target):
     """Nonnegative weights combining `columns` (dicts) into `target`, or None.
 
     Each column and the target map keys to rational-convertible numbers;
-    missing keys are zero.  `extra_rows` adds equality constraints as
-    (coefficient-list, rhs) pairs over the same weight vector, e.g. a
-    normalisation row ([1, 1, ..., 1], 1).
+    missing keys are zero: one equality row per key.
     """
     keys = set(target)
     for col in columns:
@@ -150,9 +148,4 @@ def combination_weights(columns, target, extra_rows=()):
     keys = sorted(keys, key=repr)
     a = [[as_fraction(col.get(k, 0)) for col in columns] for k in keys]
     b = [as_fraction(target.get(k, 0)) for k in keys]
-    for coeffs, rhs in extra_rows:
-        if len(coeffs) != len(columns):
-            raise ValueError("extra row width does not match column count")
-        a.append([as_fraction(c) for c in coeffs])
-        b.append(as_fraction(rhs))
     return solve_nonneg(a, b)

@@ -331,15 +331,6 @@ class Measurement:
         return [(v, p / total, post) for v, p, post in results]
 
 
-def apply_superop(sop: SuperOperator, mat: np.ndarray, register: QubitRegister, qubits):
-    return sop.apply(mat, register, qubits)
-
-
-def apply_measurement(m: Measurement, mat: np.ndarray, register: QubitRegister, qubits,
-                      prune: float = PRUNE_EPS):
-    return m.apply(mat, register, qubits, prune)
-
-
 # ---------------------------------------------------------------------------
 # builtin operation registry
 

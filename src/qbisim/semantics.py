@@ -36,13 +36,12 @@ from .errors import (
     EvaluationError,
     WellFormednessError,
 )
-from .lp import combination_weights
+# not called here: perfbench/spans.py traces the LP under this name too
+from .lp import combination_weights  # noqa: F401
 from .quantum import (
     DEFAULT_TOL,
     QuantumState,
     _matrix_digest,
-    apply_measurement,
-    apply_superop,
     check_density_matrix,
     partial_trace,
     resolve_operation,
@@ -463,13 +462,13 @@ class System:
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.Apply):
                 op = self._operation(act.op)
-                new_mat = apply_superop(op, mat, self.register, act.qubits)
+                new_mat = op.apply(mat, self.register, act.qubits)
                 return [(TAU, ((1.0, term.cont, new_mat),))], []
             if isinstance(act, ca.Meas):
                 op = self._operation(act.op)
                 branches = tuple(
                     (p, ca.subst_values(term.cont, {act.var: v}), post)
-                    for v, p, post in apply_measurement(op, mat, self.register, act.qubits))
+                    for v, p, post in op.apply(mat, self.register, act.qubits))
                 return [(TAU, branches)], []
             raise TypeError(f"unknown action {act!r}")
 
@@ -751,51 +750,7 @@ class System:
 
 
 # ---------------------------------------------------------------------------
-# lifting
-
-
-def lift_weights(pairs, mu: ConfigDistribution, nu: ConfigDistribution):
-    """Decompose mu over the left sides of `pairs` so the right sides mix to nu.
-
-    `pairs` is a sequence of (configuration, distribution).  Returns one
-    nonnegative weight per pair (exact rationals) or None when no such
-    decomposition exists.  This is the lifting of a relation between states
-    and distributions, phrased as a feasibility problem.
-    """
-    columns = []
-    for c, dist in pairs:
-        col = {("right", d.index): p for d, p in dist}
-        col[("left", c.index)] = 1.0
-        columns.append(col)
-    target = {("right", d.index): p for d, p in nu}
-    for c, p in mu:
-        target[("left", c.index)] = target.get(("left", c.index), 0.0) + p
-    return combination_weights(columns, target)
-
-
-def lift_holds(pairs, mu, nu) -> bool:
-    return lift_weights(pairs, mu, nu) is not None
-
-
-# ---------------------------------------------------------------------------
 # whole-graph construction and export
-
-
-def weak_tau_derivatives(system: System, mu: ConfigDistribution) -> tuple:
-    """Extreme points of everything internally reachable from `mu`.
-
-    The reachable set is the convex hull of the result.  Exponential in the
-    support size; meant for small distributions, the decision procedures
-    work with per-configuration extremes and feasibility queries instead.
-    """
-    support = mu.support
-    choice_sets = [system.weak_tau_extremes(c) for c in support]
-    found = {}
-    for combo in itertools.product(*choice_sets):
-        system._spend()
-        mixed = combine((mu.probability(c), e) for c, e in zip(support, combo))
-        found.setdefault(mixed.digest, mixed)
-    return tuple(found.values())
 
 
 def weak_transition(system: System, mu: ConfigDistribution, label: Label) -> tuple:
@@ -805,7 +760,7 @@ def weak_transition(system: System, mu: ConfigDistribution, label: Label) -> tup
     the lifted step needs every support element to move.
     """
     if not label.visible:
-        raise ValueError("use weak_tau_derivatives for internal moves")
+        raise ValueError("use System.weak_tau_extremes for internal moves")
     support = mu.support
     choice_sets = []
     for c in support:
@@ -819,10 +774,6 @@ def weak_transition(system: System, mu: ConfigDistribution, label: Label) -> tup
         mixed = combine((mu.probability(c), e) for c, e in zip(support, combo))
         found.setdefault(mixed.digest, mixed)
     return tuple(found.values())
-
-
-def enabled_weak_visible(system: System, config: Configuration) -> frozenset:
-    return system.weak_enabled(config)
 
 
 class PLTS:
@@ -894,7 +845,3 @@ class PLTS:
                     lines.append(f'  p{k} -> n{dst} [label="{p:.6g}", style=dashed];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def build_plts(system: System, root, max_configs=200_000) -> PLTS:
-    return PLTS(system, root, max_configs=max_configs)

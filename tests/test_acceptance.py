@@ -15,6 +15,7 @@ import numpy as np
 
 import bb84_oracle
 import randsys
+from test_bb84 import SECURITY_FAIL
 from qbisim import bb84
 from qbisim.bisim import (check_lambda_relation, decide_bisim,
                           decide_state_based, distance_upper_bound,
@@ -101,7 +102,7 @@ def test_criterion_2():
 # 3. protocol security
 
 
-@_gate("criterion 3: bb84 security bounds under c^n, oracle-exact at n=1")
+@_gate("criterion 3: bb84 security bounds under c^n, oracle-exact at n=1 and n=3")
 def test_criterion_3():
     for n in range(1, 31):
         bb84.security_bound(n)  # closed form agrees with the binomial sum
@@ -121,6 +122,7 @@ def test_criterion_3():
             exact = bb84_oracle.security_outcomes(1)
             assert abs(p - float(exact["fail"] + exact["hacked"])) <= 1e-9
         if n == 3:
+            assert abs(bound.value - float(SECURITY_FAIL[3])) <= 1e-9
             assert time.perf_counter() - t0 < 900.0
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from qbisim.calculus import parse_module
 from qbisim.errors import CyclicModelError, QuantumInputFragmentError
-from qbisim.quantum import QubitRegister, QuantumState
-from qbisim.semantics import System, TAU, build_plts, combine
+from qbisim.quantum import QubitRegister, QuantumState, random_density
+from qbisim.semantics import PLTS, System, TAU, combine
 from qbisim.bisim import (
     CheckReport,
     DistanceBound,
@@ -299,6 +299,36 @@ class TestDecide:
             decide_bisim(n, n, s, mode="guess")
 
 
+class TestDuplicatedMeasurement:
+    """A measurement chain against a fair choice between two copies of itself.
+
+    The pair is state-based bisimilar by construction (probabilistic
+    duplication), so both deciders should hold.
+    """
+
+    TERM = "meas Mcomp[q1; x] . meas Mcomp[q1; y] . nil"
+
+    def pair(self):
+        s = fresh()
+        rho = random_density(np.random.default_rng(3), 2)
+        c = s.config(self.TERM, rho)
+        d = s.config(f"pchoice {{ 1/2 -> {self.TERM} ; 1/2 -> {self.TERM} }}", rho)
+        return s, c, d
+
+    def test_distribution_bisimilar(self):
+        s, c, d = self.pair()
+        assert decide_bisim(c, d, s).holds
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "lp.as_fraction snaps each float on its own with limit_denominator, "
+        "which breaks relations the float probabilities keep exactly "
+        "(0.2972700874282956 == 2 * 0.1486350437141478 in float, not after "
+        "snapping); with Fraction(x) unsnapped the pair holds"))
+    def test_state_based_bisimilar(self):
+        s, c, d = self.pair()
+        assert decide_state_based(c, d, s).holds
+
+
 class TestLambdaRelations:
     def test_environment_threshold(self):
         # diag(.55,.45) vs diag(.45,.55) sit at trace distance exactly 0.1
@@ -395,18 +425,18 @@ class TestConfluence:
         s = fresh()
         cfg = s.config("tau . pchoice { 1/2 -> a!0 . nil ; 1/2 -> a!1 . nil }",
                        ground())
-        assert confluence_check(build_plts(s, s.dirac(cfg)))
+        assert confluence_check(PLTS(s, s.dirac(cfg)))
 
     def test_genuine_nondeterminism_is_not(self):
         s = fresh()
         cfg = s.config("tau . c!0 . nil + tau . c!1 . nil", ground())
-        assert not confluence_check(build_plts(s, s.dirac(cfg)))
+        assert not confluence_check(PLTS(s, s.dirac(cfg)))
 
     def test_commuting_interleavings_are(self):
         s = fresh(R2)
         cfg = s.config("( apply X[q1] . a!0 . nil || apply H[q2] . b!1 . nil )",
                        QuantumState.product(R2, None))
-        assert confluence_check(build_plts(s, s.dirac(cfg)))
+        assert confluence_check(PLTS(s, s.dirac(cfg)))
 
     def test_needs_roots_with_bare_system(self):
         s = fresh()

@@ -27,7 +27,6 @@ from qbisim.calculus import (
     alpha_canonical,
     eval_expr,
     fv,
-    has_quantum_input,
     module_json,
     parse_module,
     parse_term,
@@ -236,10 +235,6 @@ class TestFreeVariables:
     def test_fv_if(self):
         t = parse_term("if x = 0 then c!y . nil")
         assert fv(t) == {"x", "y"}
-
-    def test_has_quantum_input(self):
-        assert has_quantum_input(parse_term("tau . #c?q . nil"))
-        assert not has_quantum_input(parse_term("#c!q . nil"))
 
 
 class TestWellFormedness:

@@ -1,6 +1,7 @@
 """Exit codes, report shapes, and option handling of the front end."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -200,9 +201,13 @@ class TestBb84:
 
 
 def test_console_entry_point(module_file):
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qbisim", "check", module_file,
          "--left", "C", "--right", "D", "--rho", "q=+"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["verdict"] == "holds"

@@ -55,10 +55,11 @@ def test_degenerate_cycling_guard():
 
 
 def test_combination_weights_distribution_transport():
-    # 1/2 * (point a) + 1/2 * (uniform a,b) = 3/4 a + 1/4 b... solve for it
-    cols = [{"a": 1}, {"a": F(1, 2), "b": F(1, 2)}]
-    target = {"a": F(3, 4), "b": F(1, 4)}
-    w = combination_weights(cols, target, extra_rows=[([1, 1], 1)])
+    # 1/2 * (point a) + 1/2 * (uniform a,b) = 3/4 a + 1/4 b... solve for it;
+    # the "n" row normalises the weights
+    cols = [{"a": 1, "n": 1}, {"a": F(1, 2), "b": F(1, 2), "n": 1}]
+    target = {"a": F(3, 4), "b": F(1, 4), "n": 1}
+    w = combination_weights(cols, target)
     assert w == [F(1, 2), F(1, 2)]
 
 

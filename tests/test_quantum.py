@@ -18,8 +18,6 @@ from qbisim.quantum import (
     QubitRegister,
     QuantumState,
     SuperOperator,
-    apply_measurement,
-    apply_superop,
     builtin,
     check_density_matrix,
     embed,
@@ -191,42 +189,42 @@ class TestTraceDistance:
 class TestBuiltins:
     def test_hadamard(self):
         reg = QubitRegister.of(["q"])
-        rho = apply_superop(builtin("H"), product_state(reg), reg, ["q"])
+        rho = builtin("H").apply(product_state(reg), reg, ["q"])
         assert np.allclose(rho, dm(ket("+")))
 
     def test_set_and_dephase(self):
         reg = QubitRegister.of(["q"])
         plus = product_state(reg, {"q": "+"})
-        assert np.allclose(apply_superop(builtin("Set0"), plus, reg, ["q"]), dm(ket("0")))
-        assert np.allclose(apply_superop(builtin("Set1"), plus, reg, ["q"]), dm(ket("1")))
+        assert np.allclose(builtin("Set0").apply(plus, reg, ["q"]), dm(ket("0")))
+        assert np.allclose(builtin("Set1").apply(plus, reg, ["q"]), dm(ket("1")))
         # Dephase kills off-diagonals: |+><+| becomes I/2
-        assert np.allclose(apply_superop(builtin("Dephase"), plus, reg, ["q"]), np.eye(2) / 2)
+        assert np.allclose(builtin("Dephase").apply(plus, reg, ["q"]), np.eye(2) / 2)
 
     def test_layered_set_resets_to_pattern(self):
         reg = QubitRegister.of(["q1", "q2"])
         rng = np.random.default_rng(5)
         rho = random_density(rng, 4)
-        out = apply_superop(builtin("Set_10"), rho, reg, ["q1", "q2"])
+        out = builtin("Set_10").apply(rho, reg, ["q1", "q2"])
         assert np.allclose(out, product_state(reg, {"q1": "1", "q2": "0"}), atol=1e-12)
 
     def test_layered_hadamard_matches_encoding(self):
         # Set key bits then rotate by basis bits: |x_y> encoding
         reg = QubitRegister.of(["q1", "q2"])
         rho = product_state(reg)
-        rho = apply_superop(builtin("Set_01"), rho, reg, ["q1", "q2"])
-        rho = apply_superop(builtin("H_10"), rho, reg, ["q1", "q2"])
+        rho = builtin("Set_01").apply(rho, reg, ["q1", "q2"])
+        rho = builtin("H_10").apply(rho, reg, ["q1", "q2"])
         # q1: basis 1 key 0 -> |+>, q2: basis 0 key 1 -> |1>
         expect = product_state(reg, {"q1": "+", "q2": "1"})
         assert np.allclose(rho, expect)
 
     def test_computational_measurement_on_plus(self):
         reg = QubitRegister.of(["q"])
-        out = apply_measurement(builtin("Mcomp"), product_state(reg, {"q": "+"}), reg, ["q"])
+        out = builtin("Mcomp").apply(product_state(reg, {"q": "+"}), reg, ["q"])
         assert sorted((v, round(p, 10)) for v, p, _ in out) == [(0.0, 0.5), (1.0, 0.5)]
 
     def test_diagonal_measurement_on_minus_is_deterministic(self):
         reg = QubitRegister.of(["q"])
-        out = apply_measurement(builtin("Mdiag"), product_state(reg, {"q": "-"}), reg, ["q"])
+        out = builtin("Mdiag").apply(product_state(reg, {"q": "-"}), reg, ["q"])
         assert len(out) == 1
         value, p, post = out[0]
         assert value == 1.0 and p == pytest.approx(1.0)
@@ -235,7 +233,7 @@ class TestBuiltins:
     def test_layered_measurement_outcome_is_bitstring(self):
         reg = QubitRegister.of(["q1", "q2"])
         rho = product_state(reg, {"q1": "-", "q2": "1"})
-        out = apply_measurement(builtin("M_10"), rho, reg, ["q1", "q2"])
+        out = builtin("M_10").apply(rho, reg, ["q1", "q2"])
         assert len(out) == 1
         value, p, _ = out[0]
         assert isinstance(value, BitString) and value == "11"
@@ -244,7 +242,7 @@ class TestBuiltins:
     def test_layered_measurement_mixed_basis_probabilities(self):
         # measuring |+> in the computational basis: both outcomes at 1/2
         reg = QubitRegister.of(["q1"])
-        out = apply_measurement(builtin("M_0"), product_state(reg, {"q1": "+"}), reg, ["q1"])
+        out = builtin("M_0").apply(product_state(reg, {"q1": "+"}), reg, ["q1"])
         assert sorted((str(v), round(p, 10)) for v, p, _ in out) == [("0", 0.5), ("1", 0.5)]
 
     def test_unknown_builtin(self):
@@ -277,7 +275,7 @@ class TestValidation:
 
     def test_measurement_prunes_zero_outcomes(self):
         reg = QubitRegister.of(["q"])
-        out = apply_measurement(builtin("Mcomp"), product_state(reg, {"q": "1"}), reg, ["q"])
+        out = builtin("Mcomp").apply(product_state(reg, {"q": "1"}), reg, ["q"])
         assert [(v, round(p, 12)) for v, p, _ in out] == [(1.0, 1.0)]
 
 

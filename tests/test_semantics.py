@@ -18,14 +18,11 @@ from qbisim.semantics import (
     Label,
     System,
     TAU,
-    build_plts,
     combine,
-    enabled_weak_visible,
-    lift_holds,
-    lift_weights,
-    weak_tau_derivatives,
     weak_transition,
 )
+from qbisim.bisim import _closure_columns, _member_lin
+from qbisim.lp import combination_weights
 
 R1 = QubitRegister.of(["q1"])
 R2 = QubitRegister.of(["q1", "q2"])
@@ -290,7 +287,7 @@ class TestWeakClosure:
     def test_two_component_schedules(self):
         s = fresh()
         cfg = s.config("tau . nil || tau . nil", state())
-        ext = weak_tau_derivatives(s, s.dirac(cfg))
+        ext = s.weak_tau_extremes(cfg)
         assert len(ext) == 4
 
     def test_weak_visible_through_tau(self):
@@ -308,7 +305,7 @@ class TestWeakClosure:
             state(assignment={"q1": "+"}))
         # after the measurement, half the mass enables c!0 and half d!0
         assert s.weak_visible_extremes(cfg, Label(Label.OUT, Channel("c"), 0.0)) == ()
-        assert enabled_weak_visible(s, cfg) == frozenset()
+        assert s.weak_enabled(cfg) == frozenset()
 
     def test_weak_enabled_via_tau(self):
         s = fresh()
@@ -341,16 +338,19 @@ class TestWeakClosure:
         s.budget = 100
         cfg = s.config(src, state())
         with pytest.raises(BudgetExceededError):
-            weak_tau_derivatives(s, s.dirac(cfg))
+            s.weak_tau_extremes(cfg)
 
 
 class TestLifting:
+    """Lifting a relation to distributions: membership in the convex closure
+    of a pair family plus identity pairs, as the bisimulation checks use it."""
+
     def test_dirac_pair(self):
         s = fresh()
         a = s.config("nil", state())
         b = s.config("tau . nil", state())
         nu = s.dirac(b)
-        assert lift_holds([(a, nu)], s.dirac(a), nu)
+        assert _member_lin([(s.dirac(a), nu)], s.dirac(a), nu)
 
     def test_linearity(self):
         s = fresh()
@@ -358,10 +358,10 @@ class TestLifting:
         b = s.config("b!0 . nil", state())
         na = s.dirac(s.config("nil", state()))
         nb = s.dirac(s.config("tau . nil", state()))
-        pairs = [(a, na), (b, nb)]
+        pairs = [(s.dirac(a), na), (s.dirac(b), nb)]
         mu = ConfigDistribution({a: 0.3, b: 0.7})
         nu = combine([(0.3, na), (0.7, nb)])
-        assert lift_holds(pairs, mu, nu)
+        assert _member_lin(pairs, mu, nu)
 
     def test_wrong_mixture_fails(self):
         s = fresh()
@@ -369,44 +369,50 @@ class TestLifting:
         b = s.config("b!0 . nil", state())
         na = s.dirac(s.config("nil", state()))
         nb = s.dirac(s.config("tau . nil", state()))
-        pairs = [(a, na), (b, nb)]
+        pairs = [(s.dirac(a), na), (s.dirac(b), nb)]
         mu = ConfigDistribution({a: 0.3, b: 0.7})
         nu = combine([(0.7, na), (0.3, nb)])
-        assert not lift_holds(pairs, mu, nu)
+        assert not _member_lin(pairs, mu, nu)
 
     def test_empty_relation_lifts_nothing(self):
+        # nothing beyond the implicit identity pairs
         s = fresh()
-        a = s.config("a!0 . nil", state())
-        assert not lift_holds([], s.dirac(a), s.dirac(a))
+        a = s.dirac(s.config("a!0 . nil", state()))
+        n = s.dirac(s.config("nil", state()))
+        assert not _member_lin([], a, n)
+        assert _member_lin([], a, a)
 
     def test_weights_are_exact(self):
         s = fresh()
-        a = s.config("a!0 . nil", state())
+        a = s.dirac(s.config("a!0 . nil", state()))
         target = s.dirac(s.config("nil", state()))
-        w = lift_weights([(a, target), (a, target)], s.dirac(a), target)
+        columns = _closure_columns([(a, target), (a, target)], a, right=target)
+        goal = {("L", c.index): p for c, p in a}
+        goal.update((("R", d.index), q) for d, q in target)
+        w = combination_weights(columns, goal)
         assert sum(w) == 1
 
 
 class TestGraphExport:
     def test_nil_graph(self):
         s = fresh()
-        g = build_plts(s, s.config("nil", state()))
+        g = PLTS(s, s.config("nil", state()))
         assert len(g.configs) == 1 and g.edges == [] and g.acyclic
 
     def test_output_graph(self):
         s = fresh()
-        g = build_plts(s, s.config("c!0 . nil", state()))
+        g = PLTS(s, s.config("c!0 . nil", state()))
         assert len(g.configs) == 2 and len(g.edges) == 1
 
     def test_example_counter_graph_has_three_states(self):
         s = fresh(register=R2)
         rho = state(R2, assignment={"q1": "+", "q2": "1"})
-        g = build_plts(s, s.config("meas Mcomp[q1; x] . nil", rho))
+        g = PLTS(s, s.config("meas Mcomp[q1; x] . nil", rho))
         assert len(g.configs) == 3
 
     def test_json_shape(self):
         s = fresh()
-        g = build_plts(s, s.config("c!0 . nil", state()))
+        g = PLTS(s, s.config("c!0 . nil", state()))
         d = g.to_json()
         assert {"register", "root", "acyclic", "states", "transitions"} <= set(d)
         assert d["states"][0].keys() >= {"id", "term", "qv", "env_digest"}
@@ -414,7 +420,7 @@ class TestGraphExport:
 
     def test_dot_output(self):
         s = fresh()
-        g = build_plts(s, s.config(
+        g = PLTS(s, s.config(
             "meas Mcomp[q1; x] . nil", state(assignment={"q1": "+"})))
         dot = g.to_dot()
         assert dot.startswith("digraph")
@@ -422,13 +428,13 @@ class TestGraphExport:
 
     def test_cyclic_graph_flagged(self):
         s = fresh("Loop := a!0 . Loop")
-        g = build_plts(s, s.config("Loop", state()))
+        g = PLTS(s, s.config("Loop", state()))
         assert not g.acyclic
 
     def test_config_budget(self):
         s = fresh("Grow(x;) := c!x . Grow(x + 1;)")
         with pytest.raises(BudgetExceededError):
-            build_plts(s, s.config("Grow(0;)", state()), max_configs=40)
+            PLTS(s, s.config("Grow(0;)", state()), max_configs=40)
 
 
 class TestInterning:
