@@ -33,6 +33,7 @@ pairs included), which is the relation the reports describe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -73,6 +74,20 @@ def _system_of(context) -> System:
     if isinstance(context, PLTS):
         return context.system
     raise TypeError(f"expected a System or PLTS, got {type(context).__name__}")
+
+
+def _query(fn):
+    """Run the public engine call `fn` as one query of the system in its
+    `context` argument, so the work budget counts per query (`System.query`)."""
+    position = fn.__code__.co_varnames.index("context")
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        context = args[position] if position < len(args) else kwargs.get("context")
+        with _system_of(context).query():
+            return fn(*args, **kwargs)
+
+    return run
 
 
 def _as_dist(system: System, x) -> ConfigDistribution:
@@ -813,6 +828,7 @@ def _check_saturated(system: System, relation: RelationCandidate,
                        detail=f"{len(rel)} oriented pairs verified; {certificate}")
 
 
+@_query
 def check_lambda_relation(relation, lam: float, context, tol: float = None,
                           mode: str = "auto", trials: int = 3, seed: int = 0) -> CheckReport:
     """Verify that a pair family is a lambda-bisimulation up to lambda.
@@ -1047,6 +1063,7 @@ def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
     return _refine(system, members, mu, nu, tol, "relation-search")
 
 
+@_query
 def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> CheckReport:
     """Decide distribution-based ground bisimilarity of two distributions.
 
@@ -1077,6 +1094,7 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
 # deciding state-based bisimilarity
 
 
+@_query
 def decide_state_based(c, d, context, tol: float = None) -> CheckReport:
     """Decide state-based ground bisimilarity of two configurations.
 
@@ -1104,6 +1122,7 @@ def decide_state_based(c, d, context, tol: float = None) -> CheckReport:
 # distance bounds
 
 
+@_query
 def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     """A verified upper bound on the bisimulation distance of two distributions.
 
@@ -1272,6 +1291,7 @@ def superop_closure_sample_test(relation, context, samples: int = 20,
 # refutation replay
 
 
+@_query
 def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> bool:
     """Re-derive a refutation independently of the engine that produced it.
 

@@ -291,7 +291,7 @@ def _model_options(p, *, tolerance=True):
                    dest="max_configs", metavar="N",
                    help="state budget for graph exploration")
     p.add_argument("--budget", type=int, default=2_000_000, metavar="N",
-                   help="work budget for the semantics engine")
+                   help="work budget per query for the semantics engine")
     p.add_argument("--output", metavar="FILE", help="write the report here")
 
 

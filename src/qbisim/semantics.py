@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 from . import calculus as ca
@@ -271,7 +272,8 @@ class System:
 
     Owns the configuration store, so configurations from different systems
     never mix.  All step results and weak-transition extreme sets are
-    memoized per configuration.
+    memoized per configuration.  `work` counts the expansion done by the
+    current query against `budget` (see `query`).
     """
 
     def __init__(self, module=None, register=None, registry=None,
@@ -282,6 +284,7 @@ class System:
         self.tol = tol
         self.budget = budget
         self.work = 0
+        self._open_queries = 0
         self._configs = {}
         self._matrices = {}
         self._unfold_cache = {}
@@ -348,6 +351,19 @@ class System:
         for p, c in items:
             acc[c] = acc.get(c, 0.0) + p
         return ConfigDistribution(acc)
+
+    @contextmanager
+    def query(self):
+        """Scope of one public engine call.  The work budget is per query:
+        the outermost scope starts `work` from zero, and calls nested in it
+        share that budget rather than refill it."""
+        if not self._open_queries:
+            self.work = 0
+        self._open_queries += 1
+        try:
+            yield self
+        finally:
+            self._open_queries -= 1
 
     def _spend(self, units: int = 1):
         self.work += units

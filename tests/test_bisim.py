@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbisim.calculus import parse_module
-from qbisim.errors import CyclicModelError, QuantumInputFragmentError
+from qbisim.errors import BudgetExceededError, CyclicModelError, QuantumInputFragmentError
 from qbisim.quantum import QubitRegister, QuantumState, random_density
 from qbisim.semantics import PLTS, System, TAU, combine
 from qbisim.bisim import (
@@ -327,6 +327,41 @@ class TestDuplicatedMeasurement:
     def test_state_based_bisimilar(self):
         s, c, d = self.pair()
         assert decide_state_based(c, d, s).holds
+
+
+class TestWorkBudget:
+    """`System.work` counts per query: the outermost engine call starts it
+    from zero, and calls nested in one query share its budget."""
+
+    LEFT = "tau . meas Mcomp[q1; x] . tau . nil || tau . nil"
+    RIGHT = "apply Dephase[q1] . tau . tau . nil || tau . nil"
+
+    def pair(self, budget=2_000_000):
+        s = System(parse_module("Dummy := nil"), register=R2, budget=budget)
+        st = QuantumState.product(R2, {"q1": "+", "q2": "+"})
+        return s, s.config(self.LEFT, st), s.config(self.RIGHT, st)
+
+    def one_query_cost(self):
+        s, c, d = self.pair()
+        assert decide_bisim(c, d, s).holds
+        assert s.work > 1
+        return s.work
+
+    def test_long_lived_system_repeats_a_query(self):
+        cost = self.one_query_cost()
+        s, c, d = self.pair(budget=cost + 1)
+        for _ in range(2):
+            assert decide_bisim(c, d, s).holds
+            assert s.work == cost
+
+    def test_nested_queries_share_one_budget(self):
+        cost = self.one_query_cost()
+        s, c, d = self.pair(budget=cost + 1)
+        with s.query():
+            assert decide_bisim(c, d, s).holds
+            with pytest.raises(BudgetExceededError):
+                decide_bisim(c, d, s)
+        assert decide_bisim(c, d, s).holds
 
 
 class TestLambdaRelations:

@@ -1,5 +1,8 @@
-"""Exact feasibility solver, cross-checked against scipy on random instances."""
+"""Exact feasibility solver, cross-checked against a brute-force oracle and
+scipy on random instances."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,28 @@ def test_as_fraction_snaps_floats():
     assert as_fraction(1 / 3) == F(1, 3)
     assert as_fraction(F(2, 7)) == F(2, 7)
     assert as_fraction(3) == F(3)
+
+
+EDGE_FLOATS = (
+    -0.0, 0.0, 1.0, 1 - 2 ** -53, 5e-324, 0.1 + 0.2, 1 / 3, -2 / 3,
+    # around the snap resolution 1e-12
+    1e-12, 1 / (10 ** 12 + 1), 5e-13, 4.9e-13, 1e-13, 0.5 + 1e-12, 0.5 + 4e-13,
+    0.2972700874282956, 2 * 0.1486350437141478, 0.1486350437141478,
+)
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS)
+def test_as_fraction_pins_limit_denominator(x):
+    want = Fraction(x).limit_denominator(10 ** 12)
+    got = as_fraction(x)
+    assert isinstance(got, Fraction) and got == want
+    assert got.denominator <= 10 ** 12
+    # memoized calls return the same value, whatever the float's type, and
+    # a call with another snap bound leaves the default one alone
+    assert as_fraction(x) == want
+    assert as_fraction(np.float64(x)) == want
+    assert as_fraction(x, 10) == Fraction(x).limit_denominator(10)
+    assert as_fraction(x) == want
 
 
 def test_simple_feasible():
@@ -92,3 +117,114 @@ def test_matches_scipy_on_random_instances():
             assert all(v >= 0 for v in ours)
             agree += 1
     assert agree > 10
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle on instances shaped like the engines' LPs
+
+
+def _basic_solution(cols, b):
+    """The unique solution of the square-or-tall system with columns `cols`,
+    or None when the columns are dependent or the system is inconsistent."""
+    k = len(cols)
+    rows = [[col[i] for col in cols] + [v] for i, v in enumerate(b)]
+    for j in range(k):
+        piv = next((i for i in range(j, len(rows)) if rows[i][j] != 0), None)
+        if piv is None:
+            return None
+        rows[j], rows[piv] = rows[piv], rows[j]
+        rows[j] = [v / rows[j][j] for v in rows[j]]
+        for i in range(len(rows)):
+            if i != j and rows[i][j] != 0:
+                f = rows[i][j]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[j])]
+    if any(row[-1] != 0 for row in rows[k:]):
+        return None
+    return [rows[j][-1] for j in range(k)]
+
+
+def _oracle_feasible(a, b) -> bool:
+    """Some x >= 0 with a x = b exists iff a basic one does: a set of
+    independent columns whose system has a nonnegative solution."""
+    m, n = len(a), len(a[0])
+    columns = [[row[j] for row in a] for j in range(n)]
+    for k in range(min(m, n) + 1):
+        for subset in itertools.combinations(columns, k):
+            x = _basic_solution(subset, b)
+            if x is not None and all(v >= 0 for v in x):
+                return True
+    return False
+
+
+def _engine_like(rng):
+    """A random LP like those of the lifting and matching checks: pair
+    columns carrying snapped probabilities on left and right rows, identity
+    carriers, defender columns debiting the right rows, a target that is a
+    known combination, a random point or zero; then redundant rows, zero
+    rows and negated rows (negative right-hand sides)."""
+    nl, nr, nd = (int(v) for v in rng.integers(1, 4, size=3))
+    keys = [("L", i) for i in range(nl)] + [("R", i) for i in range(nr)]
+    keys += [("D", i) for i in range(int(nd) - 1)]
+
+    def probs(k):
+        w = rng.random(k)
+        return [as_fraction(float(v)) for v in w / w.sum()]
+
+    columns = []
+    for _ in range(int(rng.integers(1, 4))):
+        col = dict(zip(keys[:nl], probs(nl)))
+        col.update(zip(keys[nl:nl + nr], probs(nr)))
+        columns.append(col)
+    for i in range(min(nl, nr)):
+        columns.append({("L", i): F(1), ("R", i): F(1)})
+    for key in keys[nl + nr:]:
+        col = {key: F(1)}
+        col.update((k, -p) for k, p in zip(keys[nl:nl + nr], probs(nr)))
+        columns.append(col)
+    columns = columns[:7]
+
+    kind = rng.integers(3)
+    if kind == 0:
+        weights = [F(int(v), int(rng.integers(1, 7))) for v in rng.integers(0, 3, len(columns))]
+        target = {k: sum(w * c.get(k, 0) for w, c in zip(weights, columns)) for k in keys}
+    elif kind == 1:
+        target = dict(zip(keys, probs(len(keys))))
+    else:
+        target = {}
+    a = [[F(c.get(k, 0)) for c in columns] for k in keys]
+    b = [F(target.get(k, 0)) for k in keys]
+    if rng.random() < 0.4:
+        i, f = int(rng.integers(len(a))), F(int(rng.integers(-3, 4)) or 2, 3)
+        a.append([f * v for v in a[i]])
+        b.append(f * b[i])
+    if rng.random() < 0.3:
+        a.append([F(0)] * len(columns))
+        b.append(F(0) if rng.random() < 0.7 else F(1, 10 ** 12))
+    for i in range(len(a)):
+        if rng.random() < 0.3:
+            a[i] = [-v for v in a[i]]
+            b[i] = -b[i]
+    order = rng.permutation(len(a))
+    return [a[i] for i in order], [b[i] for i in order]
+
+
+def test_matches_oracle_on_engine_like_instances():
+    rng = np.random.default_rng(2015)
+    verdicts = set()
+    for _ in range(250):
+        a, b = _engine_like(rng)
+        x = solve_nonneg(a, b)
+        assert (x is not None) == _oracle_feasible(a, b)
+        if x is not None:
+            assert len(x) == len(a[0]) and all(v >= 0 for v in x)
+            assert all(sum(r * v for r, v in zip(row, x)) == rhs for row, rhs in zip(a, b))
+        verdicts.add(x is not None)
+    assert verdicts == {True, False}
+
+
+def test_integer_kernel_keeps_denominators_exact():
+    # coefficients with coprime denominators near the snap bound: the unique
+    # solution comes back exactly
+    p, q = F(1, 10 ** 12 - 11), F(7, 10 ** 12 - 39)
+    x = solve_nonneg([[p, q], [F(1), F(1)]], [p / 3 + q / 6, F(1, 2)])
+    assert x == [F(1, 3), F(1, 6)]
