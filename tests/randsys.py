@@ -1,31 +1,37 @@
 """Random acyclic quantum-input-free systems for property tests.
 
 Terms are generated as source strings and pushed through the real parser so
-the sampled space is exactly what users can write.  `variants` produces
-companions that are bisimilar by construction (internal padding, probabilistic
-duplication), giving the invariant tests non-vacuous positive instances.
+the sampled space is exactly what users can write.  `random_term` builds a
+sequential term on one qubit; `random_par_term` composes two of them on
+`q1` and `q2`, optionally coupled through a restricted channel.  `variants`
+produces companions that are bisimilar by construction (internal padding,
+probabilistic duplication), giving the invariant tests non-vacuous positive
+instances.  `PAR_SYSTEMS` are fixed hand-written parallel systems.
 """
 
 import numpy as np
 
 from qbisim.calculus import parse_module
-from qbisim.quantum import QubitRegister, random_density
+from qbisim.quantum import QubitRegister, QuantumState, random_density
 from qbisim.semantics import System
 
 REGISTER = QubitRegister.of(["q1"])
+REGISTER2 = QubitRegister.of(["q1", "q2"])
 
 _CHANNELS = ("a", "b", "c")
 _OPS = ("H", "X", "Set0", "Set1", "Dephase")
 _WEIGHTS = (("1/2", "1/2"), ("1/4", "3/4"), ("3/4", "1/4"))
 
 
-def random_term(rng: np.random.Generator, depth: int, counter=None) -> str:
+def random_term(rng: np.random.Generator, depth: int, counter=None,
+                qubit: str = "q1", tail: str = "nil") -> str:
+    """A sequential term acting on `qubit`; every leaf is `tail`."""
     if counter is None:
         counter = [0]
     if depth <= 0 or rng.random() < 0.2:
-        return "nil"
+        return tail
     kind = rng.choice(["out", "out", "tau", "apply", "meas", "pchoice", "sum"])
-    sub = lambda: random_term(rng, depth - 1, counter)
+    sub = lambda: random_term(rng, depth - 1, counter, qubit, tail)
     if kind == "out":
         ch = _CHANNELS[rng.integers(0, len(_CHANNELS))]
         return f"{ch}!{rng.integers(0, 2)} . {_paren(sub())}"
@@ -33,14 +39,14 @@ def random_term(rng: np.random.Generator, depth: int, counter=None) -> str:
         return f"tau . {_paren(sub())}"
     if kind == "apply":
         op = _OPS[rng.integers(0, len(_OPS))]
-        return f"apply {op}[q1] . {_paren(sub())}"
+        return f"apply {op}[{qubit}] . {_paren(sub())}"
     if kind == "meas":
         counter[0] += 1
         var = f"x{counter[0]}"
         ch = _CHANNELS[rng.integers(0, len(_CHANNELS))]
         if rng.random() < 0.5:
-            return f"meas Mcomp[q1; {var}] . {ch}!{var} . {_paren(sub())}"
-        return f"meas Mcomp[q1; {var}] . {_paren(sub())}"
+            return f"meas Mcomp[{qubit}; {var}] . {ch}!{var} . {_paren(sub())}"
+        return f"meas Mcomp[{qubit}; {var}] . {_paren(sub())}"
     if kind == "pchoice":
         w1, w2 = _WEIGHTS[rng.integers(0, len(_WEIGHTS))]
         return f"pchoice {{ {w1} -> {_paren(sub())} ; {w2} -> {_paren(sub())} }}"
@@ -48,6 +54,31 @@ def random_term(rng: np.random.Generator, depth: int, counter=None) -> str:
     right = "tau . " + _paren(sub()) if rng.random() < 0.4 else \
         f"{_CHANNELS[rng.integers(0, 3)]}!{rng.integers(0, 2)} . {_paren(sub())}"
     return f"{left} + {right}"
+
+
+def random_par_term(rng: np.random.Generator, depth: int = 2) -> str:
+    """Two single-qubit components on q1 and q2, run in parallel.
+
+    The components are independent, or the q1 side ends every branch by
+    handing a bit over the restricted channel `k` (the receiver outputs it
+    on `a`, then runs its q2 term), or by sending q1 over the restricted
+    quantum channel `#m` (the receiver runs a short q2 term, takes q1 and
+    goes on with a term on it).
+    """
+    counter = [0]
+    coupling = rng.choice(["none", "classical", "qubit"])
+    if coupling == "none":
+        left = random_term(rng, depth, counter, "q1")
+        right = random_term(rng, depth, counter, "q2")
+        return f"{_paren(left)} || {_paren(right)}"
+    if coupling == "classical":
+        left = random_term(rng, depth, counter, "q1", tail=f"k!{rng.integers(0, 2)} . nil")
+        right = "k?z . a!z . " + _paren(random_term(rng, depth, counter, "q2"))
+        return f"( {_paren(left)} || {right} ) \\ {{k}}"
+    left = random_term(rng, depth, counter, "q1", tail="#m!q1 . nil")
+    right = "#m?r . " + _paren(random_term(rng, depth, counter, "r"))
+    right = _paren(random_term(rng, 1, counter, "q2", tail=right))
+    return f"( {_paren(left)} || {right} ) \\ {{#m}}"
 
 
 def _paren(src: str) -> str:
@@ -64,12 +95,43 @@ def variants(src: str) -> list:
     ]
 
 
-def random_system(rng: np.random.Generator, depth: int = 3):
-    """A fresh system over one qubit with a random initial density matrix."""
-    system = System(parse_module("Dummy := nil"), register=REGISTER)
-    state = random_density(rng, 2)
+def random_system(rng: np.random.Generator, register=REGISTER):
+    """A fresh system over `register` with a random initial density matrix."""
+    system = System(parse_module("Dummy := nil"), register=register)
+    state = random_density(rng, register.dim)
     return system, state
 
 
 def random_config(rng: np.random.Generator, system, state, depth: int = 3):
     return system.config(random_term(rng, depth), state)
+
+
+# Hand-written parallel systems over two qubits:
+# name -> (module source, root term, initial single-qubit states).
+PAR_SYSTEMS = {
+    "classical_handoff": (
+        "Recv := c?y . if y = 0 then d!0 . nil else tau . d!1 . nil",
+        "( meas Mcomp[q1; x] . c!x . apply H[q2] . nil || Recv ) \\ {c}",
+        {"q1": "+"},
+    ),
+    "qubit_passing": (
+        "Use(; r) := meas Mdiag[r; x] . e!x . nil",
+        "( apply H[q1] . #c!q1 . nil || #c?r . apply X[r] . Use(; r) "
+        "|| meas Mcomp[q2; z] . f!z . nil ) \\ {#c}",
+        {"q2": "+"},
+    ),
+    "relabelled": (
+        "Send(; q) := #A!q . nil\n"
+        "Echo := b?v . a!v . nil",
+        "( Send(; q1)[#A -> #B] || #B?r . meas Mcomp[r; x] . b!x . nil "
+        "|| Echo[a -> out] ) \\ {#B, b}",
+        {"q1": "-", "q2": "1"},
+    ),
+}
+
+
+def par_system(name: str):
+    """A fresh system and the root configuration of `PAR_SYSTEMS[name]`."""
+    source, term, assignment = PAR_SYSTEMS[name]
+    system = System(parse_module(source), register=REGISTER2)
+    return system, system.config(term, QuantumState.product(REGISTER2, assignment))

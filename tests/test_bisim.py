@@ -537,29 +537,38 @@ class TestSuperopClosure:
         assert report.clause == "ii"
 
 
+def check_inclusion_and_kernel(system, state, base):
+    """State-based bisimilarity implies distribution bisimilarity, and the
+    distance bound vanishes exactly on bisimilar pairs."""
+    for variant in randsys.variants(base):
+        c = system.config(base, state)
+        d = system.config(variant, state)
+        sb = decide_state_based(c, d, system)
+        db = decide_bisim(c, d, system)
+        if sb.holds:
+            assert db.holds, f"{base!r} vs {variant!r}"
+        bound = distance_upper_bound(c, d, system)
+        if db.holds:
+            assert bound.value <= system.tol
+        else:
+            assert bound.value > system.tol
+            assert replay_refutation(db, system)
+        assert check_lambda_relation(
+            bound.witness, bound.value, system, tol=1e-7).holds
+
+
 class TestRandomSystems:
     def test_inclusion_and_kernel(self):
-        # state-based bisimilarity implies distribution bisimilarity, and the
-        # distance bound vanishes exactly on bisimilar pairs
         rng = np.random.default_rng(20260816)
         for _ in range(20):
             system, state = randsys.random_system(rng)
-            base = randsys.random_term(rng, 3)
-            for variant in randsys.variants(base):
-                c = system.config(base, state)
-                d = system.config(variant, state)
-                sb = decide_state_based(c, d, system)
-                db = decide_bisim(c, d, system)
-                if sb.holds:
-                    assert db.holds, f"{base!r} vs {variant!r}"
-                bound = distance_upper_bound(c, d, system)
-                if db.holds:
-                    assert bound.value <= system.tol
-                else:
-                    assert bound.value > system.tol
-                    assert replay_refutation(db, system)
-                assert check_lambda_relation(
-                    bound.witness, bound.value, system, tol=1e-7).holds
+            check_inclusion_and_kernel(system, state, randsys.random_term(rng, 3))
+
+    def test_inclusion_and_kernel_parallel(self):
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            system, state = randsys.random_system(rng, randsys.REGISTER2)
+            check_inclusion_and_kernel(system, state, randsys.random_par_term(rng, 2))
 
     def test_verdicts_are_an_equivalence(self):
         rng = np.random.default_rng(7)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qbisim.calculus import Channel, parse_module, parse_term
+from qbisim.calculus import Channel, parse_module, parse_term, pretty
 from qbisim.errors import (
     BudgetExceededError,
     ChannelDomainError,
@@ -11,7 +11,13 @@ from qbisim.errors import (
     EvaluationError,
     WellFormednessError,
 )
-from qbisim.quantum import BitString, QubitRegister, QuantumState, partial_trace
+from qbisim.quantum import (
+    BitString,
+    QubitRegister,
+    QuantumState,
+    _matrix_digest,
+    partial_trace,
+)
 from qbisim.semantics import (
     PLTS,
     ConfigDistribution,
@@ -23,6 +29,8 @@ from qbisim.semantics import (
 )
 from qbisim.bisim import _closure_columns, _member_lin
 from qbisim.lp import combination_weights
+
+import randsys
 
 R1 = QubitRegister.of(["q1"])
 R2 = QubitRegister.of(["q1", "q2"])
@@ -183,6 +191,19 @@ class TestStepRules:
         with pytest.raises(CyclicModelError):
             s.step(s.config("Bad", state()))
 
+    def test_unguarded_recursion_in_a_parallel_component(self):
+        s = fresh("Bad := Bad")
+        with pytest.raises(CyclicModelError):
+            s.step(s.config("a!0 . nil || Bad", state()))
+
+    def test_unguarded_recursion_after_a_sibling_was_stepped(self):
+        s = fresh("Bad := Bad")
+        assert labels_of(s, s.config("a!0 . nil || b!1 . nil", state())) == {"a!0", "b!1"}
+        cfg = s.config("a!0 . nil || Bad", state())
+        for _ in range(2):
+            with pytest.raises(CyclicModelError):
+                s.step(cfg)
+
     def test_call_site_validation(self):
         s = fresh("A(; q) := apply H[q] . nil")
         with pytest.raises(WellFormednessError):
@@ -230,6 +251,35 @@ class TestQuantumExchange:
         s = fresh(register=R1)
         with pytest.raises(WellFormednessError):
             s.config("#c!q1 . apply H[q1] . nil", state())
+
+
+def step_signature(system, config):
+    return [(t.label, [(p, c.term, _matrix_digest(c.matrix)) for c, p in t.dist])
+            for t in system.step(config)]
+
+
+class TestCompositionalStepping:
+    """Stepping a configuration on a system that has already stepped many
+    others gives what a fresh system gives when it steps that one alone."""
+
+    @staticmethod
+    def assert_warm_matches_cold(system, root):
+        for config in system.reachable([root]):
+            cold = System(system.module, register=system.register)
+            alone = cold.config(config.term, config.matrix, canonical=True)
+            assert step_signature(system, config) == step_signature(cold, alone), \
+                pretty(config.term)
+
+    @pytest.mark.parametrize("name", sorted(randsys.PAR_SYSTEMS))
+    def test_hand_written(self, name):
+        self.assert_warm_matches_cold(*randsys.par_system(name))
+
+    def test_random_parallel(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            system, rho = randsys.random_system(rng, randsys.REGISTER2)
+            root = system.config(randsys.random_par_term(rng, 2), rho)
+            self.assert_warm_matches_cold(system, root)
 
 
 class TestSpecExamples:
