@@ -272,8 +272,11 @@ class System:
 
     Owns the configuration store, so configurations from different systems
     never mix.  All step results and weak-transition extreme sets are
-    memoized per configuration.  `work` counts the expansion done by the
-    current query against `budget` (see `query`).
+    memoized per configuration.  The components of a parallel composition
+    are stepped once per (component, state): configurations that share a
+    component and a density matrix share its moves, input capabilities and
+    qubit set.  `work` counts the expansion done by the current query
+    against `budget` (see `query`).
     """
 
     def __init__(self, module=None, register=None, registry=None,
@@ -289,6 +292,8 @@ class System:
         self._matrices = {}
         self._unfold_cache = {}
         self._step_cache = {}
+        self._component_steps = {}
+        self._component_qv = {}
         self._tau_extremes = {}
         self._visible_extremes = {}
         self._enabled_cache = {}
@@ -549,10 +554,32 @@ class System:
 
         raise TypeError(f"cannot step {term!r}")
 
+    def _step_component(self, part: Process, mat, fuel: int):
+        """`_step_term` of one parallel component, memoized per system.
+
+        `mat` is always a configuration's matrix, interned in `_matrices`,
+        so its identity stands for its value; the entry also holds `mat`,
+        so that id is not reused while the entry lives.  Results are tuples
+        shared by every composition holding the component, and cap
+        closures capture terms only.
+        """
+        key = (part, id(mat), fuel)
+        got = self._component_steps.get(key)
+        if got is None:
+            moves, caps = self._step_term(part, mat, fuel)
+            got = self._component_steps[key] = (tuple(moves), tuple(caps), mat)
+        return got[0], got[1]
+
+    def _qv_of(self, part: Process) -> frozenset:
+        got = self._component_qv.get(part)
+        if got is None:
+            got = self._component_qv[part] = ca.qv(part)
+        return got
+
     def _step_par(self, term: ca.Par, mat, fuel: int):
         parts = term.parts
-        stepped = [self._step_term(p, mat, fuel) for p in parts]
-        qv_parts = [ca.qv(p) for p in parts]
+        stepped = [self._step_component(p, mat, fuel) for p in parts]
+        qv_parts = [self._qv_of(p) for p in parts]
 
         def plug(i, replacement):
             return ca.Par(parts[:i] + (replacement,) + parts[i + 1:])
