@@ -1064,7 +1064,8 @@ def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
 
 
 @_query
-def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> CheckReport:
+def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto",
+                 seed: int = 0) -> CheckReport:
     """Decide distribution-based ground bisimilarity of two distributions.
 
     Preconditions: the reachable graph is acyclic and free of visible
@@ -1072,6 +1073,7 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
     canonical scheduler, which is complete on certified systems;
     relation-search mode runs the greatest-fixpoint refinement.  "auto"
     certifies first and picks accordingly; the report records the mode.
+    `seed` draws the sampled schedules of the confluence certificate.
     """
     system = _system_of(context)
     tol = system.tol if tol is None else tol
@@ -1081,7 +1083,7 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "relation-search":
         return _relation_search(system, mu, nu, tol)
-    ok, why = _certified(system, (mu, nu), configs)
+    ok, why = _certified(system, (mu, nu), configs, seed=seed)
     if mode == "canonical":
         return _decide_canonical(system, mu, nu, tol,
                                  why if ok else f"forced canonical ({why})")
@@ -1123,7 +1125,8 @@ def decide_state_based(c, d, context, tol: float = None) -> CheckReport:
 
 
 @_query
-def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
+def distance_upper_bound(mu, nu, context, tol: float = None,
+                         seed: int = 0) -> DistanceBound:
     """A verified upper bound on the bisimulation distance of two distributions.
 
     On certified systems, walks both canonical behaviour forms in parallel
@@ -1132,13 +1135,14 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     per-node matched subset is chosen greedily to minimise that maximum.
     The visited pairs form a witness passing `check_lambda_relation` at the
     returned value.  Elsewhere the bound degrades to 0 (when relation-search
-    proves bisimilarity) or the trivial 1.
+    proves bisimilarity) or the trivial 1.  `seed` draws the sampled
+    schedules of the confluence certificate.
     """
     system = _system_of(context)
     tol = system.tol if tol is None else tol
     mu, nu = _as_dist(system, mu), _as_dist(system, nu)
     configs = _prepare(system, (mu, nu))
-    ok, why = _certified(system, (mu, nu), configs)
+    ok, why = _certified(system, (mu, nu), configs, seed=seed)
     if not ok:
         report = _relation_search(system, mu, nu, tol)
         if report.holds:

@@ -24,40 +24,57 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from weakref import WeakValueDictionary
 
 from .errors import EvaluationError, ParseError, WellFormednessError
 from .quantum import DEFAULT_TOL, BitString
 
 # ---------------------------------------------------------------------------
-# node plumbing: structural identity with a hash cached at construction
+# node plumbing: hash-consing
+#
+# Every constructor returns the live node with the same shallow key: the
+# class, the scalar fields and the child nodes themselves.  Children are
+# consed before their parents, so structurally equal terms are the same
+# object; equality is identity and hashing is O(arity).  The table holds
+# nodes weakly, so a term does not outlive its last user.  Nodes are
+# immutable: never assign to a field of a built node.
+
+_TABLE = WeakValueDictionary()
+
+
+def _cons(cls, fields, key=None):
+    """The live `cls` node with these field values, built on a miss.
+
+    `fields` follow `cls._fields`; `key` defaults to the class and the
+    fields.  Callers validate before they cons, so a hit skips no check.
+    """
+    if key is None:
+        key = (cls,) + fields
+    node = _TABLE.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            setattr(node, name, value)
+        for name in cls._caches:
+            setattr(node, name, None)
+        _TABLE[key] = node
+    return node
 
 
 class Node:
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("__weakref__",)
+    _fields = ()
+    _caches = ()
 
-    def _seal(self, *parts):
-        key = (type(self).__name__,) + parts
-        self._key = key
-        self._hash = hash(key)
+    def __copy__(self):
+        return self
 
-    def __hash__(self):
-        return self._hash
+    def __deepcopy__(self, memo):
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return type(other) is type(self) and self._key == other._key
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    @property
-    def key(self):
-        return self._key
-
-
-def _keys(nodes):
-    return tuple(n._key for n in nodes)
+    def __reduce__(self):
+        # unpickling conses again, so it yields the live equal node
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +84,10 @@ def _keys(nodes):
 class Channel(Node):
     """Classical or quantum channel name; quantum channels print as #name."""
 
-    __slots__ = ("name", "quantum")
+    __slots__ = _fields = ("name", "quantum")
 
-    def __init__(self, name: str, quantum: bool = False):
-        self.name = name
-        self.quantum = bool(quantum)
-        self._seal(name, self.quantum)
+    def __new__(cls, name: str, quantum: bool = False):
+        return _cons(cls, (name, bool(quantum)))
 
     def __str__(self):
         return ("#" if self.quantum else "") + self.name
@@ -88,59 +103,55 @@ _REAL_EQ_TOL = DEFAULT_TOL
 
 
 class Expr(Node):
-    __slots__ = ()
+    """A classical expression; its free variables are computed once, on
+    first use."""
+
+    __slots__ = _caches = ("_fv",)
 
 
 class Lit(Expr):
-    __slots__ = ("value",)
+    __slots__ = _fields = ("value",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if isinstance(value, bool) or isinstance(value, BitString):
-            pass
+            key = (cls, value)
         elif isinstance(value, (int, float)):
             value = float(value)
+            # by repr: -0.0 stays apart from 0.0, and 1.0 from True
+            key = (cls, "f", repr(value))
         else:
             raise TypeError(f"not a classical value: {value!r}")
-        self.value = value
-        self._seal(value if not isinstance(value, float) else ("f", repr(value)))
+        return _cons(cls, (value,), key)
 
 
 class Var(Expr):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._seal(name)
+    def __new__(cls, name: str):
+        return _cons(cls, (name,))
 
 
 class Unary(Expr):
-    __slots__ = ("op", "operand")
+    __slots__ = _fields = ("op", "operand")
 
-    def __init__(self, op: str, operand: Expr):
-        self.op = op
-        self.operand = operand
-        self._seal(op, operand._key)
+    def __new__(cls, op: str, operand: Expr):
+        return _cons(cls, (op, operand))
 
 
 class Binary(Expr):
-    __slots__ = ("op", "left", "right")
+    __slots__ = _fields = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr):
-        self.op = op
-        self.left = left
-        self.right = right
-        self._seal(op, left._key, right._key)
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        return _cons(cls, (op, left, right))
 
 
 class Fun(Expr):
     """Builtin classical function application (cmp, substr, remstr, ...)."""
 
-    __slots__ = ("name", "args")
+    __slots__ = _fields = ("name", "args")
 
-    def __init__(self, name: str, args):
-        self.name = name
-        self.args = tuple(args)
-        self._seal(name, _keys(self.args))
+    def __new__(cls, name: str, args):
+        return _cons(cls, (name, tuple(args)))
 
 
 def format_value(v) -> str:
@@ -259,25 +270,28 @@ def eval_expr(expr: Expr, env=None):
 
 
 def expr_free_vars(expr: Expr) -> frozenset:
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, Unary):
-        return expr_free_vars(expr.operand)
-    if isinstance(expr, Binary):
-        return expr_free_vars(expr.left) | expr_free_vars(expr.right)
-    if isinstance(expr, Fun):
-        out = frozenset()
-        for a in expr.args:
-            out |= expr_free_vars(a)
-        return out
-    return frozenset()
+    """Free variables of an expression, computed once per node."""
+    got = expr._fv
+    if got is None:
+        if isinstance(expr, Var):
+            got = frozenset((expr.name,))
+        elif isinstance(expr, Unary):
+            got = expr_free_vars(expr.operand)
+        elif isinstance(expr, Binary):
+            got = expr_free_vars(expr.left) | expr_free_vars(expr.right)
+        elif isinstance(expr, Fun):
+            got = frozenset().union(*map(expr_free_vars, expr.args))
+        else:
+            got = frozenset()
+        expr._fv = got
+    return got
 
 
 def subst_expr(expr: Expr, env) -> Expr:
-    if isinstance(expr, Var):
-        if expr.name in env:
-            return Lit(env[expr.name])
+    if expr_free_vars(expr).isdisjoint(env):
         return expr
+    if isinstance(expr, Var):
+        return Lit(env[expr.name])
     if isinstance(expr, Unary):
         return Unary(expr.op, subst_expr(expr.operand, env))
     if isinstance(expr, Binary):
@@ -298,75 +312,64 @@ class Action(Node):
 class Tau(Action):
     __slots__ = ()
 
-    def __init__(self):
-        self._seal()
+    def __new__(cls):
+        return _cons(cls, ())
 
 
 class CIn(Action):
     """Classical input c?x; binds x in the continuation."""
 
-    __slots__ = ("chan", "var")
+    __slots__ = _fields = ("chan", "var")
 
-    def __init__(self, chan: Channel, var: str):
-        self.chan = chan
-        self.var = var
-        self._seal(chan._key, var)
+    def __new__(cls, chan: Channel, var: str):
+        return _cons(cls, (chan, var))
 
 
 class COut(Action):
-    __slots__ = ("chan", "expr")
+    __slots__ = _fields = ("chan", "expr")
 
-    def __init__(self, chan: Channel, expr: Expr):
-        self.chan = chan
-        self.expr = expr
-        self._seal(chan._key, expr._key)
+    def __new__(cls, chan: Channel, expr: Expr):
+        return _cons(cls, (chan, expr))
 
 
 class QIn(Action):
     """Quantum input #c?q; binds q in the continuation."""
 
-    __slots__ = ("chan", "qvar")
+    __slots__ = _fields = ("chan", "qvar")
 
-    def __init__(self, chan: Channel, qvar: str):
-        self.chan = chan
-        self.qvar = qvar
-        self._seal(chan._key, qvar)
+    def __new__(cls, chan: Channel, qvar: str):
+        return _cons(cls, (chan, qvar))
 
 
 class QOut(Action):
-    __slots__ = ("chan", "qvar")
+    __slots__ = _fields = ("chan", "qvar")
 
-    def __init__(self, chan: Channel, qvar: str):
-        self.chan = chan
-        self.qvar = qvar
-        self._seal(chan._key, qvar)
+    def __new__(cls, chan: Channel, qvar: str):
+        return _cons(cls, (chan, qvar))
 
 
 class Apply(Action):
     """Super-operator application E[q1, ..., qk]."""
 
-    __slots__ = ("op", "qubits")
+    __slots__ = _fields = ("op", "qubits")
 
-    def __init__(self, op: str, qubits):
-        self.op = op
-        self.qubits = tuple(qubits)
-        if len(set(self.qubits)) != len(self.qubits):
-            raise WellFormednessError(f"apply {op}: repeated qubit in {self.qubits}")
-        self._seal(op, self.qubits)
+    def __new__(cls, op: str, qubits):
+        qubits = tuple(qubits)
+        if len(set(qubits)) != len(qubits):
+            raise WellFormednessError(f"apply {op}: repeated qubit in {qubits}")
+        return _cons(cls, (op, qubits))
 
 
 class Meas(Action):
     """Measurement M[q1, ..., qk; x]; binds x in the continuation."""
 
-    __slots__ = ("op", "qubits", "var")
+    __slots__ = _fields = ("op", "qubits", "var")
 
-    def __init__(self, op: str, qubits, var: str):
-        self.op = op
-        self.qubits = tuple(qubits)
-        self.var = var
-        if len(set(self.qubits)) != len(self.qubits):
-            raise WellFormednessError(f"meas {op}: repeated qubit in {self.qubits}")
-        self._seal(op, self.qubits, var)
+    def __new__(cls, op: str, qubits, var: str):
+        qubits = tuple(qubits)
+        if len(set(qubits)) != len(qubits):
+            raise WellFormednessError(f"meas {op}: repeated qubit in {qubits}")
+        return _cons(cls, (op, qubits, var))
 
 
 # ---------------------------------------------------------------------------
@@ -374,73 +377,69 @@ class Meas(Action):
 
 
 class Process(Node):
-    __slots__ = ()
+    """A process term; its free names are computed once, on first use."""
+
+    __slots__ = _caches = ("_qv", "_fv")
 
 
 class Nil(Process):
     __slots__ = ()
 
-    def __init__(self):
-        self._seal()
+    def __new__(cls):
+        return _cons(cls, ())
 
 
 NIL = Nil()
 
 
 class Call(Process):
-    __slots__ = ("name", "cargs", "qargs")
+    __slots__ = _fields = ("name", "cargs", "qargs")
 
-    def __init__(self, name: str, cargs=(), qargs=()):
-        self.name = name
-        self.cargs = tuple(cargs)
-        self.qargs = tuple(qargs)
-        if len(set(self.qargs)) != len(self.qargs):
-            raise WellFormednessError(f"{name}: repeated quantum argument in {self.qargs}")
-        self._seal(name, _keys(self.cargs), self.qargs)
+    def __new__(cls, name: str, cargs=(), qargs=()):
+        qargs = tuple(qargs)
+        if len(set(qargs)) != len(qargs):
+            raise WellFormednessError(f"{name}: repeated quantum argument in {qargs}")
+        return _cons(cls, (name, tuple(cargs), qargs))
 
 
 class Prefix(Process):
-    __slots__ = ("action", "cont")
+    __slots__ = _fields = ("action", "cont")
 
-    def __init__(self, action: Action, cont: Process):
-        self.action = action
-        self.cont = cont
-        self._seal(action._key, cont._key)
+    def __new__(cls, action: Action, cont: Process):
+        return _cons(cls, (action, cont))
 
 
 class Sum(Process):
-    __slots__ = ("parts",)
+    __slots__ = _fields = ("parts",)
 
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        if len(self.parts) < 2:
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        if len(parts) < 2:
             raise ValueError("Sum needs at least two parts")
-        self._seal(_keys(self.parts))
+        return _cons(cls, (parts,))
 
 
 class Par(Process):
-    __slots__ = ("parts",)
+    __slots__ = _fields = ("parts",)
 
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        if len(self.parts) < 2:
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        if len(parts) < 2:
             raise ValueError("Par needs at least two parts")
-        self._seal(_keys(self.parts))
+        return _cons(cls, (parts,))
 
 
 class Restrict(Process):
-    __slots__ = ("body", "channels")
+    __slots__ = _fields = ("body", "channels")
 
-    def __init__(self, body: Process, channels):
-        self.body = body
-        self.channels = frozenset(channels)
-        self._seal(body._key, tuple(sorted(c._key for c in self.channels)))
+    def __new__(cls, body: Process, channels):
+        return _cons(cls, (body, frozenset(channels)))
 
 
 class Relabel(Process):
-    __slots__ = ("body", "mapping")
+    __slots__ = _fields = ("body", "mapping")
 
-    def __init__(self, body: Process, mapping):
+    def __new__(cls, body: Process, mapping):
         # mapping: ordered (old, new) channel pairs; kinds must agree
         pairs = tuple(mapping)
         seen = set()
@@ -450,58 +449,51 @@ class Relabel(Process):
             if old in seen:
                 raise WellFormednessError(f"relabel maps {old} twice")
             seen.add(old)
-        self.body = body
-        self.mapping = pairs
-        self._seal(body._key, tuple((o._key, n._key) for o, n in pairs))
+        return _cons(cls, (body, pairs))
 
     def rename(self, chan: Channel) -> Channel:
         for old, new in self.mapping:
-            if old == chan:
+            if old is chan:
                 return new
         return chan
 
 
 class If(Process):
-    __slots__ = ("cond", "body")
+    __slots__ = _fields = ("cond", "body")
 
-    def __init__(self, cond: Expr, body: Process):
-        self.cond = cond
-        self.body = body
-        self._seal(cond._key, body._key)
+    def __new__(cls, cond: Expr, body: Process):
+        return _cons(cls, (cond, body))
 
 
 class PChoice(Process):
     """Syntax-level probabilistic choice; weights must sum to one."""
 
-    __slots__ = ("branches",)
+    __slots__ = _fields = ("branches",)
 
-    def __init__(self, branches, tol: float = DEFAULT_TOL):
-        self.branches = tuple((float(p), t) for p, t in branches)
-        if not self.branches:
+    def __new__(cls, branches, tol: float = DEFAULT_TOL):
+        branches = tuple((float(p), t) for p, t in branches)
+        if not branches:
             raise ValueError("pchoice needs at least one branch")
-        total = sum(p for p, _ in self.branches)
+        total = sum(p for p, _ in branches)
         if abs(total - 1.0) > tol:
             raise WellFormednessError(f"pchoice weights sum to {total}, expected 1")
-        if any(p <= 0.0 for p, _ in self.branches):
+        if any(p <= 0.0 for p, _ in branches):
             raise WellFormednessError("pchoice weights must be positive")
-        self._seal(tuple((repr(p), t._key) for p, t in self.branches))
+        return _cons(cls, (branches,))
 
 
 class Definition(Node):
     """Process constant A(cparams; qparams) := body."""
 
-    __slots__ = ("name", "cparams", "qparams", "body")
+    __slots__ = _fields = ("name", "cparams", "qparams", "body")
 
-    def __init__(self, name, cparams, qparams, body):
-        self.name = name
-        self.cparams = tuple(cparams)
-        self.qparams = tuple(qparams)
-        self.body = body
-        if len(set(self.qparams)) != len(self.qparams):
+    def __new__(cls, name, cparams, qparams, body):
+        cparams, qparams = tuple(cparams), tuple(qparams)
+        if len(set(qparams)) != len(qparams):
             raise WellFormednessError(f"{name}: repeated quantum parameter")
-        if len(set(self.cparams)) != len(self.cparams):
+        if len(set(cparams)) != len(cparams):
             raise WellFormednessError(f"{name}: repeated classical parameter")
-        self._seal(name, self.cparams, self.qparams, body._key)
+        return _cons(cls, (name, cparams, qparams, body))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +501,14 @@ class Definition(Node):
 
 
 def qv(term: Process) -> frozenset:
-    """Free quantum variables of a term."""
+    """Free quantum variables of a term, computed once per node."""
+    got = term._qv
+    if got is None:
+        got = term._qv = _qv(term)
+    return got
+
+
+def _qv(term: Process) -> frozenset:
     if isinstance(term, Nil):
         return frozenset()
     if isinstance(term, Call):
@@ -524,55 +523,43 @@ def qv(term: Process) -> frozenset:
             return rest | frozenset(act.qubits)
         return rest
     if isinstance(term, (Sum, Par)):
-        out = frozenset()
-        for p in term.parts:
-            out |= qv(p)
-        return out
-    if isinstance(term, (Restrict, Relabel)):
-        return qv(term.body)
-    if isinstance(term, If):
+        return frozenset().union(*map(qv, term.parts))
+    if isinstance(term, (Restrict, Relabel, If)):
         return qv(term.body)
     if isinstance(term, PChoice):
-        out = frozenset()
-        for _, t in term.branches:
-            out |= qv(t)
-        return out
+        return frozenset().union(*(qv(t) for _, t in term.branches))
     raise TypeError(f"not a process: {term!r}")
 
 
 def fv(term: Process) -> frozenset:
-    """Free classical variables of a term."""
-    if isinstance(term, (Nil,)):
+    """Free classical variables of a term, computed once per node."""
+    got = term._fv
+    if got is None:
+        got = term._fv = _fv(term)
+    return got
+
+
+def _fv(term: Process) -> frozenset:
+    if isinstance(term, Nil):
         return frozenset()
     if isinstance(term, Call):
-        out = frozenset()
-        for e in term.cargs:
-            out |= expr_free_vars(e)
-        return out
+        return frozenset().union(*map(expr_free_vars, term.cargs))
     if isinstance(term, Prefix):
         act = term.action
         rest = fv(term.cont)
-        if isinstance(act, CIn):
-            return rest - {act.var}
-        if isinstance(act, Meas):
+        if isinstance(act, (CIn, Meas)):
             return rest - {act.var}
         if isinstance(act, COut):
             return rest | expr_free_vars(act.expr)
         return rest
     if isinstance(term, (Sum, Par)):
-        out = frozenset()
-        for p in term.parts:
-            out |= fv(p)
-        return out
+        return frozenset().union(*map(fv, term.parts))
     if isinstance(term, (Restrict, Relabel)):
         return fv(term.body)
     if isinstance(term, If):
         return expr_free_vars(term.cond) | fv(term.body)
     if isinstance(term, PChoice):
-        out = frozenset()
-        for _, t in term.branches:
-            out |= fv(t)
-        return out
+        return frozenset().union(*(fv(t) for _, t in term.branches))
     raise TypeError(f"not a process: {term!r}")
 
 
@@ -581,19 +568,15 @@ def fv(term: Process) -> frozenset:
 
 
 def subst_values(term: Process, env) -> Process:
-    """Substitute classical values for free variables."""
-    if not env:
-        return term
-    if isinstance(term, Nil):
+    """Substitute classical values for free variables; a term in which no
+    substituted variable is free comes back unchanged."""
+    if fv(term).isdisjoint(env):
         return term
     if isinstance(term, Call):
         return Call(term.name, tuple(subst_expr(e, env) for e in term.cargs), term.qargs)
     if isinstance(term, Prefix):
         act = term.action
-        if isinstance(act, CIn):
-            inner = {k: v for k, v in env.items() if k != act.var}
-            return Prefix(act, subst_values(term.cont, inner))
-        if isinstance(act, Meas):
+        if isinstance(act, (CIn, Meas)):
             inner = {k: v for k, v in env.items() if k != act.var}
             return Prefix(act, subst_values(term.cont, inner))
         if isinstance(act, COut):
@@ -615,15 +598,14 @@ def subst_values(term: Process, env) -> Process:
 
 
 def subst_qubits(term: Process, ren) -> Process:
-    """Rename free quantum variables (used by constant unfolding and input)."""
-    if not ren:
+    """Rename free quantum variables (used by constant unfolding and input);
+    a term in which no renamed qubit is free comes back unchanged."""
+    if qv(term).isdisjoint(ren):
         return term
 
     def r(q):
         return ren.get(q, q)
 
-    if isinstance(term, Nil):
-        return term
     if isinstance(term, Call):
         return Call(term.name, term.cargs, tuple(r(q) for q in term.qargs))
     if isinstance(term, Prefix):

@@ -230,7 +230,7 @@ def cmd_check(cfg: CommandConfig) -> int:
         report = decide_state_based(left, right, system, tol=cfg.tol)
     else:
         report = decide_bisim(system.dirac(left), system.dirac(right),
-                              system, tol=cfg.tol)
+                              system, tol=cfg.tol, seed=cfg.seed)
     replayed = None
     if cfg.replay:
         if report.holds:
@@ -250,7 +250,7 @@ def cmd_check(cfg: CommandConfig) -> int:
 def cmd_distance(cfg: CommandConfig) -> int:
     system, (left, right) = _build_roots(cfg, [cfg.left, cfg.right])
     bound = distance_upper_bound(system.dirac(left), system.dirac(right),
-                                 system, tol=cfg.tol)
+                                 system, tol=cfg.tol, seed=cfg.seed)
     replayed = None
     if cfg.replay:
         replayed = check_lambda_relation(bound.witness, bound.value, system,

@@ -83,7 +83,7 @@ class Label:
             vkey = ("f", round(value, _PROB_DECIMALS) + 0.0)
         else:
             vkey = value
-        self._key = (kind, None if chan is None else chan.key, vkey)
+        self._key = (kind, chan, vkey)
         self._hash = hash(self._key)
 
     def __hash__(self):
@@ -131,20 +131,17 @@ class Configuration:
     point revalidates.
     """
 
-    __slots__ = ("term", "register", "matrix", "index", "_qv")
+    __slots__ = ("term", "register", "matrix", "index")
 
     def __init__(self, term: Process, register, matrix, index: int):
         self.term = term
         self.register = register
         self.matrix = matrix
         self.index = index
-        self._qv = None
 
     @property
     def qv(self) -> frozenset:
-        if self._qv is None:
-            self._qv = ca.qv(self.term)
-        return self._qv
+        return ca.qv(self.term)
 
     @property
     def state(self) -> QuantumState:
@@ -274,9 +271,10 @@ class System:
     never mix.  All step results and weak-transition extreme sets are
     memoized per configuration.  The components of a parallel composition
     are stepped once per (component, state): configurations that share a
-    component and a density matrix share its moves, input capabilities and
-    qubit set.  `work` counts the expansion done by the current query
-    against `budget` (see `query`).
+    component and a density matrix share its moves and input capabilities.
+    An input prefix is instantiated once per received value or qubit.
+    `work` counts the expansion done by the current query against `budget`
+    (see `query`).
     """
 
     def __init__(self, module=None, register=None, registry=None,
@@ -290,10 +288,11 @@ class System:
         self._open_queries = 0
         self._configs = {}
         self._matrices = {}
+        self._digests = {}
         self._unfold_cache = {}
         self._step_cache = {}
         self._component_steps = {}
-        self._component_qv = {}
+        self._inputs = {}
         self._tau_extremes = {}
         self._visible_extremes = {}
         self._enabled_cache = {}
@@ -338,13 +337,25 @@ class System:
                 raise WellFormednessError(f"arity mismatch in call to {name}")
         return self._intern(term, matrix)
 
+    def _share(self, matrix):
+        """The interned matrix equal to `matrix`, and its digest.
+
+        An interned matrix is kept alive by `_matrices`, so its id names it
+        and its digest is computed once; only new arrays are hashed.
+        """
+        digest = self._digests.get(id(matrix))
+        if digest is None:
+            digest = _matrix_digest(matrix)
+            matrix = self._matrices.setdefault(digest, matrix)
+            self._digests[id(matrix)] = digest
+        return matrix, digest
+
     def _intern(self, term: Process, matrix) -> Configuration:
-        digest = _matrix_digest(matrix)
+        matrix, digest = self._share(matrix)
         key = (term, digest)
         got = self._configs.get(key)
         if got is None:
-            shared = self._matrices.setdefault(digest, matrix)
-            got = Configuration(term, self.register, shared, len(self._configs))
+            got = Configuration(term, self.register, matrix, len(self._configs))
             self._configs[key] = got
         return got
 
@@ -467,28 +478,40 @@ class System:
                          ((1.0, term.cont, mat),))], []
             if isinstance(act, ca.CIn):
                 cont, var = term.cont, act.var
-                return [], [_Cap(act.chan, lambda v: ca.subst_values(cont, {var: v}))]
+
+                def receive(v, cont=cont, var=var, memo=self._inputs):
+                    # Lit(v) keeps True apart from 1.0 and -0.0 from 0.0
+                    key = (cont, var, ca.Lit(v))
+                    got = memo.get(key)
+                    if got is None:
+                        got = memo[key] = ca.subst_values(cont, {var: v})
+                    return got
+
+                return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.QOut):
                 return [(Label(Label.QOUT, act.chan, act.qvar),
                          ((1.0, term.cont, mat),))], []
             if isinstance(act, ca.QIn):
                 cont, qvar = term.cont, act.qvar
-                blocked = ca.qv(cont) - {qvar}
 
-                def receive(r, cont=cont, qvar=qvar, blocked=blocked):
-                    if r in blocked:
-                        return None
-                    return ca.subst_qubits(cont, {qvar: r})
+                def receive(r, cont=cont, qvar=qvar, memo=self._inputs):
+                    if r != qvar and r in ca.qv(cont):
+                        return None  # the continuation already holds r
+                    key = (cont, qvar, r)
+                    got = memo.get(key)
+                    if got is None:
+                        got = memo[key] = ca.subst_qubits(cont, {qvar: r})
+                    return got
 
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.Apply):
                 op = self._operation(act.op)
-                new_mat = op.apply(mat, self.register, act.qubits)
+                new_mat, _ = self._share(op.apply(mat, self.register, act.qubits))
                 return [(TAU, ((1.0, term.cont, new_mat),))], []
             if isinstance(act, ca.Meas):
                 op = self._operation(act.op)
                 branches = tuple(
-                    (p, ca.subst_values(term.cont, {act.var: v}), post)
+                    (p, ca.subst_values(term.cont, {act.var: v}), self._share(post)[0])
                     for v, p, post in op.apply(mat, self.register, act.qubits))
                 return [(TAU, branches)], []
             raise TypeError(f"unknown action {act!r}")
@@ -561,7 +584,7 @@ class System:
         so its identity stands for its value; the entry also holds `mat`,
         so that id is not reused while the entry lives.  Results are tuples
         shared by every composition holding the component, and cap
-        closures capture terms only.
+        closures capture terms and the input memo only.
         """
         key = (part, id(mat), fuel)
         got = self._component_steps.get(key)
@@ -570,16 +593,9 @@ class System:
             got = self._component_steps[key] = (tuple(moves), tuple(caps), mat)
         return got[0], got[1]
 
-    def _qv_of(self, part: Process) -> frozenset:
-        got = self._component_qv.get(part)
-        if got is None:
-            got = self._component_qv[part] = ca.qv(part)
-        return got
-
     def _step_par(self, term: ca.Par, mat, fuel: int):
         parts = term.parts
         stepped = [self._step_component(p, mat, fuel) for p in parts]
-        qv_parts = [self._qv_of(p) for p in parts]
 
         def plug(i, replacement):
             return ca.Par(parts[:i] + (replacement,) + parts[i + 1:])
@@ -589,10 +605,12 @@ class System:
             for label, branches in part_moves:
                 moves.append((label, tuple(
                     (p, plug(i, t), s) for p, t, s in branches)))
-            others_qv = frozenset().union(*(qv_parts[j] for j in range(len(parts))
-                                            if j != i)) if len(parts) > 1 else frozenset()
+            others_qv = None  # qubits the siblings hold, for quantum inputs only
             for cap in part_caps:
                 if cap.chan.quantum:
+                    if others_qv is None:
+                        others_qv = frozenset().union(
+                            *(ca.qv(p) for j, p in enumerate(parts) if j != i))
 
                     def wrap(r, inst=cap.instantiate, i=i, others=others_qv):
                         if r in others:

@@ -1,4 +1,9 @@
-"""Parser, static checks, substitution and expression evaluation."""
+"""Parser, static checks, substitution, expression evaluation and consing."""
+
+import copy
+import gc
+import pickle
+import weakref
 
 import pytest
 
@@ -422,3 +427,87 @@ class TestJsonExport:
         assert d["channels"] == {"c": ["0", "1"]}
         assert d["definitions"]["A"]["qparams"] == ["q"]
         assert d["definitions"]["A"]["body"]["action"]["kind"] == "meas"
+
+
+SAMPLE = ("( c?x . meas M[q; y] . d!(x + y) . nil || "
+          "pchoice { 1/3 -> #e!r . nil ; 2/3 -> tau . A(1; r) } ) \\ {c} [d -> f]")
+
+
+class TestHashConsing:
+    def test_parsing_twice_gives_the_same_object(self):
+        assert parse_term(SAMPLE) is parse_term(SAMPLE)
+        a = parse_module("A(x; q) := c!x . apply H[q] . nil").definitions["A"]
+        b = parse_module("A(x; q) := c!x . apply H[q] . nil").definitions["A"]
+        assert a is b
+
+    def test_alpha_canonical_of_a_canonical_term_is_itself(self):
+        t = parse_term(SAMPLE)
+        assert alpha_canonical(t) is t
+        assert parse_term("c?z . d!z . nil") is parse_term("c?w . d!w . nil")
+
+    def test_substitution_that_changes_nothing_is_identity(self):
+        t = parse_term(SAMPLE)
+        assert subst_values(t, {"unused": 1.0}) is t
+        assert subst_values(t, {t.body.body.parts[0].action.var: 1.0}) is t  # bound
+        assert subst_values(t, {}) is t
+        assert subst_qubits(t, {"elsewhere": "q9"}) is t
+        assert subst_qubits(t, {}) is t
+        # a change rebuilds only the path to the substituted name
+        renamed = subst_qubits(t, {"r": "s"})
+        assert renamed is not t
+        assert renamed.body.body.parts[0] is t.body.body.parts[0]
+
+    def test_equal_built_terms_are_identical(self):
+        a = Prefix(COut(Channel("c"), Lit(1.0)), NIL)
+        b = Prefix(COut(Channel("c"), Lit(1)), NIL)
+        assert a is b
+        assert Restrict(a, [Channel("c"), Channel("d")]) is Restrict(
+            a, (Channel("d"), Channel("c")))
+        assert Channel("c") is not Channel("c", quantum=True)
+
+    def test_literal_identity_keeps_kinds_and_signs_apart(self):
+        assert Lit(True) is not Lit(1.0)
+        assert Lit(False) is not Lit(0.0)
+        assert Lit(-0.0) is not Lit(0.0)
+        assert Lit(BitString("1")) is not Lit(1.0)
+        assert Lit(0.5) is Lit(0.5)
+        assert Lit(BitString("01")) is Lit(BitString("01"))
+
+    def test_copies_are_the_node_itself(self):
+        t = parse_term(SAMPLE)
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert copy.deepcopy([t, t]) == [t, t]
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_unused_terms_are_not_kept(self):
+        t = parse_term("only_here!1 . nil")
+        alive = weakref.ref(t)
+        del t
+        gc.collect()
+        assert alive() is None
+
+    def test_free_names_are_cached_per_node(self):
+        t = parse_term(SAMPLE)
+        assert qv(t) is qv(t)
+        assert fv(t) is fv(t) == frozenset()
+        assert qv(t) == {"q", "r"}
+
+    def test_constructors_still_validate_with_a_full_table(self):
+        built = [parse_term(f"A({i}; q{i}, r{i}) + c!{i} . nil") for i in range(500)]
+        assert len({id(t) for t in built}) == 500
+        Call("A", (), ("q", "r"))
+        with pytest.raises(WellFormednessError):
+            Call("A", (), ("q", "q"))
+        PChoice(((0.5, NIL), (0.5, NIL)))
+        with pytest.raises(WellFormednessError):
+            PChoice(((0.5, NIL), (0.4, NIL)))
+        Apply("H", ("q",))
+        with pytest.raises(WellFormednessError):
+            Apply("H", ("q", "q"))
+        with pytest.raises(WellFormednessError):
+            Relabel(NIL, [(Channel("c"), Channel("d", quantum=True))])
+        with pytest.raises(WellFormednessError):
+            parse_term("A(; q, q)")
+        with pytest.raises(ParseError):
+            parse_term("pchoice { 1/2 -> nil ; 1/3 -> nil }")

@@ -179,6 +179,37 @@ class TestDistance:
         assert json.loads(out)["bound"]["witness"]["pairs"]
 
 
+# two commuting internal moves: certification samples schedules
+CONFLUENT = """\
+L(; q1, q2) := ( apply X[q1] . m!0 . nil || apply H[q2] . m?x . a!x . nil ) \\ {m}
+R(; q1, q2) := apply X[q1] . apply H[q2] . a!0 . nil
+"""
+
+
+class TestSeed:
+    @pytest.fixture
+    def confluent_file(self, tmp_path):
+        path = tmp_path / "confluent.qp"
+        path.write_text(CONFLUENT)
+        return str(path)
+
+    def test_check_seed_reaches_certification(self, capsys, confluent_file):
+        code, out, _ = run(capsys, "check", confluent_file, "--left", "L",
+                           "--right", "R", "--seed", "7")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["mode"] == "canonical"
+        assert "seed 7" in report["detail"]
+
+    def test_distance_seed_reaches_certification(self, capsys, confluent_file):
+        code, out, _ = run(capsys, "distance", confluent_file, "--left", "L",
+                           "--right", "R", "--seed", "7")
+        assert code == 0
+        bound = json.loads(out)["bound"]
+        assert bound["value"] == 0.0
+        assert "seed 7" in bound["detail"]
+
+
 class TestBb84:
     def test_soundness_n1(self, capsys):
         code, out, _ = run(capsys, "bb84", "--n", "1", "--mode", "soundness")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qbisim.calculus as ca
 from qbisim.calculus import Channel, parse_module, parse_term, pretty
 from qbisim.errors import (
     BudgetExceededError,
@@ -64,7 +65,7 @@ class TestStepRules:
         s = fresh()
         t = only_transition(s, s.config("tau . nil", state()))
         assert t.label == TAU
-        assert [(p, str(c.term._key[0])) for c, p in t.dist] == [(1.0, "Nil")]
+        assert [(p, type(c.term).__name__) for c, p in t.dist] == [(1.0, "Nil")]
 
     def test_output_evaluates_payload(self):
         s = fresh()
@@ -508,3 +509,61 @@ class TestInterning:
         a = s.config(parse_term("c?x . d!x . nil"), state(), canonical=True)
         b = s.config(parse_term("c?z . d!z . nil"), state(), canonical=True)
         assert a is b
+
+
+def after_handoff(system, sent):
+    """The configuration after `c!sent` meets `c?x . d!x . nil` under `\\ {c}`."""
+    root = system.config(f"( c!{sent} . nil || c?x . d!x . nil ) \\ {{c}}", state())
+    (handoff,) = system.step(root)
+    (after,) = handoff.dist.support
+    return after
+
+
+class TestInputMemo:
+    def test_true_stays_apart_from_one(self):
+        s = fresh()
+        labels = [str(only_transition(s, after_handoff(s, sent)).label)
+                  for sent in ("(1 = 1)", "1")]
+        assert labels == ["d!true", "d!1"]
+
+    def test_signed_zeros_stay_apart(self):
+        s = fresh()
+        negative, positive = (after_handoff(s, sent) for sent in ("(-0)", "0"))
+        assert negative.term is not positive.term
+        assert negative.term.body.parts[1].action.expr.value == 0.0
+
+    def test_input_instantiated_once_per_value(self, monkeypatch):
+        cont = parse_term("c?x . d!x . nil").cont
+        calls = []
+        real = ca.subst_values
+
+        def counting(term, env):
+            if term is cont:
+                calls.append(dict(env))
+            return real(term, env)
+
+        monkeypatch.setattr(ca, "subst_values", counting)
+        s = fresh()
+        root = s.config("( c!1 . nil || c!1 . nil || c?x . d!x . nil ) \\ {c}", state())
+        assert len(s.step(root)) == 2
+        s2 = s.config("( c!1 . nil || c?x . d!x . nil || tau . nil ) \\ {c}", state())
+        assert len(s.step(s2)) == 2
+        assert calls == [{"x$0": 1.0}]
+
+    def test_quantum_input_instantiated_once_per_qubit(self, monkeypatch):
+        cont = parse_term("#c?r . apply H[r] . nil").cont
+        calls = []
+        real = ca.subst_qubits
+
+        def counting(term, ren):
+            if term is cont:
+                calls.append(dict(ren))
+            return real(term, ren)
+
+        monkeypatch.setattr(ca, "subst_qubits", counting)
+        s = fresh(register=R2)
+        for other in ("nil", "tau . nil"):
+            cfg = s.config(f"#c?r . apply H[r] . nil || {other}", state(R2))
+            got = {str(t.label) for t in s.step(cfg)}
+            assert {"#c?q1", "#c?q2"} <= got
+        assert sorted(c["q$0"] for c in calls) == ["q1", "q2"]
