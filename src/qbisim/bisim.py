@@ -18,10 +18,11 @@ relation by exact rational feasibility; it is the literal reading of the
 definitions and is used for small systems and for replaying refutations.
 The saturated engine applies only to certified systems (acyclic, free of
 visible quantum input, every visibly-enabled configuration internally inert,
-and tau-confluent as sampled by `confluence_check`); there, every internal
-interleaving of a distribution shares one canonical saturation, so matching
-collapses to comparing saturated transition-consistent classes.  That
-collapse is what keeps protocol-sized witnesses small enough to re-verify.
+and confluent as proved by the local-diamond criterion of
+`confluence_check`); there, every internal interleaving of a distribution
+shares one canonical saturation, so matching collapses to comparing
+saturated transition-consistent classes.  That collapse is what keeps
+protocol-sized witnesses small enough to re-verify.
 
 Soundness of relation verdicts rests on three facts about the convex
 closure: lifted transitions are linear and left-decomposable, the canonical
@@ -36,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -312,18 +312,6 @@ def _last_choice(key, n: int) -> int:
     return n - 1
 
 
-def _random_choice(rng: random.Random):
-    picks = {}
-
-    def choose(key, n):
-        got = picks.get(key)
-        if got is None or got >= n:
-            got = picks[key] = rng.randrange(n)
-        return got
-
-    return choose
-
-
 class _ClassForm(NamedTuple):
     signature: frozenset
     weight: float
@@ -342,9 +330,9 @@ class _Canon:
 
     The scheduler resolves internal nondeterminism per configuration with
     `chooser` (first-transition by default) and saturates each support
-    configuration independently; on confluent systems every schedule agrees
-    with this one.  All tables memoize against the owning system's interned
-    configurations.
+    configuration independently; on confluent systems (`confluence_check`)
+    every schedule agrees with this one.  All tables memoize against the
+    owning system's interned configurations.
     """
 
     _MISSING = object()
@@ -412,13 +400,6 @@ class _Canon:
         return got
 
 
-def _form_key(form: _Form) -> tuple:
-    return (form.sat.digest, tuple(
-        (_sig_key(cls.signature), round(cls.weight, 10), tuple(sorted(cls.qv)),
-         tuple((str(label), _form_key(child)) for label, child in cls.children))
-        for cls in form.classes))
-
-
 # ---------------------------------------------------------------------------
 # certification: the preconditions of the canonical collapse
 
@@ -444,47 +425,41 @@ def _prepare(system: System, dists, max_configs=None) -> list:
     return configs
 
 
-def _scan_determinism(system: System, configs) -> tuple:
-    """(deterministic, tau_normal): per-config scheduling freedom."""
-    deterministic = True
-    tau_normal = True
-    for c in configs:
-        taus = system.tau_transitions(c)
-        vis = system.visible_transitions(c)
-        if taus and vis:
-            tau_normal = False
-        if len(taus) > 1:
-            deterministic = False
-        seen = set()
-        for t in vis:
-            if t.label in seen:
-                deterministic = False
-            seen.add(t.label)
-    return deterministic, tau_normal
+def _confluent_at(canon: _Canon, config: Configuration) -> bool:
+    """Do all moves of `config` with one label saturate to one distribution?
+
+    For internal moves that distribution is `canon.config_sat(config)`,
+    the saturation through the first one.  A configuration with at most
+    one move per label passes without saturating anything.
+    """
+    by_label = {}
+    for t in canon.system.step(config):
+        by_label.setdefault(t.label, []).append(t.dist)
+    return all(len({canon.saturate(d).digest for d in dists}) == 1
+               for dists in by_label.values() if len(dists) > 1)
 
 
-def _confluent(system: System, dists, trials: int, seed: int) -> bool:
-    choosers = [_first_choice, _last_choice]
-    for i in range(max(0, trials - 2)):
-        choosers.append(_random_choice(random.Random(seed * 1021 + i)))
-    keys = None
-    for chooser in choosers:
-        canon = _Canon(system, chooser)
-        got = tuple(_form_key(canon.form(d)) for d in dists)
-        if keys is None:
-            keys = got
-        elif got != keys:
-            return False
-    return True
+def confluence_check(context, roots=None) -> bool:
+    """Are the canonical answers independent of how choices are scheduled?
 
-
-def confluence_check(context, trials: int = 4, seed: int = 0, roots=None) -> bool:
-    """Do canonical forms survive re-scheduling of internal choices?
-
-    Recomputes the behaviour forms of the roots under `trials` tie-breaking
-    orders (first, last, and seeded random ones) and compares them exactly.
-    True means the canonical scheduler's answers are schedule-independent
-    on this graph, which is the completeness premise of canonical mode.
+    Decided exactly by the local-diamond criterion over the reachable,
+    acyclic graph: at every configuration, all internal moves saturate to
+    the same distribution, and all moves with one visible label saturate
+    to one distribution.  By induction on height these local conditions
+    make every scheduler (first-choice, last-choice, randomised or
+    history-dependent) yield the same behaviour forms.  At a configuration
+    without internal moves every saturation is the point distribution.
+    Otherwise a scheduler fires some internal move and then saturates each
+    target under its own continuation; by induction each target saturates
+    as under the first-choice scheduler, so the result is that move's
+    saturation, which the first condition equates with the first-choice
+    one (a randomised choice mixes equal distributions).  Derivatives fire
+    a visible label at each support configuration and saturate, so by the
+    second condition they too do not depend on the move chosen, and forms
+    are built from saturations, class splits and derivatives alone.  This
+    is the local-diamond form of confluence reduction (Timmer, Stoelinga
+    and van de Pol, TACAS 2011); Newman's lemma is the general principle
+    that a terminating, locally confluent system is confluent.
     """
     system = _system_of(context)
     if roots is None:
@@ -492,21 +467,34 @@ def confluence_check(context, trials: int = 4, seed: int = 0, roots=None) -> boo
             roots = [context.root]
         else:
             raise ValueError("pass a PLTS or explicit roots")
-    dists = [_as_dist(system, r) for r in roots]
-    _prepare(system, dists)
-    return _confluent(system, dists, trials, seed)
+    configs = _prepare(system, [_as_dist(system, r) for r in roots])
+    canon = _Canon(system)
+    return all(_confluent_at(canon, c) for c in configs)
 
 
-def _certified(system: System, dists, configs, trials: int = 3, seed: int = 0):
-    """Whether the canonical collapse is justified here, with a reason."""
-    deterministic, tau_normal = _scan_determinism(system, configs)
-    if not tau_normal:
-        return False, "a visibly-enabled configuration has internal moves"
-    if deterministic:
-        return True, "certified: scheduling is deterministic"
-    if _confluent(system, dists, trials, seed):
-        return True, f"certified: confluent under {max(2, trials)} schedules (seed {seed})"
-    return False, "internal nondeterminism is not confluent"
+def _certified(system: System, configs) -> tuple:
+    """(canon, ok, reason): is the canonical collapse justified here?
+
+    Certified means tau-normal (no visibly-enabled configuration has
+    internal moves) and confluent in the sense of `confluence_check`,
+    decided over the reachable `configs`; only configurations with two
+    moves under one label are saturated.  `canon` is the query's one
+    first-choice table, which the engines that run next share.
+    """
+    canon = _Canon(system)
+    branching = []
+    for c in configs:
+        moves = system.step(c)
+        labels = {t.label for t in moves}
+        if TAU in labels and len(labels) > 1:
+            return canon, False, "a visibly-enabled configuration has internal moves"
+        if len(labels) < len(moves):
+            branching.append(c)
+    if not branching:
+        return canon, True, "certified: scheduling is deterministic"
+    if all(_confluent_at(canon, c) for c in branching):
+        return canon, True, "certified: confluence proved by local diamonds"
+    return canon, False, "nondeterminism is not confluent"
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +735,9 @@ def _check_exhaustive(system: System, relation: RelationCandidate,
                        detail=f"{len(rel)} oriented pairs verified by enumeration")
 
 
-def _check_saturated(system: System, relation: RelationCandidate,
+def _check_saturated(canon: _Canon, relation: RelationCandidate,
                      lam: float, tol: float, certificate: str) -> CheckReport:
-    canon = _Canon(system)
+    system = canon.system
     rel = _oriented(relation.pairs)
     digests = {(a.digest, b.digest) for a, b in rel}
     memo = {}
@@ -830,7 +818,7 @@ def _check_saturated(system: System, relation: RelationCandidate,
 
 @_query
 def check_lambda_relation(relation, lam: float, context, tol: float = None,
-                          mode: str = "auto", trials: int = 3, seed: int = 0) -> CheckReport:
+                          mode: str = "auto") -> CheckReport:
     """Verify that a pair family is a lambda-bisimulation up to lambda.
 
     Every pair, in both orientations, must keep quantum variables equal and
@@ -842,7 +830,10 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
 
     `mode` picks the engine: "exhaustive" enumerates attacks literally,
     "saturated" uses the canonical collapse and requires certification,
-    "auto" certifies and falls back to enumeration.
+    "auto" certifies and falls back to enumeration.  Certification proves
+    tau-normality and the local-diamond criterion of `confluence_check`
+    on the graph the pairs reach, so a witness from a system that is not
+    confluent is checked by enumeration, not by the collapse.
     """
     system = _system_of(context)
     tol = system.tol if tol is None else tol
@@ -853,27 +844,27 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
         return CheckReport(True, "exhaustive", lam=lam, tol=tol,
                            witness=relation, detail="empty relation holds vacuously")
 
-    dists = [d for pair in relation.pairs for d in pair]
     if mode == "exhaustive":
         return _check_exhaustive(system, relation, lam, tol)
-    configs = system.reachable([c for d in dists for c in d.support])
+    roots = [c for pair in relation.pairs for d in pair for c in d.support]
+    configs = system.reachable(roots)
     quantum_input = any(
         t.label.kind == Label.QIN for c in configs for t in system.step(c))
     if mode == "saturated":
         if quantum_input:
             raise QuantumInputFragmentError(
                 "saturated checking covers the quantum-input-free fragment")
-        if not system.is_acyclic([c for d in dists for c in d.support]):
+        if not system.is_acyclic(roots):
             raise CyclicModelError("saturated checking needs an acyclic graph")
-        ok, why = _certified(system, dists, configs, trials, seed)
-        return _check_saturated(system, relation, lam, tol,
+        canon, ok, why = _certified(system, configs)
+        return _check_saturated(canon, relation, lam, tol,
                                 why if ok else f"forced ({why})")
     if mode != "auto":
         raise ValueError(f"unknown mode {mode!r}")
-    if not quantum_input and system.is_acyclic([c for d in dists for c in d.support]):
-        ok, why = _certified(system, dists, configs, trials, seed)
+    if not quantum_input and system.is_acyclic(roots):
+        canon, ok, why = _certified(system, configs)
         if ok:
-            return _check_saturated(system, relation, lam, tol, why)
+            return _check_saturated(canon, relation, lam, tol, why)
     return _check_exhaustive(system, relation, lam, tol)
 
 
@@ -949,9 +940,7 @@ def _compare_forms(canon: _Canon, fl: _Form, fr: _Form, tol: float,
     return None
 
 
-def _decide_canonical(system: System, mu, nu, tol: float, certificate: str,
-                      chooser=_first_choice) -> CheckReport:
-    canon = _Canon(system, chooser)
+def _decide_canonical(canon: _Canon, mu, nu, tol: float, certificate: str) -> CheckReport:
     pairs = [(mu, nu)]
 
     detail = _clause_i(mu, nu, tol)
@@ -1030,7 +1019,7 @@ def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> Che
     return CheckReport(False, mode, pair=(mu, nu), tol=tol, detail=detail, **bad)
 
 
-def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
+def _relation_search(canon: _Canon, mu, nu, tol: float) -> CheckReport:
     """Refinement over a finite family of reachable distributions.
 
     The family holds the queried pair, every point distribution, every
@@ -1038,6 +1027,7 @@ def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
     each member.  Complete only as far as the family reaches, which covers
     the acyclic desk-scale systems this mode is meant for.
     """
+    system = canon.system
     family = {}
 
     def add(d):
@@ -1053,7 +1043,6 @@ def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
         add(system.dirac(c))
         for t in system.step(c):
             add(t.dist)
-    canon = _Canon(system)
     for d in (mu, nu):
         add(canon.saturate(d))
     for d in list(family.values()):
@@ -1064,8 +1053,7 @@ def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
 
 
 @_query
-def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto",
-                 seed: int = 0) -> CheckReport:
+def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> CheckReport:
     """Decide distribution-based ground bisimilarity of two distributions.
 
     Preconditions: the reachable graph is acyclic and free of visible
@@ -1073,7 +1061,9 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto",
     canonical scheduler, which is complete on certified systems;
     relation-search mode runs the greatest-fixpoint refinement.  "auto"
     certifies first and picks accordingly; the report records the mode.
-    `seed` draws the sampled schedules of the confluence certificate.
+    Certification proves that scheduling cannot change the canonical
+    answers: the system is tau-normal and meets the local-diamond
+    criterion of `confluence_check` at every reachable configuration.
     """
     system = _system_of(context)
     tol = system.tol if tol is None else tol
@@ -1082,14 +1072,14 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto",
     if mode not in ("auto", "canonical", "relation-search"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "relation-search":
-        return _relation_search(system, mu, nu, tol)
-    ok, why = _certified(system, (mu, nu), configs, seed=seed)
+        return _relation_search(_Canon(system), mu, nu, tol)
+    canon, ok, why = _certified(system, configs)
     if mode == "canonical":
-        return _decide_canonical(system, mu, nu, tol,
+        return _decide_canonical(canon, mu, nu, tol,
                                  why if ok else f"forced canonical ({why})")
     if ok:
-        return _decide_canonical(system, mu, nu, tol, why)
-    return _relation_search(system, mu, nu, tol)
+        return _decide_canonical(canon, mu, nu, tol, why)
+    return _relation_search(canon, mu, nu, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,33 +1115,32 @@ def decide_state_based(c, d, context, tol: float = None) -> CheckReport:
 
 
 @_query
-def distance_upper_bound(mu, nu, context, tol: float = None,
-                         seed: int = 0) -> DistanceBound:
+def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     """A verified upper bound on the bisimulation distance of two distributions.
 
-    On certified systems, walks both canonical behaviour forms in parallel
-    and takes the maximum over all visited pairs of the environment trace
-    distance and the transition-consistent class mass left unmatched; the
-    per-node matched subset is chosen greedily to minimise that maximum.
+    On certified systems (tau-normal, and confluent by the local-diamond
+    criterion of `confluence_check`), walks both canonical behaviour forms
+    in parallel and takes the maximum over all visited pairs of the
+    environment trace distance and the transition-consistent class mass
+    left unmatched; the per-node matched subset is chosen greedily to
+    minimise that maximum.
     The visited pairs form a witness passing `check_lambda_relation` at the
     returned value.  Elsewhere the bound degrades to 0 (when relation-search
-    proves bisimilarity) or the trivial 1.  `seed` draws the sampled
-    schedules of the confluence certificate.
+    proves bisimilarity) or the trivial 1.
     """
     system = _system_of(context)
     tol = system.tol if tol is None else tol
     mu, nu = _as_dist(system, mu), _as_dist(system, nu)
     configs = _prepare(system, (mu, nu))
-    ok, why = _certified(system, (mu, nu), configs, seed=seed)
+    canon, ok, why = _certified(system, configs)
     if not ok:
-        report = _relation_search(system, mu, nu, tol)
+        report = _relation_search(canon, mu, nu, tol)
         if report.holds:
             return DistanceBound(0.0, report.witness, "relation-search",
                                  detail=f"bisimilar by refinement; {why}")
         return DistanceBound(1.0, RelationCandidate(()), "relation-search",
                              detail=f"trivial bound; {why}; {report.detail}")
 
-    canon = _Canon(system)
     memo = {}
     annotations = []
 
@@ -1350,7 +1339,7 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
         fresh = check_lambda_relation([(x, y)], lam, system, tol=tol)
         return not fresh.holds
     if report.mode == "canonical":
-        fresh = _decide_canonical(system, x, y, tol, "replay", chooser=_last_choice)
+        fresh = _decide_canonical(_Canon(system, _last_choice), x, y, tol, "replay")
         return not fresh.holds
     return not decide_bisim(x, y, system, tol=tol, mode="relation-search").holds
 

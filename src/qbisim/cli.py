@@ -62,7 +62,6 @@ class CommandConfig:
     depth: int = None
     max_configs: int = 200_000
     budget: int = 2_000_000
-    seed: int = 0
     fmt: str = "json"
     output: str = None
     with_states: bool = False
@@ -230,7 +229,7 @@ def cmd_check(cfg: CommandConfig) -> int:
         report = decide_state_based(left, right, system, tol=cfg.tol)
     else:
         report = decide_bisim(system.dirac(left), system.dirac(right),
-                              system, tol=cfg.tol, seed=cfg.seed)
+                              system, tol=cfg.tol)
     replayed = None
     if cfg.replay:
         if report.holds:
@@ -250,11 +249,11 @@ def cmd_check(cfg: CommandConfig) -> int:
 def cmd_distance(cfg: CommandConfig) -> int:
     system, (left, right) = _build_roots(cfg, [cfg.left, cfg.right])
     bound = distance_upper_bound(system.dirac(left), system.dirac(right),
-                                 system, tol=cfg.tol, seed=cfg.seed)
+                                 system, tol=cfg.tol)
     replayed = None
     if cfg.replay:
         replayed = check_lambda_relation(bound.witness, bound.value, system,
-                                         tol=cfg.tol, seed=cfg.seed).holds
+                                         tol=cfg.tol).holds
         if not replayed:
             _diag("warning: witness did not replay independently")
     _emit_json({"command": "distance", "left": cfg.left, "right": cfg.right,
@@ -325,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="distribution")
     p.add_argument("--replay", action="store_true",
                    help="re-verify the verdict through an independent check")
-    p.add_argument("--seed", type=int, default=0)
     _model_options(p)
 
     p = sub.add_parser("distance", help="bound the bisimulation distance")
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--replay", action="store_true",
                    help="re-verify the witness at the reported bound")
-    p.add_argument("--seed", type=int, default=0)
     _model_options(p)
 
     p = sub.add_parser("bb84", help="verify the key-distribution protocol")

@@ -3,10 +3,12 @@
 Terms are generated as source strings and pushed through the real parser so
 the sampled space is exactly what users can write.  `random_term` builds a
 sequential term on one qubit; `random_par_term` composes two of them on
-`q1` and `q2`, optionally coupled through a restricted channel.  `variants`
-produces companions that are bisimilar by construction (internal padding,
-probabilistic duplication), giving the invariant tests non-vacuous positive
-instances.  `PAR_SYSTEMS` are fixed hand-written parallel systems.
+`q1` and `q2`, optionally coupled through a restricted channel, and
+`random_wide_term` composes two silent ones whose internal moves
+interleave.  `variants` produces companions that are bisimilar by
+construction (internal padding, probabilistic duplication), giving the
+invariant tests non-vacuous positive instances.  `PAR_SYSTEMS` are fixed
+hand-written parallel systems.
 """
 
 import numpy as np
@@ -21,17 +23,24 @@ REGISTER2 = QubitRegister.of(["q1", "q2"])
 _CHANNELS = ("a", "b", "c")
 _OPS = ("H", "X", "Set0", "Set1", "Dephase")
 _WEIGHTS = (("1/2", "1/2"), ("1/4", "3/4"), ("3/4", "1/4"))
+_KINDS = ("out", "out", "tau", "apply", "meas", "pchoice", "sum")
+_SILENT_KINDS = ("tau", "apply", "meas", "meas", "pchoice")
+_WIDE_MAX_PRODUCT = 6
 
 
 def random_term(rng: np.random.Generator, depth: int, counter=None,
-                qubit: str = "q1", tail: str = "nil") -> str:
-    """A sequential term acting on `qubit`; every leaf is `tail`."""
+                qubit: str = "q1", tail: str = "nil", silent: bool = False) -> str:
+    """A sequential term acting on `qubit`; every leaf is `tail`.
+
+    A silent term has no visible action: only `tau`, operators,
+    measurements and probabilistic choice.
+    """
     if counter is None:
         counter = [0]
     if depth <= 0 or rng.random() < 0.2:
         return tail
-    kind = rng.choice(["out", "out", "tau", "apply", "meas", "pchoice", "sum"])
-    sub = lambda: random_term(rng, depth - 1, counter, qubit, tail)
+    kind = rng.choice(_SILENT_KINDS if silent else _KINDS)
+    sub = lambda: random_term(rng, depth - 1, counter, qubit, tail, silent)
     if kind == "out":
         ch = _CHANNELS[rng.integers(0, len(_CHANNELS))]
         return f"{ch}!{rng.integers(0, 2)} . {_paren(sub())}"
@@ -44,7 +53,7 @@ def random_term(rng: np.random.Generator, depth: int, counter=None,
         counter[0] += 1
         var = f"x{counter[0]}"
         ch = _CHANNELS[rng.integers(0, len(_CHANNELS))]
-        if rng.random() < 0.5:
+        if not silent and rng.random() < 0.5:
             return f"meas Mcomp[{qubit}; {var}] . {ch}!{var} . {_paren(sub())}"
         return f"meas Mcomp[{qubit}; {var}] . {_paren(sub())}"
     if kind == "pchoice":
@@ -79,6 +88,29 @@ def random_par_term(rng: np.random.Generator, depth: int = 2) -> str:
     right = "#m?r . " + _paren(random_term(rng, depth, counter, "r"))
     right = _paren(random_term(rng, 1, counter, "q2", tail=right))
     return f"( {_paren(left)} || {right} ) \\ {{#m}}"
+
+
+def random_wide_term(rng: np.random.Generator, depth: int = 2) -> str:
+    """Two uncoupled silent components on q1 and q2, run in parallel.
+
+    Each component has a measurement or a probabilistic choice, so their
+    internal moves interleave: the reachable graph has configurations with
+    several internal moves, and certifying it takes the confluence proof.
+    The product of the components' sizes, each plus one, is at most
+    `_WIDE_MAX_PRODUCT`, which keeps relation search on them quick.
+    """
+    counter = [0]
+    while True:
+        left = random_term(rng, depth, counter, "q1", silent=True)
+        right = random_term(rng, depth, counter, "q2", silent=True)
+        if (all("meas" in t or "pchoice" in t for t in (left, right))
+                and (_size(left) + 1) * (_size(right) + 1) <= _WIDE_MAX_PRODUCT):
+            return f"{_paren(left)} || {_paren(right)}"
+
+
+def _size(src: str) -> int:
+    """Prefixes plus choice branches: a syntactic proxy for state count."""
+    return src.count(" . ") + src.count("->")
 
 
 def _paren(src: str) -> str:

@@ -179,35 +179,42 @@ class TestDistance:
         assert json.loads(out)["bound"]["witness"]["pairs"]
 
 
-# two commuting internal moves: certification samples schedules
+# two commuting internal moves: certification proves them confluent
 CONFLUENT = """\
 L(; q1, q2) := ( apply X[q1] . m!0 . nil || apply H[q2] . m?x . a!x . nil ) \\ {m}
 R(; q1, q2) := apply X[q1] . apply H[q2] . a!0 . nil
 """
 
 
-class TestSeed:
+class TestCertificate:
     @pytest.fixture
     def confluent_file(self, tmp_path):
         path = tmp_path / "confluent.qp"
         path.write_text(CONFLUENT)
         return str(path)
 
-    def test_check_seed_reaches_certification(self, capsys, confluent_file):
+    def test_check_reports_proved_confluence(self, capsys, confluent_file):
         code, out, _ = run(capsys, "check", confluent_file, "--left", "L",
-                           "--right", "R", "--seed", "7")
+                           "--right", "R")
         assert code == 0
         report = json.loads(out)["report"]
         assert report["mode"] == "canonical"
-        assert "seed 7" in report["detail"]
+        assert "proved" in report["detail"]
 
-    def test_distance_seed_reaches_certification(self, capsys, confluent_file):
+    def test_distance_reports_proved_confluence(self, capsys, confluent_file):
         code, out, _ = run(capsys, "distance", confluent_file, "--left", "L",
-                           "--right", "R", "--seed", "7")
+                           "--right", "R")
         assert code == 0
         bound = json.loads(out)["bound"]
+        assert bound["mode"] == "canonical"
         assert bound["value"] == 0.0
-        assert "seed 7" in bound["detail"]
+        assert "proved" in bound["detail"]
+
+    def test_seed_is_not_an_option(self, capsys, confluent_file):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", confluent_file, "--left", "L", "--right", "R",
+                      "--seed", "7"])
+        assert exc.value.code == 2
 
 
 class TestBb84:
