@@ -501,7 +501,7 @@ def _certified(system: System, configs) -> tuple:
 # feasibility queries: convex-closure membership and weak-move matching
 
 
-def _closure_columns(pairs, left: ConfigDistribution, row=("L",), right=None) -> list:
+def _closure_columns(pairs, left: ConfigDistribution, row=("L",), right=None) -> tuple:
     """LP columns spanning the convex closure of `pairs` plus identity pairs.
 
     A pair column puts its left side on the `row`-tagged rows and its right
@@ -509,12 +509,14 @@ def _closure_columns(pairs, left: ConfigDistribution, row=("L",), right=None) ->
     configuration of supp(left).  The left rows only ever receive
     nonnegative mass, so a pair reaching outside supp(left) can carry no
     weight and is dropped, which is exact; with `right` given, the same
-    holds for the right side and supp(right).
+    holds for the right side and supp(right).  Returns the columns and,
+    for each, the position in `pairs` it came from (None for a carrier).
     """
     inside = {c.index for c in left.support}
     within = None if right is None else {d.index for d in right.support}
     columns = []
-    for mk, nk in pairs:
+    origins = []
+    for k, (mk, nk) in enumerate(pairs):
         if any(c.index not in inside for c in mk.support):
             continue
         if within is not None and any(d.index not in within for d in nk.support):
@@ -522,10 +524,12 @@ def _closure_columns(pairs, left: ConfigDistribution, row=("L",), right=None) ->
         col = {row + (c.index,): p for c, p in mk}
         col.update((("R", d.index), q) for d, q in nk)
         columns.append(col)
+        origins.append(k)
     for c in left.support:
         if right is None or right.probability(c) > 0.0:
             columns.append({row + (c.index,): 1.0, ("R", c.index): 1.0})
-    return columns
+            origins.append(None)
+    return columns, origins
 
 
 def _extreme_columns(per_config) -> list:
@@ -540,11 +544,28 @@ def _extreme_columns(per_config) -> list:
     return columns
 
 
+def _feasible(columns, origins, target, used) -> bool:
+    """Is `target` a nonnegative combination of `columns`?
+
+    `origins` gives the position of the relation pair behind each of the
+    leading columns, or None for an identity carrier.  When the combination
+    exists and `used` is a set, the positions of the pairs whose columns
+    carry positive weight in it are added to `used`.
+    """
+    x = combination_weights(columns, target)
+    if x is None:
+        return False
+    if used is not None:
+        used.update(k for k, w in zip(origins, x) if w and k is not None)
+    return True
+
+
 def _member_lin(pairs, mu: ConfigDistribution, nu: ConfigDistribution) -> bool:
     """Is (mu, nu) a convex combination of `pairs` plus identity pairs?"""
     target = {("L", c.index): p for c, p in mu}
     target.update((("R", d.index), q) for d, q in nu)
-    return combination_weights(_closure_columns(pairs, mu, right=nu), target) is not None
+    columns, origins = _closure_columns(pairs, mu, right=nu)
+    return _feasible(columns, origins, target, None)
 
 
 def _weak_extremes(system: System, config: Configuration, label: Label):
@@ -553,8 +574,26 @@ def _weak_extremes(system: System, config: Configuration, label: Label):
     return system.weak_visible_extremes(config, label)
 
 
+def _identity_answer(attack: ConfigDistribution, defender: ConfigDistribution,
+                     per_config) -> bool:
+    """Does one of the defender's own weak moves answer `attack` exactly?
+
+    True when the defender is one configuration with mass exactly 1.0 and
+    one of its extreme weak moves in `per_config` has the attack's
+    configurations with float-equal probabilities.  The identity carriers
+    of the attack plus that extreme then solve the matching LP with no
+    relation pair, because equal floats snap to equal rationals.  Digest
+    equality would not do: digests round to 10 decimals, and two
+    probabilities with one digest can snap to different rationals.
+    """
+    if list(defender.probs.values()) != [1.0]:
+        return False
+    ((_, extremes),) = per_config
+    return any(e.probs == attack.probs for e in extremes)
+
+
 def _match_weak(system: System, pairs, attack: ConfigDistribution,
-                defender: ConfigDistribution, label: Label) -> bool:
+                defender: ConfigDistribution, label: Label, used=None) -> bool:
     """Can the defender weakly answer `attack` inside the relation's closure?
 
     Searches for a weak hatted `label` derivative nu' of `defender` with
@@ -562,7 +601,10 @@ def _match_weak(system: System, pairs, attack: ConfigDistribution,
     derivatives of a distribution factor per support configuration (lifted
     transitions are linear and left-decomposable), so nu' ranges over
     independent convex mixtures of each configuration's extreme weak moves;
-    the whole question is one exact-rational feasibility problem.
+    the whole question is one exact-rational feasibility problem.  When a
+    point defender can move to exactly the attack (`_identity_answer`), the
+    identity pairs answer it and no LP is solved.  The positions of the
+    pairs the match relies on go into `used` (see `_feasible`).
     """
     per_config = []
     for d in defender.support:
@@ -570,20 +612,24 @@ def _match_weak(system: System, pairs, attack: ConfigDistribution,
         if not extremes:
             return False
         per_config.append((d, extremes))
-    columns = _closure_columns(pairs, attack) + _extreme_columns(per_config)
+    if _identity_answer(attack, defender, per_config):
+        return True
+    columns, origins = _closure_columns(pairs, attack)
     target = {("L", c.index): p for c, p in attack}
     target.update((("D", d.index), p) for d, p in defender)
-    return combination_weights(columns, target) is not None
+    return _feasible(columns + _extreme_columns(per_config), origins, target, used)
 
 
 def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
-                         defender: ConfigDistribution, lam: float, tol: float) -> bool:
+                         defender: ConfigDistribution, lam: float, tol: float,
+                         used=None) -> bool:
     """Can the defender internally split to match the attacker's classes?
 
     Searches for a weak tau derivative of `defender` of the form
     sum_i p_i nu_i with (mu_i, nu_i) in the closure for every matched class
     and at most `lam` attacker mass unmatched.  Matched subsets are tried in
-    order of decreasing matched mass.
+    order of decreasing matched mass.  The positions of the pairs the first
+    feasible split relies on go into `used`.
     """
     classes = decomp.classes
     per_config = [(d, system.weak_tau_extremes(d)) for d in defender.support]
@@ -595,8 +641,11 @@ def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
 
     def feasible(matched):
         columns = []
+        origins = []
         for i in matched:
-            columns += _closure_columns(pairs, classes[i].dist, row=("L", i))
+            block, block_origins = _closure_columns(pairs, classes[i].dist, row=("L", i))
+            columns += block
+            origins += block_origins
         columns += extreme_columns
         if len(matched) < len(classes):
             columns += free_columns
@@ -606,7 +655,7 @@ def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
             for c, p in cls.dist:
                 target[("L", i, c.index)] = cls.weight * p
         target.update((("D", d.index), p) for d, p in defender)
-        return combination_weights(columns, target) is not None
+        return _feasible(columns, origins, target, used)
 
     indices = range(len(classes))
     options = []
@@ -698,20 +747,23 @@ def _oriented(pairs) -> tuple:
 
 
 def _violation(system: System, rel, x: ConfigDistribution, y: ConfigDistribution,
-               lam: float, tol: float, attack_cache: dict) -> Optional[dict]:
+               lam: float, tol: float, attack_cache: dict,
+               used=None) -> Optional[dict]:
     """The first clause (ii) or (iii) obligation of x, attacking y, that the
     closure of `rel` fails to meet, as CheckReport fields; None if all hold.
 
     Clause (ii): every extreme strong move of x has a weak match by y.
     Clause (iii): when x is not transition consistent, an internal split of
     y matches its canonical classes with at most `lam` mass unmatched.
+    The positions in `rel` of the pairs the matches rely on go into `used`.
     """
     for label, attack in _strong_attacks(system, x, attack_cache):
-        if not _match_weak(system, rel, attack, y, label):
+        if not _match_weak(system, rel, attack, y, label, used):
             return dict(clause="ii", label=label, attack=attack,
                         detail=f"strong {label} move has no weak match in the closure")
     if not is_transition_consistent(x, system):
-        if not _match_decomposition(system, rel, tc_decompose(x, system), y, lam, tol):
+        if not _match_decomposition(system, rel, tc_decompose(x, system), y, lam, tol,
+                                    used):
             return dict(clause="iii", label=TAU,
                         detail="no internal split of the defending side matches the "
                                "transition-consistent classes within the allowed mass")
@@ -959,16 +1011,35 @@ def _decide_canonical(canon: _Canon, mu, nu, tol: float, certificate: str) -> Ch
                        detail=f"behaviour forms coincide; {certificate}")
 
 
-def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> CheckReport:
-    """Greatest fixpoint of the ground clauses over pairs of `members`.
+def _pair_violation(system: System, rel, a: ConfigDistribution, b: ConfigDistribution,
+                    tol: float, attack_cache: dict, used=None) -> Optional[dict]:
+    """`_violation` at lambda 0 in both orientations of (a, b), with the
+    attacking side as `direction`."""
+    for x, y, side in ((a, b, "left"), (b, a, "right")):
+        bad = _violation(system, rel, x, y, 0.0, tol, attack_cache, used)
+        if bad is not None:
+            return dict(bad, direction=side)
+    return None
+
+
+def _ground_fixpoint(system: System, members: list, tol: float,
+                     attack_cache: dict) -> set:
+    """Index pairs (i, j), i <= j, of `members` in the greatest fixpoint.
 
     Candidates are the pairs meeting clause (i) whose transition-consistent
     members agree on their weak visible sets (tc members related in any
-    ground bisimulation must).  A sweep deletes every pair that violates
+    ground bisimulation must).  A worklist deletes every pair that violates
     clause (ii) or (iii), in either orientation, against the surviving
-    family, until a sweep deletes nothing; the verdict is whether (mu, nu),
-    both members, survives.  Deletions shrink the relation, so survivors
-    are re-validated on the next sweep and the final sweep is exact.
+    family.  A pair that passes records the pairs whose columns carry
+    positive weight in its LP solutions; when a pair is deleted, only the
+    survivors that recorded it are checked again.  This is exact: deleting
+    a pair only removes columns, and a solution stays a solution while its
+    positive-weight columns survive, so a survivor none of whose recorded
+    pairs was deleted still meets every clause.  When the worklist empties
+    the survivors form a post-fixpoint, and every deletion was forced by a
+    superset of the greatest fixpoint, so the result is that fixpoint.
+    Rounds visit the pending pairs in sorted order, so the result and the
+    LPs solved do not depend on hash order.
     """
     shapes = []
     for m in members:
@@ -983,38 +1054,57 @@ def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> Che
             if _clause_i(a, members[j], tol) is None:
                 alive.add((i, j))
 
+    rel = owners = None
+    deps = {}    # survivor -> the pairs its last check relied on
+    users = {}   # pair -> the survivors whose last check relied on it
+    pending = set(alive)
+    while pending:
+        for key in sorted(pending):
+            pending.discard(key)
+            if key not in alive:
+                continue
+            if rel is None:
+                rel, owners = [], []
+                for i, j in sorted(alive):
+                    for x, y in ((i, j), (j, i)) if i != j else ((i, i),):
+                        rel.append((members[x], members[y]))
+                        owners.append((i, j))
+            for q in deps.pop(key, ()):
+                users.get(q, set()).discard(key)
+            used = set()
+            i, j = key
+            if _pair_violation(system, rel, members[i], members[j], tol,
+                               attack_cache, used) is None:
+                deps[key] = {owners[k] for k in used}
+                for q in deps[key]:
+                    users.setdefault(q, set()).add(key)
+            else:
+                alive.discard(key)
+                pending |= users.pop(key, set())
+                rel = None
+    return alive
+
+
+def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> CheckReport:
+    """Greatest fixpoint of the ground clauses over pairs of `members`.
+
+    The verdict is whether (mu, nu), both members, survives
+    `_ground_fixpoint`; the survivors are the witness.  A refutation names
+    the first clause (mu, nu) violates against the survivors.
+    """
     attack_cache = {}
-
-    def violation(a, b, rel):
-        for x, y, side in ((a, b, "left"), (b, a, "right")):
-            bad = _violation(system, rel, x, y, 0.0, tol, attack_cache)
-            if bad is not None:
-                return dict(bad, direction=side)
-        return None
-
-    def relation():
-        return _oriented([(members[i], members[j]) for i, j in sorted(alive)])
-
-    changed = True
-    while changed:
-        changed = False
-        rel = relation()
-        for i, j in sorted(alive):
-            if violation(members[i], members[j], rel) is not None:
-                alive.discard((i, j))
-                changed = True
-
+    alive = _ground_fixpoint(system, members, tol, attack_cache)
+    survivors = [(members[i], members[j]) for i, j in sorted(alive)]
     pos = {m.digest: k for k, m in enumerate(members)}
     if tuple(sorted((pos[mu.digest], pos[nu.digest]))) in alive or mu.digest == nu.digest:
-        witness = RelationCandidate(tuple(
-            (members[i], members[j]) for i, j in sorted(alive)))
-        return CheckReport(True, mode, tol=tol, witness=witness,
+        return CheckReport(True, mode, tol=tol, witness=RelationCandidate(tuple(survivors)),
                            detail=f"{len(alive)} pairs survive over a family of "
                                   f"{len(members)} distributions")
     detail = _clause_i(mu, nu, tol)
     if detail is not None:
         return CheckReport(False, mode, clause="i", pair=(mu, nu), tol=tol, detail=detail)
-    bad = violation(mu, nu, relation() + ((mu, nu), (nu, mu))) or {}
+    rel = _oriented(survivors) + ((mu, nu), (nu, mu))
+    bad = _pair_violation(system, rel, mu, nu, tol, attack_cache) or {}
     detail = bad.pop("detail", "deleted during refinement")
     return CheckReport(False, mode, pair=(mu, nu), tol=tol, detail=detail, **bad)
 

@@ -1,5 +1,6 @@
 """Bisimulation checking: consistency, relations, decisions, distances."""
 
+import functools
 import json
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from qbisim.calculus import parse_module
 from qbisim.errors import BudgetExceededError, CyclicModelError, QuantumInputFragmentError
 from qbisim.quantum import QubitRegister, QuantumState, random_density
-from qbisim.semantics import PLTS, System, TAU, combine
+from qbisim import bisim
+from qbisim.lp import as_fraction, combination_weights
+from qbisim.semantics import PLTS, ConfigDistribution, System, TAU, combine
 from qbisim.bisim import (
     CheckReport,
     DistanceBound,
@@ -746,3 +749,192 @@ class TestConfluenceProof:
         report = decide_bisim(c, d, s)
         assert report.holds
         assert check_ground_bisim_relation(report.witness, s, mode="exhaustive").holds
+
+
+def sweep_refine(record, system, members, mu, nu, tol, mode):
+    """Reference for `_refine`: the chaotic sweep it ran before its worklist.
+
+    Every pass re-checks every surviving pair against the family as it
+    stood at the start of the pass, until a pass deletes nothing.  The
+    surviving index pairs and the number of passes go into `record`.
+    """
+    shapes = []
+    for m in members:
+        sigs = {system.weak_enabled(c) for c in m.support}
+        shapes.append(sigs.pop() if len(sigs) == 1 else None)
+    alive = set()
+    for i, a in enumerate(members):
+        for j in range(i, len(members)):
+            if (shapes[i] is not None and shapes[j] is not None
+                    and shapes[i] != shapes[j]):
+                continue
+            if bisim._clause_i(a, members[j], tol) is None:
+                alive.add((i, j))
+
+    attack_cache = {}
+
+    def violation(a, b, rel):
+        for x, y, side in ((a, b, "left"), (b, a, "right")):
+            bad = bisim._violation(system, rel, x, y, 0.0, tol, attack_cache)
+            if bad is not None:
+                return dict(bad, direction=side)
+        return None
+
+    def relation():
+        return bisim._oriented([(members[i], members[j]) for i, j in sorted(alive)])
+
+    rounds = 0
+    changed = True
+    while changed:
+        rounds += 1
+        changed = False
+        rel = relation()
+        for i, j in sorted(alive):
+            if violation(members[i], members[j], rel) is not None:
+                alive.discard((i, j))
+                changed = True
+    record.update(alive=set(alive), rounds=rounds)
+
+    pos = {m.digest: k for k, m in enumerate(members)}
+    if tuple(sorted((pos[mu.digest], pos[nu.digest]))) in alive or mu.digest == nu.digest:
+        witness = RelationCandidate(tuple(
+            (members[i], members[j]) for i, j in sorted(alive)))
+        return CheckReport(True, mode, tol=tol, witness=witness,
+                           detail=f"{len(alive)} pairs survive over a family of "
+                                  f"{len(members)} distributions")
+    detail = bisim._clause_i(mu, nu, tol)
+    if detail is not None:
+        return CheckReport(False, mode, clause="i", pair=(mu, nu), tol=tol, detail=detail)
+    bad = violation(mu, nu, relation() + ((mu, nu), (nu, mu))) or {}
+    detail = bad.pop("detail", "deleted during refinement")
+    return CheckReport(False, mode, pair=(mu, nu), tol=tol, detail=detail, **bad)
+
+
+class TestWorklistRefinement:
+    """The dependency worklist of `_ground_fixpoint` against the chaotic
+    sweep it replaced: same surviving pairs, same reports."""
+
+    ENGINES = (
+        decide_state_based,
+        lambda c, d, s: decide_bisim(c, d, s, mode="relation-search"),
+    )
+
+    def compare(self, monkeypatch, decide, c, d, system) -> int:
+        """Decide (c, d) with the worklist and with the sweep; return the
+        sweep's number of passes."""
+        got, reference = {}, {}
+        fixpoint = bisim._ground_fixpoint
+
+        def spy(*args):
+            got["alive"] = fixpoint(*args)
+            return got["alive"]
+
+        with monkeypatch.context() as m:
+            m.setattr(bisim, "_ground_fixpoint", spy)
+            report = decide(c, d, system)
+        with monkeypatch.context() as m:
+            m.setattr(bisim, "_refine", functools.partial(sweep_refine, reference))
+            expected = decide(c, d, system)
+        assert got["alive"] == reference["alive"]
+        assert report.to_json() == expected.to_json()
+        return reference["rounds"]
+
+    def test_agrees_with_the_sweep(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        rounds = []
+        for _ in range(10):
+            system, state = randsys.random_system(rng)
+            base = randsys.random_term(rng, 3)
+            c = system.config(base, state)
+            for src in randsys.variants(base)[1:] + [randsys.random_term(rng, 3)]:
+                d = system.config(src, state)
+                for decide in self.ENGINES:
+                    rounds.append(self.compare(monkeypatch, decide, c, d, system))
+        # deletions that cascade over several passes exercise the re-checks
+        assert max(rounds) >= 3
+
+    def test_agrees_with_the_sweep_parallel(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            system, state = randsys.random_system(rng, randsys.REGISTER2)
+            base = randsys.random_par_term(rng, 2)
+            c = system.config(base, state)
+            d = system.config(randsys.variants(base)[2], state)
+            for decide in self.ENGINES:
+                self.compare(monkeypatch, decide, c, d, system)
+
+
+class TestIdentityAnswer:
+    """`_match_weak` answers a point defender that can move to exactly the
+    attack without an LP, and nothing else."""
+
+    def point_move(self):
+        s = fresh()
+        d = s.config("pchoice { 1/4 -> a!0 . nil ; 3/4 -> a!1 . nil }", ground(q1="+"))
+        (move,) = s.step(d)
+        return s, d, move.dist
+
+    def count_lps(self, monkeypatch) -> list:
+        calls = []
+        solve = bisim.combination_weights
+
+        def counted(columns, target):
+            calls.append(len(columns))
+            return solve(columns, target)
+
+        monkeypatch.setattr(bisim, "combination_weights", counted)
+        return calls
+
+    def test_exact_match_skips_the_lp(self, monkeypatch):
+        s, d, e = self.point_move()
+        calls = self.count_lps(monkeypatch)
+        attack = ConfigDistribution(dict(e.probs))
+        assert bisim._match_weak(s, (), attack, s.dirac(d), TAU)
+        assert calls == []
+
+    def test_equal_digests_still_solve_the_lp(self, monkeypatch):
+        # 1e-11 apart: one digest (10 decimals), different snapped rationals
+        s, d, e = self.point_move()
+        (x, p), (y, q) = e.probs.items()
+        attack = ConfigDistribution({x: p + 1e-11, y: q - 1e-11})
+        assert attack.digest == e.digest
+        assert as_fraction(attack.probability(x)) != as_fraction(p)
+        calls = self.count_lps(monkeypatch)
+        assert not bisim._match_weak(s, (), attack, s.dirac(d), TAU)
+        assert len(calls) == 1
+
+    def test_mass_below_one_solves_the_lp(self, monkeypatch):
+        s, d, e = self.point_move()
+        defender = ConfigDistribution({d: 1.0 - 2.0 ** -53})
+        calls = self.count_lps(monkeypatch)
+        bisim._match_weak(s, (), ConfigDistribution(dict(e.probs)), defender, TAU)
+        assert len(calls) == 1
+
+    def test_answered_matches_are_feasible(self, monkeypatch):
+        """Every match the identity answer takes is one the LP, given no
+        relation pair at all, also finds."""
+        answered = []
+        identity = bisim._identity_answer
+
+        def spy(attack, defender, per_config):
+            got = identity(attack, defender, per_config)
+            if got:
+                columns, _ = bisim._closure_columns((), attack)
+                target = {("L", c.index): p for c, p in attack}
+                target.update((("D", c.index), p) for c, p in defender)
+                assert combination_weights(
+                    columns + bisim._extreme_columns(per_config), target) is not None
+                answered.append(attack)
+            return got
+
+        monkeypatch.setattr(bisim, "_identity_answer", spy)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            system, state = randsys.random_system(rng)
+            base = randsys.random_term(rng, 3)
+            c = system.config(base, state)
+            for src in randsys.variants(base)[1:] + [randsys.random_term(rng, 3)]:
+                d = system.config(src, state)
+                decide_state_based(c, d, system)
+                decide_bisim(c, d, system, mode="relation-search")
+        assert len(answered) >= 20

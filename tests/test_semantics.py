@@ -437,7 +437,7 @@ class TestLifting:
         s = fresh()
         a = s.dirac(s.config("a!0 . nil", state()))
         target = s.dirac(s.config("nil", state()))
-        columns = _closure_columns([(a, target), (a, target)], a, right=target)
+        columns, _ = _closure_columns([(a, target), (a, target)], a, right=target)
         goal = {("L", c.index): p for c, p in a}
         goal.update((("R", d.index), q) for d, q in target)
         w = combination_weights(columns, goal)
