@@ -106,9 +106,12 @@ def _dist_json(dist: ConfigDistribution) -> list:
     return [[c.index, p] for c, p in sorted(dist, key=lambda kv: kv[0].index)]
 
 
-def _environment(dist: ConfigDistribution):
+def _environment(dist: ConfigDistribution) -> tuple:
+    """(kept qubits, environment matrix, its `_matrix_digest`), computed once
+    per distribution and kept on it."""
     if dist._env is None:
-        dist._env = dist.environment()
+        keep, matrix = dist.environment()
+        dist._env = (keep, matrix, _matrix_digest(matrix))
     return dist._env
 
 
@@ -119,9 +122,8 @@ def _env_distance(a: ConfigDistribution, b: ConfigDistribution) -> float:
     result is bit-identical under swapping, which the bound-symmetry
     contract relies on.
     """
-    _, ma = _environment(a)
-    _, mb = _environment(b)
-    da, db = _matrix_digest(ma), _matrix_digest(mb)
+    _, ma, da = _environment(a)
+    _, mb, db = _environment(b)
     if da == db:
         return 0.0
     if db < da:
@@ -574,25 +576,90 @@ def _weak_extremes(system: System, config: Configuration, label: Label):
     return system.weak_visible_extremes(config, label)
 
 
-def _identity_answer(attack: ConfigDistribution, defender: ConfigDistribution,
-                     per_config) -> bool:
-    """Does one of the defender's own weak moves answer `attack` exactly?
+def _point_index(pairs) -> dict:
+    """x -> {y: position} for the pairs (dirac x, dirac y) of `pairs`.
+
+    Both sides must be one configuration of mass exactly 1.0, so the pair's
+    column is the unit column of (x, y); a repeated pair keeps its first
+    position.  Built once per relation, beside it, for `_coupling_answer`.
+    """
+    index = {}
+    for k, (a, b) in enumerate(pairs):
+        if len(a.probs) == 1 == len(b.probs):
+            ((x, p),) = a.probs.items()
+            ((y, q),) = b.probs.items()
+            if p == 1.0 == q:
+                index.setdefault(x, {}).setdefault(y, k)
+    return index
+
+
+def _coupling_answer(attack: ConfigDistribution, defender: ConfigDistribution,
+                     per_config, points: dict, used) -> bool:
+    """Does a weak move of the defender answer `attack` by a one-to-one
+    coupling along identity and related point pairs?
 
     True when the defender is one configuration with mass exactly 1.0 and
-    one of its extreme weak moves in `per_config` has the attack's
-    configurations with float-equal probabilities.  The identity carriers
-    of the attack plus that extreme then solve the matching LP with no
-    relation pair, because equal floats snap to equal rationals.  Digest
-    equality would not do: digests round to 10 decimals, and two
-    probabilities with one digest can snap to different rationals.
+    one of its extreme weak moves e in `per_config` admits a bijection
+    sigma from supp(attack) onto supp(e) with attack(x) == e(sigma(x)) as
+    floats, where each sigma(x) is x itself or (dirac x, dirac sigma(x)) is
+    a pair of the relation (`points`, see `_point_index`).  The matching LP
+    of `_match_weak` is then feasible: equal floats snap to equal
+    rationals, so weight attack(x) on the identity carrier of x or on the
+    unit column of (x, sigma(x)), and weight 1 on e, meet every row.  The
+    positions of the pairs behind the non-identity sigma(x) are exactly the
+    positive-weight pair columns of that solution, and go into `used` as
+    `_feasible` would record them.  Digest equality would not do: digests
+    round to 10 decimals, and two probabilities with one digest can snap
+    to different rationals.
+
+    sigma is a perfect matching of the bipartite graph of admissible
+    (x, sigma(x)), found by augmenting paths, so it is found whenever one
+    exists.  Each x tries itself first, which records no pair.
     """
     if list(defender.probs.values()) != [1.0]:
         return False
     ((_, extremes),) = per_config
-    return any(e.probs == attack.probs for e in extremes)
+    for e in extremes:
+        owner = _bijection(attack, e, points)
+        if owner is not None:
+            if used is not None:
+                used.update(points[x][y] for y, x in owner.items() if y is not x)
+            return True
+    return False
 
 
-def _match_weak(system: System, pairs, attack: ConfigDistribution,
+def _bijection(attack: ConfigDistribution, e: ConfigDistribution,
+               points: dict) -> Optional[dict]:
+    """sigma for `_coupling_answer`, inverted (y -> x), or None."""
+    if len(e.probs) != len(attack.probs):
+        return None
+    by_prob = {}
+    for y, q in e.probs.items():
+        by_prob.setdefault(q, []).append(y)
+    options = {}
+    for x, p in attack.probs.items():
+        related = points.get(x, {})
+        ys = [y for y in by_prob.get(p, ()) if y is not x and y in related]
+        if e.probs.get(x) == p:
+            ys.insert(0, x)
+        if not ys:
+            return None
+        options[x] = ys
+    owner = {}
+
+    def augment(x, seen) -> bool:
+        for y in options[x]:
+            if y not in seen:
+                seen.add(y)
+                if y not in owner or augment(owner[y], seen):
+                    owner[y] = x
+                    return True
+        return False
+
+    return owner if all(augment(x, set()) for x in options) else None
+
+
+def _match_weak(system: System, pairs, points: dict, attack: ConfigDistribution,
                 defender: ConfigDistribution, label: Label, used=None) -> bool:
     """Can the defender weakly answer `attack` inside the relation's closure?
 
@@ -602,9 +669,11 @@ def _match_weak(system: System, pairs, attack: ConfigDistribution,
     transitions are linear and left-decomposable), so nu' ranges over
     independent convex mixtures of each configuration's extreme weak moves;
     the whole question is one exact-rational feasibility problem.  When a
-    point defender can move to exactly the attack (`_identity_answer`), the
-    identity pairs answer it and no LP is solved.  The positions of the
-    pairs the match relies on go into `used` (see `_feasible`).
+    point defender has an extreme weak move that a one-to-one coupling
+    along identity pairs and the point pairs `points` of `pairs` relates to
+    the attack (`_coupling_answer`), that coupling solves the problem and
+    no LP is solved; otherwise the LP decides.  Either way the positions of
+    the pairs the match relies on go into `used` (see `_feasible`).
     """
     per_config = []
     for d in defender.support:
@@ -612,7 +681,7 @@ def _match_weak(system: System, pairs, attack: ConfigDistribution,
         if not extremes:
             return False
         per_config.append((d, extremes))
-    if _identity_answer(attack, defender, per_config):
+    if _coupling_answer(attack, defender, per_config, points, used):
         return True
     columns, origins = _closure_columns(pairs, attack)
     target = {("L", c.index): p for c, p in attack}
@@ -746,11 +815,12 @@ def _oriented(pairs) -> tuple:
     return _unique_pairs(p for a, b in pairs for p in ((a, b), (b, a)))
 
 
-def _violation(system: System, rel, x: ConfigDistribution, y: ConfigDistribution,
-               lam: float, tol: float, attack_cache: dict,
+def _violation(system: System, rel, points: dict, x: ConfigDistribution,
+               y: ConfigDistribution, lam: float, tol: float, attack_cache: dict,
                used=None) -> Optional[dict]:
     """The first clause (ii) or (iii) obligation of x, attacking y, that the
     closure of `rel` fails to meet, as CheckReport fields; None if all hold.
+    `points` is `_point_index(rel)`.
 
     Clause (ii): every extreme strong move of x has a weak match by y.
     Clause (iii): when x is not transition consistent, an internal split of
@@ -758,7 +828,7 @@ def _violation(system: System, rel, x: ConfigDistribution, y: ConfigDistribution
     The positions in `rel` of the pairs the matches rely on go into `used`.
     """
     for label, attack in _strong_attacks(system, x, attack_cache):
-        if not _match_weak(system, rel, attack, y, label, used):
+        if not _match_weak(system, rel, points, attack, y, label, used):
             return dict(clause="ii", label=label, attack=attack,
                         detail=f"strong {label} move has no weak match in the closure")
     if not is_transition_consistent(x, system):
@@ -773,13 +843,14 @@ def _violation(system: System, rel, x: ConfigDistribution, y: ConfigDistribution
 def _check_exhaustive(system: System, relation: RelationCandidate,
                       lam: float, tol: float) -> CheckReport:
     rel = _oriented(relation.pairs)
+    points = _point_index(rel)
     attack_cache = {}
     for x, y in rel:
         detail = _clause_i(x, y, lam + tol)
         if detail is not None:
             return CheckReport(False, "exhaustive", clause="i", pair=(x, y),
                                lam=lam, tol=tol, detail=detail)
-        bad = _violation(system, rel, x, y, lam, tol, attack_cache)
+        bad = _violation(system, rel, points, x, y, lam, tol, attack_cache)
         if bad is not None:
             return CheckReport(False, "exhaustive", pair=(x, y), lam=lam, tol=tol,
                                direction="left", **bad)
@@ -1011,12 +1082,13 @@ def _decide_canonical(canon: _Canon, mu, nu, tol: float, certificate: str) -> Ch
                        detail=f"behaviour forms coincide; {certificate}")
 
 
-def _pair_violation(system: System, rel, a: ConfigDistribution, b: ConfigDistribution,
-                    tol: float, attack_cache: dict, used=None) -> Optional[dict]:
+def _pair_violation(system: System, rel, points: dict, a: ConfigDistribution,
+                    b: ConfigDistribution, tol: float, attack_cache: dict,
+                    used=None) -> Optional[dict]:
     """`_violation` at lambda 0 in both orientations of (a, b), with the
     attacking side as `direction`."""
     for x, y, side in ((a, b, "left"), (b, a, "right")):
-        bad = _violation(system, rel, x, y, 0.0, tol, attack_cache, used)
+        bad = _violation(system, rel, points, x, y, 0.0, tol, attack_cache, used)
         if bad is not None:
             return dict(bad, direction=side)
     return None
@@ -1028,33 +1100,60 @@ def _ground_fixpoint(system: System, members: list, tol: float,
 
     Candidates are the pairs meeting clause (i) whose transition-consistent
     members agree on their weak visible sets (tc members related in any
-    ground bisimulation must).  A worklist deletes every pair that violates
-    clause (ii) or (iii), in either orientation, against the surviving
-    family.  A pair that passes records the pairs whose columns carry
-    positive weight in its LP solutions; when a pair is deleted, only the
-    survivors that recorded it are checked again.  This is exact: deleting
-    a pair only removes columns, and a solution stays a solution while its
-    positive-weight columns survive, so a survivor none of whose recorded
-    pairs was deleted still meets every clause.  When the worklist empties
-    the survivors form a post-fixpoint, and every deletion was forced by a
-    superset of the greatest fixpoint, so the result is that fixpoint.
+    ground bisimulation must).  Clause (i) reads only the held qubits and
+    the environment matrix of each side, so members with the same held
+    qubits and bitwise-equal environments form one environment class, and
+    `_clause_i` runs once per pair of classes, on their first members:
+    bitwise-equal inputs give the same answer, and so does swapping the
+    sides, since `_env_distance` is bit-identical under swapping.  (Equal
+    10-decimal digests would not do: the trace distance reads the exact
+    matrices.)
+
+    A worklist deletes every pair that violates clause (ii) or (iii), in
+    either orientation, against the surviving family.  A pair that passes
+    records the pairs whose columns carry positive weight in its solutions,
+    whether the LP found them or a one-to-one coupling did
+    (`_coupling_answer` records the related point pairs of its bijection,
+    which are exactly the positive-weight pair columns of the solution it
+    exhibits); when a pair is deleted, only the survivors that recorded it
+    are checked again.  This is exact: deleting a pair only removes
+    columns, and a solution stays a solution while its positive-weight
+    columns survive, so a survivor none of whose recorded pairs was deleted
+    still meets every clause.  When the worklist empties the survivors form
+    a post-fixpoint, and every deletion was forced by a superset of the
+    greatest fixpoint, so the result is that fixpoint.  The relation and
+    its point-pair index (`_point_index`) are rebuilt once per deletion.
     Rounds visit the pending pairs in sorted order, so the result and the
     LPs solved do not depend on hash order.
     """
     shapes = []
+    env_class = []   # per member, its environment class
+    delegates = []   # per environment class, its first member
+    classes = {}
     for m in members:
         sigs = {system.weak_enabled(c) for c in m.support}
         shapes.append(sigs.pop() if len(sigs) == 1 else None)
+        key = (m.held_qubits(), _environment(m)[1].tobytes())
+        if key not in classes:
+            classes[key] = len(delegates)
+            delegates.append(m)
+        env_class.append(classes[key])
+    meets = {}       # sorted pair of classes -> does it meet clause (i)?
     alive = set()
-    for i, a in enumerate(members):
+    for i in range(len(members)):
         for j in range(i, len(members)):
             if (shapes[i] is not None and shapes[j] is not None
                     and shapes[i] != shapes[j]):
                 continue
-            if _clause_i(a, members[j], tol) is None:
+            key = tuple(sorted((env_class[i], env_class[j])))
+            ok = meets.get(key)
+            if ok is None:
+                ok = meets[key] = _clause_i(delegates[key[0]], delegates[key[1]],
+                                            tol) is None
+            if ok:
                 alive.add((i, j))
 
-    rel = owners = None
+    rel = owners = points = None
     deps = {}    # survivor -> the pairs its last check relied on
     users = {}   # pair -> the survivors whose last check relied on it
     pending = set(alive)
@@ -1069,11 +1168,12 @@ def _ground_fixpoint(system: System, members: list, tol: float,
                     for x, y in ((i, j), (j, i)) if i != j else ((i, i),):
                         rel.append((members[x], members[y]))
                         owners.append((i, j))
+                points = _point_index(rel)
             for q in deps.pop(key, ()):
                 users.get(q, set()).discard(key)
             used = set()
             i, j = key
-            if _pair_violation(system, rel, members[i], members[j], tol,
+            if _pair_violation(system, rel, points, members[i], members[j], tol,
                                attack_cache, used) is None:
                 deps[key] = {owners[k] for k in used}
                 for q in deps[key]:
@@ -1104,7 +1204,7 @@ def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> Che
     if detail is not None:
         return CheckReport(False, mode, clause="i", pair=(mu, nu), tol=tol, detail=detail)
     rel = _oriented(survivors) + ((mu, nu), (nu, mu))
-    bad = _pair_violation(system, rel, mu, nu, tol, attack_cache) or {}
+    bad = _pair_violation(system, rel, _point_index(rel), mu, nu, tol, attack_cache) or {}
     detail = bad.pop("detail", "deleted during refinement")
     return CheckReport(False, mode, pair=(mu, nu), tol=tol, detail=detail, **bad)
 

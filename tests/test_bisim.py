@@ -2,13 +2,14 @@
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from qbisim.calculus import parse_module
 from qbisim.errors import BudgetExceededError, CyclicModelError, QuantumInputFragmentError
-from qbisim.quantum import QubitRegister, QuantumState, random_density
+from qbisim.quantum import QubitRegister, QuantumState, _matrix_digest, random_density
 from qbisim import bisim
 from qbisim.lp import as_fraction, combination_weights
 from qbisim.semantics import PLTS, ConfigDistribution, System, TAU, combine
@@ -755,8 +756,10 @@ def sweep_refine(record, system, members, mu, nu, tol, mode):
     """Reference for `_refine`: the chaotic sweep it ran before its worklist.
 
     Every pass re-checks every surviving pair against the family as it
-    stood at the start of the pass, until a pass deletes nothing.  The
-    surviving index pairs and the number of passes go into `record`.
+    stood at the start of the pass, until a pass deletes nothing.  Clause
+    (i) is checked pair by pair, and matches get an empty point-pair index,
+    so only the identity coupling skips the LP.  The surviving index pairs
+    and the number of passes go into `record`.
     """
     shapes = []
     for m in members:
@@ -775,7 +778,7 @@ def sweep_refine(record, system, members, mu, nu, tol, mode):
 
     def violation(a, b, rel):
         for x, y, side in ((a, b, "left"), (b, a, "right")):
-            bad = bisim._violation(system, rel, x, y, 0.0, tol, attack_cache)
+            bad = bisim._violation(system, rel, {}, x, y, 0.0, tol, attack_cache)
             if bad is not None:
                 return dict(bad, direction=side)
         return None
@@ -863,10 +866,52 @@ class TestWorklistRefinement:
             for decide in self.ENGINES:
                 self.compare(monkeypatch, decide, c, d, system)
 
+    def test_agrees_with_the_sweep_wide(self, monkeypatch):
+        """Interleaved silent components: many members share an
+        environment class, so clause (i) is answered per class."""
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            system, state = randsys.random_system(rng, randsys.REGISTER2)
+            base = randsys.random_wide_term(rng)
+            c = system.config(base, state)
+            for src in (randsys.variants(base)[1], randsys.random_wide_term(rng)):
+                d = system.config(src, state)
+                for decide in self.ENGINES:
+                    self.compare(monkeypatch, decide, c, d, system)
 
-class TestIdentityAnswer:
-    """`_match_weak` answers a point defender that can move to exactly the
-    attack without an LP, and nothing else."""
+    def test_environment_classes_split_on_bytes(self):
+        """Two members whose environments share a 10-decimal digest but
+        differ in bytes fall on either side of the clause (i) bound
+        against a third member, so they must not share a class."""
+        s = fresh(R2)
+        stuck = "( #m!q1 . nil ) \\ {#m}"   # holds q1, never moves
+        z = np.diag([1.0, -1.0])
+
+        def member(bit, env):
+            q1 = np.zeros((2, 2))
+            q1[bit, bit] = 1.0
+            return s.dirac(s.config(stuck, np.kron(q1, env)))
+
+        half = np.eye(2) / 2
+        members = [member(0, half), member(1, half - 1e-13 * z),
+                   member(0, half + z / 4)]
+        (_, ea, _), (_, eb, _) = (bisim._environment(m) for m in members[:2])
+        assert _matrix_digest(ea) == _matrix_digest(eb)
+        assert ea.tobytes() != eb.tobytes()
+        tol = bisim._env_distance(members[0], members[2])
+        assert bisim._env_distance(members[1], members[2]) > tol
+
+        reference = {}
+        sweep_refine(reference, s, members, members[0], members[1], tol, "state-based")
+        alive = bisim._ground_fixpoint(s, members, tol, {})
+        assert alive == reference["alive"]
+        assert (0, 2) in alive and (1, 2) not in alive
+
+
+class TestCouplingAnswer:
+    """`_match_weak` answers a point defender without an LP when a
+    one-to-one coupling along identity and related point pairs maps the
+    attack onto one of its weak moves, and in no other case."""
 
     def point_move(self):
         s = fresh()
@@ -889,8 +934,27 @@ class TestIdentityAnswer:
         s, d, e = self.point_move()
         calls = self.count_lps(monkeypatch)
         attack = ConfigDistribution(dict(e.probs))
-        assert bisim._match_weak(s, (), attack, s.dirac(d), TAU)
+        used = set()
+        assert bisim._match_weak(s, (), {}, attack, s.dirac(d), TAU, used)
         assert calls == []
+        assert used == set()
+
+    def test_crossing_assignment_skips_the_lp(self, monkeypatch):
+        """x may stay itself or go to z, and y may only go to x: matching
+        in order gives x to itself and strands y, so sigma must reroute x."""
+        s = fresh()
+        d = s.config("pchoice { 1/2 -> a!0 . nil ; 1/2 -> a!1 . nil }", ground(q1="+"))
+        (move,) = s.step(d)
+        x, z = move.dist.support
+        y = s.config("a!2 . nil", ground(q1="+"))
+        attack = ConfigDistribution({x: 0.5, y: 0.5})
+        pairs = [(s.dirac(x), s.dirac(z)), (s.dirac(y), s.dirac(x))]
+        calls = self.count_lps(monkeypatch)
+        used = set()
+        assert bisim._match_weak(s, pairs, bisim._point_index(pairs), attack,
+                                 s.dirac(d), TAU, used)
+        assert calls == []
+        assert used == {0, 1}
 
     def test_equal_digests_still_solve_the_lp(self, monkeypatch):
         # 1e-11 apart: one digest (10 decimals), different snapped rationals
@@ -900,41 +964,73 @@ class TestIdentityAnswer:
         assert attack.digest == e.digest
         assert as_fraction(attack.probability(x)) != as_fraction(p)
         calls = self.count_lps(monkeypatch)
-        assert not bisim._match_weak(s, (), attack, s.dirac(d), TAU)
+        assert not bisim._match_weak(s, (), {}, attack, s.dirac(d), TAU)
+        assert len(calls) == 1
+
+    def test_one_ulp_off_solves_the_lp(self, monkeypatch):
+        """Float equality is the test even where the pairs offer a swap
+        and the LP snaps both floats to one rational."""
+        s, d, e = self.point_move()
+        (x, p), (y, q) = e.probs.items()
+        attack = ConfigDistribution({x: math.nextafter(p, 1.0), y: q})
+        pairs = [(s.dirac(x), s.dirac(y)), (s.dirac(y), s.dirac(x))]
+        calls = self.count_lps(monkeypatch)
+        bisim._match_weak(s, pairs, bisim._point_index(pairs), attack,
+                          s.dirac(d), TAU)
         assert len(calls) == 1
 
     def test_mass_below_one_solves_the_lp(self, monkeypatch):
         s, d, e = self.point_move()
         defender = ConfigDistribution({d: 1.0 - 2.0 ** -53})
         calls = self.count_lps(monkeypatch)
-        bisim._match_weak(s, (), ConfigDistribution(dict(e.probs)), defender, TAU)
+        bisim._match_weak(s, (), {}, ConfigDistribution(dict(e.probs)), defender, TAU)
         assert len(calls) == 1
 
     def test_answered_matches_are_feasible(self, monkeypatch):
-        """Every match the identity answer takes is one the LP, given no
-        relation pair at all, also finds."""
+        """Every match answered without an LP is one the LP also finds from
+        the pairs the answer recorded, the identity carriers and one
+        extreme weak move of the defender."""
+        calls = self.count_lps(monkeypatch)
         answered = []
-        identity = bisim._identity_answer
+        match = bisim._match_weak
 
-        def spy(attack, defender, per_config):
-            got = identity(attack, defender, per_config)
-            if got:
-                columns, _ = bisim._closure_columns((), attack)
+        def spy(system, pairs, points, attack, defender, label, used=None):
+            before = len(calls)
+            recorded = set()
+            got = match(system, pairs, points, attack, defender, label, recorded)
+            if used is not None:
+                used.update(recorded)
+            if got and len(calls) == before:
+                columns, _ = bisim._closure_columns(
+                    [pairs[k] for k in sorted(recorded)], attack)
                 target = {("L", c.index): p for c, p in attack}
                 target.update((("D", c.index), p) for c, p in defender)
-                assert combination_weights(
-                    columns + bisim._extreme_columns(per_config), target) is not None
-                answered.append(attack)
+                (d,) = defender.support
+                assert any(combination_weights(
+                    columns + bisim._extreme_columns([(d, (e,))]), target) is not None
+                    for e in bisim._weak_extremes(system, d, label))
+                answered.append(len(recorded))
             return got
 
-        monkeypatch.setattr(bisim, "_identity_answer", spy)
+        monkeypatch.setattr(bisim, "_match_weak", spy)
         rng = np.random.default_rng(5)
-        for _ in range(6):
-            system, state = randsys.random_system(rng)
-            base = randsys.random_term(rng, 3)
+        for k in range(8):
+            if k % 2:
+                system, state = randsys.random_system(rng, randsys.REGISTER2)
+                base = randsys.random_par_term(rng, 2)
+                others = [randsys.variants(base)[2]]
+            else:
+                system, state = randsys.random_system(rng)
+                base = randsys.random_term(rng, 3)
+                others = randsys.variants(base)[1:] + [randsys.random_term(rng, 3)]
             c = system.config(base, state)
-            for src in randsys.variants(base)[1:] + [randsys.random_term(rng, 3)]:
+            for src in others:
                 d = system.config(src, state)
-                decide_state_based(c, d, system)
-                decide_bisim(c, d, system, mode="relation-search")
+                for report in (decide_state_based(c, d, system),
+                               decide_bisim(c, d, system, mode="relation-search")):
+                    if report.holds:
+                        assert check_ground_bisim_relation(
+                            report.witness, system, mode="exhaustive").holds
         assert len(answered) >= 20
+        # some answers go through related point pairs, not only identities
+        assert sum(1 for n in answered if n) >= 5
