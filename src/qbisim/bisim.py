@@ -603,14 +603,15 @@ def _coupling_answer(attack: ConfigDistribution, defender: ConfigDistribution,
     sigma from supp(attack) onto supp(e) with attack(x) == e(sigma(x)) as
     floats, where each sigma(x) is x itself or (dirac x, dirac sigma(x)) is
     a pair of the relation (`points`, see `_point_index`).  The matching LP
-    of `_match_weak` is then feasible: equal floats snap to equal
-    rationals, so weight attack(x) on the identity carrier of x or on the
-    unit column of (x, sigma(x)), and weight 1 on e, meet every row.  The
-    positions of the pairs behind the non-identity sigma(x) are exactly the
-    positive-weight pair columns of that solution, and go into `used` as
-    `_feasible` would record them.  Digest equality would not do: digests
-    round to 10 decimals, and two probabilities with one digest can snap
-    to different rationals.
+    of `_match_weak` is then feasible: the LP reads each float at its exact
+    value, so equal floats are equal rationals, and weight attack(x) on the
+    identity carrier of x or on the unit column of (x, sigma(x)), and
+    weight 1 on e, meet every row.  The positions of the pairs behind the
+    non-identity sigma(x) are exactly the positive-weight pair columns of
+    that solution, and go into `used` as `_feasible` would record them.
+    Digest equality would not do: digests round to 10 decimals, and two
+    probabilities with one digest can be different floats, hence different
+    rationals to the LP.
 
     sigma is a perfect matching of the bipartite graph of admissible
     (x, sigma(x)), found by augmenting paths, so it is found whenever one

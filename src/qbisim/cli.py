@@ -151,6 +151,11 @@ def _initial_state(cfg: CommandConfig, terms):
     if cfg.rho_file:
         with open(cfg.rho_file, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not (isinstance(data, dict) and isinstance(data.get("register"), list)
+                and isinstance(data.get("matrix"), list)
+                and all(isinstance(row, list) for row in data["matrix"])):
+            raise ValueError(f"{cfg.rho_file}: expected an object with a "
+                             "'register' list and a 'matrix' list of rows")
         register = QubitRegister.of(data["register"])
         matrix = np.array([[_matrix_cell(z) for z in row] for row in data["matrix"]],
                           dtype=complex)

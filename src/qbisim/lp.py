@@ -16,39 +16,18 @@ rational arithmetic, so the pivots, the verdict and the returned x are
 exactly those of the rational algorithm (Bareiss, Math. Comp. 1968;
 Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007).
 
-Float inputs are snapped to rationals with limit_denominator(10**12), which
-is exact for the dyadic probabilities produced by the protocol models.
-Snapping one float costs more than a small solve, and the engines snap the
-same few probabilities over and over, so snapped values are memoized.
+Inputs are read at their exact value: an int or a Fraction as it is, a
+float (numpy's included) as the binary rational it stores.  Equal floats
+are thus equal rationals, and relations the float arithmetic keeps exactly
+(p == 1/2 p + 1/2 p for a duplicated branch) hold in the LP too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
-
-RATIONAL_SNAP = 10 ** 12
-
-
-@lru_cache(maxsize=1 << 12)
-def _snap(x, snap: int) -> Fraction:
-    return Fraction(x).limit_denominator(snap)
-
-
-def as_fraction(x, snap: int = RATIONAL_SNAP) -> Fraction:
-    """Exact value for ints/Fractions; nearest small rational for floats."""
-    # floats first: they are the common case, and the Fraction test goes
-    # through the slower abstract-base-class check
-    if isinstance(x, float):
-        return _snap(x, snap)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return _snap(x, snap)
 
 
 def _primitive(row: list) -> list:
@@ -58,7 +37,7 @@ def _primitive(row: list) -> list:
 
 
 def _integer_row(values) -> list:
-    """Rational `values` times the lcm of their denominators, made primitive."""
+    """Exact `values` times the lcm of their denominators, made primitive."""
     ratios = [v.as_integer_ratio() for v in values]
     scale = lcm(*(d for _, d in ratios))
     return _primitive([n * (scale // d) for n, d in ratios])
@@ -99,9 +78,10 @@ def _row_reduce(rows: list, ncols: int):
 
 
 def solve_nonneg(a, b):
-    """Some x >= 0 with a x = b (entries ints or Fractions), or None.
+    """Some x >= 0 with a x = b, or None.
 
-    `a` is a list of rows.  The result is a list of Fractions.
+    `a` is a list of rows.  Entries may be ints, floats or Fractions, each
+    read at its exact value.  The result is a list of Fractions.
     """
     ncols = len(a[0]) if a else 0
     for row in a:
@@ -178,13 +158,13 @@ def solve_nonneg(a, b):
 def combination_weights(columns, target):
     """Nonnegative weights combining `columns` (dicts) into `target`, or None.
 
-    Each column and the target map keys to rational-convertible numbers;
-    missing keys are zero: one equality row per key.
+    Each column and the target map keys to ints, floats or Fractions, read
+    at their exact value; missing keys are zero: one equality row per key.
     """
     keys = set(target)
     for col in columns:
         keys.update(col)
     keys = sorted(keys, key=repr)
-    a = [[as_fraction(col.get(k, _ZERO)) for col in columns] for k in keys]
-    b = [as_fraction(target.get(k, _ZERO)) for k in keys]
+    a = [[col.get(k, 0) for col in columns] for k in keys]
+    b = [target.get(k, 0) for k in keys]
     return solve_nonneg(a, b)

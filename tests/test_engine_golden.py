@@ -67,17 +67,13 @@ CASES = [
      'tau . ( b!0 . meas Mcomp[q1; x1] . b!x1 . tau . nil + c!1 . ( pchoice '
      '{ 1/2 -> ( b!1 . nil + a!0 . nil ) ; 1/2 -> b!1 . nil } ) )',
      (H, None, H), (H, None, H), (H, None, H)),
-    # The state-based refutation here is a known defect (bisimilar by
-    # construction): lp.as_fraction snaps each float on its own, which
-    # breaks exact relations between probabilities.  See the strict xfail
-    # in test_bisim.
     (('q1',), ('rho', 5),
      'meas Mcomp[q1; x1] . c!x1 . ( meas Mcomp[q1; x2] . ( c!1 . nil + tau .'
      ' nil ) )',
      'pchoice { 1/2 -> ( meas Mcomp[q1; x1] . c!x1 . ( meas Mcomp[q1; x2] . '
      '( c!1 . nil + tau . nil ) ) ) ; 1/2 -> ( meas Mcomp[q1; x1] . c!x1 . ('
      ' meas Mcomp[q1; x2] . ( c!1 . nil + tau . nil ) ) ) }',
-     (F, 'ii', H), (H, None, H), (F, 'ii', F)),
+     (H, None, H), (H, None, H), (F, 'ii', F)),
     (('q1',), ('rho', 6),
      'meas Mcomp[q1; x1] . a!x1 . a!1 . a!0 . nil',
      'tau . meas Mcomp[q1; x1] . a!x1 . a!1 . a!0 . nil',

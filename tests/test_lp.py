@@ -8,38 +8,39 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbisim.lp import as_fraction, combination_weights, solve_nonneg
+from qbisim.lp import combination_weights, solve_nonneg
 
 F = Fraction
 
 
-def test_as_fraction_snaps_floats():
-    assert as_fraction(0.5) == F(1, 2)
-    assert as_fraction(1 / 3) == F(1, 3)
-    assert as_fraction(F(2, 7)) == F(2, 7)
-    assert as_fraction(3) == F(3)
-
-
 EDGE_FLOATS = (
     -0.0, 0.0, 1.0, 1 - 2 ** -53, 5e-324, 0.1 + 0.2, 1 / 3, -2 / 3,
-    # around the snap resolution 1e-12
     1e-12, 1 / (10 ** 12 + 1), 5e-13, 4.9e-13, 1e-13, 0.5 + 1e-12, 0.5 + 4e-13,
     0.2972700874282956, 2 * 0.1486350437141478, 0.1486350437141478,
 )
 
 
 @pytest.mark.parametrize("x", EDGE_FLOATS)
-def test_as_fraction_pins_limit_denominator(x):
-    want = Fraction(x).limit_denominator(10 ** 12)
-    got = as_fraction(x)
-    assert isinstance(got, Fraction) and got == want
-    assert got.denominator <= 10 ** 12
-    # memoized calls return the same value, whatever the float's type, and
-    # a call with another snap bound leaves the default one alone
-    assert as_fraction(x) == want
-    assert as_fraction(np.float64(x)) == want
-    assert as_fraction(x, 10) == Fraction(x).limit_denominator(10)
-    assert as_fraction(x) == want
+def test_floats_are_read_at_their_exact_value(x):
+    exact = F(x)
+    off = exact + F(1, 2 ** 1100)
+    sign = -1 if x < 0 else 1
+    for v in (x, np.float64(x)):
+        # as a target: the weight on a unit column is the value read
+        assert combination_weights([{"k": sign}], {"k": v}) == [abs(exact)]
+        # as a coefficient: weight 1 meets the exact value and nothing else
+        assert solve_nonneg([[1], [v]], [1, exact]) == [F(1)]
+        assert solve_nonneg([[1], [v]], [1, off]) is None
+
+
+def test_float_relations_hold_exactly():
+    # doubling is exact in floats, so it is exact in the LP; a target one
+    # ulp off is another rational and needs another weight
+    p, q = 0.1486350437141478, 0.2972700874282956
+    assert 2 * p == q
+    assert combination_weights([{"k": p}], {"k": q}) == [F(2)]
+    w = combination_weights([{"k": p}], {"k": math.nextafter(q, 1.0)})
+    assert w is not None and w != [F(2)]
 
 
 def test_simple_feasible():
@@ -158,7 +159,7 @@ def _oracle_feasible(a, b) -> bool:
 
 def _engine_like(rng):
     """A random LP like those of the lifting and matching checks: pair
-    columns carrying snapped probabilities on left and right rows, identity
+    columns carrying float probabilities on left and right rows, identity
     carriers, defender columns debiting the right rows, a target that is a
     known combination, a random point or zero; then redundant rows, zero
     rows and negated rows (negative right-hand sides)."""
@@ -168,7 +169,7 @@ def _engine_like(rng):
 
     def probs(k):
         w = rng.random(k)
-        return [as_fraction(float(v)) for v in w / w.sum()]
+        return [F(float(v)) for v in w / w.sum()]
 
     columns = []
     for _ in range(int(rng.integers(1, 4))):
@@ -223,8 +224,8 @@ def test_matches_oracle_on_engine_like_instances():
 
 
 def test_integer_kernel_keeps_denominators_exact():
-    # coefficients with coprime denominators near the snap bound: the unique
-    # solution comes back exactly
+    # coefficients with large coprime denominators: the unique solution
+    # comes back exactly
     p, q = F(1, 10 ** 12 - 11), F(7, 10 ** 12 - 39)
     x = solve_nonneg([[p, q], [F(1), F(1)]], [p / 3 + q / 6, F(1, 2)])
     assert x == [F(1, 3), F(1, 6)]
