@@ -103,7 +103,7 @@ def _sig_key(sig) -> tuple:
 
 
 def _dist_json(dist: ConfigDistribution) -> list:
-    return [[c.index, p] for c, p in sorted(dist, key=lambda kv: kv[0].index)]
+    return [[c.index, float(p)] for c, p in sorted(dist, key=lambda kv: kv[0].index)]
 
 
 def _environment(dist: ConfigDistribution) -> tuple:
@@ -162,7 +162,7 @@ class TcDecomposition:
     def to_json(self) -> dict:
         return {
             "classes": [
-                {"weight": cls.weight,
+                {"weight": float(cls.weight),
                  "signature": list(_sig_key(cls.signature)),
                  "dist": _dist_json(cls.dist)}
                 for cls in self.classes
@@ -189,7 +189,7 @@ def tc_decompose(mu, context) -> TcDecomposition:
     groups = {}
     for c, p in mu:
         bucket = groups.setdefault(system.weak_enabled(c), {})
-        bucket[c] = bucket.get(c, 0.0) + p
+        bucket[c] = bucket.get(c, 0) + p
     classes = []
     for sig in sorted(groups, key=_sig_key):
         probs = groups[sig]
@@ -528,7 +528,7 @@ def _closure_columns(pairs, left: ConfigDistribution, row=("L",), right=None) ->
         columns.append(col)
         origins.append(k)
     for c in left.support:
-        if right is None or right.probability(c) > 0.0:
+        if right is None or right.probability(c) > 0:
             columns.append({row + (c.index,): 1.0, ("R", c.index): 1.0})
             origins.append(None)
     return columns, origins
@@ -579,7 +579,7 @@ def _weak_extremes(system: System, config: Configuration, label: Label):
 def _point_index(pairs) -> dict:
     """x -> {y: position} for the pairs (dirac x, dirac y) of `pairs`.
 
-    Both sides must be one configuration of mass exactly 1.0, so the pair's
+    Both sides must be one configuration of mass exactly 1, so the pair's
     column is the unit column of (x, y); a repeated pair keeps its first
     position.  Built once per relation, beside it, for `_coupling_answer`.
     """
@@ -588,7 +588,7 @@ def _point_index(pairs) -> dict:
         if len(a.probs) == 1 == len(b.probs):
             ((x, p),) = a.probs.items()
             ((y, q),) = b.probs.items()
-            if p == 1.0 == q:
+            if p == 1 == q:
                 index.setdefault(x, {}).setdefault(y, k)
     return index
 
@@ -598,26 +598,27 @@ def _coupling_answer(attack: ConfigDistribution, defender: ConfigDistribution,
     """Does a weak move of the defender answer `attack` by a one-to-one
     coupling along identity and related point pairs?
 
-    True when the defender is one configuration with mass exactly 1.0 and
+    True when the defender is one configuration with mass exactly 1 and
     one of its extreme weak moves e in `per_config` admits a bijection
-    sigma from supp(attack) onto supp(e) with attack(x) == e(sigma(x)) as
-    floats, where each sigma(x) is x itself or (dirac x, dirac sigma(x)) is
-    a pair of the relation (`points`, see `_point_index`).  The matching LP
-    of `_match_weak` is then feasible: the LP reads each float at its exact
-    value, so equal floats are equal rationals, and weight attack(x) on the
-    identity carrier of x or on the unit column of (x, sigma(x)), and
-    weight 1 on e, meet every row.  The positions of the pairs behind the
-    non-identity sigma(x) are exactly the positive-weight pair columns of
-    that solution, and go into `used` as `_feasible` would record them.
-    Digest equality would not do: digests round to 10 decimals, and two
-    probabilities with one digest can be different floats, hence different
-    rationals to the LP.
+    sigma from supp(attack) onto supp(e) with attack(x) == e(sigma(x)),
+    where each sigma(x) is x itself or (dirac x, dirac sigma(x)) is a pair
+    of the relation (`points`, see `_point_index`).  The matching LP of
+    `_match_weak` is then feasible: probabilities are ints, floats or
+    Fractions, Python compares them by exact value, and the LP reads each
+    at its exact value, so equal probabilities are equal rationals to the
+    LP.  Weight attack(x) on the identity carrier of x or on the unit
+    column of (x, sigma(x)), and weight 1 on e, meet every row.  The
+    positions of the pairs behind the non-identity sigma(x) are exactly the
+    positive-weight pair columns of that solution, and go into `used` as
+    `_feasible` would record them.  Digest equality would not do: digests
+    round to 10 decimals, and two probabilities with one digest can be
+    different numbers, hence different rationals to the LP.
 
     sigma is a perfect matching of the bipartite graph of admissible
     (x, sigma(x)), found by augmenting paths, so it is found whenever one
     exists.  Each x tries itself first, which records no pair.
     """
-    if list(defender.probs.values()) != [1.0]:
+    if list(defender.probs.values()) != [1]:
         return False
     ((_, extremes),) = per_config
     for e in extremes:
@@ -933,8 +934,8 @@ def _check_saturated(canon: _Canon, relation: RelationCandidate,
             return CheckReport(
                 False, "saturated", clause="iii", pair=(x, y), lam=lam, tol=tol,
                 direction="left", label=TAU,
-                detail=f"only {matched:.6g} class mass matches; "
-                       f"{1.0 - matched:.6g} exceeds the allowed {lam + tol:.6g}")
+                detail=f"only {float(matched):.6g} class mass matches; "
+                       f"{float(1 - matched):.6g} exceeds the allowed {lam + tol:.6g}")
 
     return CheckReport(True, "saturated", lam=lam, tol=tol, witness=relation,
                        detail=f"{len(rel)} oriented pairs verified; {certificate}")
@@ -1033,18 +1034,18 @@ def _compare_forms(canon: _Canon, fl: _Form, fr: _Form, tol: float,
             return dict(clause="ii", direction=side, label=visible[0],
                         pair=evidence,
                         attack=canon.derivative(cls.dist, visible[0]),
-                        detail=f"class with weight {cls.weight:.6g} enables "
+                        detail=f"class with weight {float(cls.weight):.6g} enables "
                                f"{visible[0]} on the {side} side only")
         return dict(clause="iii", direction=side, pair=(fl.sat, fr.sat),
                     detail=f"the {side} side can stall silently with mass "
-                           f"{cls.weight:.6g}, the other side cannot")
+                           f"{float(cls.weight):.6g}, the other side cannot")
 
     for sig in sorted(by_sig_l, key=_sig_key):
         cl, cr = by_sig_l[sig], by_sig_r[sig]
         if abs(cl.weight - cr.weight) > tol:
             return dict(clause="iii", pair=(fl.sat, fr.sat),
                         detail=f"class {list(_sig_key(sig))} has weight "
-                               f"{cl.weight:.6g} vs {cr.weight:.6g}")
+                               f"{float(cl.weight):.6g} vs {float(cr.weight):.6g}")
         detail = _clause_i(cl.dist, cr.dist, tol)
         if detail is not None:
             return dict(clause="i", pair=(cl.dist, cr.dist), detail=f"class {detail}")
@@ -1453,7 +1454,7 @@ def superop_closure_sample_test(relation, context, samples: int = 20,
                 for c, p in dist:
                     nc = system._intern(c.term, sop.apply(
                         c.matrix, system.register, complement))
-                    probs[nc] = probs.get(nc, 0.0) + p
+                    probs[nc] = probs.get(nc, 0) + p
                 mapped.append(ConfigDistribution(probs))
             transformed.append(tuple(mapped))
         inner = check_lambda_relation(RelationCandidate(tuple(transformed)),

@@ -466,12 +466,12 @@ class If(Process):
 
 
 class PChoice(Process):
-    """Syntax-level probabilistic choice; weights must sum to one."""
+    """Syntax-level probabilistic choice; exact rational weights summing to one."""
 
     __slots__ = _fields = ("branches",)
 
     def __new__(cls, branches, tol: float = DEFAULT_TOL):
-        branches = tuple((float(p), t) for p, t in branches)
+        branches = tuple((Fraction(p), t) for p, t in branches)
         if not branches:
             raise ValueError("pchoice needs at least one branch")
         total = sum(p for p, _ in branches)
@@ -797,11 +797,11 @@ def _fmt_action(a: Action) -> str:
     raise TypeError(f"not an action: {a!r}")
 
 
-def _fmt_weight(p: float) -> str:
-    frac = Fraction(p).limit_denominator(10 ** 9)
+def _fmt_weight(p: Fraction) -> str:
+    frac = p.limit_denominator(10 ** 9)
     if abs(float(frac) - p) < 1e-12:
         return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
-    return repr(p)
+    return repr(float(p))
 
 
 def pretty(term: Process, prec: int = _PREC_SUM) -> str:
@@ -892,7 +892,7 @@ def term_json(term: Process) -> dict:
         return {"node": "if", "cond": _fmt_expr(term.cond), "body": term_json(term.body)}
     if isinstance(term, PChoice):
         return {"node": "pchoice",
-                "branches": [{"weight": p, "term": term_json(t)} for p, t in term.branches]}
+                "branches": [{"weight": float(p), "term": term_json(t)} for p, t in term.branches]}
     raise TypeError(f"not a process: {term!r}")
 
 
@@ -1290,10 +1290,10 @@ class _Parser:
             self.fail(str(exc))
 
     def weight(self):
-        num = float(self.expect("NUM").value)
+        num = Fraction(self.expect("NUM").value)
         if self.at("/"):
             self.next()
-            den = float(self.expect("NUM").value)
+            den = Fraction(self.expect("NUM").value)
             if den == 0:
                 self.fail("zero denominator in weight")
             return num / den

@@ -204,7 +204,7 @@ def cmd_lts(cfg: CommandConfig) -> int:
         for i, c in enumerate(plts.configs):
             lines.append(f"  {i}: {ca.pretty(c.term)}")
         for src, label, targets in plts.edges:
-            arms = " + ".join(f"{p:.6g}*{dst}" for p, dst in targets)
+            arms = " + ".join(f"{float(p):.6g}*{dst}" for p, dst in targets)
             lines.append(f"  {src} --{label}--> {arms}")
         _emit("\n".join(lines), cfg.output)
     else:

@@ -18,8 +18,12 @@ Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007).
 
 Inputs are read at their exact value: an int or a Fraction as it is, a
 float (numpy's included) as the binary rational it stores.  Equal floats
-are thus equal rationals, and relations the float arithmetic keeps exactly
-(p == 1/2 p + 1/2 p for a duplicated branch) hold in the LP too.
+are thus equal rationals.  Probabilities built from `pchoice` weights alone
+arrive as Fractions (see `calculus.PChoice`), so their relations hold
+exactly (1/10 * 3/10 == 3/100).  A probability a measurement contributes
+to is a float, and a relation among such floats holds here only if the
+float arithmetic keeps it exactly: p == 1/2 p + 1/2 p does, p == 1/3 p +
+2/3 p need not.
 """
 
 from __future__ import annotations

@@ -158,7 +158,10 @@ class Configuration:
 
 
 class ConfigDistribution:
-    """Finite-support distribution over configurations of one system."""
+    """Finite-support distribution over configurations of one system.
+
+    Probabilities are exact (int or Fraction) until a measurement outcome
+    makes them floats; digests, environments and outputs read floats."""
 
     __slots__ = ("probs", "_digest", "_env")
 
@@ -171,7 +174,7 @@ class ConfigDistribution:
     def digest(self):
         if self._digest is None:
             self._digest = tuple(sorted(
-                (c.index, round(p, _PROB_DECIMALS)) for c, p in self.probs.items()))
+                (c.index, round(float(p), _PROB_DECIMALS)) for c, p in self.probs.items()))
         return self._digest
 
     def __hash__(self):
@@ -225,12 +228,13 @@ class ConfigDistribution:
             register = c.register
             keep = [q for q in register.names if q not in trace_out]
             reduced = partial_trace(c.matrix, register, keep)
+            p = float(p)
             acc = p * reduced if acc is None else acc + p * reduced
         keep = tuple(q for q in register.names if q not in trace_out)
         return keep, acc
 
     def __repr__(self):
-        inner = ", ".join(f"{p:.4g}:{c.index}" for c, p in sorted(
+        inner = ", ".join(f"{float(p):.4g}:{c.index}" for c, p in sorted(
             self.probs.items(), key=lambda kv: kv[0].index))
         return f"{{{inner}}}"
 
@@ -239,10 +243,12 @@ def combine(parts) -> ConfigDistribution:
     """Convex combination of (weight, distribution) pairs."""
     acc = {}
     for w, dist in parts:
-        if w == 0.0:
+        if not w:
             continue
         for c, p in dist.probs.items():
-            acc[c] = acc.get(c, 0.0) + w * p
+            q = p if w == 1 else w * p
+            prev = acc.get(c)
+            acc[c] = q if prev is None else prev + q
     return ConfigDistribution(acc)
 
 
@@ -360,12 +366,13 @@ class System:
         return got
 
     def dirac(self, config: Configuration) -> ConfigDistribution:
-        return ConfigDistribution({config: 1.0})
+        return ConfigDistribution({config: 1})
 
     def distribution(self, items) -> ConfigDistribution:
         acc = {}
         for p, c in items:
-            acc[c] = acc.get(c, 0.0) + p
+            prev = acc.get(c)
+            acc[c] = p if prev is None else prev + p
         return ConfigDistribution(acc)
 
     @contextmanager
@@ -471,11 +478,11 @@ class System:
         if isinstance(term, ca.Prefix):
             act = term.action
             if isinstance(act, ca.Tau):
-                return [(TAU, ((1.0, term.cont, mat),))], []
+                return [(TAU, ((1, term.cont, mat),))], []
             if isinstance(act, ca.COut):
                 value = ca.eval_expr(act.expr)
                 return [(Label(Label.OUT, act.chan, value),
-                         ((1.0, term.cont, mat),))], []
+                         ((1, term.cont, mat),))], []
             if isinstance(act, ca.CIn):
                 cont, var = term.cont, act.var
 
@@ -490,7 +497,7 @@ class System:
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.QOut):
                 return [(Label(Label.QOUT, act.chan, act.qvar),
-                         ((1.0, term.cont, mat),))], []
+                         ((1, term.cont, mat),))], []
             if isinstance(act, ca.QIn):
                 cont, qvar = term.cont, act.qvar
 
@@ -507,7 +514,7 @@ class System:
             if isinstance(act, ca.Apply):
                 op = self._operation(act.op)
                 new_mat, _ = self._share(op.apply(mat, self.register, act.qubits))
-                return [(TAU, ((1.0, term.cont, new_mat),))], []
+                return [(TAU, ((1, term.cont, new_mat),))], []
             if isinstance(act, ca.Meas):
                 op = self._operation(act.op)
                 branches = tuple(
@@ -632,7 +639,7 @@ class System:
             for label, branches in out_moves:
                 if label.kind not in (Label.OUT, Label.QOUT):
                     continue
-                if len(branches) != 1 or branches[0][0] != 1.0:
+                if len(branches) != 1 or branches[0][0] != 1:
                     raise AssertionError("output transitions must be Dirac")
                 _, sender_term, sender_mat = branches[0]
                 for j, (_, in_caps) in enumerate(stepped):
@@ -648,7 +655,7 @@ class System:
                         pieces = list(parts)
                         pieces[i] = sender_term
                         pieces[j] = received
-                        moves.append((TAU, ((1.0, ca.Par(tuple(pieces)), sender_mat),)))
+                        moves.append((TAU, ((1, ca.Par(tuple(pieces)), sender_mat),)))
         return moves, caps
 
     # -- weak transitions as extreme points
@@ -843,7 +850,7 @@ class PLTS:
     def __init__(self, system: System, root, max_configs=200_000):
         self.system = system
         if isinstance(root, Configuration):
-            root = ConfigDistribution({root: 1.0})
+            root = ConfigDistribution({root: 1})
         self.root = root
         order = system.reachable(root.support, max_configs=max_configs)
         self.configs = order
@@ -872,13 +879,13 @@ class PLTS:
             states.append(node)
         return {
             "register": list(self.system.register.names),
-            "root": [{"id": self.index[c], "p": p} for c, p in sorted(
+            "root": [{"id": self.index[c], "p": float(p)} for c, p in sorted(
                 self.root, key=lambda kv: kv[0].index)],
             "acyclic": self.acyclic,
             "states": states,
             "transitions": [
                 {"src": src, "label": str(label),
-                 "target": [{"id": dst, "p": p} for p, dst in targets]}
+                 "target": [{"id": dst, "p": float(p)} for p, dst in targets]}
                 for src, label, targets in self.edges
             ],
         }
@@ -903,6 +910,6 @@ class PLTS:
                 lines.append(f'  p{k} [shape=point, width=0.06];')
                 lines.append(f'  n{src} -> p{k} [label="{label}", arrowhead=none];')
                 for p, dst in targets:
-                    lines.append(f'  p{k} -> n{dst} [label="{p:.6g}", style=dashed];')
+                    lines.append(f'  p{k} -> n{dst} [label="{float(p):.6g}", style=dashed];')
         lines.append("}")
         return "\n".join(lines)

@@ -7,9 +7,12 @@ sequential term on one qubit; `random_par_term` composes two of them on
 `random_wide_term` composes two silent ones whose internal moves
 interleave.  `variants` produces companions that are bisimilar by
 construction (internal padding, probabilistic duplication), giving the
-invariant tests non-vacuous positive instances.  `PAR_SYSTEMS` are fixed
-hand-written parallel systems.
+invariant tests non-vacuous positive instances.  `NON_DYADIC_WEIGHTS`
+and `nested_choice` exercise weights that floats cannot hold exactly.
+`PAR_SYSTEMS` are fixed hand-written parallel systems.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,24 +26,30 @@ REGISTER2 = QubitRegister.of(["q1", "q2"])
 _CHANNELS = ("a", "b", "c")
 _OPS = ("H", "X", "Set0", "Set1", "Dephase")
 _WEIGHTS = (("1/2", "1/2"), ("1/4", "3/4"), ("3/4", "1/4"))
+NON_DYADIC_WEIGHTS = (("1/3", "2/3"), ("1/10", "9/10"), ("3/10", "7/10"))
 _KINDS = ("out", "out", "tau", "apply", "meas", "pchoice", "sum")
 _SILENT_KINDS = ("tau", "apply", "meas", "meas", "pchoice")
 _WIDE_MAX_PRODUCT = 6
 
 
 def random_term(rng: np.random.Generator, depth: int, counter=None,
-                qubit: str = "q1", tail: str = "nil", silent: bool = False) -> str:
+                qubit: str = "q1", tail: str = "nil", silent: bool = False,
+                weights=_WEIGHTS, measure: bool = True) -> str:
     """A sequential term acting on `qubit`; every leaf is `tail`.
 
     A silent term has no visible action: only `tau`, operators,
-    measurements and probabilistic choice.
+    measurements and probabilistic choice.  Choices draw their weight
+    pairs from `weights`; `measure=False` leaves measurements out, so
+    every probability of the term is a product of those weights.
     """
     if counter is None:
         counter = [0]
     if depth <= 0 or rng.random() < 0.2:
         return tail
-    kind = rng.choice(_SILENT_KINDS if silent else _KINDS)
-    sub = lambda: random_term(rng, depth - 1, counter, qubit, tail, silent)
+    kinds = _SILENT_KINDS if silent else _KINDS
+    kind = rng.choice(kinds if measure else [k for k in kinds if k != "meas"])
+    sub = lambda: random_term(rng, depth - 1, counter, qubit, tail, silent,
+                              weights, measure)
     if kind == "out":
         ch = _CHANNELS[rng.integers(0, len(_CHANNELS))]
         return f"{ch}!{rng.integers(0, 2)} . {_paren(sub())}"
@@ -57,7 +66,7 @@ def random_term(rng: np.random.Generator, depth: int, counter=None,
             return f"meas Mcomp[{qubit}; {var}] . {ch}!{var} . {_paren(sub())}"
         return f"meas Mcomp[{qubit}; {var}] . {_paren(sub())}"
     if kind == "pchoice":
-        w1, w2 = _WEIGHTS[rng.integers(0, len(_WEIGHTS))]
+        w1, w2 = weights[rng.integers(0, len(weights))]
         return f"pchoice {{ {w1} -> {_paren(sub())} ; {w2} -> {_paren(sub())} }}"
     left = f"{_CHANNELS[rng.integers(0, 3)]}!{rng.integers(0, 2)} . {_paren(sub())}"
     right = "tau . " + _paren(sub()) if rng.random() < 0.4 else \
@@ -117,14 +126,37 @@ def _paren(src: str) -> str:
     return f"( {src} )" if ("+" in src or "||" in src) else src
 
 
-def variants(src: str) -> list:
-    """Sources bisimilar to `src` by construction (state-based, hence both)."""
+def variants(src: str, split=("1/2", "1/2")) -> list:
+    """Sources bisimilar to `src` by construction (state-based, hence both);
+    the last is a choice weighted by `split` between two copies of `src`."""
     inner = _paren(src)
+    w1, w2 = split
     return [
         src,
         f"tau . {inner}",
-        f"pchoice {{ 1/2 -> {inner} ; 1/2 -> {inner} }}",
+        f"pchoice {{ {w1} -> {inner} ; {w2} -> {inner} }}",
     ]
+
+
+def padded_mix(src: str, split) -> str:
+    """A choice weighted by `split` between `src` and `tau . src`:
+    state-based bisimilar to `src` by construction."""
+    inner = _paren(src)
+    return f"pchoice {{ {split[0]} -> {inner} ; {split[1]} -> tau . {inner} }}"
+
+
+def nested_choice(rng: np.random.Generator, weights=NON_DYADIC_WEIGHTS,
+                  depth: int = 2, measure: bool = True) -> tuple:
+    """A choice nested in a choice, over three random terms, and its
+    flattening: distribution bisimilar by construction, since both reach
+    one distribution by internal moves, but not state-based bisimilar, as
+    the inner choice is a state the flat term has no partner for."""
+    (w1, w2), (u1, u2) = (weights[rng.integers(0, len(weights))] for _ in range(2))
+    a, b, c = (_paren(random_term(rng, depth, measure=measure)) for _ in range(3))
+    nested = f"pchoice {{ {w1} -> pchoice {{ {u1} -> {a} ; {u2} -> {b} }} ; {w2} -> {c} }}"
+    flat = (f"pchoice {{ {Fraction(w1) * Fraction(u1)} -> {a} ; "
+            f"{Fraction(w1) * Fraction(u2)} -> {b} ; {w2} -> {c} }}")
+    return nested, flat
 
 
 def random_system(rng: np.random.Generator, register=REGISTER):
