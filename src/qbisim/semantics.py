@@ -279,8 +279,10 @@ class System:
     are stepped once per (component, state): configurations that share a
     component and a density matrix share its moves and input capabilities.
     An input prefix is instantiated once per received value or qubit.
-    `work` counts the expansion done by the current query against `budget`
-    (see `query`).
+    A restricted composition does not build the component moves and input
+    capabilities its restriction hides.  Configurations proved acyclic are
+    remembered, so no search repeats that proof.  `work` counts the
+    expansion done by the current query against `budget` (see `query`).
     """
 
     def __init__(self, module=None, register=None, registry=None,
@@ -303,6 +305,7 @@ class System:
         self._visible_extremes = {}
         self._enabled_cache = {}
         self._op_cache = {}
+        self._acyclic = set()
 
     # -- construction
 
@@ -545,8 +548,11 @@ class System:
             return self._step_par(term, mat, fuel)
 
         if isinstance(term, ca.Restrict):
-            moves, caps = self._step_term(term.body, mat, fuel)
             chans = term.channels
+            if isinstance(term.body, ca.Par):
+                moves, caps = self._step_par(term.body, mat, fuel, chans)
+            else:
+                moves, caps = self._step_term(term.body, mat, fuel)
             out_moves = []
             for label, branches in moves:
                 if label.visible and label.chan in chans:
@@ -600,7 +606,16 @@ class System:
             got = self._component_steps[key] = (tuple(moves), tuple(caps), mat)
         return got[0], got[1]
 
-    def _step_par(self, term: ca.Par, mat, fuel: int):
+    def _step_par(self, term: ca.Par, mat, fuel: int, hidden=frozenset()):
+        """Interleaved component moves and capabilities, then communication.
+
+        `hidden` holds the channels an enclosing `Restrict` drops: a
+        component move visible on one of them is not plugged back into
+        the composition, nor is a capability on one wrapped, since the
+        restriction would discard them.  Communication still pairs the
+        components' own moves and capabilities, so hidden channels still
+        synchronise, and the moves that remain keep their order.
+        """
         parts = term.parts
         stepped = [self._step_component(p, mat, fuel) for p in parts]
 
@@ -610,10 +625,14 @@ class System:
         moves, caps = [], []
         for i, (part_moves, part_caps) in enumerate(stepped):
             for label, branches in part_moves:
+                if label.chan in hidden:  # a tau move has no channel
+                    continue
                 moves.append((label, tuple(
                     (p, plug(i, t), s) for p, t, s in branches)))
             others_qv = None  # qubits the siblings hold, for quantum inputs only
             for cap in part_caps:
+                if cap.chan in hidden:
+                    continue
                 if cap.chan.quantum:
                     if others_qv is None:
                         others_qv = frozenset().union(
@@ -786,10 +805,20 @@ class System:
         return seen
 
     def is_acyclic(self, roots) -> bool:
-        """True when no configuration can reach itself again."""
+        """True when no configuration reachable from `roots` can reach
+        itself again.
+
+        Every configuration a search that returns True visits reaches no
+        cycle, so it is kept in `_acyclic` and later searches skip it as a
+        root and as a successor; a search that finds a cycle keeps nothing.
+        Spends no work units.
+        """
         WHITE, GREY, BLACK = 0, 1, 2
+        proved = self._acyclic
         color = {}
         for root in roots:
+            if root in proved:
+                continue
             stack = [(root, None)]
             while stack:
                 node, it = stack.pop()
@@ -799,7 +828,8 @@ class System:
                     if color.get(node, WHITE) == BLACK:
                         continue
                     color[node] = GREY
-                    succs = [s for t in self.step(node) for s in t.dist.support]
+                    succs = [s for t in self.step(node) for s in t.dist.support
+                             if s not in proved]
                     stack.append((node, iter(succs)))
                     continue
                 advanced = False
@@ -814,6 +844,7 @@ class System:
                         break
                 if not advanced:
                     color[node] = BLACK
+        proved.update(color)
         return True
 
 

@@ -3,8 +3,10 @@
 Terms are generated as source strings and pushed through the real parser so
 the sampled space is exactly what users can write.  `random_term` builds a
 sequential term on one qubit; `random_par_term` composes two of them on
-`q1` and `q2`, optionally coupled through a restricted channel, and
-`random_wide_term` composes two silent ones whose internal moves
+`q1` and `q2`, optionally coupled through a restricted channel,
+`random_relabelled_term` nests a restricted pair under a relabelling in a
+restricted composition, as the BB84 models do, and `random_wide_term`
+composes two silent ones whose internal moves
 interleave.  `variants` produces companions that are bisimilar by
 construction (internal padding, probabilistic duplication), giving the
 invariant tests non-vacuous positive instances.  `NON_DYADIC_WEIGHTS`
@@ -97,6 +99,23 @@ def random_par_term(rng: np.random.Generator, depth: int = 2) -> str:
     right = "#m?r . " + _paren(random_term(rng, depth, counter, "r"))
     right = _paren(random_term(rng, 1, counter, "q2", tail=right))
     return f"( {_paren(left)} || {right} ) \\ {{#m}}"
+
+
+def random_relabelled_term(rng: np.random.Generator, depth: int = 2) -> str:
+    """Shaped like the BB84 security test: a restricted pair renamed inside
+    a restricted composition.
+
+    The q1 side ends every branch by handing a bit over the restricted
+    channel `k`; its receiver passes it on over `a`, which the relabelling
+    turns into `c`, where the outer receiver takes it and runs a q2 term.
+    Outputs the q1 term makes on `a` are renamed to `c` as well, so the
+    outer receiver may take one of them instead.
+    """
+    counter = [0]
+    left = random_term(rng, depth, counter, "q1", tail=f"k!{rng.integers(0, 2)} . nil")
+    right = random_term(rng, depth, counter, "q2")
+    return (f"( ( {_paren(left)} || k?z . a!z . nil ) \\ {{k}} [a -> c] "
+            f"|| c?w . {_paren(right)} ) \\ {{c}}")
 
 
 def random_wide_term(rng: np.random.Generator, depth: int = 2) -> str:

@@ -713,6 +713,29 @@ class TestRandomSystems:
             system, state = randsys.random_system(rng, randsys.REGISTER2)
             check_inclusion_and_kernel(system, state, randsys.random_par_term(rng, 2))
 
+    def test_relabelled_variants(self):
+        """BB84-shaped terms: `decide_bisim` holds every twin with a witness
+        that re-verifies, and a refutation against another such term
+        replays.  Depth 1: at depth 2 a twin whose outer receiver can take
+        either of two outputs on `c` is not confluent, and relation search
+        on it can run for minutes."""
+        rng = np.random.default_rng(12)
+        refuted = 0
+        for _ in range(20):
+            system, state = randsys.random_system(rng, randsys.REGISTER2)
+            base = randsys.random_relabelled_term(rng, 1)
+            c = system.config(base, state)
+            for variant in randsys.variants(base):
+                report = decide_bisim(c, system.config(variant, state), system)
+                assert report.holds, f"{base!r} vs {variant!r}"
+                assert check_ground_bisim_relation(report.witness, system).holds
+            other = system.config(randsys.random_relabelled_term(rng, 1), state)
+            report = decide_bisim(c, other, system)
+            if not report.holds:
+                refuted += 1
+                assert replay_refutation(report, system)
+        assert refuted >= 5
+
     def test_non_dyadic_twins(self):
         """Without measurements every probability is a product of the
         weights, held exactly, so all three engines hold every twin."""

@@ -28,6 +28,7 @@ from qbisim.semantics import (
     combine,
     weak_transition,
 )
+from qbisim.bb84 import build_bb84_security_test
 from qbisim.bisim import _closure_columns, _member_lin
 from qbisim.lp import combination_weights
 
@@ -255,7 +256,8 @@ class TestQuantumExchange:
 
 
 def step_signature(system, config):
-    return [(t.label, [(p, c.term, _matrix_digest(c.matrix)) for c, p in t.dist])
+    """Labels in order, and each target's term, matrix and exact weight."""
+    return [(t.label, [(p, type(p), c.term, _matrix_digest(c.matrix)) for c, p in t.dist])
             for t in system.step(config)]
 
 
@@ -281,6 +283,111 @@ class TestCompositionalStepping:
             system, rho = randsys.random_system(rng, randsys.REGISTER2)
             root = system.config(randsys.random_par_term(rng, 2), rho)
             self.assert_warm_matches_cold(system, root)
+
+    def test_random_relabelled(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            system, rho = randsys.random_system(rng, randsys.REGISTER2)
+            root = system.config(randsys.random_relabelled_term(rng), rho)
+            self.assert_warm_matches_cold(system, root)
+
+
+class _Unpruned(System):
+    """Steps a restricted composition without pruning: the whole
+    `_step_par` output, which the `Restrict` rule then filters and wraps.
+    Counts the component moves that rule drops."""
+
+    hidden_moves = 0
+
+    def _step_par(self, term, mat, fuel, hidden=frozenset()):
+        moves, caps = super()._step_par(term, mat, fuel)
+        self.hidden_moves += sum(
+            1 for label, _ in moves if label.visible and label.chan in hidden)
+        return moves, caps
+
+
+class TestRestrictedStepping:
+    """A restricted composition skips the component moves and input
+    capabilities on its hidden channels; every configuration still has
+    the transitions, in the order, that unpruned stepping gives it."""
+
+    @staticmethod
+    def assert_matches_unpruned(system, root):
+        reference = _Unpruned(system.module, register=system.register)
+        for config in system.reachable([root]):
+            twin = reference._intern(config.term, config.matrix)
+            assert step_signature(system, config) == step_signature(reference, twin), \
+                pretty(config.term)
+        return reference.hidden_moves
+
+    def test_bb84_security_n1(self):
+        instance = build_bb84_security_test(1)
+        system = System(instance.system.module, register=instance.register)
+        (config,) = instance.root.support
+        root = system.config(config.term, config.matrix, canonical=True)
+        assert self.assert_matches_unpruned(system, root) > 0
+
+    @pytest.mark.parametrize("name", sorted(randsys.PAR_SYSTEMS))
+    def test_hand_written(self, name):
+        assert self.assert_matches_unpruned(*randsys.par_system(name)) > 0
+
+    def test_random_parallel(self):
+        rng = np.random.default_rng(4)
+        hidden = 0
+        for _ in range(10):
+            system, rho = randsys.random_system(rng, randsys.REGISTER2)
+            root = system.config(randsys.random_par_term(rng, 2), rho)
+            hidden += self.assert_matches_unpruned(system, root)
+        assert hidden > 0
+
+    def test_random_relabelled(self):
+        rng = np.random.default_rng(5)
+        hidden = 0
+        for _ in range(10):
+            system, rho = randsys.random_system(rng, randsys.REGISTER2)
+            root = system.config(randsys.random_relabelled_term(rng), rho)
+            hidden += self.assert_matches_unpruned(system, root)
+        assert hidden > 0
+
+    def test_hidden_output_only_synchronises(self):
+        s = fresh()
+        cfg = s.config("( c!0 . nil || c?x . d!x . nil ) \\ {c}", state())
+        moves, caps = s._step_par(cfg.term.body, cfg.matrix, 1, cfg.term.channels)
+        assert [label for label, _ in moves] == [TAU] and caps == []
+        assert [t.label for t in s.step(cfg)] == [TAU]
+
+
+class TestAcyclicityMemo:
+    """`is_acyclic` remembers the configurations a successful search
+    visited, and nothing from a search that finds a cycle."""
+
+    def test_proved_configurations_do_not_hide_a_cycle(self):
+        s = fresh("Loop := tau . Loop")
+        assert s.is_acyclic([s.config("tau . nil", state())])
+        # the nil successor is proved; the Loop branch still closes a cycle
+        assert not s.is_acyclic([s.config("tau . nil + tau . Loop", state())])
+        assert not s.is_acyclic([s.config("Loop", state())])
+
+    def test_cycle_records_nothing(self):
+        s = fresh("Loop := tau . Loop")
+        assert s.is_acyclic([s.config("tau . nil", state())])
+        before = set(s._acyclic)
+        assert not s.is_acyclic([s.config("a!0 . nil + tau . Loop", state())])
+        assert s._acyclic == before
+
+    def test_repeated_proof_steps_nothing(self, monkeypatch):
+        s = fresh("Loop := tau . Loop")
+        root = s.config("tau . nil", state())
+        assert s.is_acyclic([root])
+        stepped = []
+        step = s.step
+        monkeypatch.setattr(s, "step", lambda c: stepped.append(c) or step(c))
+        assert s.is_acyclic([root])
+        assert stepped == []
+        # a new root is searched, but not past the proved configurations
+        longer = s.config("tau . tau . nil", state())
+        assert s.is_acyclic([longer])
+        assert stepped == [longer]
 
 
 class TestSpecExamples:
