@@ -30,6 +30,18 @@ tc-decomposition of a convex mixture groups by the same signatures as its
 components, and identity pairs satisfy every clause.  A verified finite
 family therefore certifies its whole convex closure (implicit identity
 pairs included), which is the relation the reports describe.
+
+Each System keeps what the refinement proved on it.  Per tolerance, it
+keeps the candidate point pairs some state-based fixpoint kept or deleted.
+A later state-based fixpoint starts from those verdicts and refines only the
+pairs no fixpoint has decided yet.  It also keeps each relation-search
+outcome of `decide_bisim`, keyed by the exact probabilities of the pair and
+the tolerance.  `distance_upper_bound` on a system it cannot certify reads
+that outcome rather than search again.  The verdicts are exact, not
+heuristic: on a reach-closed set of configurations, the greatest fixpoint
+over any larger reach-closed set restricts to the fixpoint over the set
+alone.  Looking them up spends no work units.  `decide_bisim` never reads
+them, and replays neither read nor write them.
 """
 
 from __future__ import annotations
@@ -960,6 +972,8 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
     on the graph the pairs reach, so a witness from a system that is not
     confluent is checked by enumeration, not by the collapse.
     """
+    if mode not in ("auto", "exhaustive", "saturated"):
+        raise ValueError(f"unknown mode {mode!r}")
     system = _system_of(context)
     tol = system.tol if tol is None else tol
     if not 0.0 <= lam <= 1.0:
@@ -984,8 +998,6 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
         canon, ok, why = _certified(system, configs)
         return _check_saturated(canon, relation, lam, tol,
                                 why if ok else f"forced ({why})")
-    if mode != "auto":
-        raise ValueError(f"unknown mode {mode!r}")
     if not quantum_input and system.is_acyclic(roots):
         canon, ok, why = _certified(system, configs)
         if ok:
@@ -1096,8 +1108,17 @@ def _pair_violation(system: System, rel, points: dict, a: ConfigDistribution,
     return None
 
 
+class _StateFacts(NamedTuple):
+    """The point pairs that state-based fixpoints on one System at one
+    tolerance decided: candidate pairs of configuration indices, smaller
+    first, that a fixpoint kept (`alive`) or deleted (`dead`)."""
+
+    alive: set
+    dead: set
+
+
 def _ground_fixpoint(system: System, members: list, tol: float,
-                     attack_cache: dict) -> set:
+                     attack_cache: dict, facts: Optional[_StateFacts] = None) -> set:
     """Index pairs (i, j), i <= j, of `members` in the greatest fixpoint.
 
     Candidates are the pairs meeting clause (i) whose transition-consistent
@@ -1127,7 +1148,25 @@ def _ground_fixpoint(system: System, members: list, tol: float,
     its point-pair index (`_point_index`) are rebuilt once per deletion.
     Rounds visit the pending pairs in sorted order, so the result and the
     LPs solved do not depend on hash order.
+
+    With `facts`, every member is a point distribution.  A pair that `facts`
+    holds alive starts alive and is never checked, and a pair it holds dead
+    is no candidate.  The verdicts of the other candidates go into `facts`
+    afterwards.  This is exact.  Each fact was decided over a reach-closed
+    set, and so is every family here.  Clauses (ii) and (iii) of a point
+    pair read only pairs of configurations both sides reach, and a pair
+    column reaching past them carries no weight.  So the greatest fixpoint
+    over either set restricts to the fixpoint over their intersection.
+    Every alive fact is then in this fixpoint and every dead one is not.
+    The worklist also reaches the fixpoint from this start: deletions stay
+    forced, and an alive fact meets every clause against any superset of
+    the fixpoint.
     """
+    ids = None if facts is None else [m.support[0].index for m in members]
+
+    def fact(i, j):  # the key of members (i, j) in `facts`
+        return (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
+
     shapes = []
     env_class = []   # per member, its environment class
     delegates = []   # per environment class, its first member
@@ -1142,8 +1181,16 @@ def _ground_fixpoint(system: System, members: list, tol: float,
         env_class.append(classes[key])
     meets = {}       # sorted pair of classes -> does it meet clause (i)?
     alive = set()
+    decided = set()  # pairs alive in `facts`, never checked here
     for i in range(len(members)):
         for j in range(i, len(members)):
+            if ids is not None:
+                if fact(i, j) in facts.alive:
+                    alive.add((i, j))
+                    decided.add((i, j))
+                    continue
+                if fact(i, j) in facts.dead:
+                    continue
             if (shapes[i] is not None and shapes[j] is not None
                     and shapes[i] != shapes[j]):
                 continue
@@ -1158,7 +1205,8 @@ def _ground_fixpoint(system: System, members: list, tol: float,
     rel = owners = points = None
     deps = {}    # survivor -> the pairs its last check relied on
     users = {}   # pair -> the survivors whose last check relied on it
-    pending = set(alive)
+    pending = alive - decided
+    checked = set(pending)
     while pending:
         for key in sorted(pending):
             pending.discard(key)
@@ -1184,7 +1232,17 @@ def _ground_fixpoint(system: System, members: list, tol: float,
                 alive.discard(key)
                 pending |= users.pop(key, set())
                 rel = None
+    if ids is not None:
+        for i, j in checked:
+            (facts.alive if (i, j) in alive else facts.dead).add(fact(i, j))
     return alive
+
+
+def _survives(members: list, alive: set, mu, nu) -> bool:
+    """Is (mu, nu), both members, in the fixpoint `alive` over `members`?"""
+    pos = {m.digest: k for k, m in enumerate(members)}
+    return (mu.digest == nu.digest
+            or tuple(sorted((pos[mu.digest], pos[nu.digest]))) in alive)
 
 
 def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> CheckReport:
@@ -1192,13 +1250,17 @@ def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> Che
 
     The verdict is whether (mu, nu), both members, survives
     `_ground_fixpoint`; the survivors are the witness.  A refutation names
-    the first clause (mu, nu) violates against the survivors.
+    the first clause (mu, nu) violates against the survivors.  In mode
+    "state-based" the members are the point distributions of a reach-closed
+    set, and the fixpoint starts from the System's state-based facts.
     """
     attack_cache = {}
-    alive = _ground_fixpoint(system, members, tol, attack_cache)
+    facts = None
+    if mode == "state-based":
+        facts = system._state_facts.setdefault(tol, _StateFacts(set(), set()))
+    alive = _ground_fixpoint(system, members, tol, attack_cache, facts)
     survivors = [(members[i], members[j]) for i, j in sorted(alive)]
-    pos = {m.digest: k for k, m in enumerate(members)}
-    if tuple(sorted((pos[mu.digest], pos[nu.digest]))) in alive or mu.digest == nu.digest:
+    if _survives(members, alive, mu, nu):
         return CheckReport(True, mode, tol=tol, witness=RelationCandidate(tuple(survivors)),
                            detail=f"{len(alive)} pairs survive over a family of "
                                   f"{len(members)} distributions")
@@ -1244,6 +1306,23 @@ def _relation_search(canon: _Canon, mu, nu, tol: float) -> CheckReport:
     return _refine(system, members, mu, nu, tol, "relation-search")
 
 
+def _search_key(mu: ConfigDistribution, nu: ConfigDistribution, tol: float) -> tuple:
+    """The System's key for the relation search on (mu, nu) at `tol`: the
+    exact probabilities, not the 10-decimal digest, since two pairs with
+    one digest can differ to the exact LP."""
+    return (tuple(sorted((c.index, p) for c, p in mu.probs.items())),
+            tuple(sorted((d.index, q) for d, q in nu.probs.items())), tol)
+
+
+def _recorded_search(canon: _Canon, mu, nu, tol: float) -> CheckReport:
+    """`_relation_search`, its outcome kept on the System for
+    `distance_upper_bound`."""
+    report = _relation_search(canon, mu, nu, tol)
+    canon.system._searches[_search_key(mu, nu, tol)] = (
+        report.holds, report.witness, report.detail)
+    return report
+
+
 @_query
 def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> CheckReport:
     """Decide distribution-based ground bisimilarity of two distributions.
@@ -1256,22 +1335,23 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
     Certification proves that scheduling cannot change the canonical
     answers: the system is tau-normal and meets the local-diamond
     criterion of `confluence_check` at every reachable configuration.
+    Every relation-search outcome is kept on the System (module docstring).
     """
+    if mode not in ("auto", "canonical", "relation-search"):
+        raise ValueError(f"unknown mode {mode!r}")
     system = _system_of(context)
     tol = system.tol if tol is None else tol
     mu, nu = _as_dist(system, mu), _as_dist(system, nu)
     configs = _prepare(system, (mu, nu))
-    if mode not in ("auto", "canonical", "relation-search"):
-        raise ValueError(f"unknown mode {mode!r}")
     if mode == "relation-search":
-        return _relation_search(_Canon(system), mu, nu, tol)
+        return _recorded_search(_Canon(system), mu, nu, tol)
     canon, ok, why = _certified(system, configs)
     if mode == "canonical":
         return _decide_canonical(canon, mu, nu, tol,
                                  why if ok else f"forced canonical ({why})")
     if ok:
         return _decide_canonical(canon, mu, nu, tol, why)
-    return _relation_search(canon, mu, nu, tol)
+    return _recorded_search(canon, mu, nu, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1289,7 +1369,9 @@ def decide_state_based(c, d, context, tol: float = None) -> CheckReport:
     the configuration's quantum variables, every member is transition
     consistent with its weak enabled set as its shape, and the strong
     attacks are exactly the configuration's moves.  Complete on acyclic
-    quantum-input-free systems.
+    quantum-input-free systems.  The refinement starts from the pairs that
+    earlier state-based decisions on the System settled at `tol` (module
+    docstring), and only the rest are checked.
     """
     system = _system_of(context)
     tol = system.tol if tol is None else tol
@@ -1318,7 +1400,8 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     minimise that maximum.
     The visited pairs form a witness passing `check_lambda_relation` at the
     returned value.  Elsewhere the bound degrades to 0 (when relation-search
-    proves bisimilarity) or the trivial 1.
+    proves bisimilarity) or the trivial 1; the relation search that
+    `decide_bisim` ran on the same pair and tolerance is read, not repeated.
     """
     system = _system_of(context)
     tol = system.tol if tol is None else tol
@@ -1326,12 +1409,16 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     configs = _prepare(system, (mu, nu))
     canon, ok, why = _certified(system, configs)
     if not ok:
-        report = _relation_search(canon, mu, nu, tol)
-        if report.holds:
-            return DistanceBound(0.0, report.witness, "relation-search",
+        found = system._searches.get(_search_key(mu, nu, tol))
+        if found is None:
+            report = _recorded_search(canon, mu, nu, tol)
+            found = (report.holds, report.witness, report.detail)
+        holds, witness, searched = found
+        if holds:
+            return DistanceBound(0.0, witness, "relation-search",
                                  detail=f"bisimilar by refinement; {why}")
         return DistanceBound(1.0, RelationCandidate(()), "relation-search",
-                             detail=f"trivial bound; {why}; {report.detail}")
+                             detail=f"trivial bound; {why}; {searched}")
 
     memo = {}
     annotations = []
@@ -1486,7 +1573,9 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
     genuine inconsistency.  When the reachable graph fits in `max_configs`,
     the offending pair is additionally re-decided by a second procedure
     (a re-scheduled canonical run, the fixpoint refinement, or a fresh
-    state-based decision).  Used by the test suite on every refutation.
+    state-based decision).  Re-decisions neither read nor write what the
+    System keeps from earlier queries, so they repeat the refinement in
+    full.  Used by the test suite on every refutation.
     """
     system = _system_of(context)
     if report.holds:
@@ -1524,16 +1613,16 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
         return confirmed
 
     if report.mode == "state-based":
-        (a,) = x.support
-        (b,) = y.support
-        return not decide_state_based(a, b, system, tol=tol).holds
+        family = [system.dirac(c) for c in _prepare(system, (x, y))]
+        return not _survives(family, _ground_fixpoint(system, family, tol, {}), x, y)
     if lam > 0.0:
         fresh = check_lambda_relation([(x, y)], lam, system, tol=tol)
         return not fresh.holds
     if report.mode == "canonical":
         fresh = _decide_canonical(_Canon(system, _last_choice), x, y, tol, "replay")
         return not fresh.holds
-    return not decide_bisim(x, y, system, tol=tol, mode="relation-search").holds
+    _prepare(system, (x, y))
+    return not _relation_search(_Canon(system), x, y, tol).holds
 
 
 def _attack_exists(system: System, attacker: ConfigDistribution,

@@ -283,6 +283,13 @@ class System:
     capabilities its restriction hides.  Configurations proved acyclic are
     remembered, so no search repeats that proof.  `work` counts the
     expansion done by the current query against `budget` (see `query`).
+
+    A System also keeps what the bisimulation engines proved on it
+    (`qbisim.bisim`): per tolerance, the point pairs some state-based
+    fixpoint kept or deleted, and each relation-search outcome of
+    `decide_bisim`.  Those verdicts hold for every later query on the
+    System, since a configuration's behaviour is fixed by what it reaches.
+    Looking them up spends no work units, and replays never read them.
     """
 
     def __init__(self, module=None, register=None, registry=None,
@@ -306,6 +313,8 @@ class System:
         self._enabled_cache = {}
         self._op_cache = {}
         self._acyclic = set()
+        self._state_facts = {}   # tol -> bisim._StateFacts
+        self._searches = {}      # bisim._search_key -> relation-search outcome
 
     # -- construction
 

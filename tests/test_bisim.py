@@ -304,6 +304,17 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide_bisim(n, n, s, mode="guess")
 
+    def test_unknown_mode_rejected_before_exploring(self):
+        """On a cyclic system a bad mode is a ValueError, not the cycle
+        error that exploring first would raise, and nothing is stepped."""
+        s = System(parse_module("Loop := tau . Loop"), register=R1)
+        cfg = s.config("Loop(;)", ground())
+        with pytest.raises(ValueError):
+            decide_bisim(cfg, cfg, s, mode="bogus")
+        with pytest.raises(ValueError):
+            check_lambda_relation([(cfg, cfg)], 0.0, s, mode="bogus")
+        assert s._step_cache == {}
+
 
 class TestDuplicatedMeasurement:
     """A measurement chain against a fair choice between two copies of itself.
@@ -1033,6 +1044,19 @@ class TestWorklistRefinement:
         assert (0, 2) in alive and (1, 2) not in alive
 
 
+def count_lps(monkeypatch) -> list:
+    """Record the column count of every exact LP the engines solve."""
+    calls = []
+    solve = bisim.combination_weights
+
+    def counted(columns, target):
+        calls.append(len(columns))
+        return solve(columns, target)
+
+    monkeypatch.setattr(bisim, "combination_weights", counted)
+    return calls
+
+
 class TestCouplingAnswer:
     """`_match_weak` answers a point defender without an LP when a
     one-to-one coupling along identity and related point pairs maps the
@@ -1044,20 +1068,9 @@ class TestCouplingAnswer:
         (move,) = s.step(d)
         return s, d, move.dist
 
-    def count_lps(self, monkeypatch) -> list:
-        calls = []
-        solve = bisim.combination_weights
-
-        def counted(columns, target):
-            calls.append(len(columns))
-            return solve(columns, target)
-
-        monkeypatch.setattr(bisim, "combination_weights", counted)
-        return calls
-
     def test_exact_match_skips_the_lp(self, monkeypatch):
         s, d, e = self.point_move()
-        calls = self.count_lps(monkeypatch)
+        calls = count_lps(monkeypatch)
         attack = ConfigDistribution(dict(e.probs))
         used = set()
         assert bisim._match_weak(s, (), {}, attack, s.dirac(d), TAU, used)
@@ -1074,7 +1087,7 @@ class TestCouplingAnswer:
         y = s.config("a!2 . nil", ground(q1="+"))
         attack = ConfigDistribution({x: 0.5, y: 0.5})
         pairs = [(s.dirac(x), s.dirac(z)), (s.dirac(y), s.dirac(x))]
-        calls = self.count_lps(monkeypatch)
+        calls = count_lps(monkeypatch)
         used = set()
         assert bisim._match_weak(s, pairs, bisim._point_index(pairs), attack,
                                  s.dirac(d), TAU, used)
@@ -1088,7 +1101,7 @@ class TestCouplingAnswer:
         attack = ConfigDistribution({x: p + 1e-11, y: q - 1e-11})
         assert attack.digest == e.digest
         assert Fraction(attack.probability(x)) != Fraction(p)
-        calls = self.count_lps(monkeypatch)
+        calls = count_lps(monkeypatch)
         assert not bisim._match_weak(s, (), {}, attack, s.dirac(d), TAU)
         assert len(calls) == 1
 
@@ -1099,7 +1112,7 @@ class TestCouplingAnswer:
         (x, p), (y, q) = e.probs.items()
         attack = ConfigDistribution({x: math.nextafter(p, 1.0), y: q})
         pairs = [(s.dirac(x), s.dirac(y)), (s.dirac(y), s.dirac(x))]
-        calls = self.count_lps(monkeypatch)
+        calls = count_lps(monkeypatch)
         bisim._match_weak(s, pairs, bisim._point_index(pairs), attack,
                           s.dirac(d), TAU)
         assert len(calls) == 1
@@ -1107,7 +1120,7 @@ class TestCouplingAnswer:
     def test_mass_below_one_solves_the_lp(self, monkeypatch):
         s, d, e = self.point_move()
         defender = ConfigDistribution({d: 1.0 - 2.0 ** -53})
-        calls = self.count_lps(monkeypatch)
+        calls = count_lps(monkeypatch)
         bisim._match_weak(s, (), {}, ConfigDistribution(dict(e.probs)), defender, TAU)
         assert len(calls) == 1
 
@@ -1115,7 +1128,7 @@ class TestCouplingAnswer:
         """Every match answered without an LP is one the LP also finds from
         the pairs the answer recorded, the identity carriers and one
         extreme weak move of the defender."""
-        calls = self.count_lps(monkeypatch)
+        calls = count_lps(monkeypatch)
         answered = []
         match = bisim._match_weak
 
@@ -1159,3 +1172,132 @@ class TestCouplingAnswer:
         assert len(answered) >= 20
         # some answers go through related point pairs, not only identities
         assert sum(1 for n in answered if n) >= 5
+
+
+def indexed_system(register, state, sources):
+    """A System whose configurations are all interned before any query, in
+    one fixed order, so an index names the same configuration in every
+    System built from the same sources, whatever the queries asked first."""
+    s = System(parse_module("Dummy := nil"), register=register)
+    roots = [s.config(src, state) for src in sources]
+    s.reachable(roots)
+    return s, roots
+
+
+def forget(system):
+    """Empty what `system` keeps from earlier refinements."""
+    system._state_facts.clear()
+    system._searches.clear()
+
+
+class TestSharedRefinement:
+    """A System keeps its state-based verdicts and relation-search outcomes
+    across queries.  Answers on one shared System, with the pairs asked in
+    either order, equal those on a fresh System per query, byte for byte,
+    at fewer LPs."""
+
+    ENGINES = (decide_state_based, decide_bisim, distance_upper_bound)
+    # shape -> (rng seed, register, term maker, variants used); the wide
+    # duplication twin is left out, as its state-based LPs take seconds each
+    SHAPES = {
+        "sequential": (3, randsys.REGISTER, lambda rng: randsys.random_term(rng, 3),
+                       slice(1, None)),
+        "parallel": (1, randsys.REGISTER2, lambda rng: randsys.random_par_term(rng, 2),
+                     slice(1, None)),
+        "wide": (2, randsys.REGISTER2, randsys.random_wide_term, slice(1, 2)),
+    }
+
+    def instances(self, shape, count):
+        seed, register, term, used = self.SHAPES[shape]
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            _, state = randsys.random_system(rng, register)
+            base = term(rng)
+            yield register, state, [base] + randsys.variants(base)[used] + [term(rng)]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shared_system_answers_like_fresh_ones(self, shape, monkeypatch):
+        calls = count_lps(monkeypatch)
+        fresh_lps, shared_lps = 0, [0, 0]   # per order of the shared runs
+        for register, state, sources in self.instances(shape, 3):
+            order = list(range(1, len(sources)))
+            expected = {}
+            before = len(calls)
+            for k in order:
+                for n, engine in enumerate(self.ENGINES):
+                    s, roots = indexed_system(register, state, sources)
+                    expected[k, n] = engine(roots[0], roots[k], s).to_json()
+            fresh_lps += len(calls) - before
+            for run, others in enumerate((order, order[::-1])):
+                s, roots = indexed_system(register, state, sources)
+                before = len(calls)
+                got = {(k, n): engine(roots[0], roots[k], s).to_json()
+                       for k in others for n, engine in enumerate(self.ENGINES)}
+                assert got == expected
+                shared_lps[run] += len(calls) - before
+        assert max(shared_lps) < fresh_lps
+
+    def uncertified(self):
+        """A sum offering a visible and an internal move, so `decide_bisim`
+        runs relation search: padded (bisimilar) and with the internal
+        branch changed (refuted)."""
+        base = "a!2 . nil + tau . pchoice { 1/4 -> a!0 . nil ; 3/4 -> tau . a!1 . nil }"
+        return [base, f"tau . ( {base} )",
+                "a!2 . nil + tau . pchoice { 1/4 -> a!0 . nil ; 3/4 -> a!0 . nil }"]
+
+    def test_bound_reads_the_relation_search(self, monkeypatch):
+        sources = self.uncertified()
+        calls = count_lps(monkeypatch)
+        for k, holds in ((1, True), (2, False)):
+            s, roots = indexed_system(R1, ground(q1="+"), sources)
+            report = decide_bisim(roots[0], roots[k], s)
+            assert report.mode == "relation-search"
+            assert report.holds == holds
+            assert calls
+            calls.clear()
+            bound = distance_upper_bound(roots[0], roots[k], s)
+            assert calls == []
+            f, froots = indexed_system(R1, ground(q1="+"), sources)
+            expected = distance_upper_bound(froots[0], froots[k], f)
+            assert calls
+            assert bound.mode == expected.mode == "relation-search"
+            assert (bound.value, bound.detail) == (expected.value, expected.detail)
+            assert bound.witness.to_json() == expected.witness.to_json()
+            assert bound.value == (0.0 if holds else 1.0)
+
+    def test_replays_repeat_their_work(self, monkeypatch):
+        """Replays and witness checks solve as many LPs on a System that
+        kept every verdict they re-decide as on one that kept nothing."""
+        sources = self.uncertified()
+        state = ground(q1="+")
+        calls = count_lps(monkeypatch)
+
+        def replay_costs(system, roots, forgetful):
+            costs = []
+            queries = (
+                (decide_state_based, 2, "state-based"),
+                (decide_bisim, 2, "relation-search"),
+                (decide_bisim, 1, "relation-search"),
+            )
+            for decide, k, mode in queries:
+                report = decide(roots[0], roots[k], system)
+                assert report.mode == mode
+                if forgetful:
+                    forget(system)
+                calls.clear()
+                if report.holds:
+                    assert check_ground_bisim_relation(report.witness, system).holds
+                else:
+                    assert replay_refutation(report, system)
+                costs.append((report.to_json(), len(calls)))
+            return costs
+
+        warm, roots = indexed_system(R1, state, sources)
+        for k in (1, 2):
+            decide_state_based(roots[0], roots[k], warm)
+            decide_bisim(roots[0], roots[k], warm)
+            distance_upper_bound(roots[0], roots[k], warm)
+        got = replay_costs(warm, roots, False)
+        expected = replay_costs(*indexed_system(R1, state, sources), True)
+        assert got == expected
+        assert all(n for _, n in got)
