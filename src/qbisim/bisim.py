@@ -22,7 +22,11 @@ and confluent as proved by the local-diamond criterion of
 `confluence_check`); there, every internal interleaving of a distribution
 shares one canonical saturation, so matching collapses to comparing
 saturated transition-consistent classes.  That collapse is what keeps
-protocol-sized witnesses small enough to re-verify.
+protocol-sized witnesses small enough to re-verify.  A canonical witness
+is therefore a bisimulation up to canonical saturation: it relates
+saturations and classes, so the exhaustive engine can reject it when the
+two sides pass through different intermediate configurations (a silent
+step one side takes and the other lacks).
 
 Soundness of relation verdicts rests on three facts about the convex
 closure: lifted transitions are linear and left-decomposable, the canonical

@@ -10,8 +10,10 @@ Prefix binds tighter than restriction/relabelling, which bind tighter than
 parallel, which binds tighter than summation.  `if b then t else u` is sugar
 for `if b then t + if not b then u`.  Quantum channels are written `#name`;
 `#c?q` binds q, `meas N[...; x]` and `c?x` bind x.  Bound names are renamed
-at parse time to a positional canonical form (`x$0`, `q$1`, ...), so
-alpha-equivalent inputs produce identical terms.
+at parse time after the height of their binder, the longest chain of
+binders nested in its scope (`x$0`, `q$1`, ...; see `alpha_canonical`), so
+alpha-equivalent inputs produce identical terms and stepping keeps them
+canonical.  `$` is reserved for bound names: a free name may not contain it.
 
 Classical values are reals and bit-strings; bit-string literals are written
 in double quotes ("01", "" for the empty string).  The payload of an output
@@ -483,7 +485,8 @@ class PChoice(Process):
 
 
 class Definition(Node):
-    """Process constant A(cparams; qparams) := body."""
+    """Process constant A(cparams; qparams) := body, the body in canonical
+    form (`alpha_canonical`), so an unfolding is canonical too."""
 
     __slots__ = _fields = ("name", "cparams", "qparams", "body")
 
@@ -493,7 +496,9 @@ class Definition(Node):
             raise WellFormednessError(f"{name}: repeated quantum parameter")
         if len(set(cparams)) != len(cparams):
             raise WellFormednessError(f"{name}: repeated classical parameter")
-        return _cons(cls, (name, cparams, qparams, body))
+        for param in cparams + qparams:
+            _check_free_name(param, f"{name}: parameter")
+        return _cons(cls, (name, cparams, qparams, alpha_canonical(body)))
 
 
 # ---------------------------------------------------------------------------
@@ -679,23 +684,57 @@ def check_well_formed(term: Process, where: str = "term") -> None:
 
 
 # ---------------------------------------------------------------------------
-# canonical renaming of bound names
+# canonical names of bound variables
+#
+# `$` is reserved for bound names: no free name (a definition parameter, a
+# free name of a parsed or built term, a register qubit) may contain it, so
+# a canonical bound name never captures a free one.
 
 _BOUND_SEP = "$"
 
 
+def _check_free_name(name: str, what: str) -> None:
+    """Reject a free name that could clash with a canonical bound name."""
+    if _BOUND_SEP in name:
+        raise WellFormednessError(
+            f"{what} {name!r}: '{_BOUND_SEP}' is reserved for bound names")
+
+
 def alpha_canonical(term: Process) -> Process:
-    """Rename bound names positionally: x$0, q$1, ... in pre-order.
+    """Name every bound variable by the height of its binder.
 
-    Alpha-equivalent terms map to identical trees, which the configuration
-    store relies on to merge states.
+    A binder's height is the length of the longest chain of nested binders
+    in its scope.  Each `c?x` and `meas ...; x` binder is renamed x$h and
+    each `#c?q` binder q$h, where h is its height.  A height depends only on
+    the binder's scope, so alpha-equivalent terms map to the identical node,
+    every subterm of a canonical term is canonical, and substituting a
+    closed value or a free qubit name keeps a term canonical: step targets
+    need no renaming.  Binders inside a scope are lower than its owner and
+    binders around it higher, so no name captures another.  A canonical
+    term comes back as the identical object.
     """
-    counter = [0]
+    for name in fv(term) | qv(term):
+        _check_free_name(name, "free name")
+    heights = {}
 
-    def fresh(kind):
-        n = counter[0]
-        counter[0] += 1
-        return f"{kind}{_BOUND_SEP}{n}"
+    def height(t):
+        got = heights.get(t)
+        if got is None:
+            if isinstance(t, Prefix):
+                got = height(t.cont) + isinstance(t.action, (CIn, Meas, QIn))
+            elif isinstance(t, (Sum, Par)):
+                got = max(map(height, t.parts))
+            elif isinstance(t, (Restrict, Relabel, If)):
+                got = height(t.body)
+            elif isinstance(t, PChoice):
+                got = max(height(b) for _, b in t.branches)
+            else:
+                got = 0
+            heights[t] = got
+        return got
+
+    def fresh(kind, scope):
+        return f"{kind}{_BOUND_SEP}{height(scope)}"
 
     def walk_expr(e, env):
         if isinstance(e, Var):
@@ -717,16 +756,16 @@ def alpha_canonical(term: Process) -> Process:
         if isinstance(t, Prefix):
             act = t.action
             if isinstance(act, CIn):
-                name = fresh("x")
+                name = fresh("x", t.cont)
                 cont = walk(t.cont, {**cenv, act.var: name}, qenv)
                 return Prefix(CIn(act.chan, name), cont)
             if isinstance(act, Meas):
-                name = fresh("x")
+                name = fresh("x", t.cont)
                 qubits = tuple(qenv.get(q, q) for q in act.qubits)
                 cont = walk(t.cont, {**cenv, act.var: name}, qenv)
                 return Prefix(Meas(act.op, qubits, name), cont)
             if isinstance(act, QIn):
-                name = fresh("q")
+                name = fresh("q", t.cont)
                 cont = walk(t.cont, cenv, {**qenv, act.qvar: name})
                 return Prefix(QIn(act.chan, name), cont)
             if isinstance(act, QOut):
@@ -1170,8 +1209,7 @@ class _Parser:
             cparams, qparams = self.param_lists()
             self.expect(")")
         self.expect(":=")
-        body = alpha_canonical(self.term())
-        mod.define(Definition(name, cparams, qparams, body))
+        mod.define(Definition(name, cparams, qparams, self.term()))
 
     def param_lists(self):
         cparams, qparams = [], []

@@ -68,6 +68,9 @@ class QubitRegister:
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate qubit names: {self.names}")
+        # `$` is reserved for bound names (`qbisim.calculus.alpha_canonical`)
+        if any("$" in name for name in self.names):
+            raise ValueError(f"qubit names may not contain '$': {self.names}")
         if list(self.names) != sorted(self.names):
             raise ValueError(f"register names must be sorted: {self.names}")
 

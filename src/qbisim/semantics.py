@@ -318,17 +318,14 @@ class System:
 
     # -- construction
 
-    def config(self, term, state, canonical=False) -> Configuration:
+    def config(self, term, state) -> Configuration:
         """Intern a root configuration; `state` is validated here.
 
         `term` may be source text or a term object; `state` a QuantumState
-        or a raw density matrix over the system register.
+        or a raw density matrix over the system register.  The term is put
+        in canonical form, which stepping then keeps.
         """
-        if isinstance(term, str):
-            term = ca.parse_term(term)
-            canonical = True
-        if not canonical:
-            term = ca.alpha_canonical(term)
+        term = ca.parse_term(term) if isinstance(term, str) else ca.alpha_canonical(term)
         if isinstance(state, QuantumState):
             if self.register is None:
                 self.register = state.register

@@ -163,9 +163,11 @@ class TestAlphaCanonical:
         assert a == b
 
     def test_binders_renamed_positionally(self):
+        # a binder is named by its height: the longest chain of binders
+        # nested in its scope
         t = parse_term("c?x . meas M[q; y] . d!y . nil")
-        assert t.action.var == "x$0"
-        assert t.cont.action.var == "x$1"
+        assert t.action.var == "x$1"
+        assert t.cont.action.var == "x$0"
 
     def test_quantum_binder_renamed(self):
         t = parse_term("#c?q . apply H[q] . nil")
@@ -180,13 +182,37 @@ class TestAlphaCanonical:
     def test_shadowing(self):
         t = parse_term("c?x . c?x . d!x . nil")
         inner = t.cont
-        assert t.action.var == "x$0"
-        assert inner.action.var == "x$1"
-        assert inner.cont.action.expr == Var("x$1")
+        assert t.action.var == "x$1"
+        assert inner.action.var == "x$0"
+        assert inner.cont.action.expr == Var("x$0")
 
     def test_idempotent(self):
         t = parse_term("c?x . (d!x . nil || #e?q . apply H[q] . nil)")
         assert alpha_canonical(t) == t
+
+    def test_names_follow_the_scope_not_the_position(self):
+        # sibling copies of one subterm get the same names
+        t = parse_term("c?x . d!x . nil + e?y . (c?z . d!z . nil || nil)")
+        left, right = t.parts
+        assert left is right.cont.parts[0]
+        assert right.action.var == "x$1"
+
+    def test_dollar_reserved_for_bound_names(self):
+        # the canonical binder would capture the free q$0 / x$0
+        with pytest.raises(WellFormednessError, match="reserved for bound names"):
+            parse_term("#c?r . apply H[q$0] . nil")
+        with pytest.raises(WellFormednessError, match="reserved for bound names"):
+            parse_module("D(x$0; ) := c?y . d!x$0 . nil")
+        with pytest.raises(WellFormednessError, match="reserved for bound names"):
+            parse_module("D(; q$1) := apply H[q$1] . nil")
+        with pytest.raises(WellFormednessError, match="reserved for bound names"):
+            alpha_canonical(Prefix(COut(Channel("c"), Var("x$0")), NIL))
+
+    def test_bound_names_may_be_written_with_dollar(self):
+        t = parse_term("c?x$0 . c?y . d!x$0 . nil")
+        assert t is parse_term("c?a . c?b . d!a . nil")
+        assert t.cont.cont.action.expr == Var("x$1")
+        assert parse_term(pretty(t)) is t
 
 
 ROUND_TRIP_TERMS = [
@@ -202,6 +228,7 @@ ROUND_TRIP_TERMS = [
     "if length(k) = 2 then c!substr(k, m) . nil",
     "c!cmp(k, a, b) . nil",
     "if not (x = 0) and y < 3 then tau . nil",
+    "c?x . #d?q . (meas M[q; y] . e!(x + y) . nil || c?x . e!x . nil)",
 ]
 
 

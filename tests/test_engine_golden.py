@@ -48,7 +48,7 @@ CASES = [
      ') ; 1/2 -> meas Mcomp[q1; x1] . b!x1 . a!1 . nil } ) ; 1/2 -> ( '
      'pchoice { 1/2 -> ( a!0 . ( a!1 . nil + a!1 . nil ) ) ; 1/2 -> meas '
      'Mcomp[q1; x1] . b!x1 . a!1 . nil } ) }',
-     (H, None, H), (H, None, H), (F, 'ii', F)),
+     (H, None, H), (H, None, H), (H, None, H)),
     (('q1',), ('rho', 2),
      'meas Mcomp[q1; x1] . c!x1 . tau . meas Mcomp[q1; x2] . a!x2 . nil',
      'tau . meas Mcomp[q1; x1] . c!x1 . tau . meas Mcomp[q1; x2] . a!x2 . '
@@ -60,7 +60,7 @@ CASES = [
      'pchoice { 1/2 -> ( c!1 . ( meas Mcomp[q1; x1] . ( b!1 . nil + tau . '
      'nil ) ) + b!0 . c!0 . b!1 . nil ) ; 1/2 -> ( c!1 . ( meas Mcomp[q1; '
      'x1] . ( b!1 . nil + tau . nil ) ) + b!0 . c!0 . b!1 . nil ) }',
-     (H, None, H), (H, None, H), (F, 'ii', F)),
+     (H, None, H), (H, None, H), (H, None, H)),
     (('q1',), ('rho', 4),
      'b!0 . meas Mcomp[q1; x1] . b!x1 . tau . nil + c!1 . ( pchoice { 1/2 ->'
      ' ( b!1 . nil + a!0 . nil ) ; 1/2 -> b!1 . nil } )',
@@ -73,7 +73,7 @@ CASES = [
      'pchoice { 1/2 -> ( meas Mcomp[q1; x1] . c!x1 . ( meas Mcomp[q1; x2] . '
      '( c!1 . nil + tau . nil ) ) ) ; 1/2 -> ( meas Mcomp[q1; x1] . c!x1 . ('
      ' meas Mcomp[q1; x2] . ( c!1 . nil + tau . nil ) ) ) }',
-     (H, None, H), (H, None, H), (F, 'ii', F)),
+     (H, None, H), (H, None, H), (H, None, H)),
     (('q1',), ('rho', 6),
      'meas Mcomp[q1; x1] . a!x1 . a!1 . a!0 . nil',
      'tau . meas Mcomp[q1; x1] . a!x1 . a!1 . a!0 . nil',
@@ -92,7 +92,7 @@ CASES = [
      'pchoice { 1/2 -> pchoice { 1/2 -> tau . nil ; 1/2 -> meas Mcomp[q1; '
      'x1] . b!1 . nil } ; 1/2 -> pchoice { 1/2 -> tau . nil ; 1/2 -> meas '
      'Mcomp[q1; x1] . b!1 . nil } }',
-     (H, None, H), (H, None, H), (F, 'ii', F)),
+     (H, None, H), (H, None, H), (H, None, H)),
     (('q1',), ('rho', 20),
      'meas Mcomp[q1; x1] . a!x1 . a!1 . a!0 . nil',
      'tau . meas Mcomp[q1; x1] . a!x1 . a!1 . a!1 . nil',

@@ -25,8 +25,7 @@ def _bb84_root(build):
     # the BB84 builders share one cached system; export from a fresh one
     system = System(instance.system.module, register=instance.register)
     (config,) = instance.root.support
-    return system, system.config(config.term, QuantumState.product(instance.register, None),
-                                 canonical=True)
+    return system, system.config(config.term, QuantumState.product(instance.register, None))
 
 
 ROOTS = {
@@ -38,12 +37,12 @@ ROOTS = {
 
 # name -> (configurations, sha256 of the export)
 GOLDEN = {
-    "bb84_security_test_n1": (283, "57011842001f88f95d47eca9d3320c646bbcab80f23345a132dfc0d48dc7496c"),
+    "bb84_security_test_n1": (283, "dbaaa815795130c4da40de9929b1aa9607aa7b16dd4a83761378d6241424ecb5"),
     "bb84_spec_n1": (8, "af9f166bda2d4591ff5ccce1b8be94e6b3594ff7c9e4484e8eb3f10f6fab3332"),
-    "bb84_test_n1": (85, "891c591802e2142110b2081557d08ca1eadb6571bd0403a24851896a237040a3"),
+    "bb84_test_n1": (85, "f200b11fdf208fcd7ef99ffb7e38ee13280ba255b7a152f342ea7e70d151fb8c"),
     "classical_handoff": (13, "1951823e2df0aeba74ded217c7f1f89e249c819f2b9ab3a7893e75f87667b517"),
-    "qubit_passing": (30, "92e8d4231196691c6585f07c29f3aee4da9dbb2ea69db5860a942dd77250e8b9"),
-    "relabelled": (8, "c377acc03617320d6de718d7d4eebd482f5111eba1fa694503ce73acc0b8fce8"),
+    "qubit_passing": (30, "9ef4f59e5bf428662e9b3493917bb2a6b35945379d5eed0ad40ff5c58628a779"),
+    "relabelled": (8, "72c989b1d8c6a720d53c53d3fa2236c15876aa73c4f69e3bc4bc65dfb73b4c67"),
 }
 
 

@@ -51,6 +51,11 @@ class TestRegister:
         with pytest.raises(ValueError):
             QubitRegister(("q1", "q1"))
 
+    def test_bound_name_separator_rejected(self):
+        # `$` marks bound names, which a register qubit must never match
+        with pytest.raises(ValueError, match=r"\$"):
+            QubitRegister.of(["q$0", "q1"])
+
     def test_positions(self):
         reg = QubitRegister.of(["a", "b", "c"])
         assert reg.positions(["c", "a"]) == (2, 0)

@@ -269,7 +269,7 @@ class TestCompositionalStepping:
     def assert_warm_matches_cold(system, root):
         for config in system.reachable([root]):
             cold = System(system.module, register=system.register)
-            alone = cold.config(config.term, config.matrix, canonical=True)
+            alone = cold.config(config.term, config.matrix)
             assert step_signature(system, config) == step_signature(cold, alone), \
                 pretty(config.term)
 
@@ -324,7 +324,7 @@ class TestRestrictedStepping:
         instance = build_bb84_security_test(1)
         system = System(instance.system.module, register=instance.register)
         (config,) = instance.root.support
-        root = system.config(config.term, config.matrix, canonical=True)
+        root = system.config(config.term, config.matrix)
         assert self.assert_matches_unpruned(system, root) > 0
 
     @pytest.mark.parametrize("name", sorted(randsys.PAR_SYSTEMS))
@@ -613,9 +613,50 @@ class TestInterning:
 
     def test_alpha_variants_merge(self):
         s = fresh()
-        a = s.config(parse_term("c?x . d!x . nil"), state(), canonical=True)
-        b = s.config(parse_term("c?z . d!z . nil"), state(), canonical=True)
+        a = s.config(parse_term("c?x . d!x . nil"), state())
+        b = s.config(parse_term("c?z . d!z . nil"), state())
         assert a is b
+
+
+class TestCanonicalBinders:
+    """Stepping keeps terms canonical: bound names follow binder heights,
+    which substitution does not change, so `alpha_canonical` gives every
+    reachable term back as the identical object."""
+
+    SHAPES = {
+        "sequential": (randsys.REGISTER, lambda rng: randsys.random_term(rng, 3)),
+        "coupled": (randsys.REGISTER2, randsys.random_par_term),
+        "relabelled": (randsys.REGISTER2, randsys.random_relabelled_term),
+        "wide": (randsys.REGISTER2, randsys.random_wide_term),
+    }
+
+    def assert_reach_canonical(self, system, roots):
+        for root in roots:
+            for config in PLTS(system, root).configs:
+                assert ca.alpha_canonical(config.term) is config.term, pretty(config.term)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bb84_security(self, n):
+        instance = build_bb84_security_test(n)
+        roots = instance.root.support + instance.ideal.support
+        self.assert_reach_canonical(instance.system, roots)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_random_systems(self, shape):
+        register, generate = self.SHAPES[shape]
+        rng = np.random.default_rng(6)
+        for _ in range(6):
+            system, st = randsys.random_system(rng, register)
+            sources = randsys.variants(generate(rng))
+            self.assert_reach_canonical(system, [system.config(src, st) for src in sources])
+
+    def test_duplicated_choice_steps_to_one_target(self):
+        s = fresh()
+        term = "meas Mcomp[q1; x] . c!x . nil"
+        root = s.config(f"pchoice {{ 1/2 -> {term} ; 1/2 -> {term} }}", state())
+        t = only_transition(s, root)
+        assert t.label == TAU
+        assert t.dist.support == (s.config(term, state()),)
 
 
 def after_handoff(system, sent):
