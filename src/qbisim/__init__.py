@@ -32,7 +32,6 @@ from .semantics import (
     Label,
     PLTS,
     System,
-    weak_transition,
 )
 from .bisim import (
     CheckReport,

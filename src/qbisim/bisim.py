@@ -422,7 +422,7 @@ class _Canon:
 # certification: the preconditions of the canonical collapse
 
 
-def _prepare(system: System, dists, max_configs=None) -> list:
+def _prepare(system: System, dists) -> list:
     """Reachable configurations, with the decidable-fragment checks.
 
     Raises when a visible quantum input is reachable (the decision
@@ -431,7 +431,7 @@ def _prepare(system: System, dists, max_configs=None) -> list:
     cycle.
     """
     roots = [c for d in dists for c in d.support]
-    configs = system.reachable(roots, max_configs=max_configs)
+    configs = system.reachable(roots)
     for c in configs:
         for t in system.step(c):
             if t.label.kind == Label.QIN:
@@ -586,12 +586,6 @@ def _member_lin(pairs, mu: ConfigDistribution, nu: ConfigDistribution) -> bool:
     return _feasible(columns, origins, target, None)
 
 
-def _weak_extremes(system: System, config: Configuration, label: Label):
-    if label == TAU:
-        return system.weak_tau_extremes(config)
-    return system.weak_visible_extremes(config, label)
-
-
 def _point_index(pairs) -> dict:
     """x -> {y: position} for the pairs (dirac x, dirac y) of `pairs`.
 
@@ -695,7 +689,7 @@ def _match_weak(system: System, pairs, points: dict, attack: ConfigDistribution,
     """
     per_config = []
     for d in defender.support:
-        extremes = _weak_extremes(system, d, label)
+        extremes = system.weak_extremes(d, label)
         if not extremes:
             return False
         per_config.append((d, extremes))
@@ -719,7 +713,7 @@ def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
     feasible split relies on go into `used`.
     """
     classes = decomp.classes
-    per_config = [(d, system.weak_tau_extremes(d)) for d in defender.support]
+    per_config = [(d, system.weak_extremes(d, TAU)) for d in defender.support]
     extreme_columns = _extreme_columns(per_config)
     free_keys = {("R", y.index)
                  for _, extremes in per_config for e in extremes for y, _ in e}
@@ -771,42 +765,28 @@ def _strong_attacks(system: System, dist: ConfigDistribution, cache: dict) -> tu
     if got is not None:
         return got
     support = dist.support
-    found = {}
-
-    options = []
-    for c in support:
-        options.append([system.dirac(c)] +
-                       [t.dist for t in system.tau_transitions(c)])
-    total = 1
-    for opts in options:
-        total *= len(opts)
-        if total > _ATTACK_CAP:
-            raise BudgetExceededError(
-                "attack enumeration exceeded the cap", budget=_ATTACK_CAP)
-    first = True
-    for pick in itertools.product(*options):
-        if first:
-            first = False
-            continue
-        moved = combine((dist.probability(c), d) for c, d in zip(support, pick))
-        found.setdefault((TAU, moved.digest), (TAU, moved))
-
     shared = None
     for c in support:
         labels = {t.label for t in system.visible_transitions(c)}
         shared = labels if shared is None else shared & labels
         if not shared:
             break
-    for label in sorted(shared or (), key=str):
+    found = {}
+    for label in [TAU] + sorted(shared or (), key=str):
         options = [[t.dist for t in system.step(c) if t.label == label]
                    for c in support]
+        if label == TAU:
+            options = [[system.dirac(c)] + opts for c, opts in zip(support, options)]
         total = 1
         for opts in options:
             total *= len(opts)
             if total > _ATTACK_CAP:
                 raise BudgetExceededError(
                     "attack enumeration exceeded the cap", budget=_ATTACK_CAP)
-        for pick in itertools.product(*options):
+        picks = itertools.product(*options)
+        if label == TAU:
+            next(picks)  # all halt: matched reflexively
+        for pick in picks:
             moved = combine((dist.probability(c), d) for c, d in zip(support, pick))
             found.setdefault((label, moved.digest), (label, moved))
 

@@ -291,9 +291,6 @@ def _model_options(p, *, tolerance=True):
     if tolerance:
         p.add_argument("--tol", type=float, default=None,
                        help="numerical tolerance in (0, 0.1]")
-    p.add_argument("--max-configs", type=int, default=200_000,
-                   dest="max_configs", metavar="N",
-                   help="state budget for graph exploration")
     p.add_argument("--budget", type=int, default=2_000_000, metavar="N",
                    help="work budget per query for the semantics engine")
     p.add_argument("--output", metavar="FILE", help="write the report here")
@@ -319,6 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail unless the graph closes within this depth")
     p.add_argument("--with-states", action="store_true", dest="with_states",
                    help="include density matrices in the JSON output")
+    p.add_argument("--max-configs", type=int, default=200_000,
+                   dest="max_configs", metavar="N",
+                   help="state budget for graph exploration")
     _model_options(p, tolerance=False)
 
     p = sub.add_parser("check", help="decide bisimilarity of two roots")

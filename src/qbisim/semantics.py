@@ -200,37 +200,21 @@ class ConfigDistribution:
     def mass(self):
         return sum(self.probs.values())
 
-    def scaled(self, factor: float) -> "ConfigDistribution":
-        return ConfigDistribution({c: p * factor for c, p in self.probs.items()})
-
     def held_qubits(self) -> frozenset:
         out = frozenset()
         for c in self.probs:
             out |= c.qv
         return out
 
-    def environment(self, trace_out=None):
-        """Average state of the qubits the processes do not hold.
-
-        `trace_out` names the qubits to discard; it defaults to every qubit
-        held somewhere in the support, and must cover them all.
-        """
+    def environment(self):
+        """Average state of the qubits no support configuration holds."""
         held = self.held_qubits()
-        if trace_out is None:
-            trace_out = held
-        else:
-            trace_out = frozenset(trace_out)
-            if not held <= trace_out:
-                raise ValueError(f"cannot keep held qubits {sorted(held - trace_out)}")
         acc = None
-        register = None
         for c, p in self.probs.items():
-            register = c.register
-            keep = [q for q in register.names if q not in trace_out]
-            reduced = partial_trace(c.matrix, register, keep)
+            keep = tuple(q for q in c.register.names if q not in held)
+            reduced = partial_trace(c.matrix, c.register, keep)
             p = float(p)
             acc = p * reduced if acc is None else acc + p * reduced
-        keep = tuple(q for q in register.names if q not in trace_out)
         return keep, acc
 
     def __repr__(self):
@@ -270,17 +254,25 @@ class _Cap(NamedTuple):
 # the system: interning, stepping, weak closure
 
 
+def _internal_cycle(config) -> CyclicModelError:
+    return CyclicModelError(
+        f"internal cycle through configuration {config!r}; "
+        "weak transitions need an acyclic internal graph")
+
+
 class System:
     """Execution engine for one module over one qubit register.
 
     Owns the configuration store, so configurations from different systems
-    never mix.  All step results and weak-transition extreme sets are
-    memoized per configuration.  The components of a parallel composition
-    are stepped once per (component, state): configurations that share a
-    component and a density matrix share its moves and input capabilities.
-    An input prefix is instantiated once per received value or qubit.
-    A restricted composition does not build the component moves and input
-    capabilities its restriction hides.  Configurations proved acyclic are
+    never mix.  Step results are memoized per configuration, and the
+    extreme points of weak moves per (configuration, label); an internal
+    cycle raises `CyclicModelError` from every weak-closure query.  The
+    components of a parallel composition are stepped once per (component,
+    state): configurations that share a component and a density matrix
+    share its moves and input capabilities.  An input prefix is
+    instantiated once per received value or qubit.  A restricted
+    composition does not build the component moves and input capabilities
+    its restriction hides.  Configurations proved acyclic are
     remembered, so no search repeats that proof.  `work` counts the
     expansion done by the current query against `budget` (see `query`).
 
@@ -308,8 +300,7 @@ class System:
         self._step_cache = {}
         self._component_steps = {}
         self._inputs = {}
-        self._tau_extremes = {}
-        self._visible_extremes = {}
+        self._extreme_sets = {}
         self._enabled_cache = {}
         self._op_cache = {}
         self._acyclic = set()
@@ -691,76 +682,45 @@ class System:
     def visible_transitions(self, config):
         return tuple(t for t in self.step(config) if t.label.visible)
 
-    def weak_tau_extremes(self, config: Configuration) -> tuple:
-        """Extreme points of every distribution reachable by internal moves."""
-        return self._tau_ext(config, frozenset())
+    def weak_extremes(self, config: Configuration, label: Label) -> tuple:
+        """Extreme distributions reachable by a weak `label` move: internal
+        moves, then `label`, then internal moves; for `TAU`, only internal
+        moves, halting included."""
+        return self._extremes(config, label, frozenset())
 
-    def _tau_ext(self, config, stack):
-        cached = self._tau_extremes.get(config)
+    def _extremes(self, config, label, stack):
+        key = (config, label)
+        cached = self._extreme_sets.get(key)
         if cached is not None:
             return cached
-        if config in stack:
-            raise CyclicModelError(
-                f"internal cycle through configuration {config!r}; "
-                "weak transitions need an acyclic internal graph")
-        stack = stack | {config}
-        found = {self.dirac(config).digest: self.dirac(config)}
-        for trans in self.tau_transitions(config):
+        if key in stack:
+            raise _internal_cycle(config)
+        stack = stack | {key}
+        found = {}
+        if not label.visible:
+            halt = self.dirac(config)
+            found[halt.digest] = halt
+        for trans in self.step(config):
             support = trans.dist.support
-            choice_sets = [self._tau_ext(s, stack) for s in support]
+            if trans.label == label:
+                then = TAU
+            elif trans.label.visible or not all(
+                    label in self.weak_enabled(s) for s in support):
+                continue
+            else:
+                then = label
+            choice_sets = [self._extremes(s, then, stack) for s in support]
             for combo in itertools.product(*choice_sets):
                 self._spend()
                 mixed = combine(
                     (trans.dist.probability(s), e) for s, e in zip(support, combo))
                 found.setdefault(mixed.digest, mixed)
-
         result = tuple(found.values())
-        self._tau_extremes[config] = result
-        return result
-
-    def weak_visible_extremes(self, config: Configuration, label: Label) -> tuple:
-        """Extreme distributions reachable by `label` flanked by internal moves."""
-        return self._vis_ext(config, label, frozenset())
-
-    def _vis_ext(self, config, label, stack):
-        key = (config, label)
-        cached = self._visible_extremes.get(key)
-        if cached is not None:
-            return cached
-        if config in stack:
-            raise CyclicModelError(
-                f"internal cycle through configuration {config!r}; "
-                "weak transitions need an acyclic internal graph")
-        stack = stack | {config}
-        found = {}
-        for trans in self.step(config):
-            if trans.label == label:
-                support = trans.dist.support
-                choice_sets = [self._tau_ext(s, frozenset()) for s in support]
-                for combo in itertools.product(*choice_sets):
-                    self._spend()
-                    mixed = combine(
-                        (trans.dist.probability(s), e) for s, e in zip(support, combo))
-                    found.setdefault(mixed.digest, mixed)
-            elif not trans.label.visible:
-                support = trans.dist.support
-                if not all(label in self.weak_enabled(s) for s in support):
-                    continue
-                choice_sets = [self._vis_ext(s, label, stack) for s in support]
-                for combo in itertools.product(*choice_sets):
-                    self._spend()
-                    mixed = combine(
-                        (trans.dist.probability(s), e) for s, e in zip(support, combo))
-                    found.setdefault(mixed.digest, mixed)
-        result = tuple(found.values())
-        self._visible_extremes[key] = result
+        self._extreme_sets[key] = result
         return result
 
     def weak_enabled(self, config: Configuration) -> frozenset:
         """Visible labels reachable as a full weak transition from here."""
-        cached = self._enabled_cache.get(config)
-        if cached is not None:
-            return cached
         return self._enabled(config, frozenset())
 
     def _enabled(self, config, stack):
@@ -768,21 +728,15 @@ class System:
         if cached is not None:
             return cached
         if config in stack:
-            return frozenset()
+            raise _internal_cycle(config)
         stack = stack | {config}
         labels = set()
         for trans in self.step(config):
             if trans.label.visible:
                 labels.add(trans.label)
             else:
-                shared = None
-                for s in trans.dist.support:
-                    got = self._enabled(s, stack)
-                    shared = got if shared is None else shared & got
-                    if not shared:
-                        break
-                if shared:
-                    labels |= shared
+                labels |= frozenset.intersection(
+                    *[self._enabled(s, stack) for s in trans.dist.support])
         result = frozenset(labels)
         self._enabled_cache[config] = result
         return result
@@ -856,29 +810,6 @@ class System:
 
 # ---------------------------------------------------------------------------
 # whole-graph construction and export
-
-
-def weak_transition(system: System, mu: ConfigDistribution, label: Label) -> tuple:
-    """Extreme points reachable from `mu` by a weak `label` transition.
-
-    Empty when some support configuration cannot perform the action at all;
-    the lifted step needs every support element to move.
-    """
-    if not label.visible:
-        raise ValueError("use System.weak_tau_extremes for internal moves")
-    support = mu.support
-    choice_sets = []
-    for c in support:
-        ext = system.weak_visible_extremes(c, label)
-        if not ext:
-            return ()
-        choice_sets.append(ext)
-    found = {}
-    for combo in itertools.product(*choice_sets):
-        system._spend()
-        mixed = combine((mu.probability(c), e) for c, e in zip(support, combo))
-        found.setdefault(mixed.digest, mixed)
-    return tuple(found.values())
 
 
 class PLTS:

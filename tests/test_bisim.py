@@ -383,7 +383,7 @@ class TestNonDyadicWeights:
     def test_products_of_weights_are_exact(self):
         s = fresh()
         c = s.config(self.PAIRS["tenths"][0], ground())
-        probs = {tuple(sorted(e.probs.values())) for e in s.weak_tau_extremes(c)}
+        probs = {tuple(sorted(e.probs.values())) for e in s.weak_extremes(c, TAU)}
         assert (Fraction(3, 100), Fraction(7, 100), Fraction(9, 10)) in probs
 
 
@@ -1193,7 +1193,7 @@ class TestCouplingAnswer:
                 (d,) = defender.support
                 assert any(combination_weights(
                     columns + bisim._extreme_columns([(d, (e,))]), target) is not None
-                    for e in bisim._weak_extremes(system, d, label))
+                    for e in system.weak_extremes(d, label))
                 answered.append(len(recorded))
             return got
 

@@ -130,6 +130,13 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "holds"
 
+    @pytest.mark.parametrize("command", ["check", "distance"])
+    def test_max_configs_is_not_an_option(self, capsys, module_file, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, module_file, "--left", "C", "--right", "D",
+                      "--rho", "q=+", "--max-configs", "1"])
+        assert exc.value.code == 2
+
     def test_rho_file(self, capsys, module_file, tmp_path):
         rho = tmp_path / "rho.json"
         rho.write_text(json.dumps({
