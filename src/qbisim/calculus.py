@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from fractions import Fraction
-from weakref import WeakValueDictionary
 
 from .errors import EvaluationError, ParseError, WellFormednessError
 from .quantum import DEFAULT_TOL, BitString
@@ -37,11 +37,24 @@ from .quantum import DEFAULT_TOL, BitString
 # Every constructor returns the live node with the same shallow key: the
 # class, the scalar fields and the child nodes themselves.  Children are
 # consed before their parents, so structurally equal terms are the same
-# object; equality is identity and hashing is O(arity).  The table holds
-# nodes weakly, so a term does not outlive its last user.  Nodes are
-# immutable: never assign to a field of a built node.
+# object; equality is identity and hashing is O(arity).  The table is a
+# plain dict from key to a weak reference to the node, so a term does not
+# outlive its last user: the reference carries its key, and its callback
+# deletes that key unless a newer node has taken it.  Nodes are immutable:
+# never assign to a field of a built node.
 
-_TABLE = WeakValueDictionary()
+_TABLE = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(entry, table=_TABLE):
+    # the table is bound here, so a callback run at interpreter exit still
+    # reaches it after the module globals are cleared
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
 def _cons(cls, fields, key=None):
@@ -52,14 +65,18 @@ def _cons(cls, fields, key=None):
     """
     if key is None:
         key = (cls,) + fields
-    node = _TABLE.get(key)
-    if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
-            setattr(node, name, value)
-        for name in cls._caches:
-            setattr(node, name, None)
-        _TABLE[key] = node
+    entry = _TABLE.get(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        setattr(node, name, value)
+    for name in cls._caches:
+        setattr(node, name, None)
+    entry = _TABLE[key] = _Entry(node, _drop)
+    entry.key = key
     return node
 
 

@@ -161,7 +161,12 @@ class ConfigDistribution:
     """Finite-support distribution over configurations of one system.
 
     Probabilities are exact (int or Fraction) until a measurement outcome
-    makes them floats; digests, environments and outputs read floats."""
+    makes them floats; digests, environments and outputs read floats.
+
+    Distributions are immutable: one object is shared by the transitions
+    that reach it, the saturations and derivatives built from it and the
+    weak extremes that contain it, along with its cached digest and
+    environment.  Never assign into `probs`."""
 
     __slots__ = ("probs", "_digest", "_env")
 
@@ -224,15 +229,32 @@ class ConfigDistribution:
 
 
 def combine(parts) -> ConfigDistribution:
-    """Convex combination of (weight, distribution) pairs."""
-    acc = {}
+    """Convex combination of (weight, distribution) pairs.
+
+    Parts of weight 0 are skipped.  When one part remains and its weight is
+    1, that distribution itself is returned, not a copy: distributions are
+    immutable, so the callers share it and its cached digest."""
+    acc = first = None
     for w, dist in parts:
         if not w:
             continue
+        if acc is None:
+            if first is None:
+                first = w, dist
+                continue
+            fw, fdist = first
+            acc = {c: p if fw == 1 else fw * p for c, p in fdist.probs.items()}
         for c, p in dist.probs.items():
             q = p if w == 1 else w * p
             prev = acc.get(c)
             acc[c] = q if prev is None else prev + q
+    if acc is None:
+        if first is None:
+            return ConfigDistribution({})
+        w, dist = first
+        if w == 1:
+            return dist
+        acc = {c: w * p for c, p in dist.probs.items()}
     return ConfigDistribution(acc)
 
 
@@ -357,7 +379,9 @@ class System:
         return matrix, digest
 
     def _intern(self, term: Process, matrix) -> Configuration:
-        matrix, digest = self._share(matrix)
+        digest = self._digests.get(id(matrix))
+        if digest is None:
+            matrix, digest = self._share(matrix)
         key = (term, digest)
         got = self._configs.get(key)
         if got is None:
@@ -367,13 +391,6 @@ class System:
 
     def dirac(self, config: Configuration) -> ConfigDistribution:
         return ConfigDistribution({config: 1})
-
-    def distribution(self, items) -> ConfigDistribution:
-        acc = {}
-        for p, c in items:
-            prev = acc.get(c)
-            acc[c] = p if prev is None else prev + p
-        return ConfigDistribution(acc)
 
     @contextmanager
     def query(self):
@@ -428,10 +445,19 @@ class System:
         if cached is not None:
             return cached
         moves, caps = self._step_term(config.term, config.matrix, _UNFOLD_LIMIT)
+        intern = self._intern
         out = []
         for label, branches in moves:
-            out.append(Transition(label, self.distribution(
-                (p, self._intern(t, s)) for p, t, s in branches)))
+            if len(branches) == 1:
+                ((p, t, s),) = branches
+                probs = {intern(t, s): p}
+            else:
+                probs = {}
+                for p, t, s in branches:
+                    c = intern(t, s)
+                    prev = probs.get(c)
+                    probs[c] = p if prev is None else prev + p
+            out.append(Transition(label, ConfigDistribution(probs)))
         for cap in caps:
             if cap.chan.quantum:
                 for name in self.register.names:
@@ -466,6 +492,30 @@ class System:
         Returns (moves, caps): moves are (Label, branches) with branches a
         tuple of (prob, term, matrix); caps are pending input prefixes.
         """
+        if isinstance(term, ca.Restrict):
+            chans = term.channels
+            if isinstance(term.body, ca.Par):
+                moves, caps = self._step_par(term.body, mat, fuel, chans)
+            else:
+                moves, caps = self._step_term(term.body, mat, fuel)
+            out_moves = []
+            for label, branches in moves:
+                if label.visible and label.chan in chans:
+                    continue
+                out_moves.append((label, tuple(
+                    (p, ca.Restrict(t, chans), s) for p, t, s in branches)))
+            out_caps = []
+            for cap in caps:
+                if cap.chan in chans:
+                    continue
+
+                def wrap(v, inst=cap.instantiate, chans=chans):
+                    t = inst(v)
+                    return None if t is None else ca.Restrict(t, chans)
+
+                out_caps.append(_Cap(cap.chan, wrap))
+            return out_moves, out_caps
+
         if isinstance(term, ca.Nil):
             return [], []
 
@@ -543,30 +593,6 @@ class System:
 
         if isinstance(term, ca.Par):
             return self._step_par(term, mat, fuel)
-
-        if isinstance(term, ca.Restrict):
-            chans = term.channels
-            if isinstance(term.body, ca.Par):
-                moves, caps = self._step_par(term.body, mat, fuel, chans)
-            else:
-                moves, caps = self._step_term(term.body, mat, fuel)
-            out_moves = []
-            for label, branches in moves:
-                if label.visible and label.chan in chans:
-                    continue
-                out_moves.append((label, tuple(
-                    (p, ca.Restrict(t, chans), s) for p, t, s in branches)))
-            out_caps = []
-            for cap in caps:
-                if cap.chan in chans:
-                    continue
-
-                def wrap(v, inst=cap.instantiate, chans=chans):
-                    t = inst(v)
-                    return None if t is None else ca.Restrict(t, chans)
-
-                out_caps.append(_Cap(cap.chan, wrap))
-            return out_moves, out_caps
 
         if isinstance(term, ca.Relabel):
             moves, caps = self._step_term(term.body, mat, fuel)

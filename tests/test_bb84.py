@@ -1,5 +1,6 @@
 """Protocol builders, bit-string functions, probabilities, and verdicts."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -203,6 +204,15 @@ class TestSecurity:
         assert bound.value <= bb84.security_bound(2)
         extra = bound.annotations[-1]
         assert extra["forbidden_probability"] <= extra["security_bound"]
+
+    def test_n2_json_is_pinned(self):
+        # the value, the witness and the annotations, byte for byte, of a
+        # query on a new System: the witness names configurations by their
+        # index, which follows what the shared System reached first
+        bb84._protocol_system.cache_clear()
+        text = bb84.verify_security(2).to_json_str()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a487630032348179686e7c2fa90a10f1e0400ca61cf9937c028833b725043924")
 
     def test_witness_re_verifies(self):
         inst = bb84.build_bb84_security_test(2)

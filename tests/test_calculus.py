@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from qbisim import calculus
 from qbisim.calculus import (
     NIL,
     Apply,
@@ -508,11 +509,15 @@ class TestHashConsing:
         assert pickle.loads(pickle.dumps(t)) is t
 
     def test_unused_terms_are_not_kept(self):
+        gc.collect()
+        size = len(calculus._TABLE)
         t = parse_term("only_here!1 . nil")
+        assert len(calculus._TABLE) > size
         alive = weakref.ref(t)
         del t
         gc.collect()
         assert alive() is None
+        assert len(calculus._TABLE) == size  # the dead nodes' keys go too
 
     def test_free_names_are_cached_per_node(self):
         t = parse_term(SAMPLE)

@@ -1,5 +1,7 @@
 """Transition rules, weak closure, lifting and graph export."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from qbisim.semantics import (
     combine,
 )
 from qbisim.bb84 import build_bb84_security_test
-from qbisim.bisim import _closure_columns, _member_lin, tc_decompose
+from qbisim.bisim import _Canon, _closure_columns, _member_lin, tc_decompose
 from qbisim.lp import combination_weights
 
 import randsys
@@ -622,6 +624,43 @@ class TestInterning:
         a = s.config(parse_term("c?x . d!x . nil"), state())
         b = s.config(parse_term("c?z . d!z . nil"), state())
         assert a is b
+
+
+class TestSharedDistributions:
+    """Distributions are immutable, so a combination that reproduces one
+    part returns that part itself, with its cached digest."""
+
+    def test_a_lone_part_of_weight_one_is_returned(self):
+        s = fresh()
+        d = s.dirac(s.config("a!0 . nil", state()))
+        e = s.dirac(s.config("b!0 . nil", state()))
+        assert combine([(1, d)]) is d
+        assert combine([(0, e), (1, d)]) is d
+        assert combine([]).probs == {}
+
+    def test_two_parts_build_a_new_distribution(self):
+        s = fresh()
+        x, y = s.config("a!0 . nil", state()), s.config("b!0 . nil", state())
+        d = ConfigDistribution({x: Fraction(1, 2), y: Fraction(1, 2)})
+        e = s.dirac(y)
+        mix = combine([(Fraction(1, 3), d), (Fraction(2, 3), e)])
+        assert mix is not d and mix is not e
+        assert mix.probs == {x: Fraction(1, 6), y: Fraction(5, 6)}
+        assert d.probs == {x: Fraction(1, 2), y: Fraction(1, 2)}
+        assert e.probs == {y: 1}
+
+    def test_dirac_saturation_chain_shares_one_distribution(self):
+        s = fresh()
+        c = s.config("tau . tau . a!0 . nil", state())
+        canon = _Canon(s)
+        with s.query():
+            sat = canon.config_sat(c)
+            assert s.work == 2  # one unit per support configuration saturated
+        (mid,) = only_transition(s, c).dist.support
+        (last,) = only_transition(s, mid).dist.support
+        assert sat.probs == {last: 1}
+        assert canon.config_sat(last) is sat
+        assert canon.config_sat(mid) is sat
 
 
 class TestCanonicalBinders:
