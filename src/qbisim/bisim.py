@@ -15,18 +15,18 @@ search over the point distributions of the reachable configurations.
 Two checking engines coexist.  The exhaustive engine enumerates extreme
 strong moves and matches them against the convex closure of the candidate
 relation by exact rational feasibility; it is the literal reading of the
-definitions and is used for small systems and for replaying refutations.
-The saturated engine applies only to certified systems (acyclic, free of
-visible quantum input, every visibly-enabled configuration internally inert,
-and confluent as proved by the local-diamond criterion of
-`confluence_check`); there, every internal interleaving of a distribution
-shares one canonical saturation, so matching collapses to comparing
-saturated transition-consistent classes.  That collapse is what keeps
-protocol-sized witnesses small enough to re-verify.  A canonical witness
-is therefore a bisimulation up to canonical saturation: it relates
-saturations and classes, so the exhaustive engine can reject it when the
-two sides pass through different intermediate configurations (a silent
-step one side takes and the other lacks).
+definitions and is used for small systems.  The saturated engine applies
+only to certified systems (acyclic, free of visible quantum input, every
+visibly-enabled configuration internally inert, and confluent as proved
+by the local-diamond criterion of `confluence_check`); there, every
+internal interleaving of a distribution shares one canonical saturation,
+so matching collapses to comparing saturated transition-consistent
+classes.  That collapse is what keeps protocol-sized witnesses small
+enough to re-verify.  A canonical witness is therefore a bisimulation up
+to canonical saturation: it relates saturations and classes, so the
+exhaustive engine can reject it when the two sides pass through different
+intermediate configurations (a silent step one side takes and the other
+lacks).
 
 Soundness of relation verdicts rests on three facts about the convex
 closure: lifted transitions are linear and left-decomposable, the canonical
@@ -36,16 +36,32 @@ family therefore certifies its whole convex closure (implicit identity
 pairs included), which is the relation the reports describe.
 
 Each System keeps what the refinement proved on it.  Per tolerance, it
-keeps the candidate point pairs some state-based fixpoint kept or deleted.
-A later state-based fixpoint starts from those verdicts and refines only the
-pairs no fixpoint has decided yet.  It also keeps each relation-search
-outcome of `decide_bisim`, keyed by the exact probabilities of the pair and
-the tolerance.  `distance_upper_bound` on a system it cannot certify reads
+keeps the candidate point pairs some state-based fixpoint kept or deleted,
+and a log with the evidence for each deletion.  A later state-based
+fixpoint starts from those verdicts and refines only the pairs no fixpoint
+has decided yet.  It also keeps each relation-search outcome of
+`decide_bisim`, keyed by the exact probabilities of the pair and the
+tolerance.  `distance_upper_bound` on a system it cannot certify reads
 that outcome rather than search again.  The verdicts are exact, not
 heuristic: on a reach-closed set of configurations, the greatest fixpoint
 over any larger reach-closed set restricts to the fixpoint over the set
 alone.  Looking them up spends no work units.  `decide_bisim` never reads
 them, and replays neither read nor write them.
+
+Refutations replay through `replay_refutation`.  The refinement engines
+follow the certifying-algorithm pattern (McConnell, Mehlhorn, Näher and
+Schweitzer, "Certifying algorithms", Computer Science Review 2011): a
+state-based or relation-search refutation carries a `Certificate`, the
+deletions it rests on, in order.  Each names a pair, the obligation it
+failed, and for each failed match either an integer Farkas vector showing
+the match's LP infeasible or the fact that the defender has no weak move
+with the label.  The checker re-reads the entries against the moves of
+the System with exact integer dot products.  It solves no LP and runs no
+fixpoint, so a replay does not repeat the decision.  A certificate is
+exact relative to the float probabilities the engine used, so it cannot
+see a defect in those probabilities, such as a measured 1/3 p + 2/3 p that
+differs from p in floats.  Canonical, exhaustive and saturated refutations
+are re-decided by a second procedure.
 """
 
 from __future__ import annotations
@@ -53,7 +69,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -250,6 +267,9 @@ class CheckReport:
     `pair` the offending pair, `label`/`attack` the unmatched move, and
     `direction` which side attacked.  `mode` records the engine that
     produced the verdict; refutations replay via `replay_refutation`.
+    A state-based or relation-search refutation carries its `certificate`
+    (`Certificate`).  It is left out of `to_json`: it lists deletions the
+    System may have made for earlier queries.
     """
 
     holds: bool
@@ -263,6 +283,7 @@ class CheckReport:
     witness: Optional[RelationCandidate] = None
     lam: Optional[float] = None
     tol: Optional[float] = None
+    certificate: Optional["Certificate"] = field(default=None, compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -503,10 +524,13 @@ def _certified(system: System, configs) -> tuple:
     branching = []
     for c in configs:
         moves = system.step(c)
-        labels = {t.label for t in moves}
-        if TAU in labels and len(labels) > 1:
-            return canon, False, "a visibly-enabled configuration has internal moves"
-        if len(labels) < len(moves):
+        taus = system.tau_transitions(c)
+        if taus:
+            if len(taus) < len(moves):
+                return canon, False, "a visibly-enabled configuration has internal moves"
+            if len(taus) > 1:
+                branching.append(c)
+        elif len({t.label for t in moves}) < len(moves):
             branching.append(c)
     if not branching:
         return canon, True, "certified: scheduling is deterministic"
@@ -562,15 +586,16 @@ def _extreme_columns(per_config) -> list:
     return columns
 
 
-def _feasible(columns, origins, target, used) -> bool:
+def _feasible(columns, origins, target, used, farkas=None) -> bool:
     """Is `target` a nonnegative combination of `columns`?
 
     `origins` gives the position of the relation pair behind each of the
     leading columns, or None for an identity carrier.  When the combination
     exists and `used` is a set, the positions of the pairs whose columns
-    carry positive weight in it are added to `used`.
+    carry positive weight in it are added to `used`.  When it does not and
+    `farkas` is a list, the LP's `Farkas` proof is appended to it.
     """
-    x = combination_weights(columns, target)
+    x = combination_weights(columns, target, farkas)
     if x is None:
         return False
     if used is not None:
@@ -672,7 +697,8 @@ def _bijection(attack: ConfigDistribution, e: ConfigDistribution,
 
 
 def _match_weak(system: System, pairs, points: dict, attack: ConfigDistribution,
-                defender: ConfigDistribution, label: Label, used=None) -> bool:
+                defender: ConfigDistribution, label: Label, used=None,
+                proof=None) -> bool:
     """Can the defender weakly answer `attack` inside the relation's closure?
 
     Searches for a weak hatted `label` derivative nu' of `defender` with
@@ -685,12 +711,16 @@ def _match_weak(system: System, pairs, points: dict, attack: ConfigDistribution,
     along identity pairs and the point pairs `points` of `pairs` relates to
     the attack (`_coupling_answer`), that coupling solves the problem and
     no LP is solved; otherwise the LP decides.  Either way the positions of
-    the pairs the match relies on go into `used` (see `_feasible`).
+    the pairs the match relies on go into `used` (see `_feasible`).  When
+    the match fails and `proof` is a list, it receives the LP's `Farkas`
+    proof, or None when a defending configuration has no weak `label` move.
     """
     per_config = []
     for d in defender.support:
         extremes = system.weak_extremes(d, label)
         if not extremes:
+            if proof is not None:
+                proof.append(None)
             return False
         per_config.append((d, extremes))
     if _coupling_answer(attack, defender, per_config, points, used):
@@ -698,19 +728,25 @@ def _match_weak(system: System, pairs, points: dict, attack: ConfigDistribution,
     columns, origins = _closure_columns(pairs, attack)
     target = {("L", c.index): p for c, p in attack}
     target.update((("D", d.index), p) for d, p in defender)
-    return _feasible(columns + _extreme_columns(per_config), origins, target, used)
+    farkas = None if proof is None else []
+    if _feasible(columns + _extreme_columns(per_config), origins, target, used, farkas):
+        return True
+    if proof is not None:
+        proof.extend(farkas)
+    return False
 
 
 def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
                          defender: ConfigDistribution, lam: float, tol: float,
-                         used=None) -> bool:
+                         used=None, proof=None) -> bool:
     """Can the defender internally split to match the attacker's classes?
 
     Searches for a weak tau derivative of `defender` of the form
     sum_i p_i nu_i with (mu_i, nu_i) in the closure for every matched class
     and at most `lam` attacker mass unmatched.  Matched subsets are tried in
     order of decreasing matched mass.  The positions of the pairs the first
-    feasible split relies on go into `used`.
+    feasible split relies on go into `used`.  With `proof` a list, each
+    subset whose LP fails appends (subset, its `Farkas` proof).
     """
     classes = decomp.classes
     per_config = [(d, system.weak_extremes(d, TAU)) for d in defender.support]
@@ -736,7 +772,12 @@ def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
             for c, p in cls.dist:
                 target[("L", i, c.index)] = cls.weight * p
         target.update((("D", d.index), p) for d, p in defender)
-        return _feasible(columns, origins, target, used)
+        farkas = None if proof is None else []
+        if _feasible(columns, origins, target, used, farkas):
+            return True
+        if proof is not None:
+            proof.extend((matched, f) for f in farkas)
+        return False
 
     indices = range(len(classes))
     options = []
@@ -815,7 +856,7 @@ def _oriented(pairs) -> tuple:
 
 def _violation(system: System, rel, points: dict, x: ConfigDistribution,
                y: ConfigDistribution, lam: float, tol: float, attack_cache: dict,
-               used=None) -> Optional[dict]:
+               used=None, proof=None) -> Optional[dict]:
     """The first clause (ii) or (iii) obligation of x, attacking y, that the
     closure of `rel` fails to meet, as CheckReport fields; None if all hold.
     `points` is `_point_index(rel)`.
@@ -824,17 +865,21 @@ def _violation(system: System, rel, points: dict, x: ConfigDistribution,
     Clause (iii): when x is not transition consistent, an internal split of
     y matches its canonical classes with at most `lam` mass unmatched.
     The positions in `rel` of the pairs the matches rely on go into `used`.
+    With `proof` a list, the evidence of the failed matches of the violated
+    obligation goes into it (`_match_weak`, `_match_decomposition`).
     """
     for label, attack in _strong_attacks(system, x, attack_cache):
-        if not _match_weak(system, rel, points, attack, y, label, used):
+        if not _match_weak(system, rel, points, attack, y, label, used, proof):
             return dict(clause="ii", label=label, attack=attack,
                         detail=f"strong {label} move has no weak match in the closure")
     if not is_transition_consistent(x, system):
         if not _match_decomposition(system, rel, tc_decompose(x, system), y, lam, tol,
-                                    used):
+                                    used, proof):
             return dict(clause="iii", label=TAU,
                         detail="no internal split of the defending side matches the "
                                "transition-consistent classes within the allowed mass")
+        if proof is not None:
+            proof.clear()   # subsets that failed before one matched
     return None
 
 
@@ -1082,11 +1127,11 @@ def _decide_canonical(canon: _Canon, mu, nu, tol: float, certificate: str) -> Ch
 
 def _pair_violation(system: System, rel, points: dict, a: ConfigDistribution,
                     b: ConfigDistribution, tol: float, attack_cache: dict,
-                    used=None) -> Optional[dict]:
+                    used=None, proof=None) -> Optional[dict]:
     """`_violation` at lambda 0 in both orientations of (a, b), with the
     attacking side as `direction`."""
     for x, y, side in ((a, b, "left"), (b, a, "right")):
-        bad = _violation(system, rel, points, x, y, 0.0, tol, attack_cache, used)
+        bad = _violation(system, rel, points, x, y, 0.0, tol, attack_cache, used, proof)
         if bad is not None:
             return dict(bad, direction=side)
     return None
@@ -1095,14 +1140,74 @@ def _pair_violation(system: System, rel, points: dict, a: ConfigDistribution,
 class _StateFacts(NamedTuple):
     """The point pairs that state-based fixpoints on one System at one
     tolerance decided: candidate pairs of configuration indices, smaller
-    first, that a fixpoint kept (`alive`) or deleted (`dead`)."""
+    first, that a fixpoint kept (`alive`) or deleted (`dead`), and the
+    deletion `log` (`_ground_fixpoint`) that justifies each dead pair."""
 
     alive: set
     dead: set
+    log: dict
 
 
-def _ground_fixpoint(system: System, members: list, tol: float,
-                     attack_cache: dict, facts: Optional[_StateFacts] = None) -> set:
+class _Entry(NamedTuple):
+    """One failed check of `_ground_fixpoint`: a deletion, or the final
+    check that names a refutation.
+
+    `seq` orders entries; `pair` (a, b) and `direction` are as in
+    CheckReport, "left" meaning a attacked.  For clause (ii), `proof` holds
+    the one failed match of the strong `label` move `attack`: its Farkas
+    vector, or None when a defending configuration has no weak `label`
+    move.  For clause (iii) it holds (matched-class subset, Farkas vector)
+    for every subset the match tried.  In a log the vectors are `Farkas`
+    proofs, built when first read; in a `Certificate` they are dicts from
+    LP row to int (`_concrete`).
+    """
+
+    seq: int
+    pair: tuple
+    direction: str
+    clause: str
+    label: Label
+    attack: Optional[ConfigDistribution]
+    proof: tuple
+
+
+class Certificate(NamedTuple):
+    """What a state-based or relation-search refutation rests on.
+
+    `entries` are deletion entries in deletion order.  The last is the
+    report's own failing check; every other one deletes a pair whose column
+    would break a Farkas vector of a later entry.  `family` holds the
+    digests of the relation-search family, and is None for state-based
+    refutations, whose family is every point distribution.
+    `replay_refutation` checks it without solving an LP.
+    """
+
+    entries: tuple
+    family: Optional[tuple]
+
+    @property
+    def detail(self) -> str:
+        return (f"{len(self.entries)} deletion entries, each with exact integer "
+                "Farkas vectors or a missing weak move; the certificate is exact "
+                "relative to the float probabilities the engine used")
+
+
+def _concrete(entry: _Entry) -> _Entry:
+    """`entry` with its Farkas proofs read out as dicts."""
+    if entry.clause == "iii":
+        proof = tuple((matched, f.by_key()) for matched, f in entry.proof)
+    else:
+        proof = tuple(None if f is None else f.by_key() for f in entry.proof)
+    return entry._replace(proof=proof)
+
+
+def _pair_key(a: ConfigDistribution, b: ConfigDistribution) -> tuple:
+    """The unordered pair {a, b}, by digest: how certificates name pairs."""
+    return (a.digest, b.digest) if a.digest <= b.digest else (b.digest, a.digest)
+
+
+def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: dict,
+                     facts: Optional[_StateFacts] = None, log: Optional[dict] = None) -> set:
     """Index pairs (i, j), i <= j, of `members` in the greatest fixpoint.
 
     Candidates are the pairs meeting clause (i) whose transition-consistent
@@ -1132,6 +1237,11 @@ def _ground_fixpoint(system: System, members: list, tol: float,
     its point-pair index (`_point_index`) are rebuilt once per deletion.
     Rounds visit the pending pairs in sorted order, so the result and the
     LPs solved do not depend on hash order.
+
+    With `log`, each deletion adds an `_Entry` under its `_pair_key`, with
+    the evidence of the check that failed.  Entries are added when the
+    fixpoint completes, numbered after those `log` already holds, so an
+    entry's `seq` orders it after every deletion it relied on.
 
     With `facts`, every member is a point distribution.  A pair that `facts`
     holds alive starts alive and is never checked, and a pair it holds dead
@@ -1189,6 +1299,7 @@ def _ground_fixpoint(system: System, members: list, tol: float,
     rel = owners = points = None
     deps = {}    # survivor -> the pairs its last check relied on
     users = {}   # pair -> the survivors whose last check relied on it
+    deleted = {}  # entries for `log`
     pending = alive - decided
     checked = set(pending)
     while pending:
@@ -1206,9 +1317,11 @@ def _ground_fixpoint(system: System, members: list, tol: float,
             for q in deps.pop(key, ()):
                 users.get(q, set()).discard(key)
             used = set()
+            proof = None if log is None else []
             i, j = key
-            if _pair_violation(system, rel, points, members[i], members[j], tol,
-                               attack_cache, used) is None:
+            bad = _pair_violation(system, rel, points, members[i], members[j], tol,
+                                  attack_cache, used, proof)
+            if bad is None:
                 deps[key] = {owners[k] for k in used}
                 for q in deps[key]:
                     users.setdefault(q, set()).add(key)
@@ -1216,10 +1329,20 @@ def _ground_fixpoint(system: System, members: list, tol: float,
                 alive.discard(key)
                 pending |= users.pop(key, set())
                 rel = None
+                if log is not None:
+                    deleted[_pair_key(members[i], members[j])] = _entry(
+                        len(log) + len(deleted), (members[i], members[j]), bad, proof)
     if ids is not None:
         for i, j in checked:
             (facts.alive if (i, j) in alive else facts.dead).add(fact(i, j))
+    if log is not None:
+        log.update(deleted)
     return alive
+
+
+def _entry(seq: int, pair: tuple, bad: dict, proof: list) -> _Entry:
+    return _Entry(seq, pair, bad["direction"], bad["clause"], bad["label"],
+                  bad.get("attack"), tuple(proof))
 
 
 def _survives(members: list, alive: set, mu, nu) -> bool:
@@ -1234,15 +1357,19 @@ def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> Che
 
     The verdict is whether (mu, nu), both members, survives
     `_ground_fixpoint`; the survivors are the witness.  A refutation names
-    the first clause (mu, nu) violates against the survivors.  In mode
+    the first clause (mu, nu) violates against the survivors, and carries a
+    `Certificate` built from that check and the deletion log.  In mode
     "state-based" the members are the point distributions of a reach-closed
-    set, and the fixpoint starts from the System's state-based facts.
+    set, and the fixpoint starts from the System's state-based facts and
+    adds to their log.
     """
     attack_cache = {}
     facts = None
+    log = {}
     if mode == "state-based":
-        facts = system._state_facts.setdefault(tol, _StateFacts(set(), set()))
-    alive = _ground_fixpoint(system, members, tol, attack_cache, facts)
+        facts = system._state_facts.setdefault(tol, _StateFacts(set(), set(), {}))
+        log = facts.log
+    alive = _ground_fixpoint(system, members, tol, attack_cache, facts, log)
     survivors = [(members[i], members[j]) for i, j in sorted(alive)]
     if _survives(members, alive, mu, nu):
         return CheckReport(True, mode, tol=tol, witness=RelationCandidate(tuple(survivors)),
@@ -1252,18 +1379,50 @@ def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> Che
     if detail is not None:
         return CheckReport(False, mode, clause="i", pair=(mu, nu), tol=tol, detail=detail)
     rel = _oriented(survivors) + ((mu, nu), (nu, mu))
-    bad = _pair_violation(system, rel, _point_index(rel), mu, nu, tol, attack_cache) or {}
+    proof = []
+    bad = _pair_violation(system, rel, _point_index(rel), mu, nu, tol, attack_cache,
+                          None, proof) or {}
+    final = _entry(len(log), (mu, nu), bad, proof) if bad else None
+    certificate = _certify(system, members, mode, log, final, tol)
     detail = bad.pop("detail", "deleted during refinement")
-    return CheckReport(False, mode, pair=(mu, nu), tol=tol, detail=detail, **bad)
+    return CheckReport(False, mode, pair=(mu, nu), tol=tol, detail=detail,
+                       certificate=certificate, **bad)
 
 
-def _relation_search(canon: _Canon, mu, nu, tol: float) -> CheckReport:
-    """Refinement over a finite family of reachable distributions.
+def _certify(system: System, members: list, mode: str, log: dict,
+             final: Optional[_Entry], tol: float) -> Certificate:
+    """The certificate of a refutation whose failing check is `final`:
+    that entry, and from `log` every entry deleting a pair whose column
+    breaks the Farkas vectors of a kept entry, recursively.  Only deleted
+    pairs can: the columns of the pairs alive at an entry's check were in
+    its LP."""
+    family = None if mode == "state-based" else members
+    reader = _EntryChecker(system, tol, family)
 
-    The family holds the queried pair, every point distribution, every
-    one-step target, canonical saturations, and the canonical classes of
-    each member.  Complete only as far as the family reaches, which covers
-    the acyclic desk-scale systems this mode is meant for.
+    def logged(m, n):
+        key = _pair_key(m, n)
+        return key if key in log else None
+
+    kept = {}
+    final = None if final is None else _concrete(final)
+    todo = [] if final is None else [final]
+    while todo:
+        for key in reader.blocks(todo.pop(), logged) or ():
+            if key not in kept:
+                kept[key] = _concrete(log[key])
+                todo.append(kept[key])
+    entries = sorted(kept.values(), key=lambda e: e.seq) + ([] if final is None else [final])
+    return Certificate(tuple(entries), None if family is None
+                       else tuple(m.digest for m in members))
+
+
+def _search_family(canon: _Canon, mu, nu) -> list:
+    """The family relation search refines over, sorted by digest.
+
+    It holds the queried pair, every point distribution, every one-step
+    target, canonical saturations, and the canonical classes of each
+    member.  Complete only as far as the family reaches, which covers the
+    acyclic desk-scale systems this mode is meant for.
     """
     system = canon.system
     family = {}
@@ -1286,8 +1445,14 @@ def _relation_search(canon: _Canon, mu, nu, tol: float) -> CheckReport:
     for d in list(family.values()):
         for cls in tc_decompose(d, system).classes:
             add(cls.dist)
-    members = sorted(family.values(), key=lambda d: d.digest)
-    return _refine(system, members, mu, nu, tol, "relation-search")
+    return sorted(family.values(), key=lambda d: d.digest)
+
+
+def _relation_search(canon: _Canon, mu, nu, tol: float) -> CheckReport:
+    """Refinement over the finite family `_search_family` of reachable
+    distributions."""
+    return _refine(canon.system, _search_family(canon, mu, nu), mu, nu, tol,
+                   "relation-search")
 
 
 def _search_key(mu: ConfigDistribution, nu: ConfigDistribution, tol: float) -> tuple:
@@ -1549,17 +1714,18 @@ def superop_closure_sample_test(relation, context, samples: int = 20,
 
 @_query
 def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> bool:
-    """Re-derive a refutation independently of the engine that produced it.
+    """Confirm a refutation independently of the engine that produced it.
 
-    Confirms the reported evidence against the raw semantics: clause (i)
-    violations are recomputed from the configurations, reported moves must
-    exist in the transition graph, and decomposition evidence must name a
-    genuine inconsistency.  When the reachable graph fits in `max_configs`,
-    the offending pair is additionally re-decided by a second procedure
-    (a re-scheduled canonical run, the fixpoint refinement, or a fresh
-    state-based decision).  Re-decisions neither read nor write what the
-    System keeps from earlier queries, so they repeat the refinement in
-    full.  Used by the test suite on every refutation.
+    Clause (i) violations are recomputed from the configurations.  A
+    state-based or relation-search refutation is confirmed by checking its
+    `Certificate` (`_certificate_holds`), whose last entry is the reported
+    move: no LP is solved and no fixpoint runs, and what the System keeps
+    from earlier queries is neither read nor written.  For other
+    refutations a reported move must exist in the transition graph, and
+    the pair is re-decided by a second procedure when the reachable graph
+    fits in `max_configs`: a re-scheduled canonical run, a lambda-relation
+    check, or relation search; beyond it, the directly verified evidence
+    stands.  Used by the test suite on every refutation.
     """
     system = _system_of(context)
     if report.holds:
@@ -1572,6 +1738,8 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
 
     if report.clause == "i":
         return _clause_i(x, y, lam + tol) is not None
+    if report.mode in ("state-based", "relation-search"):
+        return _certificate_holds(system, report)
 
     attacker = x if report.direction != "right" else y
     confirmed = False
@@ -1596,9 +1764,6 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
         # too large to re-decide; stand on the directly verified evidence
         return confirmed
 
-    if report.mode == "state-based":
-        family = [system.dirac(c) for c in _prepare(system, (x, y))]
-        return not _survives(family, _ground_fixpoint(system, family, tol, {}), x, y)
     if lam > 0.0:
         fresh = check_lambda_relation([(x, y)], lam, system, tol=tol)
         return not fresh.holds
@@ -1607,6 +1772,185 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
         return not fresh.holds
     _prepare(system, (x, y))
     return not _relation_search(_Canon(system), x, y, tol).holds
+
+
+def _certificate_holds(system: System, report: CheckReport) -> bool:
+    """Does the report's certificate prove its pair outside the greatest
+    fixpoint of its engine?
+
+    Entries are read in order.  An entry proves its pair dead when its
+    evidence holds (`_EntryChecker.blocks`) with every pair of an earlier entry
+    dead and every other candidate pair alive: each column a bisimulation
+    could use is then a column of the entry's LP, which its Farkas vector
+    shows infeasible.  The last entry must be the report's failing check.
+    A report with no failing check names a pair that is no candidate.
+    """
+    cert = report.certificate
+    if cert is None:
+        return False
+    mu, nu = report.pair
+    family = None
+    if cert.family is not None:
+        family = _search_family(_Canon(system), mu, nu)
+        if tuple(m.digest for m in family) != cert.family:
+            return False
+    reader = _EntryChecker(system, report.tol, family)
+    if not cert.entries:
+        return report.clause is None and not reader.candidate(mu, nu)
+    dead = set()
+
+    def alive(m, n):
+        key = _pair_key(m, n)
+        return key if key not in dead and reader.candidate(m, n) else None
+
+    last = cert.entries[-1]
+    if ((last.pair[0].digest, last.pair[1].digest, last.direction, last.clause,
+         last.label) != (mu.digest, nu.digest, report.direction, report.clause,
+                         report.label)
+            or getattr(last.attack, "digest", None)
+            != getattr(report.attack, "digest", None)):
+        return False
+    for entry in cert.entries:
+        if reader.blocks(entry, alive) != set():   # None, or a live candidate
+            return False
+        dead.add(_pair_key(*entry.pair))
+    return True
+
+
+def _dot(y: dict, items) -> tuple:
+    """(n, s), s > 0, with n / s the exact sum of y[k] * v over the pairs
+    (k, v) of `items`: integer arithmetic on each value's exact ratio."""
+    terms = [(y[k], v.as_integer_ratio()) for k, v in items if k in y]
+    scale = lcm(*(d for _, (_, d) in terms))
+    return sum(w * n * (scale // d) for w, (n, d) in terms), scale
+
+
+class _EntryChecker:
+    """Re-reads deletion entries against the raw semantics.
+
+    It reads moves through `System.step` (`_strong_attacks`) and
+    `System.weak_extremes`, decides which pairs are candidates with the rule
+    of `_ground_fixpoint` (`_clause_i` and the weak-enabled shape), and
+    takes exact integer dot products; it solves no LP and runs no fixpoint.
+    `family` is relation search's family, or None for state-based entries,
+    whose members are the point distributions.
+
+    An entry's LP is rebuilt as the engine built it, with a column for every
+    pair of members, except columns with mass on a right-hand row that no
+    extreme move of the defender takes mass from.  Nothing else is negative
+    on such a row, whose target is 0, so those columns carry no weight in
+    any solution.  The rows and columns therefore depend on the attack and
+    the defender's extreme moves, not on the size of the family.
+    """
+
+    def __init__(self, system: System, tol: float, family=None):
+        self.system, self.tol, self.family = system, tol, family
+        self.by_digest = {m.digest: m for m in family or ()}
+        self.attacks = {}
+        self.verdicts = {}
+
+    def member(self, d: ConfigDistribution) -> Optional[ConfigDistribution]:
+        """The member an entry names by `d`, or None: an entry's sides are
+        read from the family, or as point distributions, never as given."""
+        if self.family is not None:
+            return self.by_digest.get(d.digest)
+        if list(d.probs.values()) == [1]:
+            return self.system.dirac(d.support[0])
+        return None
+
+    def within(self, configs) -> list:
+        """The members whose support lies in `configs`."""
+        if self.family is not None:
+            return [m for m in self.family if all(c in configs for c in m.probs)]
+        return [self.system.dirac(c) for c in configs]
+
+    def candidate(self, m: ConfigDistribution, n: ConfigDistribution) -> bool:
+        key = _pair_key(m, n)
+        got = self.verdicts.get(key)
+        if got is None:
+            shapes = []
+            for d in (m, n):
+                sigs = {self.system.weak_enabled(c) for c in d.probs}
+                shapes.append(sigs.pop() if len(sigs) == 1 else None)
+            got = self.verdicts[key] = (
+                (None in shapes or shapes[0] == shapes[1])
+                and _clause_i(m, n, self.tol) is None)
+        return got
+
+    def blocks(self, entry: _Entry, name) -> Optional[set]:
+        """The keys `name(m, n)` gives the pairs whose columns break the
+        entry's Farkas vectors (None drops a pair), or None when its
+        evidence fails whatever pairs are dead."""
+        system = self.system
+        pair = [self.member(d) for d in entry.pair]
+        if None in pair:
+            return None
+        x, y = pair if entry.direction == "left" else pair[::-1]
+        if entry.clause == "ii" and entry.attack is not None and len(entry.proof) == 1:
+            attack = next((d for label, d in _strong_attacks(system, x, self.attacks)
+                           if label == entry.label and d.digest == entry.attack.digest),
+                          None)
+            extremes = [(d, system.weak_extremes(d, entry.label)) for d in y.support]
+            (farkas,) = entry.proof
+            if attack is None:
+                return None
+            if farkas is None:
+                return set() if not all(es for _, es in extremes) else None
+            return self.lp_blocks(farkas, [(("L",), attack, 1)], y, extremes, False, name)
+        if entry.clause != "iii":
+            return None
+        classes = tc_decompose(x, system).classes
+        options = [matched for r in range(len(classes) + 1)
+                   for matched in itertools.combinations(range(len(classes)), r)
+                   if sum(classes[i].weight for i in range(len(classes))
+                          if i not in matched) <= 0.0 + self.tol]
+        proof = dict(entry.proof)
+        if len(classes) < 2 or set(proof) != set(options):
+            return None
+        extremes = [(d, system.weak_extremes(d, TAU)) for d in y.support]
+        found = set()
+        for matched in options:
+            parts = [(("L", i), classes[i].dist, classes[i].weight) for i in matched]
+            got = self.lp_blocks(proof[matched], parts, y, extremes,
+                                 len(matched) < len(classes), name)
+            if got is None:
+                return None
+            found |= got
+        return found
+
+    def lp_blocks(self, y: dict, parts, defender, extremes, free: bool,
+                  name) -> Optional[set]:
+        """`blocks` for one LP: the Farkas vector `y` against matching
+        `parts`, each (row tag, distribution, weight), by weak moves of
+        `defender`, whose extreme moves are `extremes`; `free` adds the
+        columns for unmatched mass, as `_match_decomposition` does."""
+        reached = {z for _, es in extremes for e in es for z in e.probs}
+        target = [(("D", d.index), p) for d, p in defender]
+        fixed = []  # the columns of moves, unmatched mass and identity carriers
+        for d, es in extremes:
+            fixed += [[(("D", d.index), 1)] + [(("R", z.index), -q) for z, q in e]
+                      for e in es]
+        if free:
+            fixed += [[(("R", z.index), 1)] for z in reached]
+        for tag, dist, weight in parts:
+            target += [((*tag, c.index), weight * p) for c, p in dist]
+            fixed += [[((*tag, c.index), 1), (("R", c.index), 1)]
+                      for c in dist.probs if c in reached]
+        if _dot(y, target)[0] >= 0 or any(_dot(y, col)[0] < 0 for col in fixed):
+            return None
+        # a pair column's product is that of its left part plus its right part's
+        rights = [(n, _dot(y, ((("R", z.index), q) for z, q in n)))
+                  for n in self.within(reached)]
+        blocked = set()
+        for tag, dist, _ in parts:
+            for m in self.within(dist.probs):
+                a, s = _dot(y, (((*tag, c.index), p) for c, p in m))
+                for n, (b, t) in rights:
+                    if a * t + b * s < 0:
+                        key = name(m, n)
+                        if key is not None:
+                            blocked.add(key)
+        return blocked
 
 
 def _attack_exists(system: System, attacker: ConfigDistribution,

@@ -286,9 +286,10 @@ class System:
     """Execution engine for one module over one qubit register.
 
     Owns the configuration store, so configurations from different systems
-    never mix.  Step results are memoized per configuration, and the
-    extreme points of weak moves per (configuration, label); an internal
-    cycle raises `CyclicModelError` from every weak-closure query.  The
+    never mix.  Step results are memoized per configuration, along with
+    their internal moves, split off once, and the extreme points of weak
+    moves per (configuration, label); an internal cycle raises
+    `CyclicModelError` from every weak-closure query.  The
     components of a parallel composition are stepped once per (component,
     state): configurations that share a component and a density matrix
     share its moves and input capabilities.  An input prefix is
@@ -300,10 +301,11 @@ class System:
 
     A System also keeps what the bisimulation engines proved on it
     (`qbisim.bisim`): per tolerance, the point pairs some state-based
-    fixpoint kept or deleted, and each relation-search outcome of
-    `decide_bisim`.  Those verdicts hold for every later query on the
-    System, since a configuration's behaviour is fixed by what it reaches.
-    Looking them up spends no work units, and replays never read them.
+    fixpoint kept or deleted, with the evidence for each deletion, and each
+    relation-search outcome of `decide_bisim`.  Those verdicts hold for
+    every later query on the System, since a configuration's behaviour is
+    fixed by what it reaches.  Looking them up spends no work units, and
+    replays never read them.
     """
 
     def __init__(self, module=None, register=None, registry=None,
@@ -320,6 +322,8 @@ class System:
         self._digests = {}
         self._unfold_cache = {}
         self._step_cache = {}
+        self._tau_moves = {}     # configuration -> its internal moves
+        self._points = {}        # configuration -> its point distribution
         self._component_steps = {}
         self._inputs = {}
         self._extreme_sets = {}
@@ -390,7 +394,12 @@ class System:
         return got
 
     def dirac(self, config: Configuration) -> ConfigDistribution:
-        return ConfigDistribution({config: 1})
+        """The point distribution on `config`: one object per configuration,
+        so its digest and environment are computed once."""
+        got = self._points.get(config)
+        if got is None:
+            got = self._points[config] = ConfigDistribution({config: 1})
+        return got
 
     @contextmanager
     def query(self):
@@ -484,6 +493,7 @@ class System:
                         self.dirac(self._intern(term, config.matrix))))
         result = tuple(out)
         self._step_cache[config] = result
+        self._tau_moves[config] = tuple(t for t in result if not t.label.visible)
         return result
 
     def _step_term(self, term: Process, mat, fuel: int):
@@ -703,7 +713,11 @@ class System:
     # -- weak transitions as extreme points
 
     def tau_transitions(self, config):
-        return tuple(t for t in self.step(config) if not t.label.visible)
+        got = self._tau_moves.get(config)
+        if got is None:
+            self.step(config)
+            got = self._tau_moves[config]
+        return got
 
     def visible_transitions(self, config):
         return tuple(t for t in self.step(config) if t.label.visible)

@@ -5,9 +5,11 @@ the sampled space is exactly what users can write.  `random_term` builds a
 sequential term on one qubit; `random_par_term` composes two of them on
 `q1` and `q2`, optionally coupled through a restricted channel,
 `random_relabelled_term` nests a restricted pair under a relabelling in a
-restricted composition, as the BB84 models do, and `random_wide_term`
-composes two silent ones whose internal moves
-interleave.  `variants` produces companions that are bisimilar by
+restricted composition, as the BB84 models do, `random_wide_term`
+composes two silent ones whose internal moves interleave, and
+`random_entangled_term` couples two by the two-qubit gate `CNOT`, which
+`GATES` loads through `load_registry` for every random system.
+`variants` produces companions that are bisimilar by
 construction (internal padding, probabilistic duplication), giving the
 invariant tests non-vacuous positive instances.  `NON_DYADIC_WEIGHTS`
 and `nested_choice` exercise weights that floats cannot hold exactly.
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from qbisim.calculus import parse_module
-from qbisim.quantum import QubitRegister, QuantumState, random_density
+from qbisim.quantum import QubitRegister, QuantumState, load_registry, random_density
 from qbisim.semantics import System
 
 REGISTER = QubitRegister.of(["q1"])
@@ -32,6 +34,16 @@ NON_DYADIC_WEIGHTS = (("1/3", "2/3"), ("1/10", "9/10"), ("3/10", "7/10"))
 _KINDS = ("out", "out", "tau", "apply", "meas", "pchoice", "sum")
 _SILENT_KINDS = ("tau", "apply", "meas", "meas", "pchoice")
 _WIDE_MAX_PRODUCT = 6
+
+# CNOT on (control, target), basis order |control target>: no builtin
+# entangles two qubits, so random systems load it as a user operation
+_ONE, _NIL = [1.0, 0.0], [0.0, 0.0]
+GATES = load_registry([{"name": "CNOT", "acts_on_arity": 2, "kraus": [[
+    [_ONE, _NIL, _NIL, _NIL],
+    [_NIL, _ONE, _NIL, _NIL],
+    [_NIL, _NIL, _NIL, _ONE],
+    [_NIL, _NIL, _ONE, _NIL],
+]]}])
 
 
 def random_term(rng: np.random.Generator, depth: int, counter=None,
@@ -136,6 +148,21 @@ def random_wide_term(rng: np.random.Generator, depth: int = 2) -> str:
             return f"{_paren(left)} || {_paren(right)}"
 
 
+def random_entangled_term(rng: np.random.Generator, depth: int = 2) -> str:
+    """Two components that a CNOT entangles.
+
+    The q1 side ends every branch by sending q1 over the restricted quantum
+    channel `#m`; the receiver takes it as r, applies CNOT[r, q2], and then
+    runs a short term on r beside one on q2, whose moves interleave.
+    """
+    counter = [0]
+    left = random_term(rng, depth, counter, "q1", tail="#m!q1 . nil")
+    on_r = random_term(rng, 1, counter, "r")
+    on_q2 = random_term(rng, 1, counter, "q2")
+    right = f"#m?r . apply CNOT[r, q2] . ( {_paren(on_r)} || {_paren(on_q2)} )"
+    return f"( {_paren(left)} || {right} ) \\ {{#m}}"
+
+
 def _size(src: str) -> int:
     """Prefixes plus choice branches: a syntactic proxy for state count."""
     return src.count(" . ") + src.count("->")
@@ -179,8 +206,9 @@ def nested_choice(rng: np.random.Generator, weights=NON_DYADIC_WEIGHTS,
 
 
 def random_system(rng: np.random.Generator, register=REGISTER):
-    """A fresh system over `register` with a random initial density matrix."""
-    system = System(parse_module("Dummy := nil"), register=register)
+    """A fresh system over `register` with a random initial density matrix;
+    it knows the operations of `GATES`."""
+    system = System(parse_module("Dummy := nil"), register=register, registry=GATES)
     state = random_density(rng, register.dim)
     return system, state
 

@@ -1,5 +1,6 @@
 """Bisimulation checking: consistency, relations, decisions, distances."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -416,6 +417,15 @@ class TestMeasuredThirds:
     def test_state_based_bisimilar(self):
         s, c, d = self.pair()
         assert decide_state_based(c, d, s).holds
+
+    def test_the_false_refutation_has_a_certificate(self):
+        """The certificate is checked against the float probabilities the
+        engine used, where the defect lies, so it verifies; it says so."""
+        s, c, d = self.pair()
+        report = decide_state_based(c, d, s)
+        assert not report.holds and report.certificate.entries
+        assert replay_refutation(report, s)
+        assert "exact relative to the float probabilities" in report.certificate.detail
 
 
 class TestDuplicationTwins:
@@ -872,6 +882,36 @@ class TestRandomSystems:
         assert refuted >= 5
 
 
+    def test_entangled_systems(self):
+        """Components a CNOT couples: twins hold in every engine, a canonical
+        refutation is also one of relation search, and every refutation
+        replays."""
+        rng = np.random.default_rng(1)
+        modes, refuted = set(), 0
+        for _ in range(8):
+            system, state = randsys.random_system(rng, randsys.REGISTER2)
+            base = randsys.random_entangled_term(rng)
+            c = system.config(base, state)
+            twins = randsys.variants(base)
+            for src in twins + [randsys.random_entangled_term(rng)]:
+                d = system.config(src, state)
+                auto = decide_bisim(c, d, system)
+                reports = (auto, decide_bisim(c, d, system, mode="relation-search"),
+                           decide_state_based(c, d, system))
+                modes.add(auto.mode)
+                if src in twins:
+                    assert all(r.holds for r in reports), src
+                    assert check_ground_bisim_relation(auto.witness, system).holds
+                elif auto.mode == "canonical" and not auto.holds:
+                    assert not reports[1].holds
+                for report in reports:
+                    if not report.holds:
+                        refuted += 1
+                        assert replay_refutation(report, system)
+        assert modes == {"canonical", "relation-search"}
+        assert refuted >= 6
+
+
 class TestConfluenceProof:
     """Systems whose certification takes the local-diamond proof: two
     uncoupled silent components interleave their internal moves."""
@@ -1096,9 +1136,9 @@ def count_lps(monkeypatch) -> list:
     calls = []
     solve = bisim.combination_weights
 
-    def counted(columns, target):
+    def counted(columns, target, *farkas):
         calls.append(len(columns))
-        return solve(columns, target)
+        return solve(columns, target, *farkas)
 
     monkeypatch.setattr(bisim, "combination_weights", counted)
     return calls
@@ -1179,10 +1219,10 @@ class TestCouplingAnswer:
         answered = []
         match = bisim._match_weak
 
-        def spy(system, pairs, points, attack, defender, label, used=None):
+        def spy(system, pairs, points, attack, defender, label, used=None, proof=None):
             before = len(calls)
             recorded = set()
-            got = match(system, pairs, points, attack, defender, label, recorded)
+            got = match(system, pairs, points, attack, defender, label, recorded, proof)
             if used is not None:
                 used.update(recorded)
             if got and len(calls) == before:
@@ -1312,9 +1352,11 @@ class TestSharedRefinement:
             assert bound.witness.to_json() == expected.witness.to_json()
             assert bound.value == (0.0 if holds else 1.0)
 
-    def test_replays_repeat_their_work(self, monkeypatch):
+    def test_replays_read_nothing_kept(self, monkeypatch):
         """Replays and witness checks solve as many LPs on a System that
-        kept every verdict they re-decide as on one that kept nothing."""
+        kept every verdict as on one that kept nothing: witness checks
+        solve their LPs again, and refutation replays check certificates,
+        which takes none."""
         sources = self.uncertified()
         state = ground(q1="+")
         calls = count_lps(monkeypatch)
@@ -1347,4 +1389,117 @@ class TestSharedRefinement:
         got = replay_costs(warm, roots, False)
         expected = replay_costs(*indexed_system(R1, state, sources), True)
         assert got == expected
-        assert all(n for _, n in got)
+        assert [n > 0 for _, n in got] == [False, False, True]
+
+
+class TestRefutationCertificates:
+    """State-based and relation-search refutations carry a certificate:
+    deletion entries with Farkas vectors.  `replay_refutation` checks it by
+    exact dot products, solving no LP, and rejects it once edited."""
+
+    def refutations(self):
+        """(system, report) for the clause (ii) and (iii) refutations of
+        both engines on random sequential and parallel pairs."""
+        rng = np.random.default_rng(4242)
+        for k in range(16):
+            register = randsys.REGISTER2 if k % 4 == 3 else randsys.REGISTER
+            system, state = randsys.random_system(rng, register)
+            if register is randsys.REGISTER:
+                c = randsys.random_config(rng, system, state, depth=3)
+                d = randsys.random_config(rng, system, state, depth=3)
+            else:
+                c, d = (system.config(randsys.random_par_term(rng, 2), state)
+                        for _ in range(2))
+            for report in (decide_state_based(c, d, system),
+                           decide_bisim(c, d, system, mode="relation-search")):
+                if not report.holds and report.clause != "i":
+                    yield system, report
+
+    @staticmethod
+    def with_certificate(report, **changes):
+        certificate = report.certificate._replace(**changes)
+        return dataclasses.replace(report, certificate=certificate)
+
+    @staticmethod
+    def with_entry(report, k, **changes):
+        entries = list(report.certificate.entries)
+        entries[k] = entries[k]._replace(**changes)
+        return TestRefutationCertificates.with_certificate(report, entries=tuple(entries))
+
+    def test_replays_solve_no_lp(self, monkeypatch):
+        calls = count_lps(monkeypatch)
+        modes, sizes = [], []
+        for system, report in self.refutations():
+            sizes.append(len(report.certificate.entries))
+            calls.clear()
+            assert replay_refutation(report, system)
+            assert calls == []
+            modes.append(report.mode)
+        assert modes.count("state-based") >= 5 and modes.count("relation-search") >= 5
+        assert min(sizes) >= 1 and max(sizes) >= 2
+
+    def test_a_dropped_entry_is_rejected(self):
+        dropped = 0
+        for system, report in self.refutations():
+            entries = report.certificate.entries
+            for k in range(len(entries)):
+                cut = self.with_certificate(report, entries=entries[:k] + entries[k + 1:])
+                assert not replay_refutation(cut, system)
+                dropped += 1
+        assert dropped > len(list(self.refutations()))
+
+    def test_a_changed_farkas_entry_is_rejected(self):
+        """Adding mass to a defender row's multiplier makes the vector's
+        product with the LP's target positive."""
+        changed = 0
+        for system, report in self.refutations():
+            for k, entry in enumerate(report.certificate.entries):
+                if entry.clause != "ii" or entry.proof[0] is None:
+                    continue
+                (y,) = entry.proof
+                defender = entry.pair[1] if entry.direction == "left" else entry.pair[0]
+                d, _ = max(defender, key=lambda cp: cp[1])
+                y = dict(y)
+                y[("D", d.index)] = y.get(("D", d.index), 0) + 10 ** 9 * (
+                    1 + sum(abs(v) for v in y.values()))
+                assert not replay_refutation(self.with_entry(report, k, proof=(y,)), system)
+                changed += 1
+        assert changed >= 10
+
+    def test_a_swapped_label_is_rejected(self):
+        """Also when the defender has no weak move with the new label, so
+        that "no weak move" would be true evidence for that label, and
+        when the report's label is swapped with the last entry's."""
+        swapped, unmatched = 0, 0
+        for system, report in self.refutations():
+            entries = report.certificate.entries
+            for k, entry in enumerate(entries):
+                if entry.clause != "ii":
+                    continue
+                defender = entry.pair[1] if entry.direction == "left" else entry.pair[0]
+                labels = {TAU} | {label for side in entry.pair
+                                  for label, _ in _strong_attacks(system, side, {})}
+                for other in labels - {entry.label}:
+                    edits = [dict(label=other)]
+                    if not all(system.weak_extremes(d, other) for d in defender.support):
+                        edits.append(dict(label=other, proof=(None,)))
+                        unmatched += 1
+                    for edit in edits:
+                        edited = self.with_entry(report, k, **edit)
+                        assert not replay_refutation(edited, system)
+                        if k == len(entries) - 1:
+                            edited = dataclasses.replace(edited, label=other)
+                            assert not bisim._certificate_holds(system, edited)
+                        swapped += 1
+        assert swapped >= 5 and unmatched >= 2
+
+    def test_a_relation_search_family_must_match(self):
+        checked = 0
+        for system, report in self.refutations():
+            family = report.certificate.family
+            if family is None:
+                continue
+            assert not replay_refutation(self.with_certificate(report, family=family[1:]),
+                                         system)
+            checked += 1
+        assert checked >= 5

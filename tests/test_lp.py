@@ -54,8 +54,22 @@ def test_sign_constraint_bites():
     assert solve_nonneg([[F(1), F(-1)], [F(1), F(1)]], [F(1), F(0)]) is None
 
 
+def assert_farkas(a, b, y):
+    """y proves a w = b, w >= 0 infeasible: integer, y.a >= 0 column by
+    column and y.b < 0, in exact arithmetic."""
+    (proof,) = y
+    y = proof.vector()
+    assert len(y) == len(a) and all(isinstance(v, int) for v in y)
+    for j in range(len(a[0]) if a else 0):
+        assert sum(v * F(row[j]) for v, row in zip(y, a)) >= 0
+    assert sum(v * F(rhs) for v, rhs in zip(y, b)) < 0
+
+
 def test_inconsistent_system():
-    assert solve_nonneg([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+    a, b = [[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]
+    y = []
+    assert solve_nonneg(a, b, y) is None
+    assert_farkas(a, b, y)
 
 
 def test_redundant_rows_collapse():
@@ -66,6 +80,9 @@ def test_redundant_rows_collapse():
 def test_zero_columns():
     assert solve_nonneg([], []) == []
     assert solve_nonneg([[F(0)], [F(0)]], [F(0), F(0)]) == [F(0)]
+    y = []
+    assert solve_nonneg([[], []], [F(0), F(-2)], y) is None
+    assert_farkas([[], []], [F(0), F(-2)], y)
 
 
 def test_degenerate_cycling_guard():
@@ -92,6 +109,15 @@ def test_combination_weights_distribution_transport():
 def test_combination_weights_infeasible():
     cols = [{"a": 1}, {"b": 1}]
     assert combination_weights(cols, {"c": 1}) is None
+    proof = []
+    assert combination_weights(cols, {"c": 1}, proof) is None
+    y = proof[0].by_key()
+    assert all(sum(y.get(k, 0) * v for k, v in col.items()) >= 0 for col in cols)
+    assert y.get("c", 0) < 0
+    # a feasible target appends no proof
+    proof = []
+    assert combination_weights(cols, {"a": 1}, proof) == [1, 0]
+    assert proof == []
 
 
 def test_matches_scipy_on_random_instances():
@@ -107,9 +133,12 @@ def test_matches_scipy_on_random_instances():
             b = a @ x0
         else:
             b = rng.integers(-4, 5, size=m)
+        farkas = []
         ours = solve_nonneg(
-            [[F(int(v)) for v in row] for row in a], [F(int(v)) for v in b]
+            [[F(int(v)) for v in row] for row in a], [F(int(v)) for v in b], farkas
         )
+        if ours is None:
+            assert_farkas(a.tolist(), b.tolist(), farkas)
         ref = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=[(0, None)] * n, method="highs")
         assert (ours is not None) == ref.success
         if ours is not None:
@@ -214,9 +243,13 @@ def test_matches_oracle_on_engine_like_instances():
     verdicts = set()
     for _ in range(250):
         a, b = _engine_like(rng)
-        x = solve_nonneg(a, b)
+        farkas = []
+        x = solve_nonneg(a, b, farkas)
         assert (x is not None) == _oracle_feasible(a, b)
-        if x is not None:
+        if x is None:
+            assert_farkas(a, b, farkas)
+        else:
+            assert farkas == []
             assert len(x) == len(a[0]) and all(v >= 0 for v in x)
             assert all(sum(r * v for r, v in zip(row, x)) == rhs for row, rhs in zip(a, b))
         verdicts.add(x is not None)
