@@ -45,8 +45,12 @@ tolerance.  `distance_upper_bound` on a system it cannot certify reads
 that outcome rather than search again.  The verdicts are exact, not
 heuristic: on a reach-closed set of configurations, the greatest fixpoint
 over any larger reach-closed set restricts to the fixpoint over the set
-alone.  Looking them up spends no work units.  `decide_bisim` never reads
-them, and replays neither read nor write them.
+alone.  Every fixpoint, of either engine, also reads and adds to the
+environment distance kept for each pair of environment classes (held
+qubits and exact environment bytes, all that clause (i) reads), so each
+System computes it once.  Looking any of these up spends no work units.
+`decide_bisim` never reads the verdicts, and replays neither read nor
+write any of them.
 
 Refutations replay through `replay_refutation`.  The refinement engines
 follow the certifying-algorithm pattern (McConnell, Mehlhorn, Näher and
@@ -164,15 +168,42 @@ def _env_distance(a: ConfigDistribution, b: ConfigDistribution) -> float:
     return trace_distance(ma, mb)
 
 
-def _clause_i(x: ConfigDistribution, y: ConfigDistribution, bound: float) -> Optional[str]:
-    """Why (x, y) breaks clause (i) with environments `bound` apart, or None."""
+def _clause_i(x: ConfigDistribution, y: ConfigDistribution, bound: float,
+              dist: Optional[float] = None) -> Optional[str]:
+    """Why (x, y) breaks clause (i) with environments `bound` apart, or None.
+    `dist` is `_env_distance(x, y)` when the caller knows it."""
     held_x, held_y = x.held_qubits(), y.held_qubits()
     if held_x != held_y:
         return f"quantum variables differ: {sorted(held_x)} vs {sorted(held_y)}"
-    dist = _env_distance(x, y)
+    if dist is None:
+        dist = _env_distance(x, y)
     if dist > bound:
         return f"environment trace distance {dist:.6g} exceeds {bound:.6g}"
     return None
+
+
+def _env_class(dist: ConfigDistribution) -> tuple:
+    """All that clause (i) reads of `dist`: its held qubits and the bytes of
+    its environment matrix.  (Equal 10-decimal digests would not do: the
+    trace distance reads the exact matrices.)"""
+    return dist.held_qubits(), _environment(dist)[1].tobytes()
+
+
+def _kept_clause_i(system: System, x: ConfigDistribution, y: ConfigDistribution,
+                   bound: float, kx: tuple, ky: tuple) -> Optional[str]:
+    """`_clause_i(x, y, bound)`, with the environment distance computed once
+    per System for each pair of environment classes and kept on it; `kx`
+    and `ky` are `_env_class` of x and y.  This is exact: the distance reads
+    only the two environment matrices, and `_env_distance` is bit-identical
+    under swapping.  Keeping it charges no work units, and replays never
+    read it."""
+    dist = None
+    if kx[0] == ky[0]:
+        key = frozenset((kx, ky))
+        dist = system._env_distances.get(key)
+        if dist is None:
+            dist = system._env_distances[key] = _env_distance(x, y)
+    return _clause_i(x, y, bound, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -543,35 +574,116 @@ def _certified(system: System, configs) -> tuple:
 # feasibility queries: convex-closure membership and weak-move matching
 
 
-def _closure_columns(pairs, left: ConfigDistribution, row=("L",), right=None) -> tuple:
-    """LP columns spanning the convex closure of `pairs` plus identity pairs.
+def _point_pair(a: ConfigDistribution, b: ConfigDistribution) -> Optional[tuple]:
+    """(x, y) when (a, b) is (dirac x, dirac y), each of mass exactly 1, so
+    that its column is the unit column of (x, y); else None."""
+    if len(a.probs) == 1 == len(b.probs):
+        ((x, p),) = a.probs.items()
+        ((y, q),) = b.probs.items()
+        if p == 1 == q:
+            return x, y
+    return None
+
+
+class _Relation:
+    """The oriented pairs whose closure a check matches against, all
+    distinct, as `_oriented` and the distinct members of a fixpoint make
+    them.
+
+    `pairs[k]` is the pair at position k, or None once dropped (`drop`), so
+    the positions that matches record (`used`) stay valid.  Two indexes are
+    built on first use and kept up to date by `drop`: the positions of the
+    pairs by the first configuration of their left support (`inside`), and
+    the point pairs (`points`).
+    """
+
+    __slots__ = ("pairs", "_firsts", "_points")
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+        self._firsts = None   # configuration -> {position: None}, ascending
+        self._points = None   # x -> {y: position}
+
+    def _index(self):
+        self._firsts, self._points = {}, {}
+        for k, pair in enumerate(self.pairs):
+            if pair is None:
+                continue
+            first = next(iter(pair[0].probs))
+            self._firsts.setdefault(first, {})[k] = None
+            point = _point_pair(*pair)
+            if point is not None:
+                self._points.setdefault(point[0], {})[point[1]] = k
+
+    def inside(self, configs) -> list:
+        """The positions, ascending, of the pairs whose left support lies in
+        `configs` (a set or dict of configurations)."""
+        if self._firsts is None:
+            self._index()
+        found = [k for c in configs for k in self._firsts.get(c, ())
+                 if all(x in configs for x in self.pairs[k][0].probs)]
+        found.sort()
+        return found
+
+    def points(self) -> dict:
+        """x -> {y: position} for the point pairs (dirac x, dirac y)."""
+        if self._points is None:
+            self._index()
+        return self._points
+
+    def drop(self, k: int):
+        """Remove the pair at position `k`; no other position changes."""
+        pair = self.pairs[k]
+        self.pairs[k] = None
+        if self._firsts is None:
+            return
+        del self._firsts[next(iter(pair[0].probs))][k]
+        point = _point_pair(*pair)
+        if point is not None:
+            x, y = point
+            del self._points[x][y]
+            if not self._points[x]:
+                del self._points[x]
+
+
+def _closure_columns(rel: _Relation, left: ConfigDistribution, rows,
+                     row=("L",)) -> tuple:
+    """LP columns spanning the convex closure of `rel` plus identity pairs,
+    restricted to the columns that can carry weight.
 
     A pair column puts its left side on the `row`-tagged rows and its right
     side on the ("R", index) rows; an identity carrier does both for one
-    configuration of supp(left).  The left rows only ever receive
-    nonnegative mass, so a pair reaching outside supp(left) can carry no
-    weight and is dropped, which is exact; with `right` given, the same
-    holds for the right side and supp(right).  Returns the columns and,
-    for each, the position in `pairs` it came from (None for a carrier).
+    configuration of supp(left).  Only pairs whose left support lies in
+    supp(left), and whose right support lies in `rows`, give a column, and
+    only configurations in `rows` a carrier.  This is exact when the
+    caller's LP has target 0 and only nonnegative entries on every right
+    row outside `rows`, and nonnegative entries on every left row: a column
+    with mass on such a row carries no weight in any solution.  Returns the
+    columns and, for each, the position in `rel` it came from (None for a
+    carrier), positions ascending.
     """
-    inside = {c.index for c in left.support}
-    within = None if right is None else {d.index for d in right.support}
     columns = []
     origins = []
-    for k, (mk, nk) in enumerate(pairs):
-        if any(c.index not in inside for c in mk.support):
+    for k in rel.inside(left.probs):
+        mk, nk = rel.pairs[k]
+        if any(d not in rows for d in nk.probs):
             continue
-        if within is not None and any(d.index not in within for d in nk.support):
-            continue
-        col = {row + (c.index,): p for c, p in mk}
-        col.update((("R", d.index), q) for d, q in nk)
+        col = {row + (c.index,): p for c, p in mk.probs.items()}
+        col.update((("R", d.index), q) for d, q in nk.probs.items())
         columns.append(col)
         origins.append(k)
-    for c in left.support:
-        if right is None or right.probability(c) > 0:
+    for c in left.probs:
+        if c in rows:
             columns.append({row + (c.index,): 1.0, ("R", c.index): 1.0})
             origins.append(None)
     return columns, origins
+
+
+def _debited(per_config) -> set:
+    """The configurations that some extreme weak move in `per_config`,
+    pairs (defender configuration, its extreme moves), takes mass to: the
+    right rows the defender's columns debit."""
+    return {y for _, extremes in per_config for e in extremes for y in e.probs}
 
 
 def _extreme_columns(per_config) -> list:
@@ -603,33 +715,16 @@ def _feasible(columns, origins, target, used, farkas=None) -> bool:
     return True
 
 
-def _member_lin(pairs, mu: ConfigDistribution, nu: ConfigDistribution) -> bool:
-    """Is (mu, nu) a convex combination of `pairs` plus identity pairs?"""
+def _member_lin(rel: _Relation, mu: ConfigDistribution, nu: ConfigDistribution) -> bool:
+    """Is (mu, nu) a convex combination of `rel` plus identity pairs?"""
     target = {("L", c.index): p for c, p in mu}
     target.update((("R", d.index), q) for d, q in nu)
-    columns, origins = _closure_columns(pairs, mu, right=nu)
+    columns, origins = _closure_columns(rel, mu, nu.probs)
     return _feasible(columns, origins, target, None)
 
 
-def _point_index(pairs) -> dict:
-    """x -> {y: position} for the pairs (dirac x, dirac y) of `pairs`.
-
-    Both sides must be one configuration of mass exactly 1, so the pair's
-    column is the unit column of (x, y); a repeated pair keeps its first
-    position.  Built once per relation, beside it, for `_coupling_answer`.
-    """
-    index = {}
-    for k, (a, b) in enumerate(pairs):
-        if len(a.probs) == 1 == len(b.probs):
-            ((x, p),) = a.probs.items()
-            ((y, q),) = b.probs.items()
-            if p == 1 == q:
-                index.setdefault(x, {}).setdefault(y, k)
-    return index
-
-
 def _coupling_answer(attack: ConfigDistribution, defender: ConfigDistribution,
-                     per_config, points: dict, used) -> bool:
+                     per_config, rel: _Relation, used) -> bool:
     """Does a weak move of the defender answer `attack` by a one-to-one
     coupling along identity and related point pairs?
 
@@ -637,7 +732,7 @@ def _coupling_answer(attack: ConfigDistribution, defender: ConfigDistribution,
     one of its extreme weak moves e in `per_config` admits a bijection
     sigma from supp(attack) onto supp(e) with attack(x) == e(sigma(x)),
     where each sigma(x) is x itself or (dirac x, dirac sigma(x)) is a pair
-    of the relation (`points`, see `_point_index`).  The matching LP of
+    of the relation (`_Relation.points`).  The matching LP of
     `_match_weak` is then feasible: probabilities are ints, floats or
     Fractions, Python compares them by exact value, and the LP reads each
     at its exact value, so equal probabilities are equal rationals to the
@@ -656,6 +751,7 @@ def _coupling_answer(attack: ConfigDistribution, defender: ConfigDistribution,
     if list(defender.probs.values()) != [1]:
         return False
     ((_, extremes),) = per_config
+    points = rel.points()
     for e in extremes:
         owner = _bijection(attack, e, points)
         if owner is not None:
@@ -696,36 +792,40 @@ def _bijection(attack: ConfigDistribution, e: ConfigDistribution,
     return owner if all(augment(x, set()) for x in options) else None
 
 
-def _match_weak(system: System, pairs, points: dict, attack: ConfigDistribution,
+def _match_weak(system: System, rel: _Relation, attack: ConfigDistribution,
                 defender: ConfigDistribution, label: Label, used=None,
                 proof=None) -> bool:
     """Can the defender weakly answer `attack` inside the relation's closure?
 
     Searches for a weak hatted `label` derivative nu' of `defender` with
-    (attack, nu') in the convex closure of `pairs` plus identities.  Weak
+    (attack, nu') in the convex closure of `rel` plus identities.  Weak
     derivatives of a distribution factor per support configuration (lifted
     transitions are linear and left-decomposable), so nu' ranges over
     independent convex mixtures of each configuration's extreme weak moves;
-    the whole question is one exact-rational feasibility problem.  When a
-    point defender has an extreme weak move that a one-to-one coupling
-    along identity pairs and the point pairs `points` of `pairs` relates to
-    the attack (`_coupling_answer`), that coupling solves the problem and
-    no LP is solved; otherwise the LP decides.  Either way the positions of
-    the pairs the match relies on go into `used` (see `_feasible`).  When
-    the match fails and `proof` is a list, it receives the LP's `Farkas`
-    proof, or None when a defending configuration has no weak `label` move.
+    the whole question is one exact-rational feasibility problem.  Its
+    right rows are debited only by those extreme moves, so the LP has a
+    pair column or identity carrier only where all of its right-hand mass
+    lies on rows some extreme move debits (`_closure_columns`, `_debited`):
+    any other column carries no weight.  When a point defender has an
+    extreme weak move that a one-to-one coupling along identity pairs and
+    the point pairs of `rel` relates to the attack (`_coupling_answer`),
+    that coupling solves the problem and no LP is solved; otherwise the LP
+    decides.  Either way the positions of the pairs the match relies on go
+    into `used` (see `_feasible`).  When the match fails and `proof` is a
+    list, it receives the LP's `Farkas` proof, or None when a defending
+    configuration has no weak `label` move.
     """
     per_config = []
-    for d in defender.support:
+    for d in defender.probs:
         extremes = system.weak_extremes(d, label)
         if not extremes:
             if proof is not None:
                 proof.append(None)
             return False
         per_config.append((d, extremes))
-    if _coupling_answer(attack, defender, per_config, points, used):
+    if _coupling_answer(attack, defender, per_config, rel, used):
         return True
-    columns, origins = _closure_columns(pairs, attack)
+    columns, origins = _closure_columns(rel, attack, _debited(per_config))
     target = {("L", c.index): p for c, p in attack}
     target.update((("D", d.index), p) for d, p in defender)
     farkas = None if proof is None else []
@@ -736,7 +836,7 @@ def _match_weak(system: System, pairs, points: dict, attack: ConfigDistribution,
     return False
 
 
-def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
+def _match_decomposition(system: System, rel: _Relation, decomp: TcDecomposition,
                          defender: ConfigDistribution, lam: float, tol: float,
                          used=None, proof=None) -> bool:
     """Can the defender internally split to match the attacker's classes?
@@ -744,23 +844,27 @@ def _match_decomposition(system: System, pairs, decomp: TcDecomposition,
     Searches for a weak tau derivative of `defender` of the form
     sum_i p_i nu_i with (mu_i, nu_i) in the closure for every matched class
     and at most `lam` attacker mass unmatched.  Matched subsets are tried in
-    order of decreasing matched mass.  The positions of the pairs the first
-    feasible split relies on go into `used`.  With `proof` a list, each
-    subset whose LP fails appends (subset, its `Farkas` proof).
+    order of decreasing matched mass.  As in `_match_weak`, each LP has pair
+    columns and identity carriers only on the right rows the defender's
+    extreme tau moves debit; the columns for unmatched mass sit on those
+    rows too.  The positions of the pairs the first feasible split relies
+    on go into `used`.  With `proof` a list, each subset whose LP fails
+    appends (subset, its `Farkas` proof).
     """
     classes = decomp.classes
-    per_config = [(d, system.weak_extremes(d, TAU)) for d in defender.support]
+    per_config = [(d, system.weak_extremes(d, TAU)) for d in defender.probs]
     extreme_columns = _extreme_columns(per_config)
-    free_keys = {("R", y.index)
-                 for _, extremes in per_config for e in extremes for y, _ in e}
+    debited = _debited(per_config)
     # defender mass on unmatched classes
-    free_columns = [{key: 1.0} for key in sorted(free_keys, key=repr)]
+    free_columns = [{key: 1.0} for key in
+                    sorted((("R", y.index) for y in debited), key=repr)]
 
     def feasible(matched):
         columns = []
         origins = []
         for i in matched:
-            block, block_origins = _closure_columns(pairs, classes[i].dist, row=("L", i))
+            block, block_origins = _closure_columns(rel, classes[i].dist, debited,
+                                                    row=("L", i))
             columns += block
             origins += block_origins
         columns += extreme_columns
@@ -805,7 +909,7 @@ def _strong_attacks(system: System, dist: ConfigDistribution, cache: dict) -> tu
     got = cache.get(dist.digest)
     if got is not None:
         return got
-    support = dist.support
+    support = dist.probs
     shared = None
     for c in support:
         labels = {t.label for t in system.visible_transitions(c)}
@@ -828,7 +932,7 @@ def _strong_attacks(system: System, dist: ConfigDistribution, cache: dict) -> tu
         if label == TAU:
             next(picks)  # all halt: matched reflexively
         for pick in picks:
-            moved = combine((dist.probability(c), d) for c, d in zip(support, pick))
+            moved = combine((p, d) for p, d in zip(support.values(), pick))
             found.setdefault((label, moved.digest), (label, moved))
 
     got = cache[dist.digest] = tuple(found.values())
@@ -854,12 +958,11 @@ def _oriented(pairs) -> tuple:
     return _unique_pairs(p for a, b in pairs for p in ((a, b), (b, a)))
 
 
-def _violation(system: System, rel, points: dict, x: ConfigDistribution,
+def _violation(system: System, rel: _Relation, x: ConfigDistribution,
                y: ConfigDistribution, lam: float, tol: float, attack_cache: dict,
                used=None, proof=None) -> Optional[dict]:
     """The first clause (ii) or (iii) obligation of x, attacking y, that the
     closure of `rel` fails to meet, as CheckReport fields; None if all hold.
-    `points` is `_point_index(rel)`.
 
     Clause (ii): every extreme strong move of x has a weak match by y.
     Clause (iii): when x is not transition consistent, an internal split of
@@ -869,7 +972,7 @@ def _violation(system: System, rel, points: dict, x: ConfigDistribution,
     obligation goes into it (`_match_weak`, `_match_decomposition`).
     """
     for label, attack in _strong_attacks(system, x, attack_cache):
-        if not _match_weak(system, rel, points, attack, y, label, used, proof):
+        if not _match_weak(system, rel, attack, y, label, used, proof):
             return dict(clause="ii", label=label, attack=attack,
                         detail=f"strong {label} move has no weak match in the closure")
     if not is_transition_consistent(x, system):
@@ -885,27 +988,26 @@ def _violation(system: System, rel, points: dict, x: ConfigDistribution,
 
 def _check_exhaustive(system: System, relation: RelationCandidate,
                       lam: float, tol: float) -> CheckReport:
-    rel = _oriented(relation.pairs)
-    points = _point_index(rel)
+    rel = _Relation(_oriented(relation.pairs))
     attack_cache = {}
-    for x, y in rel:
+    for x, y in rel.pairs:
         detail = _clause_i(x, y, lam + tol)
         if detail is not None:
             return CheckReport(False, "exhaustive", clause="i", pair=(x, y),
                                lam=lam, tol=tol, detail=detail)
-        bad = _violation(system, rel, points, x, y, lam, tol, attack_cache)
+        bad = _violation(system, rel, x, y, lam, tol, attack_cache)
         if bad is not None:
             return CheckReport(False, "exhaustive", pair=(x, y), lam=lam, tol=tol,
                                direction="left", **bad)
     return CheckReport(True, "exhaustive", lam=lam, tol=tol, witness=relation,
-                       detail=f"{len(rel)} oriented pairs verified by enumeration")
+                       detail=f"{len(rel.pairs)} oriented pairs verified by enumeration")
 
 
 def _check_saturated(canon: _Canon, relation: RelationCandidate,
                      lam: float, tol: float, certificate: str) -> CheckReport:
     system = canon.system
-    rel = _oriented(relation.pairs)
-    digests = {(a.digest, b.digest) for a, b in rel}
+    rel = _Relation(_oriented(relation.pairs))
+    digests = {(a.digest, b.digest) for a, b in rel.pairs}
     memo = {}
 
     def related(a, b):
@@ -917,7 +1019,7 @@ def _check_saturated(canon: _Canon, relation: RelationCandidate,
             got = memo[key] = _member_lin(rel, a, b)
         return got
 
-    for x, y in rel:
+    for x, y in rel.pairs:
         detail = _clause_i(x, y, lam + tol)
         if detail is not None:
             return CheckReport(False, "saturated", clause="i", pair=(x, y),
@@ -979,7 +1081,7 @@ def _check_saturated(canon: _Canon, relation: RelationCandidate,
                        f"{float(1 - matched):.6g} exceeds the allowed {lam + tol:.6g}")
 
     return CheckReport(True, "saturated", lam=lam, tol=tol, witness=relation,
-                       detail=f"{len(rel)} oriented pairs verified; {certificate}")
+                       detail=f"{len(rel.pairs)} oriented pairs verified; {certificate}")
 
 
 @_query
@@ -1125,13 +1227,13 @@ def _decide_canonical(canon: _Canon, mu, nu, tol: float, certificate: str) -> Ch
                        detail=f"behaviour forms coincide; {certificate}")
 
 
-def _pair_violation(system: System, rel, points: dict, a: ConfigDistribution,
+def _pair_violation(system: System, rel: _Relation, a: ConfigDistribution,
                     b: ConfigDistribution, tol: float, attack_cache: dict,
                     used=None, proof=None) -> Optional[dict]:
     """`_violation` at lambda 0 in both orientations of (a, b), with the
     attacking side as `direction`."""
     for x, y, side in ((a, b, "left"), (b, a, "right")):
-        bad = _violation(system, rel, points, x, y, 0.0, tol, attack_cache, used, proof)
+        bad = _violation(system, rel, x, y, 0.0, tol, attack_cache, used, proof)
         if bad is not None:
             return dict(bad, direction=side)
     return None
@@ -1214,12 +1316,12 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
     members agree on their weak visible sets (tc members related in any
     ground bisimulation must).  Clause (i) reads only the held qubits and
     the environment matrix of each side, so members with the same held
-    qubits and bitwise-equal environments form one environment class, and
-    `_clause_i` runs once per pair of classes, on their first members:
-    bitwise-equal inputs give the same answer, and so does swapping the
-    sides, since `_env_distance` is bit-identical under swapping.  (Equal
-    10-decimal digests would not do: the trace distance reads the exact
-    matrices.)
+    qubits and bitwise-equal environments form one environment class
+    (`_env_class`), and clause (i) is decided once per pair of classes, on
+    their first members: bitwise-equal inputs give the same answer, and so
+    does swapping the sides, since `_env_distance` is bit-identical under
+    swapping.  The distance of each pair of classes is kept on the System
+    (`_kept_clause_i`), so later fixpoints do not compute it again.
 
     A worklist deletes every pair that violates clause (ii) or (iii), in
     either orientation, against the surviving family.  A pair that passes
@@ -1233,10 +1335,12 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
     columns survive, so a survivor none of whose recorded pairs was deleted
     still meets every clause.  When the worklist empties the survivors form
     a post-fixpoint, and every deletion was forced by a superset of the
-    greatest fixpoint, so the result is that fixpoint.  The relation and
-    its point-pair index (`_point_index`) are rebuilt once per deletion.
-    Rounds visit the pending pairs in sorted order, so the result and the
-    LPs solved do not depend on hash order.
+    greatest fixpoint, so the result is that fixpoint.  The relation
+    (`_Relation`) is built once, at the first check, and a deleted pair is
+    dropped from it, so positions stay valid and columns keep the order a
+    relation rebuilt from the survivors would give them.  Rounds visit the
+    pending pairs in sorted order, so the result and the LPs solved do not
+    depend on hash order.
 
     With `log`, each deletion adds an `_Entry` under its `_pair_key`, with
     the evidence of the check that failed.  Entries are added when the
@@ -1264,15 +1368,16 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
     shapes = []
     env_class = []   # per member, its environment class
     delegates = []   # per environment class, its first member
-    classes = {}
+    classes = {}     # environment class -> its number
     for m in members:
-        sigs = {system.weak_enabled(c) for c in m.support}
+        sigs = {system.weak_enabled(c) for c in m.probs}
         shapes.append(sigs.pop() if len(sigs) == 1 else None)
-        key = (m.held_qubits(), _environment(m)[1].tobytes())
+        key = _env_class(m)
         if key not in classes:
             classes[key] = len(delegates)
             delegates.append(m)
         env_class.append(classes[key])
+    class_keys = list(classes)
     meets = {}       # sorted pair of classes -> does it meet clause (i)?
     alive = set()
     decided = set()  # pairs alive in `facts`, never checked here
@@ -1288,15 +1393,17 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
             if (shapes[i] is not None and shapes[j] is not None
                     and shapes[i] != shapes[j]):
                 continue
-            key = tuple(sorted((env_class[i], env_class[j])))
-            ok = meets.get(key)
+            a, b = sorted((env_class[i], env_class[j]))
+            ok = meets.get((a, b))
             if ok is None:
-                ok = meets[key] = _clause_i(delegates[key[0]], delegates[key[1]],
-                                            tol) is None
+                ok = meets[a, b] = _kept_clause_i(
+                    system, delegates[a], delegates[b], tol,
+                    class_keys[a], class_keys[b]) is None
             if ok:
                 alive.add((i, j))
 
-    rel = owners = points = None
+    rel = owners = None
+    slots = {}   # pair -> its positions in `rel`
     deps = {}    # survivor -> the pairs its last check relied on
     users = {}   # pair -> the survivors whose last check relied on it
     deleted = {}  # entries for `log`
@@ -1308,18 +1415,19 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
             if key not in alive:
                 continue
             if rel is None:
-                rel, owners = [], []
+                oriented, owners = [], []
                 for i, j in sorted(alive):
                     for x, y in ((i, j), (j, i)) if i != j else ((i, i),):
-                        rel.append((members[x], members[y]))
+                        slots.setdefault((i, j), []).append(len(oriented))
+                        oriented.append((members[x], members[y]))
                         owners.append((i, j))
-                points = _point_index(rel)
+                rel = _Relation(oriented)
             for q in deps.pop(key, ()):
                 users.get(q, set()).discard(key)
             used = set()
             proof = None if log is None else []
             i, j = key
-            bad = _pair_violation(system, rel, points, members[i], members[j], tol,
+            bad = _pair_violation(system, rel, members[i], members[j], tol,
                                   attack_cache, used, proof)
             if bad is None:
                 deps[key] = {owners[k] for k in used}
@@ -1328,7 +1436,8 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
             else:
                 alive.discard(key)
                 pending |= users.pop(key, set())
-                rel = None
+                for k in slots.pop(key):
+                    rel.drop(k)
                 if log is not None:
                     deleted[_pair_key(members[i], members[j])] = _entry(
                         len(log) + len(deleted), (members[i], members[j]), bad, proof)
@@ -1375,13 +1484,12 @@ def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> Che
         return CheckReport(True, mode, tol=tol, witness=RelationCandidate(tuple(survivors)),
                            detail=f"{len(alive)} pairs survive over a family of "
                                   f"{len(members)} distributions")
-    detail = _clause_i(mu, nu, tol)
+    detail = _kept_clause_i(system, mu, nu, tol, _env_class(mu), _env_class(nu))
     if detail is not None:
         return CheckReport(False, mode, clause="i", pair=(mu, nu), tol=tol, detail=detail)
-    rel = _oriented(survivors) + ((mu, nu), (nu, mu))
+    rel = _Relation(_oriented(survivors) + ((mu, nu), (nu, mu)))
     proof = []
-    bad = _pair_violation(system, rel, _point_index(rel), mu, nu, tol, attack_cache,
-                          None, proof) or {}
+    bad = _pair_violation(system, rel, mu, nu, tol, attack_cache, None, proof) or {}
     final = _entry(len(log), (mu, nu), bad, proof) if bad else None
     certificate = _certify(system, members, mode, log, final, tol)
     detail = bad.pop("detail", "deleted during refinement")
@@ -1835,12 +1943,13 @@ class _EntryChecker:
     `family` is relation search's family, or None for state-based entries,
     whose members are the point distributions.
 
-    An entry's LP is rebuilt as the engine built it, with a column for every
-    pair of members, except columns with mass on a right-hand row that no
-    extreme move of the defender takes mass from.  Nothing else is negative
-    on such a row, whose target is 0, so those columns carry no weight in
-    any solution.  The rows and columns therefore depend on the attack and
-    the defender's extreme moves, not on the size of the family.
+    An entry's LP is the one the engine built (`_closure_columns`): a
+    column for every pair of members, except columns with mass on a
+    right-hand row that no extreme move of the defender takes mass from.
+    Nothing else is negative on such a row, whose target is 0, so those
+    columns carry no weight in any solution.  Engine and checker thus
+    build one LP, and its rows and columns depend on the attack and the
+    defender's extreme moves, not on the size of the family.
     """
 
     def __init__(self, system: System, tol: float, family=None):

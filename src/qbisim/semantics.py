@@ -304,8 +304,9 @@ class System:
     fixpoint kept or deleted, with the evidence for each deletion, and each
     relation-search outcome of `decide_bisim`.  Those verdicts hold for
     every later query on the System, since a configuration's behaviour is
-    fixed by what it reaches.  Looking them up spends no work units, and
-    replays never read them.
+    fixed by what it reaches.  It also keeps the environment distance the
+    refinement computed for each pair of environment classes.  Looking
+    them up spends no work units, and replays never read them.
     """
 
     def __init__(self, module=None, register=None, registry=None,
@@ -332,6 +333,7 @@ class System:
         self._acyclic = set()
         self._state_facts = {}   # tol -> bisim._StateFacts
         self._searches = {}      # bisim._search_key -> relation-search outcome
+        self._env_distances = {}  # pair of bisim._env_class -> environment distance
 
     # -- construction
 

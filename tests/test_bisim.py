@@ -975,14 +975,25 @@ class TestConfluenceProof:
         assert check_ground_bisim_relation(report.witness, s, mode="exhaustive").holds
 
 
+class LPOnly(bisim._Relation):
+    """A relation that offers `_coupling_answer` no point pairs, so only the
+    identity coupling answers a match without an LP."""
+
+    __slots__ = ()
+
+    def points(self):
+        return {}
+
+
 def sweep_refine(record, system, members, mu, nu, tol, mode):
     """Reference for `_refine`: the chaotic sweep it ran before its worklist.
 
     Every pass re-checks every surviving pair against the family as it
-    stood at the start of the pass, until a pass deletes nothing.  Clause
-    (i) is checked pair by pair, and matches get an empty point-pair index,
-    so only the identity coupling skips the LP.  The surviving index pairs
-    and the number of passes go into `record`.
+    stood at the start of the pass, a relation built anew for the pass,
+    until a pass deletes nothing.  Clause (i) is checked pair by pair, and
+    matches get no point pairs (`LPOnly`), so only the identity coupling
+    skips the LP.  The surviving index pairs and the number of passes go
+    into `record`.
     """
     shapes = []
     for m in members:
@@ -1001,13 +1012,14 @@ def sweep_refine(record, system, members, mu, nu, tol, mode):
 
     def violation(a, b, rel):
         for x, y, side in ((a, b, "left"), (b, a, "right")):
-            bad = bisim._violation(system, rel, {}, x, y, 0.0, tol, attack_cache)
+            bad = bisim._violation(system, rel, x, y, 0.0, tol, attack_cache)
             if bad is not None:
                 return dict(bad, direction=side)
         return None
 
-    def relation():
-        return bisim._oriented([(members[i], members[j]) for i, j in sorted(alive)])
+    def relation(extra=()):
+        return LPOnly(bisim._oriented([(members[i], members[j])
+                                       for i, j in sorted(alive)]) + extra)
 
     rounds = 0
     changed = True
@@ -1031,7 +1043,7 @@ def sweep_refine(record, system, members, mu, nu, tol, mode):
     detail = bisim._clause_i(mu, nu, tol)
     if detail is not None:
         return CheckReport(False, mode, clause="i", pair=(mu, nu), tol=tol, detail=detail)
-    bad = violation(mu, nu, relation() + ((mu, nu), (nu, mu))) or {}
+    bad = violation(mu, nu, relation(((mu, nu), (nu, mu)))) or {}
     detail = bad.pop("detail", "deleted during refinement")
     return CheckReport(False, mode, pair=(mu, nu), tol=tol, detail=detail, **bad)
 
@@ -1160,7 +1172,7 @@ class TestCouplingAnswer:
         calls = count_lps(monkeypatch)
         attack = ConfigDistribution(dict(e.probs))
         used = set()
-        assert bisim._match_weak(s, (), {}, attack, s.dirac(d), TAU, used)
+        assert bisim._match_weak(s, bisim._Relation(()), attack, s.dirac(d), TAU, used)
         assert calls == []
         assert used == set()
 
@@ -1176,8 +1188,8 @@ class TestCouplingAnswer:
         pairs = [(s.dirac(x), s.dirac(z)), (s.dirac(y), s.dirac(x))]
         calls = count_lps(monkeypatch)
         used = set()
-        assert bisim._match_weak(s, pairs, bisim._point_index(pairs), attack,
-                                 s.dirac(d), TAU, used)
+        assert bisim._match_weak(s, bisim._Relation(pairs), attack, s.dirac(d), TAU,
+                                 used)
         assert calls == []
         assert used == {0, 1}
 
@@ -1189,7 +1201,7 @@ class TestCouplingAnswer:
         assert attack.digest == e.digest
         assert Fraction(attack.probability(x)) != Fraction(p)
         calls = count_lps(monkeypatch)
-        assert not bisim._match_weak(s, (), {}, attack, s.dirac(d), TAU)
+        assert not bisim._match_weak(s, bisim._Relation(()), attack, s.dirac(d), TAU)
         assert len(calls) == 1
 
     def test_one_ulp_off_solves_the_lp(self, monkeypatch):
@@ -1200,40 +1212,43 @@ class TestCouplingAnswer:
         attack = ConfigDistribution({x: math.nextafter(p, 1.0), y: q})
         pairs = [(s.dirac(x), s.dirac(y)), (s.dirac(y), s.dirac(x))]
         calls = count_lps(monkeypatch)
-        bisim._match_weak(s, pairs, bisim._point_index(pairs), attack,
-                          s.dirac(d), TAU)
+        bisim._match_weak(s, bisim._Relation(pairs), attack, s.dirac(d), TAU)
         assert len(calls) == 1
 
     def test_mass_below_one_solves_the_lp(self, monkeypatch):
         s, d, e = self.point_move()
         defender = ConfigDistribution({d: 1.0 - 2.0 ** -53})
         calls = count_lps(monkeypatch)
-        bisim._match_weak(s, (), {}, ConfigDistribution(dict(e.probs)), defender, TAU)
+        bisim._match_weak(s, bisim._Relation(()), ConfigDistribution(dict(e.probs)),
+                          defender, TAU)
         assert len(calls) == 1
 
     def test_answered_matches_are_feasible(self, monkeypatch):
         """Every match answered without an LP is one the LP also finds from
         the pairs the answer recorded, the identity carriers and one
-        extreme weak move of the defender."""
+        extreme weak move of the defender, with only the columns the
+        engine's LP would have: those on rows the defender's moves debit."""
         calls = count_lps(monkeypatch)
         answered = []
         match = bisim._match_weak
 
-        def spy(system, pairs, points, attack, defender, label, used=None, proof=None):
+        def spy(system, rel, attack, defender, label, used=None, proof=None):
             before = len(calls)
             recorded = set()
-            got = match(system, pairs, points, attack, defender, label, recorded, proof)
+            got = match(system, rel, attack, defender, label, recorded, proof)
             if used is not None:
                 used.update(recorded)
             if got and len(calls) == before:
+                (d,) = defender.support
+                extremes = system.weak_extremes(d, label)
                 columns, _ = bisim._closure_columns(
-                    [pairs[k] for k in sorted(recorded)], attack)
+                    bisim._Relation([rel.pairs[k] for k in sorted(recorded)]), attack,
+                    bisim._debited([(d, extremes)]))
                 target = {("L", c.index): p for c, p in attack}
                 target.update((("D", c.index), p) for c, p in defender)
-                (d,) = defender.support
                 assert any(combination_weights(
                     columns + bisim._extreme_columns([(d, (e,))]), target) is not None
-                    for e in system.weak_extremes(d, label))
+                    for e in extremes)
                 answered.append(len(recorded))
             return got
 
@@ -1275,6 +1290,7 @@ def forget(system):
     """Empty what `system` keeps from earlier refinements."""
     system._state_facts.clear()
     system._searches.clear()
+    system._env_distances.clear()
 
 
 class TestSharedRefinement:
@@ -1503,3 +1519,160 @@ class TestRefutationCertificates:
                                          system)
             checked += 1
         assert checked >= 5
+
+
+class Anything:
+    """A set of configurations that holds every configuration."""
+
+    def __contains__(self, config):
+        return True
+
+
+class TestMatchColumns:
+    """The LPs of `_match_weak` and `_match_decomposition` build a pair
+    column or identity carrier only where all its right-hand mass lies on
+    rows that the defender's extreme moves debit; the dropped columns carry
+    no weight, so every LP decides as it would with all of them.  The live
+    relation (`_Relation`) answers as one rebuilt from its survivors."""
+
+    # shape -> (rng seed, register, term maker)
+    SHAPES = {
+        "plain": (1, randsys.REGISTER, lambda rng: randsys.random_term(rng, 3)),
+        "parallel": (2, randsys.REGISTER2, randsys.random_par_term),
+        "wide": (3, randsys.REGISTER2, randsys.random_wide_term),
+        "entangled": (4, randsys.REGISTER2, randsys.random_entangled_term),
+    }
+
+    def pairs(self, shape, count):
+        """(system, c, d) for a twin and an unrelated term of each base."""
+        seed, register, term = self.SHAPES[shape]
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            system, state = randsys.random_system(rng, register)
+            base = term(rng)
+            c = system.config(base, state)
+            for src in (randsys.variants(base)[1], term(rng)):
+                yield system, c, system.config(src, state)
+
+    def test_debited_columns_decide_like_all_columns(self, monkeypatch):
+        solve, closure = bisim.combination_weights, bisim._closure_columns
+        debited = []   # per running match, the indices of the rows it debits
+        full = []      # every pair column and carrier of the LP being built
+        lps = {}       # (match, feasible) -> LPs; "narrowed" -> LPs with fewer columns
+
+        def columns(rel, left, rows, row=("L",)):
+            got = closure(rel, left, rows, row)
+            every, _ = closure(rel, left, Anything(), row)
+            full.extend(every)
+            lps["narrowed"] = lps.get("narrowed", 0) + (len(every) > len(got[0]))
+            return got
+
+        def watched(match, name, label_of):
+            def spy(system, rel, x, defender, *rest):
+                label = label_of(rest)
+                debited.append((name, {y.index for d in defender.probs
+                                       for e in system.weak_extremes(d, label)
+                                       for y in e.probs}))
+                try:
+                    return match(system, rel, x, defender, *rest)
+                finally:
+                    debited.pop()
+            return spy
+
+        def lp(cols, target, *farkas):
+            got = solve(cols, target, *farkas)
+            if debited:
+                name, rows = debited[-1]
+                for col in cols:
+                    if not any(key[0] == "D" for key in col):
+                        assert all(key[1] in rows for key in col if key[0] == "R")
+                feasible = solve(cols + full, target) is not None
+                assert (got is not None) == feasible
+                lps[name, feasible] = lps.get((name, feasible), 0) + 1
+            full.clear()
+            return got
+
+        monkeypatch.setattr(bisim, "_closure_columns", columns)
+        monkeypatch.setattr(bisim, "combination_weights", lp)
+        monkeypatch.setattr(bisim, "_match_weak",
+                            watched(bisim._match_weak, "weak", lambda rest: rest[0]))
+        monkeypatch.setattr(bisim, "_match_decomposition",
+                            watched(bisim._match_decomposition, "split", lambda rest: TAU))
+        for shape in sorted(self.SHAPES):
+            before = lps.get("narrowed", 0)
+            for system, c, d in self.pairs(shape, 3):
+                decide_state_based(c, d, system)
+                decide_bisim(c, d, system, mode="relation-search")
+            assert lps.get("narrowed", 0) > before, shape
+        for key in (("weak", True), ("weak", False), ("split", True), ("split", False)):
+            assert lps.get(key, 0) >= 3, (key, lps)
+
+    def test_dropping_matches_rebuilding(self):
+        """Random drops, with the indexes built before, between or after
+        them."""
+        rng = np.random.default_rng(11)
+        checked = 0
+        for shape in sorted(self.SHAPES):
+            for system, c, d in self.pairs(shape, 1):
+                configs = system.reachable([c, d])
+                members = [system.dirac(x) for x in configs]
+                members += [t.dist for x in configs for t in system.step(x)]
+                picks = rng.integers(len(members), size=(3 * len(members), 2))
+                pairs = bisim._unique_pairs((members[i], members[j]) for i, j in picks)
+                lefts = members + [combine([(0.5, a), (0.5, b)])
+                                   for a, b in zip(members, members[1:])]
+                rel = bisim._Relation(pairs)
+                live = list(range(len(pairs)))
+                for step, k in enumerate(rng.permutation(len(pairs))[:2 * len(pairs) // 3]):
+                    if step % 7 == 3:
+                        rel.points() if rng.random() < 0.5 else rel.inside({})
+                    rel.drop(int(k))
+                    live.remove(int(k))
+                    if step % 5:
+                        continue
+                    rebuilt = bisim._Relation([pairs[j] for j in live])
+                    assert [(k, p) for k, p in enumerate(rel.pairs) if p is not None] == [
+                        (j, pairs[j]) for j in live]
+                    for left in lefts:
+                        assert rel.inside(left.probs) == [
+                            live[j] for j in rebuilt.inside(left.probs)]
+                    assert rel.points() == {
+                        x: {y: live[j] for y, j in ys.items()}
+                        for x, ys in rebuilt.points().items()}
+                    checked += 1
+        assert checked >= 20
+
+
+class TestClauseIVerdicts:
+    """A System computes the environment distance of clause (i) once for
+    each pair of environment classes, across queries, and answers as a
+    fresh System does."""
+
+    def test_a_second_decision_computes_no_seen_distance(self, monkeypatch):
+        distance = bisim._env_distance
+        computed = []
+
+        def spy(a, b):
+            computed.append(frozenset((bisim._env_class(a), bisim._env_class(b))))
+            return distance(a, b)
+
+        monkeypatch.setattr(bisim, "_env_distance", spy)
+        fresh_total = shared_total = 0
+        for shape in sorted(TestSharedRefinement.SHAPES):
+            for register, state, sources in TestSharedRefinement().instances(shape, 3):
+                s, roots = indexed_system(register, state, sources)
+                computed.clear()
+                decide_state_based(roots[0], roots[1], s)
+                seen = set(computed)
+                for k in range(2, len(sources)):
+                    computed.clear()
+                    got = decide_state_based(roots[0], roots[k], s).to_json()
+                    assert len(set(computed)) == len(computed)
+                    assert not seen & set(computed)
+                    seen |= set(computed)
+                    shared_total += len(computed)
+                    f, froots = indexed_system(register, state, sources)
+                    computed.clear()
+                    assert decide_state_based(froots[0], froots[k], f).to_json() == got
+                    fresh_total += len(computed)
+        assert shared_total < fresh_total

@@ -30,7 +30,7 @@ from qbisim.semantics import (
     combine,
 )
 from qbisim.bb84 import build_bb84_security_test
-from qbisim.bisim import _Canon, _closure_columns, _member_lin, tc_decompose
+from qbisim.bisim import _Canon, _closure_columns, _member_lin, _Relation, tc_decompose
 from qbisim.lp import combination_weights
 
 import randsys
@@ -516,7 +516,7 @@ class TestLifting:
         a = s.config("nil", state())
         b = s.config("tau . nil", state())
         nu = s.dirac(b)
-        assert _member_lin([(s.dirac(a), nu)], s.dirac(a), nu)
+        assert _member_lin(_Relation([(s.dirac(a), nu)]), s.dirac(a), nu)
 
     def test_linearity(self):
         s = fresh()
@@ -524,7 +524,7 @@ class TestLifting:
         b = s.config("b!0 . nil", state())
         na = s.dirac(s.config("nil", state()))
         nb = s.dirac(s.config("tau . nil", state()))
-        pairs = [(s.dirac(a), na), (s.dirac(b), nb)]
+        pairs = _Relation([(s.dirac(a), na), (s.dirac(b), nb)])
         mu = ConfigDistribution({a: 0.3, b: 0.7})
         nu = combine([(0.3, na), (0.7, nb)])
         assert _member_lin(pairs, mu, nu)
@@ -535,7 +535,7 @@ class TestLifting:
         b = s.config("b!0 . nil", state())
         na = s.dirac(s.config("nil", state()))
         nb = s.dirac(s.config("tau . nil", state()))
-        pairs = [(s.dirac(a), na), (s.dirac(b), nb)]
+        pairs = _Relation([(s.dirac(a), na), (s.dirac(b), nb)])
         mu = ConfigDistribution({a: 0.3, b: 0.7})
         nu = combine([(0.7, na), (0.3, nb)])
         assert not _member_lin(pairs, mu, nu)
@@ -545,14 +545,14 @@ class TestLifting:
         s = fresh()
         a = s.dirac(s.config("a!0 . nil", state()))
         n = s.dirac(s.config("nil", state()))
-        assert not _member_lin([], a, n)
-        assert _member_lin([], a, a)
+        assert not _member_lin(_Relation([]), a, n)
+        assert _member_lin(_Relation([]), a, a)
 
     def test_weights_are_exact(self):
         s = fresh()
         a = s.dirac(s.config("a!0 . nil", state()))
         target = s.dirac(s.config("nil", state()))
-        columns, _ = _closure_columns([(a, target), (a, target)], a, right=target)
+        columns, _ = _closure_columns(_Relation([(a, target), (a, target)]), a, target.probs)
         goal = {("L", c.index): p for c, p in a}
         goal.update((("R", d.index), q) for d, q in target)
         w = combination_weights(columns, goal)
