@@ -45,7 +45,6 @@ from .bisim import (
     distance_upper_bound,
     is_transition_consistent,
     replay_refutation,
-    superop_closure_sample_test,
     tc_decompose,
 )
 from .bb84 import (

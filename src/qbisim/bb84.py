@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 from .bisim import CheckReport, DistanceBound, decide_bisim, distance_upper_bound
 from .calculus import Channel, parse_module
 from .errors import ConfluenceError
-from .quantum import BitString, QubitRegister, QuantumState
+from .quantum import QubitRegister, QuantumState
 from .semantics import ConfigDistribution, Label, System
 
 
@@ -44,53 +44,11 @@ _WORK_BUDGET = 500_000_000
 
 
 # ---------------------------------------------------------------------------
-# bit-string functions
-
-
-def _as_bitstring(x) -> BitString:
-    if isinstance(x, BitString):
-        return x
-    if isinstance(x, str) and all(ch in "01" for ch in x):
-        return BitString(x)
-    raise ValueError(f"not a bit-string: {x!r}")
-
-
-def cmp(x, y, z) -> BitString:
-    """Substring of `x` at the positions where `y` and `z` agree."""
-    x, y, z = _as_bitstring(x), _as_bitstring(y), _as_bitstring(z)
-    if not (len(x) == len(y) == len(z)):
-        raise ValueError("cmp expects three bit-strings of equal length")
-    return BitString("".join(x[i] for i in range(len(x)) if y[i] == z[i]))
-
-
-def _check_indexes(bits: BitString, indexes) -> frozenset:
-    idx = frozenset(int(i) for i in indexes)
-    for i in idx:
-        if not 1 <= i <= len(bits):
-            raise ValueError(f"index {i} out of range for a string of length {len(bits)}")
-    return idx
-
-
-def sub_str(bits, indexes) -> BitString:
-    """Substring at the given 1-based index set, in string order."""
-    bits = _as_bitstring(bits)
-    idx = _check_indexes(bits, indexes)
-    return BitString("".join(bits[i - 1] for i in range(1, len(bits) + 1) if i in idx))
-
-
-def rem_str(bits, indexes) -> BitString:
-    """Complementary substring: what `sub_str` leaves behind."""
-    bits = _as_bitstring(bits)
-    idx = _check_indexes(bits, indexes)
-    return BitString("".join(bits[i - 1] for i in range(1, len(bits) + 1) if i not in idx))
+# source emission
 
 
 def _mask(indexes, length: int) -> str:
     return "".join("1" if i in indexes else "0" for i in range(1, length + 1))
-
-
-# ---------------------------------------------------------------------------
-# source emission
 
 
 def _strings(n: int):

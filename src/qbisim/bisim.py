@@ -15,8 +15,8 @@ search over the point distributions of the reachable configurations.
 Two checking engines coexist.  The exhaustive engine enumerates extreme
 strong moves and matches them against the convex closure of the candidate
 relation by exact rational feasibility; it is the literal reading of the
-definitions and is used for small systems.  The saturated engine applies
-only to certified systems (acyclic, free of visible quantum input, every
+definitions and is used for small systems.  The saturated engine runs
+only on certified systems (acyclic, free of visible quantum input, every
 visibly-enabled configuration internally inert, and confluent as proved
 by the local-diamond criterion of `confluence_check`); there, every
 internal interleaving of a distribution shares one canonical saturation,
@@ -34,6 +34,24 @@ tc-decomposition of a convex mixture groups by the same signatures as its
 components, and identity pairs satisfy every clause.  A verified finite
 family therefore certifies its whole convex closure (implicit identity
 pairs included), which is the relation the reports describe.
+
+The definitions also ask that related pairs stay related under every
+super-operator E on the qubits the processes do not hold.  No engine tests
+this clause; it is proved for the fragment every engine accepts, where no
+configuration has a visible quantum input (`_refuse_quantum_input`):
+  - a qubit a configuration does not hold stays unheld in all it reaches,
+    since a visible quantum input is the only rule that brings one in;
+  - every rule reads or changes only held qubits, so E commutes with every
+    step: E(c) makes the moves of c, with the same labels and
+    probabilities, to E of its targets;
+  - environments map through E, and trace distance contracts under E;
+  - so if R is a lambda-bisimulation, so is {(E mu, E nu)}, and R with
+    all its images is one that is closed under super-operators.
+The relation checkers need this only of the supports of their pairs: the
+matched moves of a passing relation reach its own pairs (up to convex
+combination) and identity pairs, which every channel keeps related.  With
+a visible quantum input the clause can fail (announcing the measured value
+of a received qubit matches announcing 0 only while the free qubit is |0>).
 
 Each System keeps what the refinement proved on it.  Per tolerance, it
 keeps the candidate point pairs some state-based fixpoint kept or deleted,
@@ -77,15 +95,13 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .errors import (
     BudgetExceededError,
     CyclicModelError,
     QuantumInputFragmentError,
 )
 from .lp import combination_weights
-from .quantum import _matrix_digest, random_superoperator, trace_distance
+from .quantum import _matrix_digest, trace_distance
 from .semantics import (
     TAU,
     ConfigDistribution,
@@ -99,6 +115,7 @@ from .semantics import (
 _ATTACK_CAP = 4096      # extreme strong moves enumerated per distribution
 _SUBSET_CAP = 4096      # matched-class subsets tried per lambda decomposition
 _FAMILY_CAP = 512       # distributions kept by relation-search mode
+_REPLAY_CAP = 5000      # reachable configurations a replay re-decides
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +491,23 @@ class _Canon:
 # certification: the preconditions of the canonical collapse
 
 
-def _prepare(system: System, dists) -> list:
-    """Reachable configurations, with the decidable-fragment checks.
-
-    Raises when a visible quantum input is reachable (the decision
-    procedures cover the quantum-input-free fragment; inputs synchronised
-    away under restriction are internal and fine) or when the graph has a
-    cycle.
-    """
-    roots = [c for d in dists for c in d.support]
-    configs = system.reachable(roots)
+def _refuse_quantum_input(system: System, configs) -> None:
+    """Raise when a configuration in `configs` has a visible quantum input:
+    the super-operator clause is proved only without one (module
+    docstring).  An input synchronised away under restriction is internal."""
     for c in configs:
         for t in system.step(c):
             if t.label.kind == Label.QIN:
                 raise QuantumInputFragmentError(
-                    f"reachable visible quantum input {t.label} at {c!r}; "
-                    "restrict the channel or use the relation checkers")
+                    f"visible quantum input {t.label} at {c!r}; restrict the channel")
+
+
+def _prepare(system: System, dists) -> list:
+    """Reachable configurations; raises when a visible quantum input is
+    reachable (`_refuse_quantum_input`) or when the graph has a cycle."""
+    roots = [c for d in dists for c in d.support]
+    configs = system.reachable(roots)
+    _refuse_quantum_input(system, configs)
     if not system.is_acyclic(roots):
         raise CyclicModelError("the reachable transition graph has a cycle")
     return configs
@@ -912,7 +930,7 @@ def _strong_attacks(system: System, dist: ConfigDistribution, cache: dict) -> tu
     support = dist.probs
     shared = None
     for c in support:
-        labels = {t.label for t in system.visible_transitions(c)}
+        labels = {t.label for t in system.step(c) if t.label.visible}
         shared = labels if shared is None else shared & labels
         if not shared:
             break
@@ -1096,14 +1114,16 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
     matched by an internal split of the right side with at most lambda mass
     unmatched.  At lambda 0 this is the ground-bisimulation check.
 
-    `mode` picks the engine: "exhaustive" enumerates attacks literally,
-    "saturated" uses the canonical collapse and requires certification,
-    "auto" certifies and falls back to enumeration.  Certification proves
-    tau-normality and the local-diamond criterion of `confluence_check`
-    on the graph the pairs reach, so a witness from a system that is not
-    confluent is checked by enumeration, not by the collapse.
+    `mode` picks the engine: "exhaustive" enumerates attacks literally;
+    "auto" uses the canonical collapse when certification (tau-normality
+    and the local-diamond criterion of `confluence_check` on the graph the
+    pairs reach) succeeds, and enumerates otherwise.  Both refuse a
+    relation whose supports have a visible quantum input
+    (`QuantumInputFragmentError`): only without one is the super-operator
+    clause proved (module docstring).  Exhaustive mode never explores the
+    whole reach, so it also runs where the reach is infinite.
     """
-    if mode not in ("auto", "exhaustive", "saturated"):
+    if mode not in ("auto", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     system = _system_of(context)
     tol = system.tol if tol is None else tol
@@ -1114,25 +1134,16 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
         return CheckReport(True, "exhaustive", lam=lam, tol=tol,
                            witness=relation, detail="empty relation holds vacuously")
 
-    if mode == "exhaustive":
-        return _check_exhaustive(system, relation, lam, tol)
-    roots = [c for pair in relation.pairs for d in pair for c in d.support]
-    configs = system.reachable(roots)
-    quantum_input = any(
-        t.label.kind == Label.QIN for c in configs for t in system.step(c))
-    if mode == "saturated":
-        if quantum_input:
-            raise QuantumInputFragmentError(
-                "saturated checking covers the quantum-input-free fragment")
-        if not system.is_acyclic(roots):
-            raise CyclicModelError("saturated checking needs an acyclic graph")
-        canon, ok, why = _certified(system, configs)
-        return _check_saturated(canon, relation, lam, tol,
-                                why if ok else f"forced ({why})")
-    if not quantum_input and system.is_acyclic(roots):
-        canon, ok, why = _certified(system, configs)
-        if ok:
-            return _check_saturated(canon, relation, lam, tol, why)
+    roots = list(dict.fromkeys(c for pair in relation.pairs for d in pair for c in d.support))
+    if mode == "auto":
+        configs = system.reachable(roots)
+        quantum_input = any(
+            t.label.kind == Label.QIN for c in configs for t in system.step(c))
+        if not quantum_input and system.is_acyclic(roots):
+            canon, ok, why = _certified(system, configs)
+            if ok:
+                return _check_saturated(canon, relation, lam, tol, why)
+    _refuse_quantum_input(system, roots)
     return _check_exhaustive(system, relation, lam, tol)
 
 
@@ -1585,16 +1596,16 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
     """Decide distribution-based ground bisimilarity of two distributions.
 
     Preconditions: the reachable graph is acyclic and free of visible
-    quantum input.  Canonical mode compares behaviour forms under the
-    canonical scheduler, which is complete on certified systems;
-    relation-search mode runs the greatest-fixpoint refinement.  "auto"
-    certifies first and picks accordingly; the report records the mode.
-    Certification proves that scheduling cannot change the canonical
+    quantum input, so the super-operator clause holds (module docstring).
+    "auto" compares behaviour forms under the canonical scheduler, which is
+    complete on certified systems, and elsewhere runs the greatest-fixpoint
+    refinement, which "relation-search" always runs; the report records the
+    mode.  Certification proves that scheduling cannot change the canonical
     answers: the system is tau-normal and meets the local-diamond
     criterion of `confluence_check` at every reachable configuration.
     Every relation-search outcome is kept on the System (module docstring).
     """
-    if mode not in ("auto", "canonical", "relation-search"):
+    if mode not in ("auto", "relation-search"):
         raise ValueError(f"unknown mode {mode!r}")
     system = _system_of(context)
     tol = system.tol if tol is None else tol
@@ -1603,9 +1614,6 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
     if mode == "relation-search":
         return _recorded_search(_Canon(system), mu, nu, tol)
     canon, ok, why = _certified(system, configs)
-    if mode == "canonical":
-        return _decide_canonical(canon, mu, nu, tol,
-                                 why if ok else f"forced canonical ({why})")
     if ok:
         return _decide_canonical(canon, mu, nu, tol, why)
     return _recorded_search(canon, mu, nu, tol)
@@ -1755,73 +1763,11 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
 
 
 # ---------------------------------------------------------------------------
-# super-operator closure sampling
-
-
-def superop_closure_sample_test(relation, context, samples: int = 20,
-                                seed: int = 0, tol: float = None,
-                                kraus_count: int = 2) -> CheckReport:
-    """Sample random channels on unheld qubits and re-check the relation.
-
-    Each sample draws one trace-preserving map on the qubits no pair's
-    support holds, applies it to every configuration of every pair, and
-    re-runs the ground check on the transformed family (one map per sample
-    keeps the auxiliary pairs coherent with the pairs they serve).  For
-    quantum-input-free processes a complement channel commutes with every
-    transition rule, so validity is provably preserved; the sampling gives
-    direct evidence for that and covers relations with quantum inputs,
-    where it can genuinely fail.  Full quantification over all channels is
-    not enumerable, so a pass is evidence, not proof; a failure names the
-    counterexample channel.
-    """
-    system = _system_of(context)
-    tol = system.tol if tol is None else tol
-    relation = RelationCandidate.coerce(relation, system)
-
-    held = frozenset()
-    for a, b in relation.pairs:
-        held |= a.held_qubits() | b.held_qubits()
-    complement = [q for q in system.register.names if q not in held]
-    if not complement:
-        return CheckReport(True, "sampled-closure", tol=tol, witness=relation,
-                           detail="no untouched qubits; closure holds vacuously")
-
-    rng = np.random.default_rng(seed)
-    for i in range(samples):
-        sop = random_superoperator(rng, len(complement), kraus_count,
-                                   name=f"sample{i}")
-        transformed = []
-        for a, b in relation.pairs:
-            mapped = []
-            for dist in (a, b):
-                probs = {}
-                for c, p in dist:
-                    nc = system._intern(c.term, sop.apply(
-                        c.matrix, system.register, complement))
-                    probs[nc] = probs.get(nc, 0) + p
-                mapped.append(ConfigDistribution(probs))
-            transformed.append(tuple(mapped))
-        inner = check_lambda_relation(RelationCandidate(tuple(transformed)),
-                                      0.0, system, tol=tol)
-        if not inner.holds:
-            return CheckReport(
-                False, "sampled-closure", tol=tol, clause=inner.clause,
-                pair=inner.pair, direction=inner.direction, label=inner.label,
-                attack=inner.attack,
-                detail=f"channel sample {i} (seed {seed}) on {complement} broke "
-                       f"the relation: {inner.detail}")
-    return CheckReport(True, "sampled-closure", tol=tol, witness=relation,
-                       detail=f"{samples} random trace-preserving channels on "
-                              f"{complement} preserved the relation (seed {seed}); "
-                              "statistical evidence only")
-
-
-# ---------------------------------------------------------------------------
 # refutation replay
 
 
 @_query
-def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> bool:
+def replay_refutation(report: CheckReport, context) -> bool:
     """Confirm a refutation independently of the engine that produced it.
 
     Clause (i) violations are recomputed from the configurations.  A
@@ -1831,9 +1777,9 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
     from earlier queries is neither read nor written.  For other
     refutations a reported move must exist in the transition graph, and
     the pair is re-decided by a second procedure when the reachable graph
-    fits in `max_configs`: a re-scheduled canonical run, a lambda-relation
-    check, or relation search; beyond it, the directly verified evidence
-    stands.  Used by the test suite on every refutation.
+    fits in `_REPLAY_CAP` configurations: a re-scheduled canonical run, a
+    lambda-relation check, or relation search; beyond it, the directly
+    verified evidence stands.  Used by the test suite on every refutation.
     """
     system = _system_of(context)
     if report.holds:
@@ -1867,7 +1813,7 @@ def replay_refutation(report: CheckReport, context, max_configs: int = 5000) -> 
 
     try:
         system.reachable([c for d in (x, y) for c in d.support],
-                         max_configs=max_configs)
+                         max_configs=_REPLAY_CAP)
     except BudgetExceededError:
         # too large to re-decide; stand on the directly verified evidence
         return confirmed

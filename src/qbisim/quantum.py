@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -482,7 +482,7 @@ def resolve_operation(name: str, registry=None):
 
 
 # ---------------------------------------------------------------------------
-# random instances for property tests and closure sampling
+# random instances for property tests
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -490,14 +490,14 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / rho.trace()
 
 
-def random_superoperator(rng: np.random.Generator, arity: int, kraus_count: int = 2,
-                         name: str = "random") -> SuperOperator:
+def random_superoperator(rng: np.random.Generator, arity: int,
+                         kraus_count: int = 2) -> SuperOperator:
     """Random trace-preserving map from a Haar-ish random isometry."""
     dim = 1 << arity
     g = rng.normal(size=(kraus_count * dim, dim)) + 1j * rng.normal(size=(kraus_count * dim, dim))
     q, _ = np.linalg.qr(g)
     kraus = [q[i * dim:(i + 1) * dim, :] for i in range(kraus_count)]
-    return SuperOperator(name, arity, kraus)
+    return SuperOperator("random", arity, kraus)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -721,9 +721,6 @@ class System:
             got = self._tau_moves[config]
         return got
 
-    def visible_transitions(self, config):
-        return tuple(t for t in self.step(config) if t.label.visible)
-
     def weak_extremes(self, config: Configuration, label: Label) -> tuple:
         """Extreme distributions reachable by a weak `label` move: internal
         moves, then `label`, then internal moves; for `TAU`, only internal

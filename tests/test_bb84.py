@@ -1,4 +1,4 @@
-"""Protocol builders, bit-string functions, probabilities, and verdicts."""
+"""Protocol builders, probabilities, and verdicts."""
 
 import hashlib
 from fractions import Fraction
@@ -20,48 +20,6 @@ import bb84_oracle
 BASIC_FAIL = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
 SECURITY_FAIL = {1: Fraction(0), 2: Fraction(3, 64), 3: Fraction(45, 512)}
 SECURITY_HACKED = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
-
-
-class TestBitStringFunctions:
-    def test_cmp_selects_agreeing_positions(self):
-        assert str(bb84.cmp("101", "110", "100")) == "11"
-
-    def test_cmp_identical_selectors_keep_everything(self):
-        assert str(bb84.cmp("1011", "0110", "0110")) == "1011"
-
-    def test_cmp_empty_when_nothing_matches(self):
-        assert str(bb84.cmp("10", "01", "10")) == ""
-
-    def test_cmp_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bb84.cmp("10", "1", "10")
-
-    def test_sub_and_rem(self):
-        assert str(bb84.sub_str("1011", {1, 3})) == "11"
-        assert str(bb84.rem_str("1011", {1, 3})) == "01"
-
-    def test_empty_index_set(self):
-        assert str(bb84.sub_str("1011", set())) == ""
-        assert str(bb84.rem_str("1011", set())) == "1011"
-
-    def test_indexes_validated(self):
-        with pytest.raises(ValueError):
-            bb84.sub_str("10", {3})
-        with pytest.raises(ValueError):
-            bb84.rem_str("10", {0})
-
-    def test_interleaving_reconstructs(self):
-        bits, idx = "100110", {2, 5, 6}
-        sub = str(bb84.sub_str(bits, idx))
-        rem = str(bb84.rem_str(bits, idx))
-        rebuilt = []
-        si = ri = 0
-        for i in range(1, len(bits) + 1):
-            if i in idx:
-                rebuilt.append(sub[si]); si += 1
-            else:
-                rebuilt.append(rem[ri]); ri += 1
-        assert "".join(rebuilt) == bits
 
 
 class TestSecurityBoundFormula:

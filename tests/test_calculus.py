@@ -404,22 +404,42 @@ class TestEvaluation:
 
     def test_cmp(self):
         e = parse_term("c!cmp(k, a, b) . nil").action.expr
-        env = {"k": BitString("1011"), "a": BitString("0011"), "b": BitString("0101")}
-        assert eval_expr(e, env) == BitString("11")
+        cases = [
+            ("1011", "0011", "0101", "11"),
+            ("101", "110", "100", "11"),
+            ("1011", "0110", "0110", "1011"),   # identical selectors keep every bit
+            ("10", "01", "10", ""),             # no agreeing position
+        ]
+        for k, a, b, want in cases:
+            env = {"k": BitString(k), "a": BitString(a), "b": BitString(b)}
+            assert eval_expr(e, env) == BitString(want), (k, a, b)
 
     def test_cmp_length_mismatch(self):
         e = parse_term("c!cmp(k, a, b) . nil").action.expr
-        env = {"k": BitString("10"), "a": BitString("001"), "b": BitString("01")}
-        with pytest.raises(EvaluationError):
-            eval_expr(e, env)
+        for k, a, b in [("10", "001", "01"), ("10", "1", "10")]:
+            env = {"k": BitString(k), "a": BitString(a), "b": BitString(b)}
+            with pytest.raises(EvaluationError):
+                eval_expr(e, env)
 
     def test_substr_remstr(self):
         sub = parse_term("c!substr(k, m) . nil").action.expr
         rem = parse_term("c!remstr(k, m) . nil").action.expr
-        env = {"k": BitString("abcd".replace("a", "1").replace("b", "0").replace("c", "1").replace("d", "0")),
-               "m": BitString("0110")}
-        assert eval_expr(sub, env) == BitString("01")
-        assert eval_expr(rem, env) == BitString("10")
+        cases = [
+            ("1010", "0110", "01", "10"),
+            ("1011", "1010", "11", "01"),
+            ("1011", "0000", "", "1011"),       # an all-zero mask keeps nothing
+            ("100110", "010011", "010", "101"),
+        ]
+        for k, m, want_sub, want_rem in cases:
+            env = {"k": BitString(k), "m": BitString(m)}
+            got_sub, got_rem = eval_expr(sub, env), eval_expr(rem, env)
+            assert (got_sub, got_rem) == (BitString(want_sub), BitString(want_rem)), (k, m)
+            # the two halves interleave back to the original along the mask
+            parts = {"1": iter(got_sub), "0": iter(got_rem)}
+            assert "".join(next(parts[bit]) for bit in m) == k
+        for expr in (sub, rem):
+            with pytest.raises(EvaluationError):
+                eval_expr(expr, {"k": BitString("1011"), "m": BitString("101")})
 
     def test_concat_length(self):
         env = {"a": BitString("01"), "b": BitString("1")}

@@ -199,6 +199,28 @@ class TestDistance:
         assert json.loads(out)["bound"]["witness"]["pairs"]
 
 
+QUANTUM_INPUT = """\
+A := #c?q . d!0 . nil
+B := #c?q . tau . d!0 . nil
+"""
+
+
+class TestQuantumInput:
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["check", "--flavor", "state"], ["distance", "--replay"],
+    ], ids=["check", "check-state", "distance-replay"])
+    def test_visible_input_is_not_handled(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.qp"
+        path.write_text(QUANTUM_INPUT)
+        command = [argv[0], str(path), "--left", "A", "--right", "B", *argv[1:]]
+        code, _, err = run(capsys, *command, "--rho", "q1=0")
+        assert code == 4
+        assert "model not handled" in err
+        # with no free qubit in the register no input can fire
+        code, _, _ = run(capsys, *command)
+        assert code == 0
+
+
 # two commuting internal moves: certification proves them confluent
 CONFLUENT = """\
 L(; q1, q2) := ( apply X[q1] . m!0 . nil || apply H[q2] . m?x . a!x . nil ) \\ {m}
