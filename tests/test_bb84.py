@@ -1,4 +1,4 @@
-"""Protocol builders, probabilities, and verdicts."""
+"""Protocol builders, bit-string functions, probabilities, and verdicts."""
 
 import hashlib
 from fractions import Fraction
@@ -7,10 +7,10 @@ from math import comb
 import pytest
 
 from qbisim import bb84
-from qbisim.calculus import parse_module
-from qbisim.errors import ConfluenceError
+from qbisim.calculus import eval_expr, parse_module, parse_term
+from qbisim.errors import ConfluenceError, EvaluationError
 from qbisim.bisim import check_lambda_relation, replay_refutation
-from qbisim.quantum import QubitRegister, QuantumState
+from qbisim.quantum import BitString, QubitRegister, QuantumState
 from qbisim.semantics import System
 
 import bb84_oracle
@@ -20,6 +20,65 @@ import bb84_oracle
 BASIC_FAIL = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
 SECURITY_FAIL = {1: Fraction(0), 2: Fraction(3, 64), 3: Fraction(45, 512)}
 SECURITY_HACKED = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
+
+
+# the bit-string functions the BB84 sources call are calculus builtins; index
+# sets reach them as the masks bb84._mask emits
+_CMP = parse_term("c!cmp(k, a, b) . nil").action.expr
+_SUBSTR = parse_term("c!substr(k, m) . nil").action.expr
+_REMSTR = parse_term("c!remstr(k, m) . nil").action.expr
+
+
+def _cmp(x, y, z):
+    return str(eval_expr(_CMP, {"k": BitString(x), "a": BitString(y), "b": BitString(z)}))
+
+
+def _split(expr, bits, indexes, length=None):
+    mask = bb84._mask(indexes, len(bits) if length is None else length)
+    return str(eval_expr(expr, {"k": BitString(bits), "m": BitString(mask)}))
+
+
+class TestBitStringFunctions:
+    def test_cmp_selects_agreeing_positions(self):
+        assert _cmp("101", "110", "100") == "11"
+
+    def test_cmp_identical_selectors_keep_everything(self):
+        assert _cmp("1011", "0110", "0110") == "1011"
+
+    def test_cmp_empty_when_nothing_matches(self):
+        assert _cmp("10", "01", "10") == ""
+
+    def test_cmp_rejects_length_mismatch(self):
+        with pytest.raises(EvaluationError):
+            _cmp("10", "1", "10")
+
+    def test_sub_and_rem(self):
+        assert _split(_SUBSTR, "1011", {1, 3}) == "11"
+        assert _split(_REMSTR, "1011", {1, 3}) == "01"
+
+    def test_empty_index_set(self):
+        assert _split(_SUBSTR, "1011", set()) == ""
+        assert _split(_REMSTR, "1011", set()) == "1011"
+
+    def test_indexes_validated(self):
+        # an index past the end of the string needs a mask longer than it
+        with pytest.raises(EvaluationError):
+            _split(_SUBSTR, "10", {3}, length=3)
+        with pytest.raises(EvaluationError):
+            _split(_REMSTR, "10", {1}, length=1)
+
+    def test_interleaving_reconstructs(self):
+        bits, idx = "100110", {2, 5, 6}
+        sub = _split(_SUBSTR, bits, idx)
+        rem = _split(_REMSTR, bits, idx)
+        rebuilt = []
+        si = ri = 0
+        for i in range(1, len(bits) + 1):
+            if i in idx:
+                rebuilt.append(sub[si]); si += 1
+            else:
+                rebuilt.append(rem[ri]); ri += 1
+        assert "".join(rebuilt) == bits
 
 
 class TestSecurityBoundFormula:
