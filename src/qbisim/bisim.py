@@ -1778,7 +1778,8 @@ def replay_refutation(report: CheckReport, context) -> bool:
     refutations a reported move must exist in the transition graph, and
     the pair is re-decided by a second procedure when the reachable graph
     fits in `_REPLAY_CAP` configurations: a re-scheduled canonical run, a
-    lambda-relation check, or relation search; beyond it, the directly
+    lambda-relation check, or relation search; beyond it, or when relation
+    search refuses a visible quantum input in the reach, the directly
     verified evidence stands.  Used by the test suite on every refutation.
     """
     system = _system_of(context)
@@ -1824,7 +1825,11 @@ def replay_refutation(report: CheckReport, context) -> bool:
     if report.mode == "canonical":
         fresh = _decide_canonical(_Canon(system, _last_choice), x, y, tol, "replay")
         return not fresh.holds
-    _prepare(system, (x, y))
+    try:
+        _prepare(system, (x, y))
+    except QuantumInputFragmentError:
+        # relation search refuses a visible quantum input in the reach
+        return confirmed
     return not _relation_search(_Canon(system), x, y, tol).holds
 
 

@@ -338,7 +338,8 @@ class System:
     # -- construction
 
     def config(self, term, state) -> Configuration:
-        """Intern a root configuration; `state` is validated here.
+        """Intern a root configuration; `state` is validated here, once per
+        matrix object.
 
         `term` may be source text or a term object; `state` a QuantumState
         or a raw density matrix over the system register.  The term is put
@@ -355,7 +356,9 @@ class System:
             raise ValueError("system has no register; pass a QuantumState first")
         if isinstance(state, QuantumState) and state.register != self.register:
             raise ValueError("configuration register differs from the system register")
-        check_density_matrix(matrix, self.tol)
+        if id(matrix) not in self._digests:
+            # an interned matrix was checked when it came in, or the engine made it
+            check_density_matrix(matrix, self.tol)
         if matrix.shape != (self.register.dim, self.register.dim):
             raise ValueError("state dimension does not match the register")
         missing = ca.qv(term) - set(self.register.names)

@@ -214,6 +214,15 @@ class TestGroundRelationCheck:
         assert report.holds
         assert len(s._step_cache) == 3
 
+    def test_refutation_with_deeper_quantum_input_replays(self):
+        # the quantum input sits past the refuting move; relation search
+        # refuses the reach, so the replay stands on the checked move
+        s = fresh()
+        sender = s.config("c!0 . #d?q . nil", ground())
+        report = check_ground_bisim_relation([(sender, s.config("nil", ground()))], s)
+        assert (report.holds, report.clause, str(report.label)) == (False, "ii", "c!0")
+        assert replay_refutation(report, s)
+
     def test_report_json_round_trips(self):
         s = fresh()
         c = s.config("c!0 . nil", ground())

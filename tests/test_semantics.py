@@ -626,6 +626,51 @@ class TestInterning:
         assert a is b
 
 
+class TestStateValidation:
+    """`System.config` checks each density matrix object once: a matrix the
+    system has interned was checked when it came in, or the engine made it."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        import qbisim.semantics as sem
+
+        calls = []
+        check = sem.check_density_matrix
+        monkeypatch.setattr(sem, "check_density_matrix",
+                            lambda mat, tol: calls.append(mat) or check(mat, tol))
+        return calls
+
+    def test_same_object_is_checked_once(self, checked):
+        s = fresh()
+        rho = np.diag([0.25, 0.75]).astype(complex)
+        s.config("c!0 . nil", rho)
+        s.config("d!0 . nil", rho)
+        assert len(checked) == 1
+
+    def test_engine_made_matrix_is_not_checked(self, checked):
+        s = fresh()
+        cfg = s.config("meas Mcomp[q1; x] . c!x . nil", np.eye(2) / 2)
+        post = next(iter(only_transition(s, cfg).dist))[0].matrix
+        s.config("nil", post)
+        assert len(checked) == 1
+
+    def test_equal_fresh_array_is_checked_again(self, checked):
+        s = fresh()
+        rho = np.diag([0.25, 0.75]).astype(complex)
+        a = s.config("c!0 . nil", rho)
+        b = s.config("c!0 . nil", rho.copy())
+        assert a is b
+        assert len(checked) == 2
+
+    def test_invalid_matrix_raises_on_first_use(self, checked):
+        s = fresh()
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                s.config("c!0 . nil", bad)
+        assert len(checked) == 2
+
+
 class TestSharedDistributions:
     """Distributions are immutable, so a combination that reproduces one
     part returns that part itself, with its cached digest."""
