@@ -427,22 +427,32 @@ class _Canon:
     def __init__(self, system: System, chooser=_first_choice):
         self.system = system
         self.chooser = chooser
-        self._sat = {}
+        self._sat = {}  # configuration index -> saturation, None while open
         self._der = {}
         self._forms = {}
 
     def config_sat(self, config: Configuration) -> ConfigDistribution:
-        got = self._sat.get(config, self._MISSING)
+        """The saturation of `config`: its point distribution when it has
+        no internal move, else the chosen internal move's distribution with
+        each support configuration saturated.  Along a point chain (an
+        internal move to one configuration with weight 1) every link
+        returns the object its end saturates to, without a combination."""
+        got = self._sat.get(config.index, self._MISSING)
         if got is self._MISSING:
-            self._sat[config] = None
+            self._sat[config.index] = None
             taus = self.system.tau_transitions(config)
             if not taus:
                 got = self.system.dirac(config)
             else:
-                t = taus[self.chooser(config, len(taus))]
-                self.system._spend(len(t.dist.probs))
-                got = combine((q, self.config_sat(d)) for d, q in t.dist)
-            self._sat[config] = got
+                probs = taus[self.chooser(config, len(taus))].dist.probs
+                self.system._spend(len(probs))
+                if len(probs) == 1 and 1 in probs.values():
+                    # a point chain shares the saturation its end has
+                    (d,) = probs
+                    got = self.config_sat(d)
+                else:
+                    got = combine((q, self.config_sat(d)) for d, q in probs.items())
+            self._sat[config.index] = got
         elif got is None:
             raise CyclicModelError(
                 "internal cycle during canonical saturation; "

@@ -128,16 +128,19 @@ class Configuration:
 
     The matrix is stored raw: states reached by stepping a valid initial
     state through trace-preserving operations stay valid, so only the entry
-    point revalidates.
+    point revalidates.  A configuration belongs to the one System that
+    interned it, which keeps its step memo here: `moves`, the step result,
+    and `tau_moves`, its internal part, both None until first asked for.
     """
 
-    __slots__ = ("term", "register", "matrix", "index")
+    __slots__ = ("term", "register", "matrix", "index", "moves", "tau_moves")
 
     def __init__(self, term: Process, register, matrix, index: int):
         self.term = term
         self.register = register
         self.matrix = matrix
         self.index = index
+        self.moves = self.tau_moves = None
 
     @property
     def qv(self) -> frozenset:
@@ -272,6 +275,21 @@ class _Cap(NamedTuple):
     instantiate: Callable  # value or qubit name -> term, or None when blocked
 
 
+class _Component(NamedTuple):
+    """One parallel component stepped at one matrix, indexed for a
+    composition under one restriction."""
+
+    moves: tuple    # (Label, branches) the restriction keeps, as `_step_term` gives them
+    caps: tuple     # _Cap the restriction keeps
+    outputs: tuple  # (label, sender term, sender matrix) of every output
+    inputs: dict    # channel -> instantiate functions of every cap on it
+
+
+def _lone(pieces):
+    (term,) = pieces
+    return term
+
+
 # ---------------------------------------------------------------------------
 # the system: interning, stepping, weak closure
 
@@ -285,19 +303,28 @@ def _internal_cycle(config) -> CyclicModelError:
 class System:
     """Execution engine for one module over one qubit register.
 
-    Owns the configuration store, so configurations from different systems
-    never mix.  Step results are memoized per configuration, along with
-    their internal moves, split off once, and the extreme points of weak
-    moves per (configuration, label); an internal cycle raises
-    `CyclicModelError` from every weak-closure query.  The
-    components of a parallel composition are stepped once per (component,
-    state): configurations that share a component and a density matrix
-    share its moves and input capabilities.  An input prefix is
-    instantiated once per received value or qubit.  A restricted
-    composition does not build the component moves and input capabilities
-    its restriction hides.  Configurations proved acyclic are
-    remembered, so no search repeats that proof.  `work` counts the
-    expansion done by the current query against `budget` (see `query`).
+    Owns the configuration store, kept per interned density matrix, so
+    configurations from different systems never mix.  Each configuration
+    carries the System's memo of its step result and of its internal moves
+    (the step tuple itself when every move is internal).  There is one
+    point distribution per configuration (`dirac`), and every move of
+    weight exactly int 1 targets it.  The
+    extreme points of weak moves are memoized per (configuration, label);
+    an internal cycle raises `CyclicModelError` from every weak-closure
+    query.
+
+    A parallel composition, with the restriction and the relabelling
+    around it, is stepped in one pass (`_step_par`) over its components'
+    entries, and each target is built once as the final term.  A
+    component is stepped once per (component, state, restriction), and its
+    entry is indexed for communication: configurations that share a
+    component and a density matrix share its moves and input
+    capabilities.  A restricted composition does not build the component
+    moves and input capabilities its restriction hides.  An input prefix
+    is instantiated once per received value or qubit, and a constant once
+    per argument values.  Configurations proved acyclic are remembered,
+    so no search repeats that proof.  `work` counts the expansion done by
+    the current query against `budget` (see `query`).
 
     A System also keeps what the bisimulation engines proved on it
     (`qbisim.bisim`): per tolerance, the point pairs some state-based
@@ -318,19 +345,19 @@ class System:
         self.budget = budget
         self.work = 0
         self._open_queries = 0
-        self._configs = {}
-        self._matrices = {}
-        self._digests = {}
+        self._n_configs = 0
+        self._matrices = {}      # digest -> interned matrix
+        self._configs = {}       # id of an interned matrix -> {term: configuration}
         self._unfold_cache = {}
-        self._step_cache = {}
-        self._tau_moves = {}     # configuration -> its internal moves
-        self._points = {}        # configuration -> its point distribution
+        # configuration index -> its point distribution; kept here, not on
+        # the configuration, so that the two do not form a reference cycle
+        self._points = {}
         self._component_steps = {}
         self._inputs = {}
         self._extreme_sets = {}
         self._enabled_cache = {}
         self._op_cache = {}
-        self._acyclic = set()
+        self._acyclic = set()    # indexes of configurations proved acyclic
         self._state_facts = {}   # tol -> bisim._StateFacts
         self._searches = {}      # bisim._search_key -> relation-search outcome
         self._env_distances = {}  # pair of bisim._env_class -> environment distance
@@ -356,7 +383,7 @@ class System:
             raise ValueError("system has no register; pass a QuantumState first")
         if isinstance(state, QuantumState) and state.register != self.register:
             raise ValueError("configuration register differs from the system register")
-        if id(matrix) not in self._digests:
+        if id(matrix) not in self._configs:
             # an interned matrix was checked when it came in, or the engine made it
             check_density_matrix(matrix, self.tol)
         if matrix.shape != (self.register.dim, self.register.dim):
@@ -375,35 +402,35 @@ class System:
         return self._intern(term, matrix)
 
     def _share(self, matrix):
-        """The interned matrix equal to `matrix`, and its digest.
+        """The interned matrix equal to `matrix`.
 
         An interned matrix is kept alive by `_matrices`, so its id names it
         and its digest is computed once; only new arrays are hashed.
         """
-        digest = self._digests.get(id(matrix))
-        if digest is None:
-            digest = _matrix_digest(matrix)
-            matrix = self._matrices.setdefault(digest, matrix)
-            self._digests[id(matrix)] = digest
-        return matrix, digest
+        if id(matrix) not in self._configs:
+            matrix = self._matrices.setdefault(_matrix_digest(matrix), matrix)
+            self._configs.setdefault(id(matrix), {})
+        return matrix
 
     def _intern(self, term: Process, matrix) -> Configuration:
-        digest = self._digests.get(id(matrix))
-        if digest is None:
-            matrix, digest = self._share(matrix)
-        key = (term, digest)
-        got = self._configs.get(key)
+        """The configuration of `term` at `matrix`; configurations are kept
+        per interned matrix, so a lookup builds no key tuple."""
+        table = self._configs.get(id(matrix))
+        if table is None:
+            matrix = self._share(matrix)
+            table = self._configs[id(matrix)]
+        got = table.get(term)
         if got is None:
-            got = Configuration(term, self.register, matrix, len(self._configs))
-            self._configs[key] = got
+            got = table[term] = Configuration(term, self.register, matrix, self._n_configs)
+            self._n_configs += 1
         return got
 
     def dirac(self, config: Configuration) -> ConfigDistribution:
         """The point distribution on `config`: one object per configuration,
         so its digest and environment are computed once."""
-        got = self._points.get(config)
+        got = self._points.get(config.index)
         if got is None:
-            got = self._points[config] = ConfigDistribution({config: 1})
+            got = self._points[config.index] = ConfigDistribution({config: 1})
         return got
 
     @contextmanager
@@ -437,13 +464,15 @@ class System:
     # -- constant unfolding
 
     def _unfold(self, call: ca.Call) -> Process:
+        # keyed by the values as `Lit` nodes, which keep True apart from
+        # 1.0 and -0.0 from 0.0, as raw values would not
         defn = self.module.definitions.get(call.name)
         if defn is None:
             raise WellFormednessError(f"call to undefined process {call.name}")
         if len(call.cargs) != len(defn.cparams) or len(call.qargs) != len(defn.qparams):
             raise WellFormednessError(f"arity mismatch in call to {call.name}")
         values = tuple(ca.eval_expr(e) for e in call.cargs)
-        key = (call.name, values, call.qargs)
+        key = (call.name, tuple(map(ca.Lit, values)), call.qargs)
         got = self._unfold_cache.get(key)
         if got is None:
             body = ca.subst_values(defn.body, dict(zip(defn.cparams, values)))
@@ -455,7 +484,7 @@ class System:
 
     def step(self, config: Configuration) -> tuple:
         """All strong transitions of a configuration (inputs made concrete)."""
-        cached = self._step_cache.get(config)
+        cached = config.moves
         if cached is not None:
             return cached
         moves, caps = self._step_term(config.term, config.matrix, _UNFOLD_LIMIT)
@@ -464,6 +493,9 @@ class System:
         for label, branches in moves:
             if len(branches) == 1:
                 ((p, t, s),) = branches
+                if p.__class__ is int and p == 1:
+                    out.append(Transition(label, self.dirac(intern(t, s))))
+                    continue
                 probs = {intern(t, s): p}
             else:
                 probs = {}
@@ -497,8 +529,9 @@ class System:
                         Label(Label.IN, cap.chan, v),
                         self.dirac(self._intern(term, config.matrix))))
         result = tuple(out)
-        self._step_cache[config] = result
-        self._tau_moves[config] = tuple(t for t in result if not t.label.visible)
+        config.moves = result
+        taus = tuple(t for t in result if not t.label.visible)
+        config.tau_moves = result if len(taus) == len(result) else taus
         return result
 
     def _step_term(self, term: Process, mat, fuel: int):
@@ -508,28 +541,7 @@ class System:
         tuple of (prob, term, matrix); caps are pending input prefixes.
         """
         if isinstance(term, ca.Restrict):
-            chans = term.channels
-            if isinstance(term.body, ca.Par):
-                moves, caps = self._step_par(term.body, mat, fuel, chans)
-            else:
-                moves, caps = self._step_term(term.body, mat, fuel)
-            out_moves = []
-            for label, branches in moves:
-                if label.visible and label.chan in chans:
-                    continue
-                out_moves.append((label, tuple(
-                    (p, ca.Restrict(t, chans), s) for p, t, s in branches)))
-            out_caps = []
-            for cap in caps:
-                if cap.chan in chans:
-                    continue
-
-                def wrap(v, inst=cap.instantiate, chans=chans):
-                    t = inst(v)
-                    return None if t is None else ca.Restrict(t, chans)
-
-                out_caps.append(_Cap(cap.chan, wrap))
-            return out_moves, out_caps
+            return self._step_par(term.body, mat, fuel, term.channels)
 
         if isinstance(term, ca.Nil):
             return [], []
@@ -578,12 +590,12 @@ class System:
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.Apply):
                 op = self._operation(act.op)
-                new_mat, _ = self._share(op.apply(mat, self.register, act.qubits))
+                new_mat = self._share(op.apply(mat, self.register, act.qubits))
                 return [(TAU, ((1, term.cont, new_mat),))], []
             if isinstance(act, ca.Meas):
                 op = self._operation(act.op)
                 branches = tuple(
-                    (p, ca.subst_values(term.cont, {act.var: v}), self._share(post)[0])
+                    (p, ca.subst_values(term.cont, {act.var: v}), self._share(post))
                     for v, p, post in op.apply(mat, self.register, act.qubits))
                 return [(TAU, branches)], []
             raise TypeError(f"unknown action {act!r}")
@@ -610,118 +622,145 @@ class System:
             return self._step_par(term, mat, fuel)
 
         if isinstance(term, ca.Relabel):
-            moves, caps = self._step_term(term.body, mat, fuel)
-            out_moves = [
-                (relabel_label(label, term),
-                 tuple((p, ca.Relabel(t, term.mapping), s) for p, t, s in branches))
-                for label, branches in moves
-            ]
-            out_caps = []
-            for cap in caps:
-
-                def wrap(v, inst=cap.instantiate, mapping=term.mapping):
-                    t = inst(v)
-                    return None if t is None else ca.Relabel(t, mapping)
-
-                out_caps.append(_Cap(term.rename(cap.chan), wrap))
-            return out_moves, out_caps
+            body = term.body
+            if isinstance(body, ca.Restrict):
+                return self._step_par(body.body, mat, fuel, body.channels, term)
+            return self._step_par(body, mat, fuel, relabel=term)
 
         raise TypeError(f"cannot step {term!r}")
 
-    def _step_component(self, part: Process, mat, fuel: int):
-        """`_step_term` of one parallel component, memoized per system.
+    def _step_component(self, part: Process, mat, fuel: int, hidden: frozenset,
+                        table: dict) -> _Component:
+        """`_step_term` of one parallel component, indexed for a composition
+        restricted to `hidden`, and kept in `table`, which holds the
+        components stepped at `mat` and `fuel` under that restriction.
 
         `mat` is always a configuration's matrix, interned in `_matrices`,
-        so its identity stands for its value; the entry also holds `mat`,
-        so that id is not reused while the entry lives.  Results are tuples
-        shared by every composition holding the component, and cap
-        closures capture terms and the input memo only.
+        so its identity stands for its value, and looking a component up
+        in its table builds no key tuple.  The entry is built once: the
+        moves and input capabilities the restriction keeps, and for
+        communication every output, and every capability by channel.
+        Entries are shared by every composition holding the component, and
+        cap closures capture terms and the input memo only.
         """
-        key = (part, id(mat), fuel)
+        moves, caps = self._step_term(part, mat, fuel)
+        outputs = []
+        for label, branches in moves:
+            if label.kind not in (Label.OUT, Label.QOUT):
+                continue
+            if len(branches) != 1 or branches[0][0] != 1:
+                raise AssertionError("output transitions must be Dirac")
+            if label.chan.quantum == (label.kind == Label.QOUT):
+                outputs.append((label, branches[0][1], branches[0][2]))
+        inputs = {}
+        for cap in caps:
+            inputs[cap.chan] = inputs.get(cap.chan, ()) + (cap.instantiate,)
+        got = table[part] = _Component(
+            tuple(m for m in moves if m[0].chan not in hidden),  # tau has no channel
+            tuple(cap for cap in caps if cap.chan not in hidden),
+            tuple(outputs), inputs)
+        return got
+
+    def _step_par(self, body: Process, mat, fuel: int, hidden=frozenset(), relabel=None):
+        """Moves and capabilities of `body`, a composition, under the
+        restriction to `hidden` and then the relabelling `relabel`:
+        interleaved component moves and capabilities, then communication.
+
+        A body that is not a `Par` is a composition of one component.
+        Each target is built once, as the final term: the composition with
+        one or two components replaced, inside `Restrict(..., hidden)` when
+        `hidden` is not empty, inside `relabel` when one is given.  A
+        component move visible on a hidden channel is dropped, as is a
+        capability on one, since the restriction would discard them; the
+        relabelling renames the channels of the rest.  Communication still
+        pairs the components' own outputs and capabilities, so hidden
+        channels still synchronise, and the moves that remain keep their
+        order.
+        """
+        if isinstance(body, ca.Par):
+            parts = body.parts
+            rebuild = ca.Par
+        else:
+            parts = (body,)
+            rebuild = _lone
+        if hidden:
+            compose = rebuild
+            rebuild = lambda pieces: ca.Restrict(compose(pieces), hidden)
+        if relabel is not None:
+            restrict = rebuild
+            rebuild = lambda pieces: ca.Relabel(restrict(pieces), relabel.mapping)
+        # the table also holds `mat`, so its id is not reused while it lives
+        key = (id(mat), fuel, hidden)
         got = self._component_steps.get(key)
         if got is None:
-            moves, caps = self._step_term(part, mat, fuel)
-            got = self._component_steps[key] = (tuple(moves), tuple(caps), mat)
-        return got[0], got[1]
-
-    def _step_par(self, term: ca.Par, mat, fuel: int, hidden=frozenset()):
-        """Interleaved component moves and capabilities, then communication.
-
-        `hidden` holds the channels an enclosing `Restrict` drops: a
-        component move visible on one of them is not plugged back into
-        the composition, nor is a capability on one wrapped, since the
-        restriction would discard them.  Communication still pairs the
-        components' own moves and capabilities, so hidden channels still
-        synchronise, and the moves that remain keep their order.
-        """
-        parts = term.parts
-        stepped = [self._step_component(p, mat, fuel) for p in parts]
-
-        def plug(i, replacement):
-            return ca.Par(parts[:i] + (replacement,) + parts[i + 1:])
+            got = self._component_steps[key] = ({}, mat)
+        table = got[0]
+        entries = [table.get(p) or self._step_component(p, mat, fuel, hidden, table)
+                   for p in parts]
 
         moves, caps = [], []
-        for i, (part_moves, part_caps) in enumerate(stepped):
-            for label, branches in part_moves:
-                if label.chan in hidden:  # a tau move has no channel
-                    continue
-                moves.append((label, tuple(
-                    (p, plug(i, t), s) for p, t, s in branches)))
+        for i, entry in enumerate(entries):
+            if not (entry.moves or entry.caps):
+                continue
+            head, tail = parts[:i], parts[i + 1:]
+            for label, branches in entry.moves:
+                if relabel is not None:
+                    label = relabel_label(label, relabel)
+                if len(branches) == 1:
+                    ((p, t, s),) = branches
+                    moves.append((label, ((p, rebuild(head + (t,) + tail), s),)))
+                else:
+                    moves.append((label, tuple(
+                        (p, rebuild(head + (t,) + tail), s) for p, t, s in branches)))
             others_qv = None  # qubits the siblings hold, for quantum inputs only
-            for cap in part_caps:
-                if cap.chan in hidden:
-                    continue
+            for cap in entry.caps:
                 if cap.chan.quantum:
                     if others_qv is None:
-                        others_qv = frozenset().union(
-                            *(ca.qv(p) for j, p in enumerate(parts) if j != i))
+                        others_qv = frozenset().union(*map(ca.qv, head + tail))
 
-                    def wrap(r, inst=cap.instantiate, i=i, others=others_qv):
+                    def wrap(r, inst=cap.instantiate, head=head, tail=tail,
+                             others=others_qv):
                         if r in others:
                             return None
                         t = inst(r)
-                        return None if t is None else plug(i, t)
+                        return None if t is None else rebuild(head + (t,) + tail)
 
-                    caps.append(_Cap(cap.chan, wrap))
                 else:
 
-                    def wrap(v, inst=cap.instantiate, i=i):
+                    def wrap(v, inst=cap.instantiate, head=head, tail=tail):
                         t = inst(v)
-                        return None if t is None else plug(i, t)
+                        return None if t is None else rebuild(head + (t,) + tail)
 
-                    caps.append(_Cap(cap.chan, wrap))
+                caps.append(_Cap(
+                    cap.chan if relabel is None else relabel.rename(cap.chan), wrap))
 
-        # communication between distinct components
-        for i, (out_moves, _) in enumerate(stepped):
-            for label, branches in out_moves:
-                if label.kind not in (Label.OUT, Label.QOUT):
-                    continue
-                if len(branches) != 1 or branches[0][0] != 1:
-                    raise AssertionError("output transitions must be Dirac")
-                _, sender_term, sender_mat = branches[0]
-                for j, (_, in_caps) in enumerate(stepped):
+        # communication between distinct components, on the sender's channel
+        receivers = None
+        for i, entry in enumerate(entries):
+            for label, sender_term, sender_mat in entry.outputs:
+                if receivers is None:
+                    receivers = [(j, other.inputs) for j, other in enumerate(entries)
+                                 if other.inputs]
+                for j, inputs in receivers:
                     if i == j:
                         continue
-                    for cap in in_caps:
-                        if cap.chan != label.chan or cap.chan.quantum != (
-                                label.kind == Label.QOUT):
-                            continue
-                        received = cap.instantiate(label.value)
+                    for receive in inputs.get(label.chan, ()):
+                        received = receive(label.value)
                         if received is None:
                             continue
                         pieces = list(parts)
                         pieces[i] = sender_term
                         pieces[j] = received
-                        moves.append((TAU, ((1, ca.Par(tuple(pieces)), sender_mat),)))
+                        moves.append((TAU, ((1, rebuild(tuple(pieces)), sender_mat),)))
         return moves, caps
 
     # -- weak transitions as extreme points
 
     def tau_transitions(self, config):
-        got = self._tau_moves.get(config)
+        got = config.tau_moves
         if got is None:
             self.step(config)
-            got = self._tau_moves[config]
+            got = config.tau_moves
         return got
 
     def weak_extremes(self, config: Configuration, label: Label) -> tuple:
@@ -788,21 +827,23 @@ class System:
     def reachable(self, roots, max_configs=None):
         """All configurations reachable from the given ones, breadth first."""
         seen = []
-        seen_set = set()
+        seen_set = set()  # indexes, which hash without a Python call
         frontier = list(roots)
         while frontier:
             nxt = []
             for c in frontier:
-                if c in seen_set:
+                if c.index in seen_set:
                     continue
-                seen_set.add(c)
+                seen_set.add(c.index)
                 seen.append(c)
                 if max_configs is not None and len(seen) > max_configs:
                     raise BudgetExceededError(
                         "state space exceeded the configuration budget",
                         budget=max_configs)
                 for trans in self.step(c):
-                    nxt.extend(s for s in trans.dist.support if s not in seen_set)
+                    for s in trans.dist.probs:
+                        if s.index not in seen_set:
+                            nxt.append(s)
             frontier = nxt
         return seen
 
@@ -811,32 +852,33 @@ class System:
         itself again.
 
         Every configuration a search that returns True visits reaches no
-        cycle, so it is kept in `_acyclic` and later searches skip it as a
-        root and as a successor; a search that finds a cycle keeps nothing.
-        Spends no work units.
+        cycle, so its index is kept in `_acyclic` and later searches skip
+        it as a root and as a successor; a search that finds a cycle keeps
+        nothing.  Spends no work units.
         """
         WHITE, GREY, BLACK = 0, 1, 2
         proved = self._acyclic
-        color = {}
+        color = {}  # by index, which hashes without a Python call
         for root in roots:
-            if root in proved:
+            if root.index in proved:
                 continue
             stack = [(root, None)]
             while stack:
                 node, it = stack.pop()
                 if it is None:
-                    if color.get(node, WHITE) == GREY:
+                    c = color.get(node.index, WHITE)
+                    if c == GREY:
                         return False
-                    if color.get(node, WHITE) == BLACK:
+                    if c == BLACK:
                         continue
-                    color[node] = GREY
-                    succs = [s for t in self.step(node) for s in t.dist.support
-                             if s not in proved]
+                    color[node.index] = GREY
+                    succs = [s for t in self.step(node) for s in t.dist.probs
+                             if s.index not in proved]
                     stack.append((node, iter(succs)))
                     continue
                 advanced = False
                 for s in it:
-                    c = color.get(s, WHITE)
+                    c = color.get(s.index, WHITE)
                     if c == GREY:
                         return False
                     if c == WHITE:
@@ -845,7 +887,7 @@ class System:
                         advanced = True
                         break
                 if not advanced:
-                    color[node] = BLACK
+                    color[node.index] = BLACK
         proved.update(color)
         return True
 

@@ -45,6 +45,12 @@ def ground(register=R1, **assignment):
     return QuantumState.product(register, assignment or None)
 
 
+def stepped(system):
+    """The configurations `system` has interned and stepped."""
+    return [c for table in system._configs.values() for c in table.values()
+            if c.moves is not None]
+
+
 @pytest.fixture(scope="module")
 def dephasing():
     """The measurement-versus-dephasing pair: distribution-bisimilar,
@@ -212,7 +218,7 @@ class TestGroundRelationCheck:
         padded = s.config("tau . Grow(0;)", ground())
         report = check_ground_bisim_relation([(grow, padded)], s, mode="exhaustive")
         assert report.holds
-        assert len(s._step_cache) == 3
+        assert len(stepped(s)) == 3
 
     def test_refutation_with_deeper_quantum_input_replays(self):
         # the quantum input sits past the refuting move; relation search
@@ -368,7 +374,7 @@ class TestDecide:
         for mode in ("bogus", "saturated"):
             with pytest.raises(ValueError):
                 check_lambda_relation([(cfg, cfg)], 0.0, s, mode=mode)
-        assert s._step_cache == {}
+        assert stepped(s) == []
 
 
 class TestDuplicatedMeasurement:

@@ -7,6 +7,11 @@ how terms are stepped, shared or interned that alters a single byte of the
 export fails here.  The cases are the BB84 n = 1 roots and three small
 parallel systems: a restricted classical hand-off, qubit passing on a
 restricted quantum channel, and a relabelled component.
+
+The n = 2 security system is too large to export in a test, so its
+transition system is pinned on its own: the reach of the attacked root and
+the ideal root, with every configuration's index and term, and every
+transition's label, target indices and exact weights with their types.
 """
 
 import hashlib
@@ -14,6 +19,7 @@ import hashlib
 import pytest
 
 from qbisim.bb84 import build_bb84_security_test, build_bb84_spec, build_bb84_test
+from qbisim.calculus import pretty
 from qbisim.quantum import QuantumState
 from qbisim.semantics import PLTS, System
 
@@ -52,3 +58,20 @@ def test_plts_export_is_pinned(name):
     plts = PLTS(system, root)
     digest = hashlib.sha256(plts.to_json_str(with_states=True).encode()).hexdigest()
     assert (len(plts.configs), digest) == GOLDEN[name]
+
+
+def test_bb84_security_n2_transitions_are_pinned():
+    instance = build_bb84_security_test(2)
+    system = System(instance.system.module, register=instance.register)
+    roots = [system.config(c.term, c.matrix)
+             for c in instance.root.support + instance.ideal.support]
+    configs = system.reachable(roots)
+    lines = []
+    for config in configs:
+        lines.append(f"{config.index} {pretty(config.term)}")
+        for label, dist in system.step(config):
+            lines.append(f"  {label} " + " ".join(
+                f"{target.index}:{type(p).__name__}:{p!r}" for target, p in dist))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(configs), digest) == (
+        6728, "15c33120d01ec4442d29bb197c920b8232ec6d3d145f66c8773fc5ae64b5b110")

@@ -27,7 +27,9 @@ from qbisim.semantics import (
     Label,
     System,
     TAU,
+    _Cap,
     combine,
+    relabel_label,
 )
 from qbisim.bb84 import build_bb84_security_test
 from qbisim.bisim import _Canon, _closure_columns, _member_lin, _Relation, tc_decompose
@@ -183,6 +185,24 @@ class TestStepRules:
         cfg = s.config("Send(7;)", state())
         assert labels_of(s, cfg) == {"c!7"}
 
+    @pytest.mark.parametrize("order", [("A(true;)", "A(1;)"), ("A(1;)", "A(true;)")])
+    def test_unfolding_keeps_true_apart_from_one(self, order):
+        # True == 1.0 in Python; an unfolding memo keyed by raw values
+        # would hand A(1) the body A(true) unfolded to, or the reverse
+        source = "A(x;) := if x then c!0 . nil"
+
+        def outcome(system, term):
+            try:
+                return labels_of(system, system.config(term, state()))
+            except EvaluationError as err:
+                return str(err)
+
+        shared = fresh(source)
+        assert [outcome(shared, term) for term in order] == [
+            outcome(fresh(source), term) for term in order]
+        assert outcome(fresh(source), "A(true;)") == {"c!0"}
+        assert "expected a boolean" in outcome(fresh(source), "A(1;)")
+
     def test_recursion_through_prefix_is_fine(self):
         s = fresh("Loop := a!0 . Loop")
         cfg = s.config("Loop", state())
@@ -294,22 +314,48 @@ class TestCompositionalStepping:
 
 
 class _Unpruned(System):
-    """Steps a restricted composition without pruning: the whole
-    `_step_par` output, which the `Restrict` rule then filters and wraps.
-    Counts the component moves that rule drops."""
+    """Steps a restricted or relabelled composition without pruning: the
+    whole bare `_step_par` output, which it then filters and wraps in the
+    restriction, and renames and wraps in the relabelling, as `Restrict`
+    and `Relabel` rules apart from the composition would.  Counts the
+    component moves the filter drops."""
 
     hidden_moves = 0
 
-    def _step_par(self, term, mat, fuel, hidden=frozenset()):
-        moves, caps = super()._step_par(term, mat, fuel)
-        self.hidden_moves += sum(
-            1 for label, _ in moves if label.visible and label.chan in hidden)
+    def _step_par(self, body, mat, fuel, hidden=frozenset(), relabel=None):
+        moves, caps = super()._step_par(body, mat, fuel)
+        if hidden:
+            kept = [(label, branches) for label, branches in moves
+                    if not (label.visible and label.chan in hidden)]
+            self.hidden_moves += len(moves) - len(kept)
+            moves, caps = self._wrap(
+                kept, [cap for cap in caps if cap.chan not in hidden],
+                lambda t: ca.Restrict(t, hidden), lambda chan: chan)
+        if relabel is not None:
+            moves, caps = self._wrap(
+                [(relabel_label(label, relabel), branches) for label, branches in moves],
+                caps, lambda t: ca.Relabel(t, relabel.mapping), relabel.rename)
         return moves, caps
+
+    @staticmethod
+    def _wrap(moves, caps, wrap_term, rename):
+        out_moves = [(label, tuple((p, wrap_term(t), s) for p, t, s in branches))
+                     for label, branches in moves]
+        out_caps = []
+        for cap in caps:
+
+            def wrap(v, inst=cap.instantiate):
+                t = inst(v)
+                return None if t is None else wrap_term(t)
+
+            out_caps.append(_Cap(rename(cap.chan), wrap))
+        return out_moves, out_caps
 
 
 class TestRestrictedStepping:
     """A restricted composition skips the component moves and input
-    capabilities on its hidden channels; every configuration still has
+    capabilities on its hidden channels, and builds each target inside its
+    restriction and relabelling at once; every configuration still has
     the transitions, in the order, that unpruned stepping gives it."""
 
     @staticmethod
@@ -673,7 +719,9 @@ class TestStateValidation:
 
 class TestSharedDistributions:
     """Distributions are immutable, so a combination that reproduces one
-    part returns that part itself, with its cached digest."""
+    part returns that part itself, with its cached digest; a move of
+    weight exactly 1 targets the point distribution of its target, and a
+    configuration whose moves are all internal shares its step tuple."""
 
     def test_a_lone_part_of_weight_one_is_returned(self):
         s = fresh()
@@ -706,6 +754,35 @@ class TestSharedDistributions:
         assert sat.probs == {last: 1}
         assert canon.config_sat(last) is sat
         assert canon.config_sat(mid) is sat
+        assert sat is s.dirac(last)
+
+    def test_dirac_targets_are_point_distributions(self):
+        s = fresh()
+        for source in ("tau . a!0 . nil", "apply H[q1] . nil", "a!0 . nil [a -> b]",
+                       "( c!0 . nil || c?x . d!x . nil ) \\ {c}",
+                       "( a!0 . nil || tau . nil )", "#c!q1 . nil"):
+            for t in s.step(s.config(source, state())):
+                (target,) = t.dist.support
+                assert t.dist is s.dirac(target), (source, str(t.label))
+
+    def test_other_weights_build_their_own_distribution(self):
+        s = fresh()
+        # a certain measurement outcome has the float weight 1.0, kept as is
+        cfg = s.config("meas Mcomp[q1; x] . c!x . nil", state(assignment={"q1": "1"}))
+        t = only_transition(s, cfg)
+        ((target, p),) = t.dist.probs.items()
+        assert type(p) is float and p == 1
+        assert t.dist is not s.dirac(target)
+
+    def test_internal_moves_share_the_step_tuple(self):
+        s = fresh()
+        silent = s.config("tau . a!0 . nil + apply H[q1] . nil", state())
+        assert s.tau_transitions(silent) is s.step(silent)
+        mixed = s.config("tau . a!0 . nil + b!0 . nil", state())
+        assert [t.label for t in s.tau_transitions(mixed)] == [TAU]
+        assert [t.label for t in s.step(mixed)] == [TAU, Label(Label.OUT, Channel("b"), 0.0)]
+        inert = s.config("nil", state())
+        assert s.tau_transitions(inert) is s.step(inert) == ()
 
 
 class TestCanonicalBinders:
