@@ -273,12 +273,11 @@ def eventual_label_probabilities(system: System, root: ConfigDistribution,
     return total
 
 
-def forbidden_action_probability(instance: ProtocolInstance, plts=None) -> float:
+def forbidden_action_probability(instance: ProtocolInstance) -> float:
     """Total probability that the instance ever fires a forbidden label."""
-    system = instance.system if plts is None else plts
     if not instance.forbidden:
         return 0.0
-    probs = eventual_label_probabilities(system, instance.root)
+    probs = eventual_label_probabilities(instance.system, instance.root)
     return sum(p for label, p in probs.items() if label in instance.forbidden)
 
 

@@ -15,6 +15,12 @@ binders nested in its scope (`x$0`, `q$1`, ...; see `alpha_canonical`), so
 alpha-equivalent inputs produce identical terms and stepping keeps them
 canonical.  `$` is reserved for bound names: a free name may not contain it.
 
+Two functions know the shape of every process construct: `_parts`, the one
+list of a node's children, which the folds (`qv`, `fv`, `check_well_formed`,
+`_call_sites`, binder heights) read, and `_rewrite`, the one walk that
+substitutes values, renames qubits and renames binders canonically.  A new
+construct is added to both, besides its class, the parser and the printers.
+
 Classical values are reals and bit-strings; bit-string literals are written
 in double quotes ("01", "" for the empty string).  The payload of an output
 and the arguments of calls parse at atom level: write `c!(x + 1)` with
@@ -306,18 +312,18 @@ def expr_free_vars(expr: Expr) -> frozenset:
     return got
 
 
-def subst_expr(expr: Expr, env) -> Expr:
+def _rewrite_expr(expr: Expr, env) -> Expr:
+    """`expr` with each free variable named in `env` replaced by the
+    expression it maps to; unchanged when none of them is free."""
     if expr_free_vars(expr).isdisjoint(env):
         return expr
     if isinstance(expr, Var):
-        return Lit(env[expr.name])
+        return env[expr.name]
     if isinstance(expr, Unary):
-        return Unary(expr.op, subst_expr(expr.operand, env))
+        return Unary(expr.op, _rewrite_expr(expr.operand, env))
     if isinstance(expr, Binary):
-        return Binary(expr.op, subst_expr(expr.left, env), subst_expr(expr.right, env))
-    if isinstance(expr, Fun):
-        return Fun(expr.name, tuple(subst_expr(a, env) for a in expr.args))
-    return expr
+        return Binary(expr.op, _rewrite_expr(expr.left, env), _rewrite_expr(expr.right, env))
+    return Fun(expr.name, tuple(_rewrite_expr(a, env) for a in expr.args))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +525,36 @@ class Definition(Node):
 
 
 # ---------------------------------------------------------------------------
-# free variables
+# structure: the children of a node and the folds over them
+
+
+def _parts(term: Process) -> tuple:
+    """The child processes of a process node, in order.
+
+    The one place that lists them: the folds below, binder heights and
+    `_rewrite` read a node's children from here and handle only what the
+    node adds itself.
+    """
+    if isinstance(term, Prefix):
+        return (term.cont,)
+    if isinstance(term, (Sum, Par)):
+        return term.parts
+    if isinstance(term, (Restrict, Relabel, If)):
+        return (term.body,)
+    if isinstance(term, PChoice):
+        return tuple(t for _, t in term.branches)
+    if isinstance(term, (Nil, Call)):
+        return ()
+    raise TypeError(f"not a process: {term!r}")
+
+
+def _joined(fold, term: Process) -> frozenset:
+    """The union of `fold` over the children of `term`; a single child's
+    set is shared, not copied."""
+    kids = _parts(term)
+    if len(kids) == 1:
+        return fold(kids[0])
+    return frozenset().union(*map(fold, kids))
 
 
 def qv(term: Process) -> frozenset:
@@ -531,26 +566,18 @@ def qv(term: Process) -> frozenset:
 
 
 def _qv(term: Process) -> frozenset:
-    if isinstance(term, Nil):
-        return frozenset()
     if isinstance(term, Call):
         return frozenset(term.qargs)
+    got = _joined(qv, term)
     if isinstance(term, Prefix):
-        act, rest = term.action, qv(term.cont)
+        act = term.action
         if isinstance(act, QIn):
-            return rest - {act.qvar}
+            return got - {act.qvar}
         if isinstance(act, QOut):
-            return rest | {act.qvar}
+            return got | {act.qvar}
         if isinstance(act, (Apply, Meas)):
-            return rest | frozenset(act.qubits)
-        return rest
-    if isinstance(term, (Sum, Par)):
-        return frozenset().union(*map(qv, term.parts))
-    if isinstance(term, (Restrict, Relabel, If)):
-        return qv(term.body)
-    if isinstance(term, PChoice):
-        return frozenset().union(*(qv(t) for _, t in term.branches))
-    raise TypeError(f"not a process: {term!r}")
+            return got | frozenset(act.qubits)
+    return got
 
 
 def fv(term: Process) -> frozenset:
@@ -562,105 +589,26 @@ def fv(term: Process) -> frozenset:
 
 
 def _fv(term: Process) -> frozenset:
-    if isinstance(term, Nil):
-        return frozenset()
     if isinstance(term, Call):
         return frozenset().union(*map(expr_free_vars, term.cargs))
-    if isinstance(term, Prefix):
-        act = term.action
-        rest = fv(term.cont)
-        if isinstance(act, (CIn, Meas)):
-            return rest - {act.var}
-        if isinstance(act, COut):
-            return rest | expr_free_vars(act.expr)
-        return rest
-    if isinstance(term, (Sum, Par)):
-        return frozenset().union(*map(fv, term.parts))
-    if isinstance(term, (Restrict, Relabel)):
-        return fv(term.body)
+    got = _joined(fv, term)
     if isinstance(term, If):
-        return expr_free_vars(term.cond) | fv(term.body)
-    if isinstance(term, PChoice):
-        return frozenset().union(*(fv(t) for _, t in term.branches))
-    raise TypeError(f"not a process: {term!r}")
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
-def subst_values(term: Process, env) -> Process:
-    """Substitute classical values for free variables; a term in which no
-    substituted variable is free comes back unchanged."""
-    if fv(term).isdisjoint(env):
-        return term
-    if isinstance(term, Call):
-        return Call(term.name, tuple(subst_expr(e, env) for e in term.cargs), term.qargs)
+        return got | expr_free_vars(term.cond)
     if isinstance(term, Prefix):
         act = term.action
         if isinstance(act, (CIn, Meas)):
-            inner = {k: v for k, v in env.items() if k != act.var}
-            return Prefix(act, subst_values(term.cont, inner))
+            return got - {act.var}
         if isinstance(act, COut):
-            return Prefix(COut(act.chan, subst_expr(act.expr, env)), subst_values(term.cont, env))
-        return Prefix(act, subst_values(term.cont, env))
-    if isinstance(term, Sum):
-        return Sum(tuple(subst_values(p, env) for p in term.parts))
-    if isinstance(term, Par):
-        return Par(tuple(subst_values(p, env) for p in term.parts))
-    if isinstance(term, Restrict):
-        return Restrict(subst_values(term.body, env), term.channels)
-    if isinstance(term, Relabel):
-        return Relabel(subst_values(term.body, env), term.mapping)
-    if isinstance(term, If):
-        return If(subst_expr(term.cond, env), subst_values(term.body, env))
-    if isinstance(term, PChoice):
-        return PChoice(tuple((p, subst_values(t, env)) for p, t in term.branches), tol=math.inf)
-    raise TypeError(f"not a process: {term!r}")
+            return got | expr_free_vars(act.expr)
+    return got
 
 
-def subst_qubits(term: Process, ren) -> Process:
-    """Rename free quantum variables (used by constant unfolding and input);
-    a term in which no renamed qubit is free comes back unchanged."""
-    if qv(term).isdisjoint(ren):
-        return term
-
-    def r(q):
-        return ren.get(q, q)
-
+def _call_sites(term: Process):
+    """(name, classical arity, quantum arity) of each call in a term."""
     if isinstance(term, Call):
-        return Call(term.name, term.cargs, tuple(r(q) for q in term.qargs))
-    if isinstance(term, Prefix):
-        act = term.action
-        if isinstance(act, QIn):
-            inner = {k: v for k, v in ren.items() if k != act.qvar}
-            return Prefix(act, subst_qubits(term.cont, inner))
-        if isinstance(act, QOut):
-            return Prefix(QOut(act.chan, r(act.qvar)), subst_qubits(term.cont, ren))
-        if isinstance(act, Apply):
-            return Prefix(Apply(act.op, tuple(r(q) for q in act.qubits)),
-                          subst_qubits(term.cont, ren))
-        if isinstance(act, Meas):
-            return Prefix(Meas(act.op, tuple(r(q) for q in act.qubits), act.var),
-                          subst_qubits(term.cont, ren))
-        return Prefix(act, subst_qubits(term.cont, ren))
-    if isinstance(term, Sum):
-        return Sum(tuple(subst_qubits(p, ren) for p in term.parts))
-    if isinstance(term, Par):
-        return Par(tuple(subst_qubits(p, ren) for p in term.parts))
-    if isinstance(term, Restrict):
-        return Restrict(subst_qubits(term.body, ren), term.channels)
-    if isinstance(term, Relabel):
-        return Relabel(subst_qubits(term.body, ren), term.mapping)
-    if isinstance(term, If):
-        return If(term.cond, subst_qubits(term.body, ren))
-    if isinstance(term, PChoice):
-        return PChoice(tuple((p, subst_qubits(t, ren)) for p, t in term.branches), tol=math.inf)
-    raise TypeError(f"not a process: {term!r}")
-
-
-# ---------------------------------------------------------------------------
-# well-formedness
+        yield term.name, len(term.cargs), len(term.qargs)
+    for kid in _parts(term):
+        yield from _call_sites(kid)
 
 
 def check_well_formed(term: Process, where: str = "term") -> None:
@@ -675,12 +623,11 @@ def check_well_formed(term: Process, where: str = "term") -> None:
             raise WellFormednessError(
                 f"{where}: qubit {act.qvar} is sent on {act.chan} but still used afterwards"
             )
-        check_well_formed(term.cont, where)
-    elif isinstance(term, Par):
-        seen = []
-        for p in term.parts:
-            seen.append(qv(p))
-            check_well_formed(p, where)
+    kids = _parts(term)
+    for kid in kids:
+        check_well_formed(kid, where)
+    if isinstance(term, Par):
+        seen = [qv(p) for p in kids]
         for i in range(len(seen)):
             for j in range(i + 1, len(seen)):
                 shared = seen[i] & seen[j]
@@ -688,20 +635,10 @@ def check_well_formed(term: Process, where: str = "term") -> None:
                     raise WellFormednessError(
                         f"{where}: parallel components share qubits {sorted(shared)}"
                     )
-    elif isinstance(term, Sum):
-        for p in term.parts:
-            check_well_formed(p, where)
-    elif isinstance(term, (Restrict, Relabel)):
-        check_well_formed(term.body, where)
-    elif isinstance(term, If):
-        check_well_formed(term.body, where)
-    elif isinstance(term, PChoice):
-        for _, t in term.branches:
-            check_well_formed(t, where)
 
 
 # ---------------------------------------------------------------------------
-# canonical names of bound variables
+# rewriting: substitution and canonical renaming
 #
 # `$` is reserved for bound names: no free name (a definition parameter, a
 # free name of a parsed or built term, a register qubit) may contain it, so
@@ -715,6 +652,76 @@ def _check_free_name(name: str, what: str) -> None:
     if _BOUND_SEP in name:
         raise WellFormednessError(
             f"{what} {name!r}: '{_BOUND_SEP}' is reserved for bound names")
+
+
+def _renamed(names, ren) -> tuple:
+    return tuple(ren.get(n, n) for n in names)
+
+
+def _bind(env, old, new):
+    """`env` in the scope of a binder of `old`: `old` maps to `new`, or is
+    shadowed when `new` is None."""
+    if new is not None:
+        return {**env, old: new}
+    return {k: v for k, v in env.items() if k != old} if old in env else env
+
+
+def _rewrite(term: Process, cenv, qenv, fresh=None) -> Process:
+    """`term` with free variables replaced by the expressions `cenv` maps
+    them to and free qubits renamed by `qenv`.
+
+    Without `fresh`, a binder keeps its name and shadows both maps, and a
+    term in which nothing mapped is free comes back unchanged.  With it,
+    a binder whose scope is P is renamed x$h or q$h, h = fresh(P).
+    """
+    if fresh is None and (not cenv or fv(term).isdisjoint(cenv)) and (
+            not qenv or qv(term).isdisjoint(qenv)):
+        return term
+    if isinstance(term, Call):
+        return Call(term.name, tuple(_rewrite_expr(e, cenv) for e in term.cargs),
+                    _renamed(term.qargs, qenv))
+    kids = _parts(term)
+    if isinstance(term, Prefix):
+        act, (cont,) = term.action, kids
+        if isinstance(act, QIn):
+            new = None if fresh is None else f"q{_BOUND_SEP}{fresh(cont)}"
+            act, qenv = QIn(act.chan, new or act.qvar), _bind(qenv, act.qvar, new)
+        elif isinstance(act, (CIn, Meas)):
+            new = None if fresh is None else f"x{_BOUND_SEP}{fresh(cont)}"
+            cenv = _bind(cenv, act.var, None if new is None else Var(new))
+            act = (CIn(act.chan, new or act.var) if isinstance(act, CIn)
+                   else Meas(act.op, _renamed(act.qubits, qenv), new or act.var))
+        elif isinstance(act, COut):
+            act = COut(act.chan, _rewrite_expr(act.expr, cenv))
+        elif isinstance(act, QOut):
+            act = QOut(act.chan, qenv.get(act.qvar, act.qvar))
+        elif isinstance(act, Apply):
+            act = Apply(act.op, _renamed(act.qubits, qenv))
+        return Prefix(act, _rewrite(cont, cenv, qenv, fresh))
+    kids = tuple(_rewrite(k, cenv, qenv, fresh) for k in kids)
+    if isinstance(term, (Sum, Par)):
+        return type(term)(kids)
+    if isinstance(term, Restrict):
+        return Restrict(kids[0], term.channels)
+    if isinstance(term, Relabel):
+        return Relabel(kids[0], term.mapping)
+    if isinstance(term, If):
+        return If(_rewrite_expr(term.cond, cenv), kids[0])
+    if isinstance(term, PChoice):
+        return PChoice(zip((p for p, _ in term.branches), kids), tol=math.inf)
+    return term
+
+
+def subst_values(term: Process, env) -> Process:
+    """Substitute classical values for free variables; a term in which no
+    substituted variable is free comes back unchanged."""
+    return _rewrite(term, {name: Lit(v) for name, v in env.items()}, {})
+
+
+def subst_qubits(term: Process, ren) -> Process:
+    """Rename free quantum variables (used by constant unfolding and input);
+    a term in which no renamed qubit is free comes back unchanged."""
+    return _rewrite(term, {}, ren)
 
 
 def alpha_canonical(term: Process) -> Process:
@@ -737,80 +744,11 @@ def alpha_canonical(term: Process) -> Process:
     def height(t):
         got = heights.get(t)
         if got is None:
-            if isinstance(t, Prefix):
-                got = height(t.cont) + isinstance(t.action, (CIn, Meas, QIn))
-            elif isinstance(t, (Sum, Par)):
-                got = max(map(height, t.parts))
-            elif isinstance(t, (Restrict, Relabel, If)):
-                got = height(t.body)
-            elif isinstance(t, PChoice):
-                got = max(height(b) for _, b in t.branches)
-            else:
-                got = 0
-            heights[t] = got
+            got = heights[t] = max(map(height, _parts(t)), default=0) + (
+                isinstance(t, Prefix) and isinstance(t.action, (CIn, Meas, QIn)))
         return got
 
-    def fresh(kind, scope):
-        return f"{kind}{_BOUND_SEP}{height(scope)}"
-
-    def walk_expr(e, env):
-        if isinstance(e, Var):
-            return Var(env.get(e.name, e.name))
-        if isinstance(e, Unary):
-            return Unary(e.op, walk_expr(e.operand, env))
-        if isinstance(e, Binary):
-            return Binary(e.op, walk_expr(e.left, env), walk_expr(e.right, env))
-        if isinstance(e, Fun):
-            return Fun(e.name, tuple(walk_expr(a, env) for a in e.args))
-        return e
-
-    def walk(t, cenv, qenv):
-        if isinstance(t, Nil):
-            return t
-        if isinstance(t, Call):
-            return Call(t.name, tuple(walk_expr(e, cenv) for e in t.cargs),
-                        tuple(qenv.get(q, q) for q in t.qargs))
-        if isinstance(t, Prefix):
-            act = t.action
-            if isinstance(act, CIn):
-                name = fresh("x", t.cont)
-                cont = walk(t.cont, {**cenv, act.var: name}, qenv)
-                return Prefix(CIn(act.chan, name), cont)
-            if isinstance(act, Meas):
-                name = fresh("x", t.cont)
-                qubits = tuple(qenv.get(q, q) for q in act.qubits)
-                cont = walk(t.cont, {**cenv, act.var: name}, qenv)
-                return Prefix(Meas(act.op, qubits, name), cont)
-            if isinstance(act, QIn):
-                name = fresh("q", t.cont)
-                cont = walk(t.cont, cenv, {**qenv, act.qvar: name})
-                return Prefix(QIn(act.chan, name), cont)
-            if isinstance(act, QOut):
-                return Prefix(QOut(act.chan, qenv.get(act.qvar, act.qvar)),
-                              walk(t.cont, cenv, qenv))
-            if isinstance(act, Apply):
-                return Prefix(Apply(act.op, tuple(qenv.get(q, q) for q in act.qubits)),
-                              walk(t.cont, cenv, qenv))
-            if isinstance(act, COut):
-                return Prefix(COut(act.chan, walk_expr(act.expr, cenv)),
-                              walk(t.cont, cenv, qenv))
-            return Prefix(act, walk(t.cont, cenv, qenv))
-        if isinstance(t, Sum):
-            return Sum(tuple(walk(p, cenv, qenv) for p in t.parts))
-        if isinstance(t, Par):
-            return Par(tuple(walk(p, cenv, qenv) for p in t.parts))
-        if isinstance(t, Restrict):
-            return Restrict(walk(t.body, cenv, qenv), t.channels)
-        if isinstance(t, Relabel):
-            return Relabel(walk(t.body, cenv, qenv), t.mapping)
-        if isinstance(t, If):
-            return If(walk_expr(t.cond, cenv), walk(t.body, cenv, qenv))
-        if isinstance(t, PChoice):
-            return PChoice(tuple((p, walk(b, cenv, qenv)) for p, b in t.branches),
-                           tol=math.inf)
-        raise TypeError(f"not a process: {t!r}")
-
-    return walk(term, {}, {})
+    return _rewrite(term, {}, {}, height)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,31 +1039,19 @@ class Module:
                     f"{d.name}: body uses unbound variables {sorted(bad_c)}"
                 )
             for name, cn, qn in _call_sites(d.body):
-                target = self.definitions.get(name)
-                if target is None:
-                    raise WellFormednessError(f"{d.name}: call to undefined process {name}")
-                if (cn, qn) != (len(target.cparams), len(target.qparams)):
-                    raise WellFormednessError(
-                        f"{d.name}: call to {name} with arity ({cn}; {qn}), "
-                        f"defined with ({len(target.cparams)}; {len(target.qparams)})"
-                    )
+                self.callee(name, cn, qn, where=d.name)
 
-
-def _call_sites(term):
-    if isinstance(term, Call):
-        yield term.name, len(term.cargs), len(term.qargs)
-    elif isinstance(term, Prefix):
-        yield from _call_sites(term.cont)
-    elif isinstance(term, (Sum, Par)):
-        for p in term.parts:
-            yield from _call_sites(p)
-    elif isinstance(term, (Restrict, Relabel)):
-        yield from _call_sites(term.body)
-    elif isinstance(term, If):
-        yield from _call_sites(term.body)
-    elif isinstance(term, PChoice):
-        for _, t in term.branches:
-            yield from _call_sites(t)
+    def callee(self, name: str, cn: int, qn: int, where: str = "term") -> Definition:
+        """The definition a call of `name` with `cn` classical and `qn`
+        quantum arguments unfolds; WellFormednessError if there is none."""
+        target = self.definitions.get(name)
+        if target is None:
+            raise WellFormednessError(f"{where}: call to undefined process {name}")
+        if (cn, qn) != (len(target.cparams), len(target.qparams)):
+            raise WellFormednessError(
+                f"{where}: call to {name} with arity ({cn}; {qn}), "
+                f"defined with ({len(target.cparams)}; {len(target.qparams)})")
+        return target
 
 
 class _Parser:

@@ -21,8 +21,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bb84
 from . import calculus as ca
 from .bisim import (check_ground_bisim_relation, check_lambda_relation,
@@ -32,7 +30,7 @@ from .errors import (BudgetExceededError, ChannelDomainError,
                      ConfluenceError, ConvergenceError, CyclicModelError,
                      EvaluationError, ParseError, QuantumInputFragmentError,
                      UnknownOperationError, WellFormednessError)
-from .quantum import QuantumState, QubitRegister
+from .quantum import QuantumState, QubitRegister, parse_matrix
 from .semantics import PLTS, System
 
 EXIT_OK = 0
@@ -138,14 +136,6 @@ def _assignment(rho: str) -> dict:
     return out
 
 
-def _matrix_cell(z) -> complex:
-    if isinstance(z, (int, float)):
-        return complex(z)
-    if isinstance(z, (list, tuple)) and len(z) == 2:
-        return complex(z[0], z[1])
-    raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got {z!r}")
-
-
 def _initial_state(cfg: CommandConfig, terms):
     """Register and density matrix covering the roots and the request."""
     if cfg.rho_file:
@@ -157,9 +147,7 @@ def _initial_state(cfg: CommandConfig, terms):
             raise ValueError(f"{cfg.rho_file}: expected an object with a "
                              "'register' list and a 'matrix' list of rows")
         register = QubitRegister.of(data["register"])
-        matrix = np.array([[_matrix_cell(z) for z in row] for row in data["matrix"]],
-                          dtype=complex)
-        return register, matrix
+        return register, parse_matrix(data["matrix"])
     assignment = _assignment(cfg.rho)
     names = set(assignment)
     for t in terms:

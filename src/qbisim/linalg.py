@@ -27,13 +27,13 @@ JACOBI_EPS = 1e-12
 _MAX_SWEEPS = 100
 
 
-def jacobi_eigvalsh(matrix: np.ndarray, eps: float = JACOBI_EPS) -> np.ndarray:
+def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, by cyclic Jacobi sweeps.
 
     Each rotation zeroes a[p, q] and a[q, p]; it is unitary and equal to the
     identity outside rows and columns p, q.  A sweep skips entries below
     off / n^2, and convergence is declared once the off-diagonal Frobenius
-    norm `off` drops below `eps`.
+    norm `off` drops below `JACOBI_EPS`.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -43,7 +43,7 @@ def jacobi_eigvalsh(matrix: np.ndarray, eps: float = JACOBI_EPS) -> np.ndarray:
     for _ in range(_MAX_SWEEPS):
         off = math.sqrt(math.fsum([h * h for i, row in enumerate(a)
                                    for h in map(abs, row[:i] + row[i + 1:])]))
-        if off < eps:
+        if off < JACOBI_EPS:
             break
         # rotating entries below the per-sweep threshold wastes sweeps
         threshold = off / (n * n)
@@ -83,6 +83,6 @@ def jacobi_eigvalsh(matrix: np.ndarray, eps: float = JACOBI_EPS) -> np.ndarray:
                 row_q[q] = row_q[q].real
     else:
         raise ConvergenceError(
-            f"Jacobi failed to reach off-norm {eps} in {_MAX_SWEEPS} sweeps"
+            f"Jacobi failed to reach off-norm {JACOBI_EPS} in {_MAX_SWEEPS} sweeps"
         )
     return np.array(sorted(a[i][i].real for i in range(n)))

@@ -236,8 +236,12 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(w)))
 
 
-def _matrix_digest(mat: np.ndarray, decimals: int = 10) -> bytes:
-    rounded = np.round(np.asarray(mat, dtype=complex), decimals) + 0.0
+# a matrix digest rounds each entry to this many decimals
+_DIGEST_DECIMALS = 10
+
+
+def _matrix_digest(mat: np.ndarray) -> bytes:
+    rounded = np.round(np.asarray(mat, dtype=complex), _DIGEST_DECIMALS) + 0.0
     return rounded.tobytes()
 
 
@@ -316,17 +320,17 @@ class Measurement:
             self._embed_cache[key] = out
         return out
 
-    def apply(self, mat: np.ndarray, register: QubitRegister, qubits, prune: float = PRUNE_EPS):
+    def apply(self, mat: np.ndarray, register: QubitRegister, qubits):
         """All outcomes with positive probability: [(value, prob, post-state)].
 
-        Probabilities are tr(E rho E^dagger); outcomes at or below `prune`
+        Probabilities are tr(E rho E^dagger); outcomes at or below `PRUNE_EPS`
         are dropped and the rest renormalised to sum to one.
         """
         results = []
         for value, op in self.embedded(register, qubits):
             post = op @ mat @ op.conj().T
             p = float(post.trace().real)
-            if p > prune:
+            if p > PRUNE_EPS:
                 results.append((value, p, post / p))
         total = sum(p for _, p, _ in results)
         if total <= 0.0:
@@ -426,13 +430,18 @@ def builtin(name: str):
     return op
 
 
-def _parse_matrix(rows) -> np.ndarray:
+def parse_matrix(rows) -> np.ndarray:
+    """A complex matrix from JSON rows whose entries are numbers or
+    [re, im] pairs of numbers; ValueError on any other entry."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
     def entry(e):
-        if isinstance(e, (int, float)):
+        if number(e):
             return complex(e)
-        if isinstance(e, (list, tuple)) and len(e) == 2:
-            return complex(float(e[0]), float(e[1]))
-        raise ValueError(f"bad matrix entry {e!r}; expected number or [re, im]")
+        if isinstance(e, (list, tuple)) and len(e) == 2 and all(map(number, e)):
+            return complex(e[0], e[1])
+        raise ValueError(f"bad matrix entry {e!r}; expected a number or [re, im]")
 
     return np.array([[entry(e) for e in row] for row in rows], dtype=complex)
 
@@ -460,14 +469,14 @@ def load_registry(source, tol: float = DEFAULT_TOL) -> dict:
         name = obj["name"]
         arity = int(obj["acts_on_arity"])
         if "kraus" in obj:
-            registry[name] = SuperOperator(name, arity, [_parse_matrix(k) for k in obj["kraus"]], tol)
+            registry[name] = SuperOperator(name, arity, [parse_matrix(k) for k in obj["kraus"]], tol)
         elif "outcomes" in obj:
             outcomes = []
             for item in obj["outcomes"]:
                 value = item["value"]
                 if isinstance(value, str):
                     value = BitString(value)
-                outcomes.append((value, _parse_matrix(item["projector"])))
+                outcomes.append((value, parse_matrix(item["projector"])))
             registry[name] = Measurement(name, arity, outcomes, tol)
         else:
             raise ValueError(f"{name}: neither 'kraus' nor 'outcomes' present")

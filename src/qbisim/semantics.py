@@ -394,11 +394,7 @@ class System:
                 f"term holds qubits outside the register: {sorted(missing)}")
         ca.check_well_formed(term)
         for name, cn, qn in ca._call_sites(term):
-            defn = self.module.definitions.get(name)
-            if defn is None:
-                raise WellFormednessError(f"call to undefined process {name}")
-            if (cn, qn) != (len(defn.cparams), len(defn.qparams)):
-                raise WellFormednessError(f"arity mismatch in call to {name}")
+            self.module.callee(name, cn, qn)
         return self._intern(term, matrix)
 
     def _share(self, matrix):
@@ -464,13 +460,9 @@ class System:
     # -- constant unfolding
 
     def _unfold(self, call: ca.Call) -> Process:
+        defn = self.module.callee(call.name, len(call.cargs), len(call.qargs))
         # keyed by the values as `Lit` nodes, which keep True apart from
         # 1.0 and -0.0 from 0.0, as raw values would not
-        defn = self.module.definitions.get(call.name)
-        if defn is None:
-            raise WellFormednessError(f"call to undefined process {call.name}")
-        if len(call.cargs) != len(defn.cparams) or len(call.qargs) != len(defn.qparams):
-            raise WellFormednessError(f"arity mismatch in call to {call.name}")
         values = tuple(ca.eval_expr(e) for e in call.cargs)
         key = (call.name, tuple(map(ca.Lit, values)), call.qargs)
         got = self._unfold_cache.get(key)

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from qbisim.calculus import (
     Restrict,
     Sum,
     Tau,
+    Unary,
     Var,
     alpha_canonical,
     eval_expr,
@@ -375,6 +377,121 @@ class TestSubstitution:
         t = parse_term("A(; q, r)")
         s = subst_qubits(t, {"q": "a", "r": "b"})
         assert s.qargs == ("a", "b")
+
+
+C, H, K = Channel("c"), Channel("h", quantum=True), Channel("k", quantum=True)
+X, ONE = Var("x"), Lit(1.0)
+
+
+def _a(arg, *qubits):
+    """A(arg; qubits)"""
+    return Call("A", (arg,), qubits)
+
+
+def _cbind(x, q, y):
+    """c?y . A(y + x; q)"""
+    return Prefix(CIn(C, y), _a(Binary("+", Var(y), x), q))
+
+
+def _qbind(x, q, s):
+    """#h?s . apply CNOT[s, q] . A(x; s)"""
+    return Prefix(QIn(H, s), Prefix(Apply("CNOT", (s, q)), _a(x, s)))
+
+
+def _meas(x, q, y):
+    """meas M[q; y] . A(y + x; q)"""
+    return Prefix(Meas("M", (q,), y), _a(Binary("+", Var(y), x), q))
+
+
+def _cond(x):
+    """not (length(x) = 0)"""
+    return Unary("not", Binary("=", Fun("length", (x,)), Lit(0.0)))
+
+
+_A = ("A", 1, 1)
+
+# (term, subst_values x, y := 1, 2, subst_qubits q, s := r, t, alpha_canonical,
+#  qv, fv, call sites) for every process constructor and every kind of action;
+#  y and s are bound wherever they occur, except s in "qoutput"
+WALK_ROWS = {
+    "nil": (NIL, NIL, NIL, NIL, set(), set(), []),
+    "call": (_a(X, "q"), _a(ONE, "q"), _a(X, "r"), _a(X, "q"), {"q"}, {"x"}, [_A]),
+    "tau": (Prefix(Tau(), _a(X, "q")), Prefix(Tau(), _a(ONE, "q")),
+            Prefix(Tau(), _a(X, "r")), Prefix(Tau(), _a(X, "q")), {"q"}, {"x"}, [_A]),
+    "input": (_cbind(X, "q", "y"), _cbind(ONE, "q", "y"), _cbind(X, "r", "y"),
+              _cbind(X, "q", "x$0"), {"q"}, {"x"}, [_A]),
+    "input-shadows": (Prefix(COut(C, X), Prefix(CIn(C, "x"), _a(X, "q"))),
+                      Prefix(COut(C, ONE), Prefix(CIn(C, "x"), _a(X, "q"))),
+                      Prefix(COut(C, X), Prefix(CIn(C, "x"), _a(X, "r"))),
+                      Prefix(COut(C, X), Prefix(CIn(C, "x$0"), _a(Var("x$0"), "q"))),
+                      {"q"}, {"x"}, [_A]),
+    "output": (Prefix(COut(C, X), _a(X, "q")), Prefix(COut(C, ONE), _a(ONE, "q")),
+               Prefix(COut(C, X), _a(X, "r")), Prefix(COut(C, X), _a(X, "q")),
+               {"q"}, {"x"}, [_A]),
+    "qinput": (_qbind(X, "q", "s"), _qbind(ONE, "q", "s"), _qbind(X, "r", "s"),
+               _qbind(X, "q", "q$0"), {"q"}, {"x"}, [_A]),
+    "qinput-shadows": (Prefix(QOut(H, "q"), Prefix(QIn(H, "q"), _a(X, "q"))),
+                       Prefix(QOut(H, "q"), Prefix(QIn(H, "q"), _a(ONE, "q"))),
+                       Prefix(QOut(H, "r"), Prefix(QIn(H, "q"), _a(X, "q"))),
+                       Prefix(QOut(H, "q"), Prefix(QIn(H, "q$0"), _a(X, "q$0"))),
+                       {"q"}, {"x"}, [_A]),
+    "qoutput": (Prefix(QOut(H, "q"), _a(X, "s")), Prefix(QOut(H, "q"), _a(ONE, "s")),
+                Prefix(QOut(H, "r"), _a(X, "t")), Prefix(QOut(H, "q"), _a(X, "s")),
+                {"q", "s"}, {"x"}, [_A]),
+    "apply": (Prefix(Apply("H", ("q",)), _a(X, "q")),
+              Prefix(Apply("H", ("q",)), _a(ONE, "q")),
+              Prefix(Apply("H", ("r",)), _a(X, "r")),
+              Prefix(Apply("H", ("q",)), _a(X, "q")), {"q"}, {"x"}, [_A]),
+    "meas": (_meas(X, "q", "y"), _meas(ONE, "q", "y"), _meas(X, "r", "y"),
+             _meas(X, "q", "x$0"), {"q"}, {"x"}, [_A]),
+    "nested-binders": (Prefix(CIn(C, "y"), _qbind(Var("y"), "q", "s")),
+                       Prefix(CIn(C, "y"), _qbind(Var("y"), "q", "s")),
+                       Prefix(CIn(C, "y"), _qbind(Var("y"), "r", "s")),
+                       Prefix(CIn(C, "x$1"), _qbind(Var("x$1"), "q", "q$0")),
+                       {"q"}, set(), [_A]),
+    "sum": (Sum((Prefix(Tau(), _a(X, "q")), _cbind(X, "q", "y"))),
+            Sum((Prefix(Tau(), _a(ONE, "q")), _cbind(ONE, "q", "y"))),
+            Sum((Prefix(Tau(), _a(X, "r")), _cbind(X, "r", "y"))),
+            Sum((Prefix(Tau(), _a(X, "q")), _cbind(X, "q", "x$0"))),
+            {"q"}, {"x"}, [_A, _A]),
+    "par": (Par((_a(X, "q"), _qbind(X, "t", "s"))),
+            Par((_a(ONE, "q"), _qbind(ONE, "t", "s"))),
+            Par((_a(X, "r"), _qbind(X, "t", "s"))),
+            Par((_a(X, "q"), _qbind(X, "t", "q$0"))), {"q", "t"}, {"x"}, [_A, _A]),
+    "restrict": (Restrict(_cbind(X, "q", "y"), [C]), Restrict(_cbind(ONE, "q", "y"), [C]),
+                 Restrict(_cbind(X, "r", "y"), [C]), Restrict(_cbind(X, "q", "x$0"), [C]),
+                 {"q"}, {"x"}, [_A]),
+    "relabel": (Relabel(_qbind(X, "q", "s"), [(H, K)]),
+                Relabel(_qbind(ONE, "q", "s"), [(H, K)]),
+                Relabel(_qbind(X, "r", "s"), [(H, K)]),
+                Relabel(_qbind(X, "q", "q$0"), [(H, K)]), {"q"}, {"x"}, [_A]),
+    "if": (If(_cond(X), _qbind(X, "q", "s")), If(_cond(ONE), _qbind(ONE, "q", "s")),
+           If(_cond(X), _qbind(X, "r", "s")), If(_cond(X), _qbind(X, "q", "q$0")),
+           {"q"}, {"x"}, [_A]),
+    "pchoice": (PChoice(((Fraction(1, 3), _qbind(X, "q", "s")),
+                         (Fraction(2, 3), _cbind(X, "q", "y")))),
+                PChoice(((Fraction(1, 3), _qbind(ONE, "q", "s")),
+                         (Fraction(2, 3), _cbind(ONE, "q", "y")))),
+                PChoice(((Fraction(1, 3), _qbind(X, "r", "s")),
+                         (Fraction(2, 3), _cbind(X, "r", "y")))),
+                PChoice(((Fraction(1, 3), _qbind(X, "q", "q$0")),
+                         (Fraction(2, 3), _cbind(X, "q", "x$0")))),
+                {"q"}, {"x"}, [_A, _A]),
+}
+
+
+@pytest.mark.parametrize("row", WALK_ROWS.values(), ids=WALK_ROWS.keys())
+def test_structural_walk(row):
+    term, values, qubits, canonical, qvars, fvars, calls = row
+    got = subst_values(term, {"x": 1.0, "y": 2.0})
+    assert got is values, pretty(got)
+    got = subst_qubits(term, {"q": "r", "s": "t"})
+    assert got is qubits, pretty(got)
+    got = alpha_canonical(term)
+    assert got is canonical, pretty(got)
+    assert qv(term) == qvars
+    assert fv(term) == fvars
+    assert list(calculus._call_sites(term)) == calls
 
 
 class TestEvaluation:

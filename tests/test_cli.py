@@ -148,18 +148,20 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "holds"
 
-    @pytest.mark.parametrize("data", [
-        {"matrix": [[1.0, 0.0], [0.0, 0.0]]},
-        [["q"], [[1.0, 0.0], [0.0, 0.0]]],
-        {"register": ["q"], "matrix": [1.0, 0.0]},
-    ], ids=["no-register", "top-level-list", "flat-matrix"])
-    def test_malformed_rho_file(self, capsys, module_file, tmp_path, data):
+    @pytest.mark.parametrize("data, message", [
+        ({"matrix": [[1.0, 0.0], [0.0, 0.0]]}, "'register' list and a 'matrix' list of rows"),
+        ([["q"], [[1.0, 0.0], [0.0, 0.0]]], "'register' list and a 'matrix' list of rows"),
+        ({"register": ["q"], "matrix": [1.0, 0.0]}, "'register' list and a 'matrix' list of rows"),
+        ({"register": ["q"], "matrix": [[["1", "0"], 0.0], [0.0, 0.0]]},
+         "bad matrix entry ['1', '0']"),
+    ], ids=["no-register", "top-level-list", "flat-matrix", "string-entry"])
+    def test_malformed_rho_file(self, capsys, module_file, tmp_path, data, message):
         rho = tmp_path / "rho.json"
         rho.write_text(json.dumps(data))
         code, _, err = run(capsys, "check", module_file, "--left", "C",
                            "--right", "D", "--rho-file", str(rho))
         assert code == 2
-        assert "'register' list and a 'matrix' list of rows" in err
+        assert message in err
 
     def test_output_file(self, capsys, module_file, tmp_path):
         target = tmp_path / "report.json"

@@ -334,6 +334,12 @@ class TestRegistryLoading:
         with pytest.raises(ValueError):
             load_registry([{"name": "X", "acts_on_arity": 1}])
 
+    @pytest.mark.parametrize("entry", [["1", "0"], "1", True, [1.0], [1.0, 0.0, 0.0]])
+    def test_matrix_entries_are_numbers_or_pairs(self, entry):
+        kraus = [[[entry, 0.0], [0.0, 1.0]]]
+        with pytest.raises(ValueError, match="bad matrix entry"):
+            load_registry([{"name": "X", "acts_on_arity": 1, "kraus": kraus}])
+
 
 class TestRandomInstances:
     def test_random_superoperator_is_trace_preserving(self):

@@ -229,10 +229,23 @@ class TestStepRules:
 
     def test_call_site_validation(self):
         s = fresh("A(; q) := apply H[q] . nil")
-        with pytest.raises(WellFormednessError):
+        with pytest.raises(WellFormednessError, match=r"term: call to A with arity \(1; 1\)"):
             s.config("A(1; q1)", state())
-        with pytest.raises(WellFormednessError):
-            s.config("Nope", state())
+        for root in ("Nope", "tau . (nil + Nope)"):
+            with pytest.raises(WellFormednessError, match="term: call to undefined process Nope"):
+                s.config(root, state())
+
+    def test_unfolding_checks_calls_of_an_unchecked_module(self):
+        # `define` without `check`: only unfolding sees the bad calls
+        mod = ca.Module()
+        mod.define(ca.Definition("A", (), (), ca.Call("B")))
+        mod.define(ca.Definition("C", (), (), ca.Call("A", (ca.Lit(1.0),))))
+        s = System(mod, register=R1)
+        with pytest.raises(WellFormednessError, match="call to undefined process B"):
+            s.step(s.config("A", state()))
+        with pytest.raises(WellFormednessError,
+                           match=r"call to A with arity \(1; 0\), defined with \(0; 0\)"):
+            s.step(s.config("C", state()))
 
 
 class TestQuantumExchange:
