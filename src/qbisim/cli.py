@@ -30,7 +30,8 @@ from .errors import (BudgetExceededError, ChannelDomainError,
                      ConfluenceError, ConvergenceError, CyclicModelError,
                      EvaluationError, ParseError, QuantumInputFragmentError,
                      UnknownOperationError, WellFormednessError)
-from .quantum import QuantumState, QubitRegister, parse_matrix
+from .quantum import (DEFAULT_TOL, QuantumState, QubitRegister, load_registry,
+                      parse_matrix)
 from .semantics import PLTS, System
 
 EXIT_OK = 0
@@ -159,13 +160,25 @@ def _initial_state(cfg: CommandConfig, terms):
         raise ValueError(str(exc)) from None
 
 
+def _registry(module: ca.Module, path: str, tol: float) -> dict:
+    """The operations of the module's `registry "file"` declarations, each
+    file relative to the module file's directory; a later file's operation
+    replaces an earlier one of the same name."""
+    base = os.path.dirname(os.path.abspath(path))
+    registry = {}
+    for source in module.registry_sources:
+        registry.update(load_registry(os.path.join(base, source), tol))
+    return registry
+
+
 def _build_roots(cfg: CommandConfig, specs):
     """One shared system plus a root configuration per spec string."""
     module = _load_module(cfg.path)
     terms = [_root_term(module, s) for s in specs]
     register, state = _initial_state(cfg, terms)
-    system = System(module, register=register, budget=cfg.budget,
-                    **({"tol": cfg.tol} if cfg.tol is not None else {}))
+    tol = DEFAULT_TOL if cfg.tol is None else cfg.tol
+    system = System(module, register=register, registry=_registry(module, cfg.path, tol),
+                    tol=tol, budget=cfg.budget)
     return system, [system.config(t, state) for t in terms]
 
 

@@ -466,6 +466,9 @@ def load_registry(source, tol: float = DEFAULT_TOL) -> dict:
 
     registry = {}
     for obj in data:
+        if not (isinstance(obj, dict) and "name" in obj and "acts_on_arity" in obj):
+            raise ValueError(f"bad registry entry {obj!r}; expected an object "
+                             "with 'name' and 'acts_on_arity'")
         name = obj["name"]
         arity = int(obj["acts_on_arity"])
         if "kraus" in obj:

@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 from . import calculus as ca
-from .calculus import Channel, Process, format_value
+from .calculus import Channel, Par, Process, Relabel, Restrict, format_value
 from .errors import (
     BudgetExceededError,
     ChannelDomainError,
@@ -113,19 +113,70 @@ class Label:
 TAU = Label(Label.TAU)
 
 
-def relabel_label(label: Label, rel: ca.Relabel) -> Label:
+def _rename(mapping: tuple, chan: Channel) -> Channel:
+    """`chan` under the (old, new) pairs of a relabelling."""
+    for old, new in mapping:
+        if old is chan:
+            return new
+    return chan
+
+
+def relabel_label(label: Label, mapping: tuple) -> Label:
     if label.kind == Label.TAU:
         return label
-    return Label(label.kind, rel.rename(label.chan), label.value)
+    return Label(label.kind, _rename(mapping, label.chan), label.value)
 
 
 # ---------------------------------------------------------------------------
 # configurations and distributions
 
 
-class Configuration:
-    """Interned (term, density matrix) pair; identity is managed by the System.
+_OPEN = frozenset()  # the hidden channels of a key with no restriction
 
+
+def _components(body: Process) -> tuple:
+    return body.parts if body.__class__ is Par else (body,)
+
+
+def _flat(term: Process) -> tuple:
+    """The component key `(parts, hidden, relabel)` of a term.
+
+    `Relabel(Restrict(Par(parts), hidden), relabel)` flattens to its
+    components, the channels its restriction hides (`_OPEN` for none) and
+    its relabelling's (old, new) pairs (None for none); each wrapper may be
+    absent, and a body that is not a `Par` is one component.  An empty
+    restriction stays a component, so `P \\ {}` and `P` keep apart.
+    `_compose` inverts it: `_compose(*_flat(t)) is t`.
+    """
+    # exact class tests: every interned target passes through here
+    relabel = None
+    if term.__class__ is Relabel:
+        relabel, term = term.mapping, term.body
+    hidden = _OPEN
+    if term.__class__ is Restrict and term.channels:
+        hidden, term = term.channels, term.body
+    return (term.parts if term.__class__ is Par else (term,)), hidden, relabel
+
+
+def _compose(parts: tuple, hidden: frozenset, relabel) -> Process:
+    """The term of a key: the composition of `parts` inside the restriction
+    to `hidden` when it is not empty, inside the relabelling when there is
+    one."""
+    term = Par(parts) if len(parts) > 1 else parts[0]
+    if hidden:
+        term = Restrict(term, hidden)
+    if relabel is not None:
+        term = Relabel(term, relabel)
+    return term
+
+
+class Configuration:
+    """Interned (component key, density matrix) pair; identity is managed
+    by the System.
+
+    The key is the term's `_flat` form: its components, the channels its
+    restriction hides and its relabelling.  `term` is built from it on
+    first read, and `qv` is computed from the components, both once.
     The matrix is stored raw: states reached by stepping a valid initial
     state through trace-preserving operations stay valid, so only the entry
     point revalidates.  A configuration belongs to the one System that
@@ -133,18 +184,31 @@ class Configuration:
     and `tau_moves`, its internal part, both None until first asked for.
     """
 
-    __slots__ = ("term", "register", "matrix", "index", "moves", "tau_moves")
+    __slots__ = ("key", "register", "matrix", "index", "moves", "tau_moves",
+                 "_term", "_qv")
 
-    def __init__(self, term: Process, register, matrix, index: int):
-        self.term = term
+    def __init__(self, key: tuple, register, matrix, index: int):
+        self.key = key
         self.register = register
         self.matrix = matrix
         self.index = index
-        self.moves = self.tau_moves = None
+        self.moves = self.tau_moves = self._term = self._qv = None
+
+    @property
+    def term(self) -> Process:
+        got = self._term
+        if got is None:
+            got = self._term = _compose(*self.key)
+        return got
 
     @property
     def qv(self) -> frozenset:
-        return ca.qv(self.term)
+        got = self._qv
+        if got is None:
+            parts = self.key[0]
+            got = self._qv = (ca.qv(parts[0]) if len(parts) == 1
+                              else frozenset().union(*map(ca.qv, parts)))
+        return got
 
     @property
     def state(self) -> QuantumState:
@@ -285,11 +349,6 @@ class _Component(NamedTuple):
     inputs: dict    # channel -> instantiate functions of every cap on it
 
 
-def _lone(pieces):
-    (term,) = pieces
-    return term
-
-
 # ---------------------------------------------------------------------------
 # the system: interning, stepping, weak closure
 
@@ -313,16 +372,20 @@ class System:
     an internal cycle raises `CyclicModelError` from every weak-closure
     query.
 
-    A parallel composition, with the restriction and the relabelling
-    around it, is stepped in one pass (`_step_par`) over its components'
-    entries, and each target is built once as the final term.  A
-    component is stepped once per (component, state, restriction), and its
-    entry is indexed for communication: configurations that share a
-    component and a density matrix share its moves and input
-    capabilities.  A restricted composition does not build the component
-    moves and input capabilities its restriction hides.  An input prefix
-    is instantiated once per received value or qubit, and a constant once
-    per argument values.  Configurations proved acyclic are remembered,
+    Configurations are interned per density matrix under their component
+    key (`_flat`), not under their term, and a configuration's term is
+    built only when it is read.  A parallel composition, with the
+    restriction and the relabelling around it, is stepped in one pass
+    (`_step_par`) over its components' entries, and each target is built
+    once as a key, so stepping a configuration conses no composed term; a
+    composition nested inside a component still builds its targets as
+    terms.  A component is stepped once per (component, state,
+    restriction), and its entry is indexed for communication:
+    configurations that share a component and a density matrix share its
+    moves and input capabilities.  A restricted composition does not
+    build the component moves and input capabilities its restriction
+    hides.  An input prefix is instantiated once per received value or
+    qubit, and a constant once per argument values.  Configurations proved acyclic are remembered,
     so no search repeats that proof.  `work` counts the expansion done by
     the current query against `budget` (see `query`).
 
@@ -347,7 +410,7 @@ class System:
         self._open_queries = 0
         self._n_configs = 0
         self._matrices = {}      # digest -> interned matrix
-        self._configs = {}       # id of an interned matrix -> {term: configuration}
+        self._configs = {}       # id of an interned matrix -> {component key: configuration}
         self._unfold_cache = {}
         # configuration index -> its point distribution; kept here, not on
         # the configuration, so that the two do not form a reference cycle
@@ -370,7 +433,8 @@ class System:
 
         `term` may be source text or a term object; `state` a QuantumState
         or a raw density matrix over the system register.  The term is put
-        in canonical form, which stepping then keeps.
+        in canonical form, which stepping then keeps, and interned under
+        its `_flat` key.
         """
         term = ca.parse_term(term) if isinstance(term, str) else ca.alpha_canonical(term)
         if isinstance(state, QuantumState):
@@ -409,17 +473,28 @@ class System:
         return matrix
 
     def _intern(self, term: Process, matrix) -> Configuration:
-        """The configuration of `term` at `matrix`; configurations are kept
-        per interned matrix, so a lookup builds no key tuple."""
+        """The configuration of `term` at `matrix`, interned under its
+        `_flat` key."""
+        return self._intern_key(_flat(term), matrix)
+
+    def _intern_key(self, key: tuple, matrix) -> Configuration:
+        """The configuration of the component key `key`, in `_flat` form,
+        at `matrix`; configurations are kept per interned matrix."""
         table = self._configs.get(id(matrix))
         if table is None:
             matrix = self._share(matrix)
             table = self._configs[id(matrix)]
-        got = table.get(term)
+        got = table.get(key)
         if got is None:
-            got = table[term] = Configuration(term, self.register, matrix, self._n_configs)
+            got = table[key] = Configuration(key, self.register, matrix, self._n_configs)
             self._n_configs += 1
         return got
+
+    def _intern_one(self, key: tuple, matrix) -> Configuration:
+        """`_intern_key` of a one-component key that `_step_par` built: its
+        component may be a composition or a restriction itself, so the key
+        is brought to `_flat` form first."""
+        return self._intern(_compose(*key), matrix)
 
     def dirac(self, config: Configuration) -> ConfigDistribution:
         """The point distribution on `config`: one object per configuration,
@@ -479,8 +554,15 @@ class System:
         cached = config.moves
         if cached is not None:
             return cached
-        moves, caps = self._step_term(config.term, config.matrix, _UNFOLD_LIMIT)
-        intern = self._intern
+        key = config.key
+        parts, hidden, relabel = key
+        if len(parts) == 1 and not hidden and relabel is None:
+            # a lone component steps as a term, and its targets are terms
+            moves, caps = self._step_term(parts[0], config.matrix, _UNFOLD_LIMIT)
+            intern = self._intern
+        else:
+            moves, caps = self._step_par(key, config.matrix, _UNFOLD_LIMIT)
+            intern = self._intern_key if len(parts) > 1 else self._intern_one
         out = []
         for label, branches in moves:
             if len(branches) == 1:
@@ -501,12 +583,12 @@ class System:
                 for name in self.register.names:
                     if name in config.qv:
                         continue
-                    term = cap.instantiate(name)
-                    if term is None:
+                    target = cap.instantiate(name)
+                    if target is None:
                         continue
                     out.append(Transition(
                         Label(Label.QIN, cap.chan, name),
-                        self.dirac(self._intern(term, config.matrix))))
+                        self.dirac(intern(target, config.matrix))))
             else:
                 domain = self.module.channel_domains.get(cap.chan.name)
                 if domain is None:
@@ -516,10 +598,9 @@ class System:
                         f"visible input on channel {cap.chan} needs a finite domain "
                         f"({detail}); restrict the channel or declare one")
                 for v in domain:
-                    term = cap.instantiate(v)
                     out.append(Transition(
                         Label(Label.IN, cap.chan, v),
-                        self.dirac(self._intern(term, config.matrix))))
+                        self.dirac(intern(cap.instantiate(v), config.matrix))))
         result = tuple(out)
         config.moves = result
         taus = tuple(t for t in result if not t.label.visible)
@@ -533,7 +614,7 @@ class System:
         tuple of (prob, term, matrix); caps are pending input prefixes.
         """
         if isinstance(term, ca.Restrict):
-            return self._step_par(term.body, mat, fuel, term.channels)
+            return self._step_nested((_components(term.body), term.channels, None), mat, fuel)
 
         if isinstance(term, ca.Nil):
             return [], []
@@ -611,13 +692,15 @@ class System:
             return moves, caps
 
         if isinstance(term, ca.Par):
-            return self._step_par(term, mat, fuel)
+            return self._step_nested((term.parts, _OPEN, None), mat, fuel)
 
         if isinstance(term, ca.Relabel):
             body = term.body
             if isinstance(body, ca.Restrict):
-                return self._step_par(body.body, mat, fuel, body.channels, term)
-            return self._step_par(body, mat, fuel, relabel=term)
+                key = (_components(body.body), body.channels, term.mapping)
+            else:
+                key = (_components(body), _OPEN, term.mapping)
+            return self._step_nested(key, mat, fuel)
 
         raise TypeError(f"cannot step {term!r}")
 
@@ -653,39 +736,27 @@ class System:
             tuple(outputs), inputs)
         return got
 
-    def _step_par(self, body: Process, mat, fuel: int, hidden=frozenset(), relabel=None):
-        """Moves and capabilities of `body`, a composition, under the
-        restriction to `hidden` and then the relabelling `relabel`:
-        interleaved component moves and capabilities, then communication.
+    def _step_par(self, key: tuple, mat, fuel: int):
+        """Moves and capabilities of the component key `key`, a composition
+        of `parts` under the restriction to `hidden` and then the
+        relabelling `relabel`: interleaved component moves and
+        capabilities, then communication.
 
-        A body that is not a `Par` is a composition of one component.
-        Each target is built once, as the final term: the composition with
-        one or two components replaced, inside `Restrict(..., hidden)` when
-        `hidden` is not empty, inside `relabel` when one is given.  A
-        component move visible on a hidden channel is dropped, as is a
-        capability on one, since the restriction would discard them; the
-        relabelling renames the channels of the rest.  Communication still
-        pairs the components' own outputs and capabilities, so hidden
-        channels still synchronise, and the moves that remain keep their
-        order.
+        Each target is a component key, built once: `parts` with one or two
+        components replaced, with the same `hidden` and `relabel`, so no
+        term is built.  A component move visible on a hidden channel is
+        dropped, as is a capability on one, since the restriction would
+        discard them; the relabelling renames the channels of the rest.
+        Communication still pairs the components' own outputs and
+        capabilities, so hidden channels still synchronise, and the moves
+        that remain keep their order.
         """
-        if isinstance(body, ca.Par):
-            parts = body.parts
-            rebuild = ca.Par
-        else:
-            parts = (body,)
-            rebuild = _lone
-        if hidden:
-            compose = rebuild
-            rebuild = lambda pieces: ca.Restrict(compose(pieces), hidden)
-        if relabel is not None:
-            restrict = rebuild
-            rebuild = lambda pieces: ca.Relabel(restrict(pieces), relabel.mapping)
+        parts, hidden, relabel = key
         # the table also holds `mat`, so its id is not reused while it lives
-        key = (id(mat), fuel, hidden)
-        got = self._component_steps.get(key)
+        slot = (id(mat), fuel, hidden)
+        got = self._component_steps.get(slot)
         if got is None:
-            got = self._component_steps[key] = ({}, mat)
+            got = self._component_steps[slot] = ({}, mat)
         table = got[0]
         entries = [table.get(p) or self._step_component(p, mat, fuel, hidden, table)
                    for p in parts]
@@ -700,10 +771,10 @@ class System:
                     label = relabel_label(label, relabel)
                 if len(branches) == 1:
                     ((p, t, s),) = branches
-                    moves.append((label, ((p, rebuild(head + (t,) + tail), s),)))
+                    moves.append((label, ((p, (head + (t,) + tail, hidden, relabel), s),)))
                 else:
                     moves.append((label, tuple(
-                        (p, rebuild(head + (t,) + tail), s) for p, t, s in branches)))
+                        (p, (head + (t,) + tail, hidden, relabel), s) for p, t, s in branches)))
             others_qv = None  # qubits the siblings hold, for quantum inputs only
             for cap in entry.caps:
                 if cap.chan.quantum:
@@ -715,16 +786,16 @@ class System:
                         if r in others:
                             return None
                         t = inst(r)
-                        return None if t is None else rebuild(head + (t,) + tail)
+                        return None if t is None else (head + (t,) + tail, hidden, relabel)
 
                 else:
 
                     def wrap(v, inst=cap.instantiate, head=head, tail=tail):
                         t = inst(v)
-                        return None if t is None else rebuild(head + (t,) + tail)
+                        return None if t is None else (head + (t,) + tail, hidden, relabel)
 
                 caps.append(_Cap(
-                    cap.chan if relabel is None else relabel.rename(cap.chan), wrap))
+                    cap.chan if relabel is None else _rename(relabel, cap.chan), wrap))
 
         # communication between distinct components, on the sender's channel
         receivers = None
@@ -743,8 +814,23 @@ class System:
                         pieces = list(parts)
                         pieces[i] = sender_term
                         pieces[j] = received
-                        moves.append((TAU, ((1, rebuild(tuple(pieces)), sender_mat),)))
+                        moves.append((TAU, ((1, (tuple(pieces), hidden, relabel), sender_mat),)))
         return moves, caps
+
+    def _step_nested(self, key: tuple, mat, fuel: int):
+        """`_step_par` of a composition inside a term, with each target
+        built as the term `_compose` gives it."""
+        moves, caps = self._step_par(key, mat, fuel)
+        built = []
+        for cap in caps:
+
+            def build(v, inst=cap.instantiate):
+                k = inst(v)
+                return None if k is None else _compose(*k)
+
+            built.append(_Cap(cap.chan, build))
+        return [(label, tuple((p, _compose(*k), s) for p, k, s in branches))
+                for label, branches in moves], built
 
     # -- weak transitions as extreme points
 

@@ -207,6 +207,44 @@ B := #c?q . tau . d!0 . nil
 """
 
 
+class TestRegistry:
+    """`registry "file"` declarations load relative to the module file."""
+
+    FLIP = [{"name": "Flip", "acts_on_arity": 1,
+             "kraus": [[[0.0, 1.0], [1.0, 0.0]]]}]
+
+    @pytest.fixture
+    def flip_module(self, tmp_path):
+        path = tmp_path / "flip.qp"
+        path.write_text('registry "ops.json"\n'
+                        "C(; q) := apply Flip[q] . nil\n"
+                        "D(; q) := apply X[q] . nil\n")
+        return path
+
+    def test_declared_operation_is_loaded(self, capsys, flip_module):
+        (flip_module.parent / "ops.json").write_text(json.dumps(self.FLIP))
+        code, out, _ = run(capsys, "lts", str(flip_module), "--root", "C",
+                           "--with-states")
+        assert code == 0
+        final = json.loads(out)["states"][-1]
+        assert final["state"] == [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        code, out, _ = run(capsys, "check", str(flip_module), "--left", "C",
+                           "--right", "D", "--flavor", "state")
+        assert code == 0
+        assert json.loads(out)["report"]["verdict"] == "holds"
+
+    def test_missing_registry_file(self, capsys, flip_module):
+        code, _, err = run(capsys, "lts", str(flip_module), "--root", "C")
+        assert code == 3
+        assert "ops.json" in err
+
+    def test_malformed_registry_file(self, capsys, flip_module):
+        (flip_module.parent / "ops.json").write_text(json.dumps([{"acts_on_arity": 1}]))
+        code, _, err = run(capsys, "lts", str(flip_module), "--root", "C")
+        assert code == 2
+        assert "bad registry entry" in err
+
+
 class TestQuantumInput:
     @pytest.mark.parametrize("argv", [
         ["check"], ["check", "--flavor", "state"], ["distance", "--replay"],

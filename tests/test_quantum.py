@@ -334,6 +334,12 @@ class TestRegistryLoading:
         with pytest.raises(ValueError):
             load_registry([{"name": "X", "acts_on_arity": 1}])
 
+    @pytest.mark.parametrize("entry", [{"acts_on_arity": 1, "kraus": []},
+                                       {"name": "X", "kraus": []}, "X"])
+    def test_entry_without_name_or_arity(self, entry):
+        with pytest.raises(ValueError, match="bad registry entry"):
+            load_registry([entry])
+
     @pytest.mark.parametrize("entry", [["1", "0"], "1", True, [1.0], [1.0, 0.0, 0.0]])
     def test_matrix_entries_are_numbers_or_pairs(self, entry):
         kraus = [[[entry, 0.0], [0.0, 1.0]]]

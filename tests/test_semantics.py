@@ -28,6 +28,7 @@ from qbisim.semantics import (
     System,
     TAU,
     _Cap,
+    _flat,
     combine,
     relabel_label,
 )
@@ -328,38 +329,42 @@ class TestCompositionalStepping:
 
 class _Unpruned(System):
     """Steps a restricted or relabelled composition without pruning: the
-    whole bare `_step_par` output, which it then filters and wraps in the
-    restriction, and renames and wraps in the relabelling, as `Restrict`
-    and `Relabel` rules apart from the composition would.  Counts the
-    component moves the filter drops."""
+    whole bare `_step_par` output of its components, which it then filters
+    and wraps in the restriction, and renames and wraps in the relabelling,
+    as `Restrict` and `Relabel` rules apart from the composition would.
+    Targets are component keys `(parts, hidden, relabel)`, so wrapping one
+    sets its `hidden` or its `relabel`.  Counts the component moves the
+    filter drops."""
 
     hidden_moves = 0
 
-    def _step_par(self, body, mat, fuel, hidden=frozenset(), relabel=None):
-        moves, caps = super()._step_par(body, mat, fuel)
+    def _step_par(self, key, mat, fuel):
+        parts, hidden, relabel = key
+        moves, caps = super()._step_par((parts, frozenset(), None), mat, fuel)
         if hidden:
             kept = [(label, branches) for label, branches in moves
                     if not (label.visible and label.chan in hidden)]
             self.hidden_moves += len(moves) - len(kept)
             moves, caps = self._wrap(
                 kept, [cap for cap in caps if cap.chan not in hidden],
-                lambda t: ca.Restrict(t, hidden), lambda chan: chan)
+                lambda k: (k[0], hidden, k[2]), lambda chan: chan)
         if relabel is not None:
+            renamed = dict(relabel)
             moves, caps = self._wrap(
                 [(relabel_label(label, relabel), branches) for label, branches in moves],
-                caps, lambda t: ca.Relabel(t, relabel.mapping), relabel.rename)
+                caps, lambda k: (k[0], k[1], relabel), lambda chan: renamed.get(chan, chan))
         return moves, caps
 
     @staticmethod
-    def _wrap(moves, caps, wrap_term, rename):
-        out_moves = [(label, tuple((p, wrap_term(t), s) for p, t, s in branches))
+    def _wrap(moves, caps, wrap_key, rename):
+        out_moves = [(label, tuple((p, wrap_key(k), s) for p, k, s in branches))
                      for label, branches in moves]
         out_caps = []
         for cap in caps:
 
             def wrap(v, inst=cap.instantiate):
-                t = inst(v)
-                return None if t is None else wrap_term(t)
+                k = inst(v)
+                return None if k is None else wrap_key(k)
 
             out_caps.append(_Cap(rename(cap.chan), wrap))
         return out_moves, out_caps
@@ -412,9 +417,81 @@ class TestRestrictedStepping:
     def test_hidden_output_only_synchronises(self):
         s = fresh()
         cfg = s.config("( c!0 . nil || c?x . d!x . nil ) \\ {c}", state())
-        moves, caps = s._step_par(cfg.term.body, cfg.matrix, 1, cfg.term.channels)
+        assert cfg.key == (cfg.term.body.parts, cfg.term.channels, None)
+        moves, caps = s._step_par(cfg.key, cfg.matrix, 1)
         assert [label for label, _ in moves] == [TAU] and caps == []
         assert [t.label for t in s.step(cfg)] == [TAU]
+
+
+class TestComponentKeys:
+    """A configuration is interned under the component key of its term,
+    `(parts, hidden, relabel)`, and its term is built only when read."""
+
+    @staticmethod
+    def security_roots(n):
+        instance = build_bb84_security_test(n)
+        system = System(instance.system.module, register=instance.register)
+        return system, [system.config(c.term, c.matrix)
+                        for c in instance.root.support + instance.ideal.support]
+
+    @staticmethod
+    def assert_term_interns_back(system, roots):
+        for config in system.reachable(roots):
+            assert _flat(config.term) == config.key, pretty(config.term)
+            assert system.config(config.term, config.matrix) is config, pretty(config.term)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_security_reach(self, n):
+        self.assert_term_interns_back(*self.security_roots(n))
+
+    @pytest.mark.parametrize("name", sorted(randsys.PAR_SYSTEMS))
+    def test_hand_written(self, name):
+        system, root = randsys.par_system(name)
+        self.assert_term_interns_back(system, [root])
+
+    @pytest.mark.parametrize("term", [
+        "( tau . ( c!0 . nil || c?x . d!x . nil ) ) \\ {c}",
+        "( tau . ( a!0 . nil || b!1 . nil ) ) [a -> e]",
+        "( tau . ( ( a!0 . nil || b!1 . nil ) \\ {a} ) ) [b -> e]",
+        "( tau . ( ( a!0 . nil ) \\ {} ) ) [a -> e]",
+    ])
+    def test_one_component_targets(self, term):
+        # a one-component key's target may itself be a composition or a
+        # restriction, which the key of the same term flattens
+        s = fresh()
+        self.assert_term_interns_back(s, [s.config(term, state())])
+
+    def test_reach_builds_no_composed_term(self, monkeypatch):
+        system, roots = self.security_roots(2)
+        made = []
+        cons = ca._cons
+
+        def counting(cls, fields, key=None):
+            if cls is ca.Par:
+                entry = ca._TABLE.get((cls,) + fields)
+                if entry is None or entry() is None:
+                    made.append(fields)
+            return cons(cls, fields, key)
+
+        monkeypatch.setattr(ca, "_cons", counting)
+        reached = system.reachable(roots)
+        assert len(reached) == 6728
+        # nested compositions inside components still build their terms
+        assert len(made) < 1000
+        assert all(c._term is None for c in reached)
+
+    @pytest.mark.parametrize("wrapped, bare", [
+        ("( c!0 . nil ) \\ {}", "c!0 . nil"),
+        ("( c!0 . nil ) [c -> d]", "c!0 . nil"),
+        ("( c!0 . nil || c?x . nil ) \\ {c}", "c!0 . nil || c?x . nil"),
+    ])
+    def test_wrappers_keep_configurations_apart(self, wrapped, bare):
+        s = fresh()
+        rho = state()
+        outer, inner = s.config(wrapped, rho), s.config(bare, rho)
+        assert outer.matrix is inner.matrix
+        assert outer is not inner and outer.key != inner.key
+        assert outer.term is parse_term(wrapped) and inner.term is parse_term(bare)
 
 
 class TestAcyclicityMemo:
