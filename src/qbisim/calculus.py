@@ -476,11 +476,13 @@ class Relabel(Process):
             seen.add(old)
         return _cons(cls, (body, pairs))
 
-    def rename(self, chan: Channel) -> Channel:
-        for old, new in self.mapping:
-            if old is chan:
-                return new
-        return chan
+
+def rename_channel(mapping: tuple, chan: Channel) -> Channel:
+    """`chan` under the (old, new) pairs of a relabelling's `mapping`."""
+    for old, new in mapping:
+        if old is chan:
+            return new
+    return chan
 
 
 class If(Process):

@@ -236,7 +236,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(w)))
 
 
-# a matrix digest rounds each entry to this many decimals
+# identity rounds reals to this many decimals: each matrix entry in a
+# digest, a real label payload, each weight in a distribution digest
 _DIGEST_DECIMALS = 10
 
 

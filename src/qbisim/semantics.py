@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 from . import calculus as ca
-from .calculus import Channel, Par, Process, Relabel, Restrict, format_value
+from .calculus import Channel, Par, Process, Relabel, Restrict, format_value, rename_channel
 from .errors import (
     BudgetExceededError,
     ChannelDomainError,
@@ -40,6 +40,7 @@ from .errors import (
 # not called here: perfbench/spans.py traces the LP under this name too
 from .lp import combination_weights  # noqa: F401
 from .quantum import (
+    _DIGEST_DECIMALS,
     DEFAULT_TOL,
     QuantumState,
     _matrix_digest,
@@ -48,7 +49,6 @@ from .quantum import (
     resolve_operation,
 )
 
-_PROB_DECIMALS = 10
 # successive constant unfoldings without an intervening action; kept well
 # under the interpreter stack limit so unguarded recursion fails cleanly
 _UNFOLD_LIMIT = 256
@@ -80,7 +80,7 @@ class Label:
         if isinstance(value, ca.BitString):
             vkey = ("b", str(value))
         elif isinstance(value, float):
-            vkey = ("f", round(value, _PROB_DECIMALS) + 0.0)
+            vkey = ("f", round(value, _DIGEST_DECIMALS) + 0.0)
         else:
             vkey = value
         self._key = (kind, chan, vkey)
@@ -113,18 +113,10 @@ class Label:
 TAU = Label(Label.TAU)
 
 
-def _rename(mapping: tuple, chan: Channel) -> Channel:
-    """`chan` under the (old, new) pairs of a relabelling."""
-    for old, new in mapping:
-        if old is chan:
-            return new
-    return chan
-
-
 def relabel_label(label: Label, mapping: tuple) -> Label:
     if label.kind == Label.TAU:
         return label
-    return Label(label.kind, _rename(mapping, label.chan), label.value)
+    return Label(label.kind, rename_channel(mapping, label.chan), label.value)
 
 
 # ---------------------------------------------------------------------------
@@ -134,49 +126,81 @@ def relabel_label(label: Label, mapping: tuple) -> Label:
 _OPEN = frozenset()  # the hidden channels of a key with no restriction
 
 
-def _components(body: Process) -> tuple:
-    return body.parts if body.__class__ is Par else (body,)
+def _key(term: Process):
+    """The component of a term: the term itself when it is a leaf, a node
+    that is not a `Par`, `Restrict` or `Relabel`, and otherwise the
+    composition key `(parts, hidden, relabel)`.
 
-
-def _flat(term: Process) -> tuple:
-    """The component key `(parts, hidden, relabel)` of a term.
-
-    `Relabel(Restrict(Par(parts), hidden), relabel)` flattens to its
-    components, the channels its restriction hides (`_OPEN` for none) and
-    its relabelling's (old, new) pairs (None for none); each wrapper may be
-    absent, and a body that is not a `Par` is one component.  An empty
-    restriction stays a component, so `P \\ {}` and `P` keep apart.
-    `_compose` inverts it: `_compose(*_flat(t)) is t`.
+    A key stands for `Relabel(Restrict(Par(parts), hidden), relabel)`: its
+    parts are components, `hidden` holds the channels its restriction hides
+    (`_OPEN` for none) and `relabel` its relabelling's (old, new) pairs
+    (None for none).  Either wrapper may be absent, and one part is
+    composed alone, not in a `Par`.  A key of one part and neither wrapper
+    is an empty restriction, so `P \\ {}` and `(P || Q) \\ {}` keep apart
+    from `P` and `P || Q`.  `_compose` inverts it: `_compose(_key(t)) is t`.
     """
-    # exact class tests: every interned target passes through here
-    relabel = None
-    if term.__class__ is Relabel:
-        relabel, term = term.mapping, term.body
-    hidden = _OPEN
-    if term.__class__ is Restrict and term.channels:
-        hidden, term = term.channels, term.body
-    return (term.parts if term.__class__ is Par else (term,)), hidden, relabel
+    cls = term.__class__
+    if cls is Par:
+        return tuple(map(_key, term.parts)), _OPEN, None
+    if cls is Restrict:
+        if not term.channels:
+            return (_key(term.body),), _OPEN, None
+        return _wrap(_key(term.body), term.channels, None)
+    if cls is Relabel:
+        return _wrap(_key(term.body), _OPEN, term.mapping)
+    return term
 
 
-def _compose(parts: tuple, hidden: frozenset, relabel) -> Process:
-    """The term of a key: the composition of `parts` inside the restriction
-    to `hidden` when it is not empty, inside the relabelling when there is
-    one."""
-    term = Par(parts) if len(parts) > 1 else parts[0]
-    if hidden:
+def _wrap(body, hidden: frozenset, relabel):
+    """The component of `body` inside the restriction to `hidden`, when it
+    is not empty, and then inside the relabelling `relabel`, when there is
+    one.
+
+    The parts of a bare composition join the wrappers, and so do those of
+    a restriction under a relabelling alone; any other body becomes the one
+    part of a key.  `_step_par` builds the targets of a one-part key here,
+    so they are the keys of their terms too.  With neither wrapper, as for
+    a target of an empty restriction `P \\ {}`, it is `body` itself: that
+    step leaves the empty restriction behind.
+    """
+    if not hidden and relabel is None:
+        return body
+    if body.__class__ is tuple:
+        parts, inner, again = body
+        if again is None and (inner and not hidden or len(parts) > 1 and not inner):
+            return parts, hidden or inner, relabel
+    return (body,), hidden, relabel
+
+
+def _compose(comp) -> Process:
+    """The term of a component: a leaf is its own term, and a key composes
+    its parts' terms in parallel, inside its restriction and relabelling."""
+    if comp.__class__ is not tuple:
+        return comp
+    parts, hidden, relabel = comp
+    term = Par(tuple(map(_compose, parts))) if len(parts) > 1 else _compose(parts[0])
+    if hidden or relabel is None and len(parts) == 1:
         term = Restrict(term, hidden)
     if relabel is not None:
         term = Relabel(term, relabel)
     return term
 
 
-class Configuration:
-    """Interned (component key, density matrix) pair; identity is managed
-    by the System.
+def _qv(comp) -> frozenset:
+    """Free qubits of a component; a one-part key shares its part's set."""
+    if comp.__class__ is not tuple:
+        return ca.qv(comp)
+    parts = comp[0]
+    return _qv(parts[0]) if len(parts) == 1 else frozenset().union(*map(_qv, parts))
 
-    The key is the term's `_flat` form: its components, the channels its
-    restriction hides and its relabelling.  `term` is built from it on
-    first read, and `qv` is computed from the components, both once.
+
+class Configuration:
+    """Interned (component, density matrix) pair; identity is managed by
+    the System.
+
+    The key is the component of the term (`_key`): a leaf term, or a
+    composition key whose parts are components in turn.  `term` is built
+    from it on first read, and `qv` is read from its leaves, both once.
     The matrix is stored raw: states reached by stepping a valid initial
     state through trace-preserving operations stay valid, so only the entry
     point revalidates.  A configuration belongs to the one System that
@@ -198,16 +222,14 @@ class Configuration:
     def term(self) -> Process:
         got = self._term
         if got is None:
-            got = self._term = _compose(*self.key)
+            got = self._term = _compose(self.key)
         return got
 
     @property
     def qv(self) -> frozenset:
         got = self._qv
         if got is None:
-            parts = self.key[0]
-            got = self._qv = (ca.qv(parts[0]) if len(parts) == 1
-                              else frozenset().union(*map(ca.qv, parts)))
+            got = self._qv = _qv(self.key)
         return got
 
     @property
@@ -246,7 +268,7 @@ class ConfigDistribution:
     def digest(self):
         if self._digest is None:
             self._digest = tuple(sorted(
-                (c.index, round(float(p), _PROB_DECIMALS)) for c, p in self.probs.items()))
+                (c.index, round(float(p), _DIGEST_DECIMALS)) for c, p in self.probs.items()))
         return self._digest
 
     def __hash__(self):
@@ -336,7 +358,7 @@ class Transition(NamedTuple):
 
 class _Cap(NamedTuple):
     chan: Channel
-    instantiate: Callable  # value or qubit name -> term, or None when blocked
+    instantiate: Callable  # value or qubit name -> component, or None when blocked
 
 
 class _Component(NamedTuple):
@@ -345,7 +367,7 @@ class _Component(NamedTuple):
 
     moves: tuple    # (Label, branches) the restriction keeps, as `_step_term` gives them
     caps: tuple     # _Cap the restriction keeps
-    outputs: tuple  # (label, sender term, sender matrix) of every output
+    outputs: tuple  # (label, sender component, sender matrix) of every output
     inputs: dict    # channel -> instantiate functions of every cap on it
 
 
@@ -372,22 +394,22 @@ class System:
     an internal cycle raises `CyclicModelError` from every weak-closure
     query.
 
-    Configurations are interned per density matrix under their component
-    key (`_flat`), not under their term, and a configuration's term is
-    built only when it is read.  A parallel composition, with the
-    restriction and the relabelling around it, is stepped in one pass
-    (`_step_par`) over its components' entries, and each target is built
-    once as a key, so stepping a configuration conses no composed term; a
-    composition nested inside a component still builds its targets as
-    terms.  A component is stepped once per (component, state,
-    restriction), and its entry is indexed for communication:
+    Configurations are interned per density matrix under the component of
+    their term (`_key`), not under the term, and a configuration's term is
+    built only when it is read.  A component is a leaf term or a
+    composition key, whose parts are components at every depth, and it is
+    stepped on one path: a leaf by its rule (`_step_term`), a key, with
+    its restriction and relabelling, in one pass over its parts' entries
+    (`_step_par`).  Every target is built once as a component, so stepping
+    conses no composed term.  A part is stepped once per (component,
+    state, restriction), and its entry is indexed for communication:
     configurations that share a component and a density matrix share its
     moves and input capabilities.  A restricted composition does not
-    build the component moves and input capabilities its restriction
-    hides.  An input prefix is instantiated once per received value or
-    qubit, and a constant once per argument values.  Configurations proved acyclic are remembered,
-    so no search repeats that proof.  `work` counts the expansion done by
-    the current query against `budget` (see `query`).
+    build the moves and input capabilities its restriction hides.  An
+    input prefix is instantiated once per received value or qubit, and a
+    constant once per argument values.  Configurations proved acyclic are
+    remembered, so no search repeats that proof.  `work` counts the
+    expansion done by the current query against `budget` (see `query`).
 
     A System also keeps what the bisimulation engines proved on it
     (`qbisim.bisim`): per tolerance, the point pairs some state-based
@@ -434,7 +456,7 @@ class System:
         `term` may be source text or a term object; `state` a QuantumState
         or a raw density matrix over the system register.  The term is put
         in canonical form, which stepping then keeps, and interned under
-        its `_flat` key.
+        its component (`_key`).
         """
         term = ca.parse_term(term) if isinstance(term, str) else ca.alpha_canonical(term)
         if isinstance(state, QuantumState):
@@ -459,7 +481,7 @@ class System:
         ca.check_well_formed(term)
         for name, cn, qn in ca._call_sites(term):
             self.module.callee(name, cn, qn)
-        return self._intern(term, matrix)
+        return self._intern_key(_key(term), matrix)
 
     def _share(self, matrix):
         """The interned matrix equal to `matrix`.
@@ -472,14 +494,9 @@ class System:
             self._configs.setdefault(id(matrix), {})
         return matrix
 
-    def _intern(self, term: Process, matrix) -> Configuration:
-        """The configuration of `term` at `matrix`, interned under its
-        `_flat` key."""
-        return self._intern_key(_flat(term), matrix)
-
-    def _intern_key(self, key: tuple, matrix) -> Configuration:
-        """The configuration of the component key `key`, in `_flat` form,
-        at `matrix`; configurations are kept per interned matrix."""
+    def _intern_key(self, key, matrix) -> Configuration:
+        """The configuration of the component `key` at `matrix`;
+        configurations are kept per interned matrix."""
         table = self._configs.get(id(matrix))
         if table is None:
             matrix = self._share(matrix)
@@ -489,12 +506,6 @@ class System:
             got = table[key] = Configuration(key, self.register, matrix, self._n_configs)
             self._n_configs += 1
         return got
-
-    def _intern_one(self, key: tuple, matrix) -> Configuration:
-        """`_intern_key` of a one-component key that `_step_par` built: its
-        component may be a composition or a restriction itself, so the key
-        is brought to `_flat` form first."""
-        return self._intern(_compose(*key), matrix)
 
     def dirac(self, config: Configuration) -> ConfigDistribution:
         """The point distribution on `config`: one object per configuration,
@@ -534,7 +545,8 @@ class System:
 
     # -- constant unfolding
 
-    def _unfold(self, call: ca.Call) -> Process:
+    def _unfold(self, call: ca.Call):
+        """The component of a call's body, instantiated at its arguments."""
         defn = self.module.callee(call.name, len(call.cargs), len(call.qargs))
         # keyed by the values as `Lit` nodes, which keep True apart from
         # 1.0 and -0.0 from 0.0, as raw values would not
@@ -543,7 +555,7 @@ class System:
         got = self._unfold_cache.get(key)
         if got is None:
             body = ca.subst_values(defn.body, dict(zip(defn.cparams, values)))
-            got = ca.subst_qubits(body, dict(zip(defn.qparams, call.qargs)))
+            got = _key(ca.subst_qubits(body, dict(zip(defn.qparams, call.qargs))))
             self._unfold_cache[key] = got
         return got
 
@@ -554,67 +566,55 @@ class System:
         cached = config.moves
         if cached is not None:
             return cached
-        key = config.key
-        parts, hidden, relabel = key
-        if len(parts) == 1 and not hidden and relabel is None:
-            # a lone component steps as a term, and its targets are terms
-            moves, caps = self._step_term(parts[0], config.matrix, _UNFOLD_LIMIT)
-            intern = self._intern
-        else:
-            moves, caps = self._step_par(key, config.matrix, _UNFOLD_LIMIT)
-            intern = self._intern_key if len(parts) > 1 else self._intern_one
-        out = []
-        for label, branches in moves:
-            if len(branches) == 1:
-                ((p, t, s),) = branches
-                if p.__class__ is int and p == 1:
-                    out.append(Transition(label, self.dirac(intern(t, s))))
-                    continue
-                probs = {intern(t, s): p}
-            else:
-                probs = {}
-                for p, t, s in branches:
-                    c = intern(t, s)
-                    prev = probs.get(c)
-                    probs[c] = p if prev is None else prev + p
-            out.append(Transition(label, ConfigDistribution(probs)))
+        mat = config.matrix
+        moves, caps = self._step_term(config.key, mat, _UNFOLD_LIMIT)
+        # each value or qubit a capability receives is one more move
         for cap in caps:
             if cap.chan.quantum:
                 for name in self.register.names:
                     if name in config.qv:
                         continue
                     target = cap.instantiate(name)
-                    if target is None:
-                        continue
-                    out.append(Transition(
-                        Label(Label.QIN, cap.chan, name),
-                        self.dirac(intern(target, config.matrix))))
-            else:
-                domain = self.module.channel_domains.get(cap.chan.name)
-                if domain is None:
-                    detail = ("declared real" if cap.chan.name in self.module.channel_domains
-                              else "not declared")
-                    raise ChannelDomainError(
-                        f"visible input on channel {cap.chan} needs a finite domain "
-                        f"({detail}); restrict the channel or declare one")
-                for v in domain:
-                    out.append(Transition(
-                        Label(Label.IN, cap.chan, v),
-                        self.dirac(intern(cap.instantiate(v), config.matrix))))
+                    if target is not None:
+                        moves.append((Label(Label.QIN, cap.chan, name), ((1, target, mat),)))
+                continue
+            domain = self.module.channel_domains.get(cap.chan.name)
+            if domain is None:
+                detail = ("declared real" if cap.chan.name in self.module.channel_domains
+                          else "not declared")
+                raise ChannelDomainError(
+                    f"visible input on channel {cap.chan} needs a finite domain "
+                    f"({detail}); restrict the channel or declare one")
+            for v in domain:
+                moves.append((Label(Label.IN, cap.chan, v), ((1, cap.instantiate(v), mat),)))
+        intern = self._intern_key
+        out = []
+        for label, branches in moves:
+            probs = {}
+            for p, t, s in branches:
+                c = intern(t, s)
+                prev = probs.get(c)
+                probs[c] = p if prev is None else prev + p
+            out.append(Transition(label, self.dirac(c) if (
+                len(branches) == 1 and p.__class__ is int and p == 1) else ConfigDistribution(probs)))
         result = tuple(out)
         config.moves = result
         taus = tuple(t for t in result if not t.label.visible)
         config.tau_moves = result if len(taus) == len(result) else taus
         return result
 
-    def _step_term(self, term: Process, mat, fuel: int):
-        """Transitions and input capabilities of a raw term.
+    def _step_term(self, term, mat, fuel: int):
+        """Transitions and input capabilities of a component or a term.
 
         Returns (moves, caps): moves are (Label, branches) with branches a
-        tuple of (prob, term, matrix); caps are pending input prefixes.
+        tuple of (prob, component, matrix); caps are pending input
+        prefixes, whose `instantiate` gives a component.  This is the one
+        dispatch: a composition key goes to `_step_par`, as does a
+        composition term (a summand or an `if` body) under its key, and a
+        leaf steps by its rule.  The lists returned are fresh.
         """
-        if isinstance(term, ca.Restrict):
-            return self._step_nested((_components(term.body), term.channels, None), mat, fuel)
+        if term.__class__ is tuple:
+            return self._step_par(term, mat, fuel)
 
         if isinstance(term, ca.Nil):
             return [], []
@@ -628,11 +628,11 @@ class System:
         if isinstance(term, ca.Prefix):
             act = term.action
             if isinstance(act, ca.Tau):
-                return [(TAU, ((1, term.cont, mat),))], []
+                return [(TAU, ((1, _key(term.cont), mat),))], []
             if isinstance(act, ca.COut):
                 value = ca.eval_expr(act.expr)
                 return [(Label(Label.OUT, act.chan, value),
-                         ((1, term.cont, mat),))], []
+                         ((1, _key(term.cont), mat),))], []
             if isinstance(act, ca.CIn):
                 cont, var = term.cont, act.var
 
@@ -641,13 +641,13 @@ class System:
                     key = (cont, var, ca.Lit(v))
                     got = memo.get(key)
                     if got is None:
-                        got = memo[key] = ca.subst_values(cont, {var: v})
+                        got = memo[key] = _key(ca.subst_values(cont, {var: v}))
                     return got
 
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.QOut):
                 return [(Label(Label.QOUT, act.chan, act.qvar),
-                         ((1, term.cont, mat),))], []
+                         ((1, _key(term.cont), mat),))], []
             if isinstance(act, ca.QIn):
                 cont, qvar = term.cont, act.qvar
 
@@ -657,18 +657,18 @@ class System:
                     key = (cont, qvar, r)
                     got = memo.get(key)
                     if got is None:
-                        got = memo[key] = ca.subst_qubits(cont, {qvar: r})
+                        got = memo[key] = _key(ca.subst_qubits(cont, {qvar: r}))
                     return got
 
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.Apply):
                 op = self._operation(act.op)
                 new_mat = self._share(op.apply(mat, self.register, act.qubits))
-                return [(TAU, ((1, term.cont, new_mat),))], []
+                return [(TAU, ((1, _key(term.cont), new_mat),))], []
             if isinstance(act, ca.Meas):
                 op = self._operation(act.op)
                 branches = tuple(
-                    (p, ca.subst_values(term.cont, {act.var: v}), self._share(post))
+                    (p, _key(ca.subst_values(term.cont, {act.var: v})), self._share(post))
                     for v, p, post in op.apply(mat, self.register, act.qubits))
                 return [(TAU, branches)], []
             raise TypeError(f"unknown action {act!r}")
@@ -681,7 +681,7 @@ class System:
             return self._step_term(term.body, mat, fuel) if cond else ([], [])
 
         if isinstance(term, ca.PChoice):
-            return [(TAU, tuple((p, t, mat) for p, t in term.branches))], []
+            return [(TAU, tuple((p, _key(t), mat) for p, t in term.branches))], []
 
         if isinstance(term, ca.Sum):
             moves, caps = [], []
@@ -691,32 +691,24 @@ class System:
                 caps.extend(cp)
             return moves, caps
 
-        if isinstance(term, ca.Par):
-            return self._step_nested((term.parts, _OPEN, None), mat, fuel)
-
-        if isinstance(term, ca.Relabel):
-            body = term.body
-            if isinstance(body, ca.Restrict):
-                key = (_components(body.body), body.channels, term.mapping)
-            else:
-                key = (_components(body), _OPEN, term.mapping)
-            return self._step_nested(key, mat, fuel)
+        if isinstance(term, (Par, Restrict, Relabel)):
+            return self._step_par(_key(term), mat, fuel)
 
         raise TypeError(f"cannot step {term!r}")
 
-    def _step_component(self, part: Process, mat, fuel: int, hidden: frozenset,
+    def _step_component(self, part, mat, fuel: int, hidden: frozenset,
                         table: dict) -> _Component:
-        """`_step_term` of one parallel component, indexed for a composition
-        restricted to `hidden`, and kept in `table`, which holds the
-        components stepped at `mat` and `fuel` under that restriction.
+        """`_step_term` of one part of a composition, indexed for a
+        composition restricted to `hidden`, and kept in `table`, which holds
+        the parts stepped at `mat` and `fuel` under that restriction.
 
         `mat` is always a configuration's matrix, interned in `_matrices`,
-        so its identity stands for its value, and looking a component up
-        in its table builds no key tuple.  The entry is built once: the
-        moves and input capabilities the restriction keeps, and for
-        communication every output, and every capability by channel.
-        Entries are shared by every composition holding the component, and
-        cap closures capture terms and the input memo only.
+        so its identity stands for its value, and looking a part up in its
+        table builds no key tuple.  The entry is built once: the moves and
+        input capabilities the restriction keeps, and for communication
+        every output, and every capability by channel.  Entries are shared
+        by every composition holding the part, and cap closures capture
+        components and the input memo only.
         """
         moves, caps = self._step_term(part, mat, fuel)
         outputs = []
@@ -737,19 +729,20 @@ class System:
         return got
 
     def _step_par(self, key: tuple, mat, fuel: int):
-        """Moves and capabilities of the component key `key`, a composition
-        of `parts` under the restriction to `hidden` and then the
-        relabelling `relabel`: interleaved component moves and
-        capabilities, then communication.
+        """Moves and capabilities of the composition key `key`: its parts
+        in parallel under the restriction to `hidden` and then the
+        relabelling `relabel`; interleaved part moves and capabilities,
+        then communication.
 
         Each target is a component key, built once: `parts` with one or two
-        components replaced, with the same `hidden` and `relabel`, so no
-        term is built.  A component move visible on a hidden channel is
-        dropped, as is a capability on one, since the restriction would
-        discard them; the relabelling renames the channels of the rest.
-        Communication still pairs the components' own outputs and
-        capabilities, so hidden channels still synchronise, and the moves
-        that remain keep their order.
+        parts replaced, with the same `hidden` and `relabel`, or for a key
+        of one part, its target joined to the wrappers (`_wrap`); no term
+        is built.  A part move visible on a hidden channel is dropped, as
+        is a capability on one, since the restriction would discard them;
+        the relabelling renames the channels of the rest.  Communication
+        still pairs the parts' own outputs and capabilities, so hidden
+        channels still synchronise, and the moves that remain keep their
+        order.
         """
         parts, hidden, relabel = key
         # the table also holds `mat`, so its id is not reused while it lives
@@ -760,6 +753,7 @@ class System:
         table = got[0]
         entries = [table.get(p) or self._step_component(p, mat, fuel, hidden, table)
                    for p in parts]
+        one = len(parts) == 1
 
         moves, caps = [], []
         for i, entry in enumerate(entries):
@@ -769,7 +763,10 @@ class System:
             for label, branches in entry.moves:
                 if relabel is not None:
                     label = relabel_label(label, relabel)
-                if len(branches) == 1:
+                if one:
+                    moves.append((label, tuple(
+                        (p, _wrap(t, hidden, relabel), s) for p, t, s in branches)))
+                elif len(branches) == 1:
                     ((p, t, s),) = branches
                     moves.append((label, ((p, (head + (t,) + tail, hidden, relabel), s),)))
                 else:
@@ -779,28 +776,30 @@ class System:
             for cap in entry.caps:
                 if cap.chan.quantum:
                     if others_qv is None:
-                        others_qv = frozenset().union(*map(ca.qv, head + tail))
+                        others_qv = frozenset().union(*map(_qv, head + tail))
 
                     def wrap(r, inst=cap.instantiate, head=head, tail=tail,
                              others=others_qv):
                         if r in others:
                             return None
                         t = inst(r)
-                        return None if t is None else (head + (t,) + tail, hidden, relabel)
+                        return None if t is None else _wrap(t, hidden, relabel) if one else (
+                            head + (t,) + tail, hidden, relabel)
 
                 else:
 
                     def wrap(v, inst=cap.instantiate, head=head, tail=tail):
                         t = inst(v)
-                        return None if t is None else (head + (t,) + tail, hidden, relabel)
+                        return None if t is None else _wrap(t, hidden, relabel) if one else (
+                            head + (t,) + tail, hidden, relabel)
 
                 caps.append(_Cap(
-                    cap.chan if relabel is None else _rename(relabel, cap.chan), wrap))
+                    cap.chan if relabel is None else rename_channel(relabel, cap.chan), wrap))
 
-        # communication between distinct components, on the sender's channel
+        # communication between distinct parts, on the sender's channel
         receivers = None
         for i, entry in enumerate(entries):
-            for label, sender_term, sender_mat in entry.outputs:
+            for label, sender, sender_mat in entry.outputs:
                 if receivers is None:
                     receivers = [(j, other.inputs) for j, other in enumerate(entries)
                                  if other.inputs]
@@ -812,25 +811,10 @@ class System:
                         if received is None:
                             continue
                         pieces = list(parts)
-                        pieces[i] = sender_term
+                        pieces[i] = sender
                         pieces[j] = received
                         moves.append((TAU, ((1, (tuple(pieces), hidden, relabel), sender_mat),)))
         return moves, caps
-
-    def _step_nested(self, key: tuple, mat, fuel: int):
-        """`_step_par` of a composition inside a term, with each target
-        built as the term `_compose` gives it."""
-        moves, caps = self._step_par(key, mat, fuel)
-        built = []
-        for cap in caps:
-
-            def build(v, inst=cap.instantiate):
-                k = inst(v)
-                return None if k is None else _compose(*k)
-
-            built.append(_Cap(cap.chan, build))
-        return [(label, tuple((p, _compose(*k), s) for p, k, s in branches))
-                for label, branches in moves], built
 
     # -- weak transitions as extreme points
 

@@ -5,10 +5,12 @@ the sampled space is exactly what users can write.  `random_term` builds a
 sequential term on one qubit; `random_par_term` composes two of them on
 `q1` and `q2`, optionally coupled through a restricted channel,
 `random_relabelled_term` nests a restricted pair under a relabelling in a
-restricted composition, as the BB84 models do, `random_wide_term`
-composes two silent ones whose internal moves interleave, and
-`random_entangled_term` couples two by the two-qubit gate `CNOT`, which
-`GATES` loads through `load_registry` for every random system.
+restricted composition, as the BB84 models do, `random_nested_term`
+puts a composition inside a component in each of `NESTED_SHAPES`,
+`random_wide_term` composes two silent ones whose internal moves
+interleave, and `random_entangled_term` couples two by the two-qubit gate
+`CNOT`, which `GATES` loads through `load_registry` for every random
+system.
 `variants` produces companions that are bisimilar by
 construction (internal padding, probabilistic duplication), giving the
 invariant tests non-vacuous positive instances.  `NON_DYADIC_WEIGHTS`
@@ -128,6 +130,55 @@ def random_relabelled_term(rng: np.random.Generator, depth: int = 2) -> str:
     right = random_term(rng, depth, counter, "q2")
     return (f"( ( {_paren(left)} || k?z . a!z . nil ) \\ {{k}} [a -> c] "
             f"|| c?w . {_paren(right)} ) \\ {{c}}")
+
+
+NESTED_SHAPES = ("prefix", "sum", "if", "pchoice", "empty_restriction",
+                 "restricted_relabelling")
+
+
+def random_nested_term(rng: np.random.Generator, shape: str, depth: int = 2) -> str:
+    """A composition inside a component, in one of `NESTED_SHAPES`.
+
+    The inner composition runs a q1 term, which ends every branch by
+    handing a bit over the restricted channel `k`, beside a receiver that
+    passes it on over `a`; it is restricted to `k` and renamed `a -> c`,
+    and the outer composition runs it beside a receiver on `c` that goes
+    on with a q2 term.  The inner composition is the continuation of a
+    `tau`, operator or measurement prefix (`prefix`; the measured bit is
+    the one handed over), a summand (`sum`), the branch an `if` takes or
+    skips (`if`), a branch of a probabilistic choice (`pchoice`), or a
+    restriction of the relabelled pair (`restricted_relabelling`);
+    `empty_restriction` wraps it and the outer receiver in `\\ {}`.
+    """
+    counter = [0]
+    bit = f"{rng.integers(0, 2)}"
+    act = None
+    if shape == "prefix":
+        act = rng.choice(["tau", f"apply {_OPS[rng.integers(0, len(_OPS))]}[q1]",
+                          "meas Mcomp[q1; y]"])
+        if act.startswith("meas"):
+            bit = "y"  # the measurement substitutes into the composition
+    left = random_term(rng, depth, counter, "q1", tail=f"k!{bit} . nil")
+    pair = f"( {_paren(left)} || k?z . a!z . nil )"
+    inner = f"( {pair} \\ {{k}} [a -> c] )"
+    other = "b!0 . nil" if rng.random() < 0.5 else "tau . a!1 . nil"
+    receiver = "c?w . " + _paren(random_term(rng, depth, counter, "q2"))
+    if shape == "prefix":
+        part = f"{act} . {inner}"
+    elif shape == "sum":
+        part = f"{inner} + {other}" if rng.random() < 0.5 else f"{other} + {inner}"
+    elif shape == "if":
+        part = f"if {rng.integers(0, 2)} = 1 then {inner} else {other}"
+    elif shape == "pchoice":
+        w1, w2 = _WEIGHTS[rng.integers(0, len(_WEIGHTS))]
+        part = f"pchoice {{ {w1} -> {inner} ; {w2} -> {other} }}"
+    elif shape == "empty_restriction":
+        part, receiver = f"( {inner} \\ {{}} )", f"( {receiver} ) \\ {{}}"
+    elif shape == "restricted_relabelling":
+        part = f"( ( {pair} [a -> c] ) \\ {{k}} )"
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    return f"( ( {part} ) || {receiver} ) \\ {{c}}"
 
 
 def random_wide_term(rng: np.random.Generator, depth: int = 2) -> str:

@@ -41,6 +41,7 @@ from qbisim.calculus import (
     pretty,
     pretty_definition,
     qv,
+    rename_channel,
     subst_qubits,
     subst_values,
     term_json,
@@ -84,9 +85,9 @@ class TestParsing:
     def test_relabelling(self):
         t = parse_term("a!0 . nil [a -> b, #c -> #d]")
         assert isinstance(t, Relabel)
-        assert t.rename(Channel("a")) == Channel("b")
-        assert t.rename(Channel("c", quantum=True)) == Channel("d", quantum=True)
-        assert t.rename(Channel("z")) == Channel("z")
+        assert rename_channel(t.mapping, Channel("a")) == Channel("b")
+        assert rename_channel(t.mapping, Channel("c", quantum=True)) == Channel("d", quantum=True)
+        assert rename_channel(t.mapping, Channel("z")) == Channel("z")
 
     def test_relabelling_kind_mismatch(self):
         with pytest.raises((WellFormednessError, ParseError)):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qbisim.calculus as ca
+import qbisim.semantics as sem
 from qbisim.calculus import Channel, parse_module, parse_term, pretty
 from qbisim.errors import (
     BudgetExceededError,
@@ -28,7 +29,8 @@ from qbisim.semantics import (
     System,
     TAU,
     _Cap,
-    _flat,
+    _compose,
+    _key,
     combine,
     relabel_label,
 )
@@ -326,15 +328,23 @@ class TestCompositionalStepping:
             root = system.config(randsys.random_relabelled_term(rng), rho)
             self.assert_warm_matches_cold(system, root)
 
+    @pytest.mark.parametrize("shape", randsys.NESTED_SHAPES)
+    def test_random_nested(self, shape):
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            system, rho = randsys.random_system(rng, randsys.REGISTER2)
+            root = system.config(randsys.random_nested_term(rng, shape), rho)
+            self.assert_warm_matches_cold(system, root)
+
 
 class _Unpruned(System):
     """Steps a restricted or relabelled composition without pruning: the
-    whole bare `_step_par` output of its components, which it then filters
-    and wraps in the restriction, and renames and wraps in the relabelling,
-    as `Restrict` and `Relabel` rules apart from the composition would.
-    Targets are component keys `(parts, hidden, relabel)`, so wrapping one
-    sets its `hidden` or its `relabel`.  Counts the component moves the
-    filter drops."""
+    whole bare `_step_par` output of its parts, which it then filters and
+    wraps in the restriction, and renames and wraps in the relabelling, as
+    `Restrict` and `Relabel` rules apart from the composition would.
+    Targets are components, so wrapping one takes the key of the wrapped
+    term.  A bare key of one part is an empty restriction, whose targets
+    are its part's.  Counts the part moves the filter drops."""
 
     hidden_moves = 0
 
@@ -347,12 +357,13 @@ class _Unpruned(System):
             self.hidden_moves += len(moves) - len(kept)
             moves, caps = self._wrap(
                 kept, [cap for cap in caps if cap.chan not in hidden],
-                lambda k: (k[0], hidden, k[2]), lambda chan: chan)
+                lambda k: _key(ca.Restrict(_compose(k), hidden)), lambda chan: chan)
         if relabel is not None:
             renamed = dict(relabel)
             moves, caps = self._wrap(
                 [(relabel_label(label, relabel), branches) for label, branches in moves],
-                caps, lambda k: (k[0], k[1], relabel), lambda chan: renamed.get(chan, chan))
+                caps, lambda k: _key(ca.Relabel(_compose(k), relabel)),
+                lambda chan: renamed.get(chan, chan))
         return moves, caps
 
     @staticmethod
@@ -380,7 +391,7 @@ class TestRestrictedStepping:
     def assert_matches_unpruned(system, root):
         reference = _Unpruned(system.module, register=system.register)
         for config in system.reachable([root]):
-            twin = reference._intern(config.term, config.matrix)
+            twin = reference._intern_key(_key(config.term), config.matrix)
             assert step_signature(system, config) == step_signature(reference, twin), \
                 pretty(config.term)
         return reference.hidden_moves
@@ -414,6 +425,16 @@ class TestRestrictedStepping:
             hidden += self.assert_matches_unpruned(system, root)
         assert hidden > 0
 
+    @pytest.mark.parametrize("shape", randsys.NESTED_SHAPES)
+    def test_random_nested(self, shape):
+        rng = np.random.default_rng(8)
+        hidden = 0
+        for _ in range(6):
+            system, rho = randsys.random_system(rng, randsys.REGISTER2)
+            root = system.config(randsys.random_nested_term(rng, shape), rho)
+            hidden += self.assert_matches_unpruned(system, root)
+        assert hidden > 0
+
     def test_hidden_output_only_synchronises(self):
         s = fresh()
         cfg = s.config("( c!0 . nil || c?x . d!x . nil ) \\ {c}", state())
@@ -424,8 +445,9 @@ class TestRestrictedStepping:
 
 
 class TestComponentKeys:
-    """A configuration is interned under the component key of its term,
-    `(parts, hidden, relabel)`, and its term is built only when read."""
+    """A configuration is interned under the component of its term, a
+    leaf term or a key `(parts, hidden, relabel)` whose parts are
+    components, and its term is built only when read."""
 
     @staticmethod
     def security_roots(n):
@@ -437,7 +459,7 @@ class TestComponentKeys:
     @staticmethod
     def assert_term_interns_back(system, roots):
         for config in system.reachable(roots):
-            assert _flat(config.term) == config.key, pretty(config.term)
+            assert _key(config.term) == config.key, pretty(config.term)
             assert system.config(config.term, config.matrix) is config, pretty(config.term)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -449,20 +471,48 @@ class TestComponentKeys:
         system, root = randsys.par_system(name)
         self.assert_term_interns_back(system, [root])
 
+    @pytest.mark.parametrize("shape", randsys.NESTED_SHAPES)
+    def test_random_nested(self, shape):
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            system, rho = randsys.random_system(rng, randsys.REGISTER2)
+            self.assert_term_interns_back(
+                system, [system.config(randsys.random_nested_term(rng, shape), rho)])
+
     @pytest.mark.parametrize("term", [
         "( tau . ( c!0 . nil || c?x . d!x . nil ) ) \\ {c}",
         "( tau . ( a!0 . nil || b!1 . nil ) ) [a -> e]",
         "( tau . ( ( a!0 . nil || b!1 . nil ) \\ {a} ) ) [b -> e]",
         "( tau . ( ( a!0 . nil ) \\ {} ) ) [a -> e]",
+        "( tau . ( ( a!0 . nil || b!1 . nil ) \\ {} ) ) [a -> e]",
+        "( tau . ( ( a!0 . nil || b!1 . nil ) [a -> e] ) ) \\ {b}",
     ])
     def test_one_component_targets(self, term):
-        # a one-component key's target may itself be a composition or a
-        # restriction, which the key of the same term flattens
+        # a one-part key's target may itself be a composition or a
+        # restriction, whose parts the key of the same term joins
         s = fresh()
         self.assert_term_interns_back(s, [s.config(term, state())])
 
+    @pytest.mark.parametrize("source, targets", [
+        ("( tau . a!0 . nil ) \\ {}", ["a!0 . nil"]),
+        ("( tau . a!0 . nil || b!0 . nil ) \\ {}",
+         ["a!0 . nil || b!0 . nil", "tau . a!0 . nil || nil"]),
+        ("( ( tau . a!0 . nil ) \\ {} || b!0 . nil ) \\ {b}",
+         ["(a!0 . nil || b!0 . nil) \\ {b}"]),
+        ("( ( tau . a!0 . nil ) \\ {} ) [a -> c]", ["a!0 . nil [a -> c]"]),
+    ])
+    def test_a_step_leaves_an_empty_restriction_behind(self, source, targets):
+        s = fresh()
+        cfg = s.config(source, state())
+        assert [pretty(c.term) for t in s.step(cfg) for c in t.dist.support] == targets
+
     def test_reach_builds_no_composed_term(self, monkeypatch):
         system, roots = self.security_roots(2)
+        rng = np.random.default_rng(7)
+        nested = []
+        for shape in randsys.NESTED_SHAPES:
+            s, rho = randsys.random_system(rng, randsys.REGISTER2)
+            nested.append((s, s.config(randsys.random_nested_term(rng, shape), rho)))
         made = []
         cons = ca._cons
 
@@ -473,17 +523,27 @@ class TestComponentKeys:
                     made.append(fields)
             return cons(cls, fields, key)
 
+        def composing(comp):
+            raise AssertionError("stepping built a configuration's term")
+
         monkeypatch.setattr(ca, "_cons", counting)
+        monkeypatch.setattr(sem, "_compose", composing)
         reached = system.reachable(roots)
         assert len(reached) == 6728
-        # nested compositions inside components still build their terms
-        assert len(made) < 1000
+        assert made == []
+        for s, root in nested:
+            reached += s.reachable([root])
+        assert len(reached) == 6728 + 63
+        # the only new compositions are the two a measurement substitutes
+        # its outcome into (fewer when a live term already holds them)
+        assert len(made) <= 2
         assert all(c._term is None for c in reached)
 
     @pytest.mark.parametrize("wrapped, bare", [
         ("( c!0 . nil ) \\ {}", "c!0 . nil"),
         ("( c!0 . nil ) [c -> d]", "c!0 . nil"),
         ("( c!0 . nil || c?x . nil ) \\ {c}", "c!0 . nil || c?x . nil"),
+        ("( c!0 . nil || c?x . nil ) \\ {}", "c!0 . nil || c?x . nil"),
     ])
     def test_wrappers_keep_configurations_apart(self, wrapped, bare):
         s = fresh()
@@ -768,8 +828,6 @@ class TestStateValidation:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        import qbisim.semantics as sem
-
         calls = []
         check = sem.check_density_matrix
         monkeypatch.setattr(sem, "check_density_matrix",
