@@ -281,13 +281,6 @@ def forbidden_action_probability(instance: ProtocolInstance) -> float:
     return sum(p for label, p in probs.items() if label in instance.forbidden)
 
 
-def announced_key_distribution(instance: ProtocolInstance) -> dict:
-    """Map announced key string -> probability of announcing it."""
-    probs = eventual_label_probabilities(instance.system, instance.root)
-    return {str(label.value): p for label, p in probs.items()
-            if label.kind == Label.OUT and label.chan.name == "key"}
-
-
 # ---------------------------------------------------------------------------
 # bounds and verdicts
 
@@ -310,13 +303,6 @@ def verify_soundness(n: int, tol: float = None) -> CheckReport:
     """Decide whether the tested protocol matches the ideal announcer."""
     test = build_bb84_test(n)
     spec = build_bb84_spec(n)
-    return decide_bisim(test.root, spec.root, test.system, tol=tol)
-
-
-def soundness_negative_control(n: int, tol: float = None) -> CheckReport:
-    """Same decision against the biased announcer; must be refuted."""
-    test = build_bb84_test(n)
-    spec = build_bb84_spec(n, biased=True)
     return decide_bisim(test.root, spec.root, test.system, tol=tol)
 
 

@@ -70,6 +70,18 @@ System computes it once.  Looking any of these up spends no work units.
 `decide_bisim` never reads the verdicts, and replays neither read nor
 write any of them.
 
+Distributions are one object per value on a System (`System.combine`):
+the saturations, derivatives, weak extremes, strong attacks and
+transition-consistent classes that the engines build with the same
+configurations, order and exact probabilities are one object, shared by
+every query.  What is derived from a distribution alone is kept on it:
+its digest, held qubits, environment and classes (`tc_decompose`).  So a
+replay reads these derived facts of shared values, as it already reads
+step results and weak extremes; it still never reads a verdict, a
+state-based fact or a kept environment distance.  Each query still walks
+its own canonical tables (`_Canon`), so the work units it spends do not
+depend on what earlier queries built.
+
 Refutations replay through `replay_refutation`.  The refinement engines
 follow the certifying-algorithm pattern (McConnell, Mehlhorn, Näher and
 Schweitzer, "Certifying algorithms", Computer Science Review 2011): a
@@ -109,7 +121,6 @@ from .semantics import (
     Label,
     PLTS,
     System,
-    combine,
 )
 
 _ATTACK_CAP = 4096      # extreme strong moves enumerated per distribution
@@ -264,20 +275,35 @@ def tc_decompose(mu, context) -> TcDecomposition:
 
     This is the canonical coarsest tc-decomposition: every other one refines
     it, so matching these classes suffices for matching grouped classes.
+    A class is its probabilities divided by its weight.  When that changes
+    no value (one class of mass exactly 1, not a float sum over exact
+    probabilities), the class is `mu` itself; every other class is the
+    System's one object for it (`System.combine`).  The classes are kept on
+    `mu` (`_tc`), with `mu` as its own class kept as None, so that `mu`
+    holds no reference to itself.
     """
     system = _system_of(context)
     mu = _as_dist(system, mu)
-    groups = {}
-    for c, p in mu:
-        bucket = groups.setdefault(system.weak_enabled(c), {})
-        bucket[c] = bucket.get(c, 0) + p
-    classes = []
-    for sig in sorted(groups, key=_sig_key):
-        probs = groups[sig]
-        w = sum(probs.values())
-        classes.append(TcClass(w, ConfigDistribution(
-            {c: p / w for c, p in probs.items()}), sig))
-    return TcDecomposition(mu, tuple(classes))
+    kept = mu._tc
+    if kept is None:
+        groups = {}
+        for c, p in mu:
+            groups.setdefault(system.weak_enabled(c), {})[c] = p
+        classes = []
+        for sig in sorted(groups, key=_sig_key):
+            probs = groups[sig]
+            w = sum(probs.values())
+            if len(groups) == 1 and w == 1 and (w.__class__ is not float or all(
+                    p.__class__ is float for p in probs.values())):
+                classes.append(TcClass(w, None, sig))
+            else:
+                classes.append(TcClass(w, system._distribution(
+                    {c: p / w for c, p in probs.items()}), sig))
+        kept = mu._tc = tuple(classes)
+    if kept and kept[0].dist is None:
+        ((w, _, sig),) = kept
+        return TcDecomposition(mu, (TcClass(w, mu, sig),))
+    return TcDecomposition(mu, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +477,7 @@ class _Canon:
                     (d,) = probs
                     got = self.config_sat(d)
                 else:
-                    got = combine((q, self.config_sat(d)) for d, q in probs.items())
+                    got = self.system.combine((q, self.config_sat(d)) for d, q in probs.items())
             self._sat[config.index] = got
         elif got is None:
             raise CyclicModelError(
@@ -460,7 +486,7 @@ class _Canon:
         return got
 
     def saturate(self, dist: ConfigDistribution) -> ConfigDistribution:
-        return combine((p, self.config_sat(c)) for c, p in dist)
+        return self.system.combine((p, self.config_sat(c)) for c, p in dist)
 
     def derivative(self, dist: ConfigDistribution, label: Label) -> ConfigDistribution:
         """Fire `label` on every support configuration, then saturate.
@@ -477,7 +503,7 @@ class _Canon:
                 moves = [t for t in self.system.step(c) if t.label == label]
                 t = moves[self.chooser((c, label), len(moves))]
                 parts.append((p, t.dist))
-            got = self._der[key] = self.saturate(combine(parts))
+            got = self._der[key] = self.saturate(self.system.combine(parts))
         return got
 
     def form(self, dist: ConfigDistribution) -> _Form:
@@ -960,7 +986,7 @@ def _strong_attacks(system: System, dist: ConfigDistribution, cache: dict) -> tu
         if label == TAU:
             next(picks)  # all halt: matched reflexively
         for pick in picks:
-            moved = combine((p, d) for p, d in zip(support.values(), pick))
+            moved = system.combine((p, d) for p, d in zip(support.values(), pick))
             found.setdefault((label, moved.digest), (label, moved))
 
     got = cache[dist.digest] = tuple(found.values())

@@ -835,14 +835,6 @@ def pretty(term: Process, prec: int = _PREC_SUM) -> str:
     raise TypeError(f"not a process: {term!r}")
 
 
-def pretty_definition(d: Definition) -> str:
-    if d.cparams or d.qparams:
-        head = f"{d.name}({', '.join(d.cparams)}; {', '.join(d.qparams)})"
-    else:
-        head = d.name
-    return f"{head} := {pretty(d.body)}"
-
-
 # ---------------------------------------------------------------------------
 # JSON export
 

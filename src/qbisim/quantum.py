@@ -492,28 +492,3 @@ def resolve_operation(name: str, registry=None):
     if registry and name in registry:
         return registry[name]
     return builtin(name)
-
-
-# ---------------------------------------------------------------------------
-# random instances for property tests
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / rho.trace()
-
-
-def random_superoperator(rng: np.random.Generator, arity: int,
-                         kraus_count: int = 2) -> SuperOperator:
-    """Random trace-preserving map from a Haar-ish random isometry."""
-    dim = 1 << arity
-    g = rng.normal(size=(kraus_count * dim, dim)) + 1j * rng.normal(size=(kraus_count * dim, dim))
-    q, _ = np.linalg.qr(g)
-    kraus = [q[i * dim:(i + 1) * dim, :] for i in range(kraus_count)]
-    return SuperOperator("random", arity, kraus)
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))

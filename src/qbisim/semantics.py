@@ -252,17 +252,18 @@ class ConfigDistribution:
     Probabilities are exact (int or Fraction) until a measurement outcome
     makes them floats; digests, environments and outputs read floats.
 
-    Distributions are immutable: one object is shared by the transitions
-    that reach it, the saturations and derivatives built from it and the
-    weak extremes that contain it, along with its cached digest and
-    environment.  Never assign into `probs`."""
+    Distributions are immutable, and each System keeps one object per
+    distribution its engines build (`System.combine`), so the facts derived
+    from one are computed once and kept on it: its digest, its held qubits,
+    its environment (`_env`, kept by `qbisim.bisim`) and its
+    transition-consistent classes (`_tc`, likewise).  No kept fact refers
+    back to the distribution itself.  Never assign into `probs`."""
 
-    __slots__ = ("probs", "_digest", "_env")
+    __slots__ = ("probs", "_digest", "_held", "_env", "_tc")
 
     def __init__(self, probs):
         self.probs = probs
-        self._digest = None
-        self._env = None
+        self._digest = self._held = self._env = self._tc = None
 
     @property
     def digest(self):
@@ -295,10 +296,10 @@ class ConfigDistribution:
         return sum(self.probs.values())
 
     def held_qubits(self) -> frozenset:
-        out = frozenset()
-        for c in self.probs:
-            out |= c.qv
-        return out
+        got = self._held
+        if got is None:
+            got = self._held = frozenset().union(*(c.qv for c in self.probs))
+        return got
 
     def environment(self):
         """Average state of the qubits no support configuration holds."""
@@ -315,36 +316,6 @@ class ConfigDistribution:
         inner = ", ".join(f"{float(p):.4g}:{c.index}" for c, p in sorted(
             self.probs.items(), key=lambda kv: kv[0].index))
         return f"{{{inner}}}"
-
-
-def combine(parts) -> ConfigDistribution:
-    """Convex combination of (weight, distribution) pairs.
-
-    Parts of weight 0 are skipped.  When one part remains and its weight is
-    1, that distribution itself is returned, not a copy: distributions are
-    immutable, so the callers share it and its cached digest."""
-    acc = first = None
-    for w, dist in parts:
-        if not w:
-            continue
-        if acc is None:
-            if first is None:
-                first = w, dist
-                continue
-            fw, fdist = first
-            acc = {c: p if fw == 1 else fw * p for c, p in fdist.probs.items()}
-        for c, p in dist.probs.items():
-            q = p if w == 1 else w * p
-            prev = acc.get(c)
-            acc[c] = q if prev is None else prev + q
-    if acc is None:
-        if first is None:
-            return ConfigDistribution({})
-        w, dist = first
-        if w == 1:
-            return dist
-        acc = {c: w * p for c, p in dist.probs.items()}
-    return ConfigDistribution(acc)
 
 
 class Transition(NamedTuple):
@@ -389,7 +360,9 @@ class System:
     carries the System's memo of its step result and of its internal moves
     (the step tuple itself when every move is internal).  There is one
     point distribution per configuration (`dirac`), and every move of
-    weight exactly int 1 targets it.  The
+    weight exactly int 1 targets it.  Every other distribution the engines
+    build is kept once per value (`combine`), with the facts derived from
+    it, so equal combinations in any query are one object.  The
     extreme points of weak moves are memoized per (configuration, label);
     an internal cycle raises `CyclicModelError` from every weak-closure
     query.
@@ -437,6 +410,7 @@ class System:
         # configuration index -> its point distribution; kept here, not on
         # the configuration, so that the two do not form a reference cycle
         self._points = {}
+        self._dists = {}         # `_distribution` key -> the one distribution
         self._component_steps = {}
         self._inputs = {}
         self._extreme_sets = {}
@@ -513,6 +487,60 @@ class System:
         got = self._points.get(config.index)
         if got is None:
             got = self._points[config.index] = ConfigDistribution({config: 1})
+        return got
+
+    def combine(self, parts) -> ConfigDistribution:
+        """Convex combination of (weight, distribution) pairs, as the
+        System's one object for it (`_distribution`).
+
+        Parts of weight 0 are skipped.  When one part remains and its weight
+        is 1, that distribution itself is returned: distributions are
+        immutable, so the callers share it and what is kept on it."""
+        acc = first = None
+        for w, dist in parts:
+            if not w:
+                continue
+            if acc is None:
+                if first is None:
+                    first = w, dist
+                    continue
+                fw, fdist = first
+                acc = {c: p if fw == 1 else fw * p for c, p in fdist.probs.items()}
+            for c, p in dist.probs.items():
+                q = p if w == 1 else w * p
+                prev = acc.get(c)
+                acc[c] = q if prev is None else prev + q
+        if acc is None:
+            if first is None:
+                return self._distribution({})
+            w, dist = first
+            if w == 1:
+                return dist
+            acc = {c: w * p for c, p in dist.probs.items()}
+        return self._distribution(acc)
+
+    def _distribution(self, probs: dict) -> ConfigDistribution:
+        """The System's one distribution with exactly `probs`, which it then
+        owns: the same configurations in the same order, with the same
+        probability values of the same types.
+
+        So float 1.0 keeps apart from int 1, and the float sums read in
+        support order (`ConfigDistribution.environment`) are the same for
+        every request.  The key lists each configuration's index and then
+        its probability: a float as itself, any other value as its type and
+        its integer ratio, which hash and compare without a Python call,
+        as a Fraction would not.  Point distributions (`dirac`) and step
+        results are kept elsewhere."""
+        key = []
+        for c, p in probs.items():
+            if p.__class__ is float:
+                key += c.index, p
+            else:
+                key += c.index, p.__class__, p.as_integer_ratio()
+        key = tuple(key)
+        got = self._dists.get(key)
+        if got is None:
+            got = self._dists[key] = ConfigDistribution(probs)
         return got
 
     @contextmanager
@@ -855,7 +883,7 @@ class System:
             choice_sets = [self._extremes(s, then, stack) for s in support]
             for combo in itertools.product(*choice_sets):
                 self._spend()
-                mixed = combine(
+                mixed = self.combine(
                     (trans.dist.probability(s), e) for s, e in zip(support, combo))
                 found.setdefault(mixed.digest, mixed)
         result = tuple(found.values())
@@ -964,7 +992,7 @@ class PLTS:
     def __init__(self, system: System, root, max_configs=200_000):
         self.system = system
         if isinstance(root, Configuration):
-            root = ConfigDistribution({root: 1})
+            root = system.dirac(root)
         self.root = root
         order = system.reachable(root.support, max_configs=max_configs)
         self.configs = order

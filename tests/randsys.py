@@ -16,6 +16,8 @@ construction (internal padding, probabilistic duplication), giving the
 invariant tests non-vacuous positive instances.  `NON_DYADIC_WEIGHTS`
 and `nested_choice` exercise weights that floats cannot hold exactly.
 `PAR_SYSTEMS` are fixed hand-written parallel systems.
+`random_density`, `random_superoperator` and `random_unitary` draw the
+random states and channels of the property tests.
 """
 
 from fractions import Fraction
@@ -23,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from qbisim.calculus import parse_module
-from qbisim.quantum import QubitRegister, QuantumState, load_registry, random_density
+from qbisim.quantum import QubitRegister, QuantumState, SuperOperator, load_registry
 from qbisim.semantics import System
 
 REGISTER = QubitRegister.of(["q1"])
@@ -46,6 +48,28 @@ GATES = load_registry([{"name": "CNOT", "acts_on_arity": 2, "kraus": [[
     [_NIL, _NIL, _NIL, _ONE],
     [_NIL, _NIL, _ONE, _NIL],
 ]]}])
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / rho.trace()
+
+
+def random_superoperator(rng: np.random.Generator, arity: int,
+                         kraus_count: int = 2) -> SuperOperator:
+    """Random trace-preserving map from a Haar-ish random isometry."""
+    dim = 1 << arity
+    g = rng.normal(size=(kraus_count * dim, dim)) + 1j * rng.normal(size=(kraus_count * dim, dim))
+    q, _ = np.linalg.qr(g)
+    kraus = [q[i * dim:(i + 1) * dim, :] for i in range(kraus_count)]
+    return SuperOperator("random", arity, kraus)
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_term(rng: np.random.Generator, depth: int, counter=None,

@@ -15,17 +15,16 @@ import numpy as np
 
 import bb84_oracle
 import randsys
-from test_bb84 import SECURITY_FAIL
+from test_bb84 import SECURITY_FAIL, soundness_negative_control
 from qbisim import bb84
 from qbisim.bisim import (check_lambda_relation, decide_bisim,
                           decide_state_based, distance_upper_bound,
                           replay_refutation)
 from qbisim.calculus import parse_module
 from qbisim.lp import solve_nonneg
-from qbisim.quantum import (QubitRegister, QuantumState, builtin,
-                            random_density, random_superoperator,
-                            random_unitary, trace_distance)
+from qbisim.quantum import QubitRegister, QuantumState, builtin, trace_distance
 from qbisim.semantics import System
+from randsys import random_density, random_superoperator, random_unitary
 
 F = Fraction
 
@@ -93,7 +92,7 @@ def test_criterion_2():
     assert time.perf_counter() - t3 < 300.0
 
     for n in (1, 2, 3):
-        control = bb84.soundness_negative_control(n, tol=1e-9)
+        control = soundness_negative_control(n, tol=1e-9)
         assert not control.holds
         REFUTATIONS.append((control, bb84.build_bb84_test(n).system))
 

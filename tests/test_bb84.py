@@ -9,9 +9,9 @@ import pytest
 from qbisim import bb84
 from qbisim.calculus import eval_expr, parse_module, parse_term
 from qbisim.errors import ConfluenceError, EvaluationError
-from qbisim.bisim import check_lambda_relation, replay_refutation
+from qbisim.bisim import check_lambda_relation, decide_bisim, replay_refutation
 from qbisim.quantum import BitString, QubitRegister, QuantumState
-from qbisim.semantics import System
+from qbisim.semantics import Label, System
 
 import bb84_oracle
 
@@ -20,6 +20,20 @@ import bb84_oracle
 BASIC_FAIL = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
 SECURITY_FAIL = {1: Fraction(0), 2: Fraction(3, 64), 3: Fraction(45, 512)}
 SECURITY_HACKED = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
+
+
+def announced_key_distribution(instance: bb84.ProtocolInstance) -> dict:
+    """Map announced key string -> probability of announcing it."""
+    probs = bb84.eventual_label_probabilities(instance.system, instance.root)
+    return {str(label.value): p for label, p in probs.items()
+            if label.kind == Label.OUT and label.chan.name == "key"}
+
+
+def soundness_negative_control(n: int, tol: float = None):
+    """The soundness decision against the biased announcer; must be refuted."""
+    test = bb84.build_bb84_test(n)
+    spec = bb84.build_bb84_spec(n, biased=True)
+    return decide_bisim(test.root, spec.root, test.system, tol=tol)
 
 
 # the bit-string functions the BB84 sources call are calculus builtins; index
@@ -126,7 +140,7 @@ class TestBuilders:
         assert len(t.dist.support) == 4
 
     def test_spec_weights_at_n1(self):
-        keys = bb84.announced_key_distribution(bb84.build_bb84_spec(1))
+        keys = announced_key_distribution(bb84.build_bb84_spec(1))
         assert keys[""] == pytest.approx(0.5)
         assert keys["0"] == pytest.approx(0.25)
         assert keys["1"] == pytest.approx(0.25)
@@ -156,7 +170,7 @@ class TestOutcomeProbabilities:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_key_length_law(self, n):
-        keys = bb84.announced_key_distribution(bb84.build_bb84_test(n))
+        keys = announced_key_distribution(bb84.build_bb84_test(n))
         by_len = {}
         for key, p in keys.items():
             by_len[len(key)] = by_len.get(len(key), 0.0) + p
@@ -165,7 +179,7 @@ class TestOutcomeProbabilities:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_keys_uniform_per_length(self, n):
-        keys = bb84.announced_key_distribution(bb84.build_bb84_test(n))
+        keys = announced_key_distribution(bb84.build_bb84_test(n))
         for key, p in keys.items():
             i = len(key)
             assert p == pytest.approx(comb(n, i) / 2 ** (n + i), abs=1e-9)
@@ -199,7 +213,7 @@ class TestSoundness:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_biased_announcer_is_refuted(self, n):
-        report = bb84.soundness_negative_control(n)
+        report = soundness_negative_control(n)
         assert not report.holds
         assert replay_refutation(report, bb84.build_bb84_test(n).system)
 

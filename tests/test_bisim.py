@@ -11,10 +11,10 @@ import pytest
 
 from qbisim.calculus import parse_module
 from qbisim.errors import BudgetExceededError, CyclicModelError, QuantumInputFragmentError
-from qbisim.quantum import QubitRegister, QuantumState, _matrix_digest, random_density
+from qbisim.quantum import QubitRegister, QuantumState, _matrix_digest
 from qbisim import bisim
 from qbisim.lp import combination_weights
-from qbisim.semantics import PLTS, ConfigDistribution, System, TAU, combine
+from qbisim.semantics import PLTS, ConfigDistribution, System, TAU
 from qbisim.bisim import (
     CheckReport,
     DistanceBound,
@@ -32,6 +32,7 @@ from qbisim.bisim import (
 from qbisim.bisim import _refine, _strong_attacks
 
 import randsys
+from randsys import random_density
 
 R1 = QubitRegister.of(["q1"])
 R2 = QubitRegister.of(["q1", "q2"])
@@ -81,7 +82,7 @@ class TestTransitionConsistency:
         s = fresh()
         f = s.config("fail!0 . nil", ground())
         n = s.config("nil", ground())
-        mix = combine([(0.5, s.dirac(f)), (0.5, s.dirac(n))])
+        mix = s.combine([(0.5, s.dirac(f)), (0.5, s.dirac(n))])
         assert not is_transition_consistent(mix, s)
 
     def test_weakly_enabled_counts(self):
@@ -89,7 +90,7 @@ class TestTransitionConsistency:
         s = fresh()
         f = s.config("fail!0 . nil", ground())
         t = s.config("tau . fail!0 . nil", ground())
-        mix = combine([(0.5, s.dirac(f)), (0.5, s.dirac(t))])
+        mix = s.combine([(0.5, s.dirac(f)), (0.5, s.dirac(t))])
         assert is_transition_consistent(mix, s)
 
 
@@ -105,7 +106,7 @@ class TestTcDecompose:
         f = s.config("fail!0 . nil", ground())
         n1 = s.config("nil", ground())
         n2 = s.config("nil", np.diag([0.5, 0.5]).astype(complex))
-        mix = combine([(0.5, s.dirac(f)), (0.25, s.dirac(n1)), (0.25, s.dirac(n2))])
+        mix = s.combine([(0.5, s.dirac(f)), (0.25, s.dirac(n1)), (0.25, s.dirac(n2))])
         dec = tc_decompose(mix, s)
         got = {tuple(sorted(str(l) for l in c.signature)): c.weight
                for c in dec.classes}
@@ -115,10 +116,10 @@ class TestTcDecompose:
         s = fresh()
         f = s.config("fail!0 . nil", ground())
         n = s.config("nil", ground())
-        mix = combine([(0.75, s.dirac(f)), (0.25, s.dirac(n))])
+        mix = s.combine([(0.75, s.dirac(f)), (0.25, s.dirac(n))])
         dec = tc_decompose(mix, s)
         assert sum(c.weight for c in dec.classes) == pytest.approx(1.0)
-        rebuilt = combine([(c.weight, c.dist) for c in dec.classes])
+        rebuilt = s.combine([(c.weight, c.dist) for c in dec.classes])
         assert rebuilt.digest == mix.digest
         sigs = [c.signature for c in dec.classes]
         assert len(sigs) == len(set(sigs))
@@ -317,8 +318,8 @@ class TestDecide:
 
     def test_linearity_on_mixtures(self, dephasing):
         s, C, D, mu, CI = dephasing
-        left = combine([(0.3, s.dirac(C)), (0.7, mu)])
-        right = combine([(0.3, s.dirac(D)), (0.7, CI)])
+        left = s.combine([(0.3, s.dirac(C)), (0.7, mu)])
+        right = s.combine([(0.3, s.dirac(D)), (0.7, CI)])
         assert decide_bisim(left, right, s).holds
 
     def test_nondeterministic_identity_uses_relation_search(self):
@@ -862,8 +863,8 @@ class TestRandomSystems:
                 continue
             hits += 1
             p = float(rng.choice([0.25, 0.5, 0.75]))
-            left = combine([(p, system.dirac(m1)), (1 - p, system.dirac(m2))])
-            right = combine([(p, system.dirac(n1)), (1 - p, system.dirac(n2))])
+            left = system.combine([(p, system.dirac(m1)), (1 - p, system.dirac(m2))])
+            right = system.combine([(p, system.dirac(n1)), (1 - p, system.dirac(n2))])
             assert decide_bisim(left, right, system).holds
         assert hits >= 5
 
@@ -1621,7 +1622,7 @@ class TestMatchColumns:
                 members += [t.dist for x in configs for t in system.step(x)]
                 picks = rng.integers(len(members), size=(3 * len(members), 2))
                 pairs = bisim._unique_pairs((members[i], members[j]) for i, j in picks)
-                lefts = members + [combine([(0.5, a), (0.5, b)])
+                lefts = members + [system.combine([(0.5, a), (0.5, b)])
                                    for a, b in zip(members, members[1:])]
                 rel = bisim._Relation(pairs)
                 live = list(range(len(pairs)))

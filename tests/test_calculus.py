@@ -39,7 +39,6 @@ from qbisim.calculus import (
     parse_module,
     parse_term,
     pretty,
-    pretty_definition,
     qv,
     rename_channel,
     subst_qubits,
@@ -49,6 +48,15 @@ from qbisim.calculus import (
 )
 from qbisim.errors import EvaluationError, ParseError, WellFormednessError
 from qbisim.quantum import BitString
+
+
+def pretty_definition(d) -> str:
+    """A definition as source text: its head, `:=` and its body."""
+    if d.cparams or d.qparams:
+        head = f"{d.name}({', '.join(d.cparams)}; {', '.join(d.qparams)})"
+    else:
+        head = d.name
+    return f"{head} := {pretty(d.body)}"
 
 
 class TestParsing:

@@ -25,8 +25,9 @@ from qbisim.bisim import (
     replay_refutation,
 )
 from qbisim.calculus import parse_module
-from qbisim.quantum import QubitRegister, QuantumState, random_density
+from qbisim.quantum import QubitRegister, QuantumState
 from qbisim.semantics import System
+from randsys import random_density
 
 H, F = True, False
 

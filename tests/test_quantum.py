@@ -25,11 +25,9 @@ from qbisim.quantum import (
     load_registry,
     partial_trace,
     product_state,
-    random_density,
-    random_superoperator,
-    random_unitary,
     trace_distance,
 )
+from randsys import random_density, random_superoperator, random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -31,11 +31,18 @@ from qbisim.semantics import (
     _Cap,
     _compose,
     _key,
-    combine,
     relabel_label,
 )
 from qbisim.bb84 import build_bb84_security_test
-from qbisim.bisim import _Canon, _closure_columns, _member_lin, _Relation, tc_decompose
+from qbisim.bisim import (
+    _Canon,
+    _closure_columns,
+    _member_lin,
+    _Relation,
+    check_lambda_relation,
+    decide_bisim,
+    tc_decompose,
+)
 from qbisim.lp import combination_weights
 
 import randsys
@@ -722,7 +729,7 @@ class TestLifting:
         nb = s.dirac(s.config("tau . nil", state()))
         pairs = _Relation([(s.dirac(a), na), (s.dirac(b), nb)])
         mu = ConfigDistribution({a: 0.3, b: 0.7})
-        nu = combine([(0.3, na), (0.7, nb)])
+        nu = s.combine([(0.3, na), (0.7, nb)])
         assert _member_lin(pairs, mu, nu)
 
     def test_wrong_mixture_fails(self):
@@ -733,7 +740,7 @@ class TestLifting:
         nb = s.dirac(s.config("tau . nil", state()))
         pairs = _Relation([(s.dirac(a), na), (s.dirac(b), nb)])
         mu = ConfigDistribution({a: 0.3, b: 0.7})
-        nu = combine([(0.7, na), (0.3, nb)])
+        nu = s.combine([(0.7, na), (0.3, nb)])
         assert not _member_lin(pairs, mu, nu)
 
     def test_empty_relation_lifts_nothing(self):
@@ -865,26 +872,138 @@ class TestStateValidation:
         assert len(checked) == 2
 
 
+def exact(dist) -> tuple:
+    """What makes two distributions one object on a System: configurations
+    in order, with each probability's type and value."""
+    return tuple((c, p.__class__, p) for c, p in dist.probs.items())
+
+
+def refers_to(root, target) -> bool:
+    """Does `root` reach `target` through tuples, named tuples included?"""
+    todo, seen = [root], set()
+    while todo:
+        x = todo.pop()
+        if x is target:
+            return True
+        if isinstance(x, tuple) and id(x) not in seen:
+            seen.add(id(x))
+            todo.extend(x)
+    return False
+
+
 class TestSharedDistributions:
     """Distributions are immutable, so a combination that reproduces one
     part returns that part itself, with its cached digest; a move of
     weight exactly 1 targets the point distribution of its target, and a
-    configuration whose moves are all internal shares its step tuple."""
+    configuration whose moves are all internal shares its step tuple.
+    Every other combination, and every transition-consistent class, is
+    the System's one object for its exact probabilities."""
+
+    def test_equal_combinations_are_one_object(self):
+        s = fresh()
+        x, y = s.config("a!0 . nil", state()), s.config("b!0 . nil", state())
+        mix = s.combine([(Fraction(1, 3), s.dirac(x)), (Fraction(2, 3), s.dirac(y))])
+        assert s.combine([(Fraction(1, 3), s.dirac(x)), (Fraction(2, 3), s.dirac(y))]) is mix
+        # another mixture with the same exact result, in the same order
+        half = s.combine([(Fraction(1, 2), s.dirac(x)), (Fraction(1, 2), s.dirac(y))])
+        assert s.combine([(Fraction(2, 3), half), (Fraction(1, 3), s.dirac(y))]) is mix
+
+    def test_a_decision_and_its_replay_share_their_distributions(self, monkeypatch):
+        s = fresh()
+        st = state(assignment={"q1": "+"})
+        m = s.config("meas Mcomp[q1; x] . apply Set0[q1] . a!x . nil", st)
+        p = s.config("pchoice { 1/2 -> apply Set0[q1] . a!0 . nil"
+                     " ; 1/2 -> apply Set0[q1] . a!1 . nil }", st)
+        built = []
+        combine = System.combine
+        monkeypatch.setattr(System, "combine",
+                            lambda self, parts: built.append(combine(self, parts)) or built[-1])
+        report = decide_bisim(m, p, s)
+        assert report.holds and report.mode == "canonical"
+        decided = {exact(d): d for d in built}
+        built.clear()
+        assert check_lambda_relation(report.witness, 0.0, s).holds
+        again = [d for d in built if exact(d) in decided]
+        assert again and all(d is decided[exact(d)] for d in again)
+
+    def test_two_systems_never_share_a_distribution(self):
+        made = []
+        for _ in range(2):
+            s = fresh()
+            x, y = s.config("a!0 . nil", state()), s.config("b!0 . nil", state())
+            made.append(s.combine([(Fraction(1, 2), s.dirac(x)), (Fraction(1, 2), s.dirac(y))]))
+        first, second = made
+        assert first is not second
+        assert first.digest == second.digest
+
+    def test_other_types_or_orders_get_their_own_object(self):
+        s = fresh()
+        dx = s.dirac(s.config("a!0 . nil", state()))
+        dy = s.dirac(s.config("b!0 . nil", state()))
+        built = {
+            "exact": lambda: s.combine([(Fraction(1, 2), dx), (Fraction(1, 2), dy)]),
+            "float": lambda: s.combine([(0.5, dx), (0.5, dy)]),
+            "swapped": lambda: s.combine([(Fraction(1, 2), dy), (Fraction(1, 2), dx)]),
+            "float one": lambda: s.combine([(0.5, dx), (0.5, dx)]),
+            "exact one": lambda: s.combine([(Fraction(1, 2), dx), (Fraction(1, 2), dx)]),
+        }
+        first = {name: make() for name, make in built.items()}
+        assert len({id(d) for d in first.values()} | {id(dx)}) == len(built) + 1
+        assert len({d.digest for d in first.values()}) == 2
+        for name, make in built.items():
+            assert make() is first[name], name
+
+    def test_a_consistent_distribution_of_mass_one_is_its_own_class(self):
+        s = fresh()
+        n0 = s.config("nil", state())
+        n1 = s.config("nil", state(assignment={"q1": "1"}))
+        mix = s.combine([(Fraction(1, 3), s.dirac(n0)), (Fraction(2, 3), s.dirac(n1))])
+        for mu in (mix, s.dirac(n0)):
+            (cls,) = tc_decompose(mu, s).classes
+            assert cls.dist is mu and cls.weight == 1 and cls.signature == frozenset()
+            assert tc_decompose(mu, s).classes[0].dist is mu
+            assert not refers_to(mu._tc, mu)
+        # a float sum over an exact probability: dividing by it would make
+        # the class read floats, so the class is not the distribution
+        mixed = s.combine([(Fraction(1, 3), s.dirac(n0)), (2 / 3, s.dirac(n1))])
+        assert mixed.mass == 1 and type(mixed.mass) is float
+        (cls,) = tc_decompose(mixed, s).classes
+        assert cls.dist is not mixed
+        assert [type(p) for p in cls.dist.probs.values()] == [float, float]
+
+    def test_the_classes_of_a_split_distribution_are_kept_once(self):
+        s = fresh()
+        f = s.dirac(s.config("fail!0 . nil", state()))
+        n0 = s.dirac(s.config("nil", state()))
+        n1 = s.dirac(s.config("nil", state(assignment={"q1": "1"})))
+        mix = s.combine([(Fraction(1, 2), f), (Fraction(1, 4), n0), (Fraction(1, 4), n1)])
+        other = s.combine([(Fraction(1, 4), f), (Fraction(3, 8), n0), (Fraction(3, 8), n1)])
+        classes = tc_decompose(mix, s).classes
+        assert len(classes) == 2
+        assert all(a.dist is b.dist for a, b in zip(tc_decompose(mix, s).classes, classes))
+        silent = {c.signature: c.dist for c in classes}[frozenset()]
+        assert silent is s.combine([(Fraction(1, 2), n0), (Fraction(1, 2), n1)])
+        assert {c.signature: c.dist for c in tc_decompose(other, s).classes}[frozenset()] is silent
+
+    def test_a_configuration_root_is_its_point_distribution(self):
+        s = fresh()
+        c = s.config("tau . a!0 . nil", state())
+        assert PLTS(s, c).root is s.dirac(c)
 
     def test_a_lone_part_of_weight_one_is_returned(self):
         s = fresh()
         d = s.dirac(s.config("a!0 . nil", state()))
         e = s.dirac(s.config("b!0 . nil", state()))
-        assert combine([(1, d)]) is d
-        assert combine([(0, e), (1, d)]) is d
-        assert combine([]).probs == {}
+        assert s.combine([(1, d)]) is d
+        assert s.combine([(0, e), (1, d)]) is d
+        assert s.combine([]).probs == {}
 
     def test_two_parts_build_a_new_distribution(self):
         s = fresh()
         x, y = s.config("a!0 . nil", state()), s.config("b!0 . nil", state())
         d = ConfigDistribution({x: Fraction(1, 2), y: Fraction(1, 2)})
         e = s.dirac(y)
-        mix = combine([(Fraction(1, 3), d), (Fraction(2, 3), e)])
+        mix = s.combine([(Fraction(1, 3), d), (Fraction(2, 3), e)])
         assert mix is not d and mix is not e
         assert mix.probs == {x: Fraction(1, 6), y: Fraction(5, 6)}
         assert d.probs == {x: Fraction(1, 2), y: Fraction(1, 2)}
