@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .bisim import CheckReport, DistanceBound, decide_bisim, distance_upper_bound
 from .calculus import Channel, parse_module
-from .errors import ConfluenceError
+from .errors import ConfluenceError, CyclicModelError
 from .quantum import QubitRegister, QuantumState
 from .semantics import ConfigDistribution, Label, System
 
@@ -236,11 +236,15 @@ def eventual_label_probabilities(system: System, root: ConfigDistribution,
                                  tol: float = None) -> dict:
     """Probability that each visible label is ever fired, from `root`.
 
-    Backward accumulation over the acyclic graph.  Internal nondeterminism
-    is tolerated only when every choice yields the same eventual
-    probabilities (checked within `tol`); otherwise the quantity is
-    scheduler-dependent and a ConfluenceError is raised.
+    Backward accumulation over the acyclic graph; a cycle raises
+    CyclicModelError.  The acyclicity proof steps configurations in the
+    order the accumulation does, and is kept on the System.  Internal
+    nondeterminism is tolerated only when every choice yields the same
+    eventual probabilities (checked within `tol`); otherwise the quantity
+    is scheduler-dependent and a ConfluenceError is raised.
     """
+    if not system.is_acyclic(root.support):
+        raise CyclicModelError("the reachable transition graph has a cycle")
     tol = system.tol if tol is None else tol
     memo = {}
 

@@ -67,8 +67,7 @@ alone.  Every fixpoint, of either engine, also reads and adds to the
 environment distance kept for each pair of environment classes (held
 qubits and exact environment bytes, all that clause (i) reads), so each
 System computes it once.  Looking any of these up spends no work units.
-`decide_bisim` never reads the verdicts, and replays neither read nor
-write any of them.
+`decide_bisim` never reads the verdicts.
 
 Distributions are one object per value on a System (`System.combine`):
 the saturations, derivatives, weak extremes, strong attacks and
@@ -76,11 +75,13 @@ transition-consistent classes that the engines build with the same
 configurations, order and exact probabilities are one object, shared by
 every query.  What is derived from a distribution alone is kept on it:
 its digest, held qubits, environment and classes (`tc_decompose`).  So a
-replay reads these derived facts of shared values, as it already reads
-step results and weak extremes; it still never reads a verdict, a
-state-based fact or a kept environment distance.  Each query still walks
-its own canonical tables (`_Canon`), so the work units it spends do not
-depend on what earlier queries built.
+replay reads derived facts that are functions of exact values: step
+results, weak extremes, transition-consistent classes, and, when it
+re-decides a pair by relation search, the kept environment distances
+(which it also adds to).  It never reads a verdict, a state-based fact or
+a relation-search outcome.  Each query still walks its own canonical
+tables (`_Canon`), so the work units it spends do not depend on what
+earlier queries built.
 
 Refutations replay through `replay_refutation`.  The refinement engines
 follow the certifying-algorithm pattern (McConnell, Mehlhorn, Näher and
@@ -95,7 +96,8 @@ fixpoint, so a replay does not repeat the decision.  A certificate is
 exact relative to the float probabilities the engine used, so it cannot
 see a defect in those probabilities, such as a measured 1/3 p + 2/3 p that
 differs from p in floats.  Canonical, exhaustive and saturated refutations
-are re-decided by a second procedure.
+carry no certificate: at lambda 0 they are re-decided by relation search,
+and above it by a lambda-relation check.
 """
 
 from __future__ import annotations
@@ -223,8 +225,9 @@ def _kept_clause_i(system: System, x: ConfigDistribution, y: ConfigDistribution,
     per System for each pair of environment classes and kept on it; `kx`
     and `ky` are `_env_class` of x and y.  This is exact: the distance reads
     only the two environment matrices, and `_env_distance` is bit-identical
-    under swapping.  Keeping it charges no work units, and replays never
-    read it."""
+    under swapping.  Keeping it charges no work units.  A replay that
+    re-decides by relation search reads it too: it is a function of exact
+    values, not a verdict."""
     dist = None
     if kx[0] == ky[0]:
         key = frozenset((kx, ky))
@@ -417,14 +420,6 @@ class DistanceBound:
 # canonical scheduler
 
 
-def _first_choice(key, n: int) -> int:
-    return 0
-
-
-def _last_choice(key, n: int) -> int:
-    return n - 1
-
-
 class _ClassForm(NamedTuple):
     signature: frozenset
     weight: float
@@ -441,25 +436,24 @@ class _Form(NamedTuple):
 class _Canon:
     """Canonical-scheduler engine: saturation, derivatives, behaviour forms.
 
-    The scheduler resolves internal nondeterminism per configuration with
-    `chooser` (first-transition by default) and saturates each support
-    configuration independently; on confluent systems (`confluence_check`)
-    every schedule agrees with this one.  All tables memoize against the
-    owning system's interned configurations.
+    The scheduler resolves internal nondeterminism per configuration by
+    firing its first move and saturates each support configuration
+    independently; on confluent systems (`confluence_check`) every
+    schedule agrees with this one.  All tables memoize against the owning
+    system's interned configurations.
     """
 
     _MISSING = object()
 
-    def __init__(self, system: System, chooser=_first_choice):
+    def __init__(self, system: System):
         self.system = system
-        self.chooser = chooser
         self._sat = {}  # configuration index -> saturation, None while open
         self._der = {}
         self._forms = {}
 
     def config_sat(self, config: Configuration) -> ConfigDistribution:
         """The saturation of `config`: its point distribution when it has
-        no internal move, else the chosen internal move's distribution with
+        no internal move, else its first internal move's distribution with
         each support configuration saturated.  Along a point chain (an
         internal move to one configuration with weight 1) every link
         returns the object its end saturates to, without a combination."""
@@ -470,7 +464,7 @@ class _Canon:
             if not taus:
                 got = self.system.dirac(config)
             else:
-                probs = taus[self.chooser(config, len(taus))].dist.probs
+                probs = taus[0].dist.probs
                 self.system._spend(len(probs))
                 if len(probs) == 1 and 1 in probs.values():
                     # a point chain shares the saturation its end has
@@ -489,7 +483,8 @@ class _Canon:
         return self.system.combine((p, self.config_sat(c)) for c, p in dist)
 
     def derivative(self, dist: ConfigDistribution, label: Label) -> ConfigDistribution:
-        """Fire `label` on every support configuration, then saturate.
+        """Fire the first `label` move of every support configuration, then
+        saturate.
 
         Defined on saturated distributions whose support all enables the
         label; support configurations are internally inert there, so the
@@ -498,11 +493,8 @@ class _Canon:
         key = (dist.digest, label)
         got = self._der.get(key)
         if got is None:
-            parts = []
-            for c, p in dist:
-                moves = [t for t in self.system.step(c) if t.label == label]
-                t = moves[self.chooser((c, label), len(moves))]
-                parts.append((p, t.dist))
+            parts = [(p, [t for t in self.system.step(c) if t.label == label][0].dist)
+                     for c, p in dist]
             got = self._der[key] = self.saturate(self.system.combine(parts))
         return got
 
@@ -890,6 +882,28 @@ def _match_weak(system: System, rel: _Relation, attack: ConfigDistribution,
     return False
 
 
+def _partial_matchings(classes, bound: float):
+    """Yield (unmatched mass, matched indices, ascending) for every subset
+    of `classes` whose unmatched mass, summed in index order, is at most
+    `bound`.
+
+    Only classes that could go unmatched alone are ever left out.  A sum
+    of nonnegative terms is at least each term when it stays exact, and at
+    least the term's float once it is a float, so a class with weight w
+    above `bound` whose float is also above it is matched in every such
+    subset.  At lambda 0 that is usually every class, and the one subset
+    is found without walking the other 2^k - 1.
+    """
+    indices = range(len(classes))
+    free = [i for i in indices
+            if classes[i].weight <= bound or float(classes[i].weight) <= bound]
+    for r in range(len(free) + 1):
+        for dropped in itertools.combinations(free, r):
+            unmatched_mass = sum(classes[i].weight for i in dropped)
+            if unmatched_mass <= bound:
+                yield unmatched_mass, tuple(i for i in indices if i not in dropped)
+
+
 def _match_decomposition(system: System, rel: _Relation, decomp: TcDecomposition,
                          defender: ConfigDistribution, lam: float, tol: float,
                          used=None, proof=None) -> bool:
@@ -937,16 +951,9 @@ def _match_decomposition(system: System, rel: _Relation, decomp: TcDecomposition
             proof.extend((matched, f) for f in farkas)
         return False
 
-    indices = range(len(classes))
-    options = []
-    for r in range(len(classes), -1, -1):
-        for matched in itertools.combinations(indices, r):
-            unmatched_mass = sum(classes[i].weight for i in indices if i not in matched)
-            if unmatched_mass <= lam + tol:
-                options.append((unmatched_mass, matched))
-            if len(options) > _SUBSET_CAP:
-                raise BudgetExceededError(
-                    "too many matched-class subsets", budget=_SUBSET_CAP)
+    options = list(itertools.islice(_partial_matchings(classes, lam + tol), _SUBSET_CAP + 1))
+    if len(options) > _SUBSET_CAP:
+        raise BudgetExceededError("too many matched-class subsets", budget=_SUBSET_CAP)
     options.sort(key=lambda ow: (ow[0], tuple(ow[1])))
     return any(feasible(matched) for _, matched in options)
 
@@ -1170,16 +1177,17 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
         return CheckReport(True, "exhaustive", lam=lam, tol=tol,
                            witness=relation, detail="empty relation holds vacuously")
 
-    roots = list(dict.fromkeys(c for pair in relation.pairs for d in pair for c in d.support))
     if mode == "auto":
-        configs = system.reachable(roots)
-        quantum_input = any(
-            t.label.kind == Label.QIN for c in configs for t in system.step(c))
-        if not quantum_input and system.is_acyclic(roots):
+        try:
+            configs = _prepare(system, [d for pair in relation.pairs for d in pair])
+        except (CyclicModelError, QuantumInputFragmentError):
+            pass
+        else:
             canon, ok, why = _certified(system, configs)
             if ok:
                 return _check_saturated(canon, relation, lam, tol, why)
-    _refuse_quantum_input(system, roots)
+    _refuse_quantum_input(system, dict.fromkeys(
+        c for pair in relation.pairs for d in pair for c in d.support))
     return _check_exhaustive(system, relation, lam, tol)
 
 
@@ -1810,13 +1818,15 @@ def replay_refutation(report: CheckReport, context) -> bool:
     state-based or relation-search refutation is confirmed by checking its
     `Certificate` (`_certificate_holds`), whose last entry is the reported
     move: no LP is solved and no fixpoint runs, and what the System keeps
-    from earlier queries is neither read nor written.  For other
-    refutations a reported move must exist in the transition graph, and
-    the pair is re-decided by a second procedure when the reachable graph
-    fits in `_REPLAY_CAP` configurations: a re-scheduled canonical run, a
-    lambda-relation check, or relation search; beyond it, or when relation
-    search refuses a visible quantum input in the reach, the directly
-    verified evidence stands.  Used by the test suite on every refutation.
+    from earlier queries is neither read nor written.  For canonical,
+    exhaustive and saturated refutations a reported move must exist in the
+    transition graph, and the pair is re-decided when the reachable graph
+    fits in `_REPLAY_CAP` configurations: by a lambda-relation check when
+    lambda > 0, and by relation search at lambda 0, an algorithm other
+    than the canonical and relation-checking engines.  Beyond the cap, or
+    when relation search refuses a visible quantum input in the reach or
+    its family outgrows `_FAMILY_CAP`, the directly verified evidence
+    stands.  Used by the test suite on every refutation.
     """
     system = _system_of(context)
     if report.holds:
@@ -1858,15 +1868,13 @@ def replay_refutation(report: CheckReport, context) -> bool:
     if lam > 0.0:
         fresh = check_lambda_relation([(x, y)], lam, system, tol=tol)
         return not fresh.holds
-    if report.mode == "canonical":
-        fresh = _decide_canonical(_Canon(system, _last_choice), x, y, tol, "replay")
-        return not fresh.holds
     try:
         _prepare(system, (x, y))
-    except QuantumInputFragmentError:
-        # relation search refuses a visible quantum input in the reach
+        return not _relation_search(_Canon(system), x, y, tol).holds
+    except (QuantumInputFragmentError, BudgetExceededError):
+        # relation search refuses a visible quantum input in the reach, or
+        # its family outgrows `_FAMILY_CAP`
         return confirmed
-    return not _relation_search(_Canon(system), x, y, tol).holds
 
 
 def _certificate_holds(system: System, report: CheckReport) -> bool:
@@ -1996,10 +2004,7 @@ class _EntryChecker:
         if entry.clause != "iii":
             return None
         classes = tc_decompose(x, system).classes
-        options = [matched for r in range(len(classes) + 1)
-                   for matched in itertools.combinations(range(len(classes)), r)
-                   if sum(classes[i].weight for i in range(len(classes))
-                          if i not in matched) <= 0.0 + self.tol]
+        options = [matched for _, matched in _partial_matchings(classes, 0.0 + self.tol)]
         proof = dict(entry.proof)
         if len(classes) < 2 or set(proof) != set(options):
             return None

@@ -415,7 +415,6 @@ class System:
         self._inputs = {}
         self._extreme_sets = {}
         self._enabled_cache = {}
-        self._op_cache = {}
         self._acyclic = set()    # indexes of configurations proved acyclic
         self._state_facts = {}   # tol -> bisim._StateFacts
         self._searches = {}      # bisim._search_key -> relation-search outcome
@@ -562,15 +561,6 @@ class System:
             raise BudgetExceededError(
                 "weak-transition expansion exceeded the work budget", budget=self.budget)
 
-    # -- operation resolution
-
-    def _operation(self, name):
-        op = self._op_cache.get(name)
-        if op is None:
-            op = resolve_operation(name, self.registry)
-            self._op_cache[name] = op
-        return op
-
     # -- constant unfolding
 
     def _unfold(self, call: ca.Call):
@@ -690,11 +680,11 @@ class System:
 
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.Apply):
-                op = self._operation(act.op)
+                op = resolve_operation(act.op, self.registry)
                 new_mat = self._share(op.apply(mat, self.register, act.qubits))
                 return [(TAU, ((1, _key(term.cont), new_mat),))], []
             if isinstance(act, ca.Meas):
-                op = self._operation(act.op)
+                op = resolve_operation(act.op, self.registry)
                 branches = tuple(
                     (p, _key(ca.subst_values(term.cont, {act.var: v})), self._share(post))
                     for v, p, post in op.apply(mat, self.register, act.qubits))

@@ -8,7 +8,7 @@ import pytest
 
 from qbisim import bb84
 from qbisim.calculus import eval_expr, parse_module, parse_term
-from qbisim.errors import ConfluenceError, EvaluationError
+from qbisim.errors import ConfluenceError, CyclicModelError, EvaluationError
 from qbisim.bisim import check_lambda_relation, decide_bisim, replay_refutation
 from qbisim.quantum import BitString, QubitRegister, QuantumState
 from qbisim.semantics import Label, System
@@ -202,6 +202,15 @@ class TestOutcomeProbabilities:
         cfg = s.config("tau . fail!0 . nil + tau . nil",
                        QuantumState.product(s.register, None))
         with pytest.raises(ConfluenceError):
+            bb84.eventual_label_probabilities(s, s.dirac(cfg))
+
+    def test_cycle_is_refused_before_recursing(self):
+        """A cycle raises CyclicModelError, as every engine does, where the
+        backward accumulation would recurse without end."""
+        s = System(parse_module("Loop := tau . Loop"),
+                   register=QubitRegister.of(["q1"]))
+        cfg = s.config("a!0 . Loop", QuantumState.product(s.register, None))
+        with pytest.raises(CyclicModelError):
             bb84.eventual_label_probabilities(s, s.dirac(cfg))
 
 

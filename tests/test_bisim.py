@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -1374,21 +1375,23 @@ class TestSharedRefinement:
     def test_replays_read_nothing_kept(self, monkeypatch):
         """Replays and witness checks solve as many LPs on a System that
         kept every verdict as on one that kept nothing: witness checks
-        solve their LPs again, and refutation replays check certificates,
-        which takes none."""
-        sources = self.uncertified()
+        solve their LPs again, certificate replays take none, and the
+        relation search that re-decides a canonical refutation solves its
+        own."""
+        sources = self.uncertified() + list(CERTIFIED_APART)
         state = ground(q1="+")
         calls = count_lps(monkeypatch)
 
         def replay_costs(system, roots, forgetful):
             costs = []
             queries = (
-                (decide_state_based, 2, "state-based"),
-                (decide_bisim, 2, "relation-search"),
-                (decide_bisim, 1, "relation-search"),
+                (decide_state_based, 0, 2, "state-based"),
+                (decide_bisim, 0, 2, "relation-search"),
+                (decide_bisim, 0, 1, "relation-search"),
+                (decide_bisim, 3, 4, "canonical"),
             )
-            for decide, k, mode in queries:
-                report = decide(roots[0], roots[k], system)
+            for decide, i, k, mode in queries:
+                report = decide(roots[i], roots[k], system)
                 assert report.mode == mode
                 if forgetful:
                     forget(system)
@@ -1401,14 +1404,65 @@ class TestSharedRefinement:
             return costs
 
         warm, roots = indexed_system(R1, state, sources)
-        for k in (1, 2):
-            decide_state_based(roots[0], roots[k], warm)
-            decide_bisim(roots[0], roots[k], warm)
-            distance_upper_bound(roots[0], roots[k], warm)
+        for i, k in ((0, 1), (0, 2), (3, 4)):
+            decide_state_based(roots[i], roots[k], warm)
+            decide_bisim(roots[i], roots[k], warm)
+            distance_upper_bound(roots[i], roots[k], warm)
         got = replay_costs(warm, roots, False)
         expected = replay_costs(*indexed_system(R1, state, sources), True)
         assert got == expected
-        assert [n > 0 for _, n in got] == [False, False, True]
+        assert [n > 0 for _, n in got] == [False, False, True, True]
+
+
+# a certified pair that `decide_bisim` refutes canonically, in clause (iii):
+# the silent splits weigh a!0 at 1/2 and at 1/4
+CERTIFIED_APART = ("tau . pchoice { 1/2 -> a!0 . nil ; 1/2 -> a!1 . nil }",
+                   "tau . pchoice { 1/4 -> a!0 . nil ; 3/4 -> a!1 . nil }")
+
+
+class TestCanonicalReplay:
+    """At lambda 0, every refutation without a certificate is re-decided by
+    relation search, canonical ones too; when relation search cannot run,
+    the directly verified evidence stands."""
+
+    def canonical_refutation(self):
+        s = fresh()
+        x, y = (s.config(src, ground(q1="+")) for src in CERTIFIED_APART)
+        report = decide_bisim(x, y, s)
+        assert (report.mode, report.clause, report.holds) == ("canonical", "iii", False)
+        return s, report
+
+    def test_canonical_engine_does_not_re_decide(self, monkeypatch):
+        s, report = self.canonical_refutation()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replay ran the canonical engine")
+
+        monkeypatch.setattr(bisim, "_decide_canonical", refuse)
+        assert replay_refutation(report, s)
+
+    def test_replay_follows_relation_search(self, monkeypatch):
+        s, report = self.canonical_refutation()
+        searched = []
+
+        def holds(canon, mu, nu, tol):
+            searched.append((mu, nu))
+            return CheckReport(True, "relation-search", tol=tol)
+
+        monkeypatch.setattr(bisim, "_relation_search", holds)
+        assert not replay_refutation(report, s)
+        assert searched == [report.pair]
+
+    def test_family_overflow_stands_on_the_evidence(self, monkeypatch):
+        s = fresh()
+        x = s.config("tau . c!0 . nil + tau . c!1 . nil", ground(q1="+"))
+        y = s.config("c!0 . nil", ground(q1="+"))
+        report = check_ground_bisim_relation([(x, y)], s, mode="exhaustive")
+        assert (report.mode, report.clause, report.holds) == ("exhaustive", "ii", False)
+        monkeypatch.setattr(bisim, "_FAMILY_CAP", 2)
+        with pytest.raises(BudgetExceededError):
+            bisim._search_family(bisim._Canon(s), *report.pair)
+        assert replay_refutation(report, s)
 
 
 class TestRefutationCertificates:
@@ -1522,6 +1576,50 @@ class TestRefutationCertificates:
                                          system)
             checked += 1
         assert checked >= 5
+
+
+class TestPartialMatchings:
+    """`_partial_matchings` yields exactly the matched-class subsets that
+    a walk over all 2^k of them keeps, with the same unmatched mass to the
+    bit, while leaving out only classes too heavy to go unmatched alone."""
+
+    @staticmethod
+    def every_subset(weights, bound):
+        """matched -> unmatched mass, as the walk over all subsets sums it."""
+        indices = range(len(weights))
+        found = {}
+        for r in range(len(weights) + 1):
+            for matched in itertools.combinations(indices, r):
+                mass = sum(weights[i] for i in indices if i not in matched)
+                if mass <= bound:
+                    found[matched] = mass
+        return found
+
+    def test_same_subsets_as_every_subset(self):
+        rng = np.random.default_rng(5)
+        bounds = (0.0, 1e-9, 0.1, Fraction(1, 10), 0.25, 1 / 3, 0.5, Fraction(1, 3), 1.0)
+        near = [0.0, 1e-9, math.nextafter(1e-9, 1), 0.1, math.nextafter(0.1, 0),
+                1 / 3, Fraction(1, 3), 0.25, Fraction(1, 4), 0.5, Fraction(1, 10),
+                Fraction(1, 3) + Fraction(1, 10 ** 20), 1, 0.05, Fraction(3, 40)]
+        kept = 0
+        for _ in range(150):
+            k = int(rng.integers(1, 8))
+            weights = [near[int(i)] if rng.random() < 0.6 else float(rng.random()) / k
+                       for i in rng.integers(0, len(near), size=k)]
+            classes = [bisim.TcClass(w, None, frozenset()) for w in weights]
+            for bound in bounds:
+                yielded = list(bisim._partial_matchings(classes, bound))
+                got = {matched: mass for mass, matched in yielded}
+                expected = self.every_subset(weights, bound)
+                assert len(yielded) == len(got)
+                assert got == expected
+                assert all(type(got[m]) is type(expected[m]) for m in got)
+                kept += len(got)
+        assert kept > 500
+
+    def test_one_subset_at_lambda_zero(self):
+        classes = [bisim.TcClass(Fraction(1, 20), None, frozenset())] * 20
+        assert list(bisim._partial_matchings(classes, 1e-9)) == [(0, tuple(range(20)))]
 
 
 class Anything:
