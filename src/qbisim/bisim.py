@@ -33,7 +33,11 @@ closure: lifted transitions are linear and left-decomposable, the canonical
 tc-decomposition of a convex mixture groups by the same signatures as its
 components, and identity pairs satisfy every clause.  A verified finite
 family therefore certifies its whole convex closure (implicit identity
-pairs included), which is the relation the reports describe.
+pairs included), which is the relation the reports describe.  Identity
+pairs are implicit generators of that closure and never candidates: the
+refinement neither checks them nor gives them a column or a place in a
+witness, since the column of (mu, mu) is a nonnegative sum of identity
+carriers (`_ground_fixpoint`).
 
 The definitions also ask that related pairs stay related under every
 super-operator E on the qubits the processes do not hold.  No engine tests
@@ -54,10 +58,11 @@ a visible quantum input the clause can fail (announcing the measured value
 of a received qubit matches announcing 0 only while the free qubit is |0>).
 
 Each System keeps what the refinement proved on it.  Per tolerance, it
-keeps the candidate point pairs some state-based fixpoint kept or deleted,
-and a log with the evidence for each deletion.  A later state-based
-fixpoint starts from those verdicts and refines only the pairs no fixpoint
-has decided yet.  It also keeps each relation-search outcome of
+keeps the candidate point pairs some state-based fixpoint kept, the
+fixpoints each configuration was a member of, and a log with the evidence
+for each deletion.  A later state-based fixpoint starts from those
+verdicts, and walks and refines only the pairs no fixpoint had both
+members of.  It also keeps each relation-search outcome of
 `decide_bisim`, keyed by the exact probabilities of the pair and the
 tolerance.  `distance_upper_bound` on a system it cannot certify reads
 that outcome rather than search again.  The verdicts are exact, not
@@ -1295,14 +1300,18 @@ def _pair_violation(system: System, rel: _Relation, a: ConfigDistribution,
 
 
 class _StateFacts(NamedTuple):
-    """The point pairs that state-based fixpoints on one System at one
-    tolerance decided: candidate pairs of configuration indices, smaller
-    first, that a fixpoint kept (`alive`) or deleted (`dead`), and the
-    deletion `log` (`_ground_fixpoint`) that justifies each dead pair."""
+    """What the completed state-based fixpoints on one System at one
+    tolerance decided.  `alive` holds the pairs of configuration indices,
+    smaller first, that a fixpoint kept.  `seen` maps a configuration index
+    to a bit mask with bit k set when the k-th fixpoint (numbered by `runs`)
+    had it as a member, so two configurations with a common bit were
+    decided together: alive, deleted, or no candidate.  `log` holds the
+    deletion entries (`_ground_fixpoint`) that justify each deleted pair."""
 
     alive: set
-    dead: set
+    seen: dict
     log: dict
+    runs: itertools.count
 
 
 class _Entry(NamedTuple):
@@ -1365,7 +1374,19 @@ def _pair_key(a: ConfigDistribution, b: ConfigDistribution) -> tuple:
 
 def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: dict,
                      facts: Optional[_StateFacts] = None, log: Optional[dict] = None) -> set:
-    """Index pairs (i, j), i <= j, of `members` in the greatest fixpoint.
+    """Index pairs (i, j), i < j, of `members` in the greatest fixpoint.
+
+    Members are distinct, and a candidate is a pair of two of them: an
+    identity pair (mu, mu) is never checked, given a column, recorded in
+    `facts` or written into a witness.  This is exact.  The column of
+    (mu, mu) in `_closure_columns` exists only when supp(mu) lies in
+    supp(left) and in `rows`, and then it is the sum of mu(c) times the
+    identity carrier of c, which the LP already has.  So no LP changes what
+    it can solve, and no Farkas vector changes its validity.  Whether a
+    pair passes thus never depends on identity pairs, and the greatest
+    fixpoint over the other pairs is the same set with or without them.
+    Each identity pair still belongs to the relation every report
+    describes (`RelationCandidate`), and `_survives` answers it.
 
     Candidates are the pairs meeting clause (i) whose transition-consistent
     members agree on their weak visible sets (tc members related in any
@@ -1391,40 +1412,43 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
     still meets every clause.  When the worklist empties the survivors form
     a post-fixpoint, and every deletion was forced by a superset of the
     greatest fixpoint, so the result is that fixpoint.  The relation
-    (`_Relation`) is built once, at the first check, and a deleted pair is
-    dropped from it, so positions stay valid and columns keep the order a
-    relation rebuilt from the survivors would give them.  Rounds visit the
-    pending pairs in sorted order, so the result and the LPs solved do not
-    depend on hash order.
+    (`_Relation`) is built once, at the first check, holding the k-th
+    candidate in sorted order at positions 2k and 2k + 1, one per
+    orientation.  A deleted pair is dropped from it, so positions stay
+    valid and columns keep the order a relation rebuilt from the survivors
+    would give them.  Rounds visit the pending pairs in sorted order, so
+    the result and the LPs solved do not depend on hash order.
 
     With `log`, each deletion adds an `_Entry` under its `_pair_key`, with
     the evidence of the check that failed.  Entries are added when the
     fixpoint completes, numbered after those `log` already holds, so an
     entry's `seq` orders it after every deletion it relied on.
 
-    With `facts`, every member is a point distribution.  A pair that `facts`
-    holds alive starts alive and is never checked, and a pair it holds dead
-    is no candidate.  The verdicts of the other candidates go into `facts`
-    afterwards.  This is exact.  Each fact was decided over a reach-closed
-    set, and so is every family here.  Clauses (ii) and (iii) of a point
-    pair read only pairs of configurations both sides reach, and a pair
-    column reaching past them carries no weight.  So the greatest fixpoint
-    over either set restricts to the fixpoint over their intersection.
-    Every alive fact is then in this fixpoint and every dead one is not.
-    The worklist also reaches the fixpoint from this start: deletions stay
-    forced, and an alive fact meets every clause against any superset of
-    the fixpoint.
+    With `facts`, every member is a point distribution.  A pair of members
+    that some completed fixpoint had both as members (a common bit in
+    `facts.seen`) was decided there, by the same shape and clause (i) rule
+    at the same tolerance: it starts alive, never checked, when `facts`
+    holds it alive, and is no candidate otherwise.  So only pairs with no
+    common bit are walked, group by group of members with equal bits, and
+    the rest is read from `facts.alive`.  The survivors then go into
+    `facts`, and the members get the bit of this fixpoint.  This is exact.
+    Each fact was decided over a reach-closed set, and so is every family
+    here.  Clauses (ii) and (iii) of a point pair read only pairs of
+    configurations both sides reach, and a pair column reaching past them
+    carries no weight.  So the greatest fixpoint over either set restricts
+    to the fixpoint over their intersection.  Every alive fact is then in
+    this fixpoint and every deleted one is not.  The worklist also reaches
+    the fixpoint from this start: deletions stay forced, and an alive fact
+    meets every clause against any superset of the fixpoint.
     """
     ids = None if facts is None else [m.support[0].index for m in members]
-
-    def fact(i, j):  # the key of members (i, j) in `facts`
-        return (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
-
+    groups = {}      # bits of the completed fixpoints a member was in -> members
     shapes = []
     env_class = []   # per member, its environment class
     delegates = []   # per environment class, its first member
     classes = {}     # environment class -> its number
-    for m in members:
+    for i, m in enumerate(members):
+        groups.setdefault(0 if ids is None else facts.seen.get(ids[i], 0), []).append(i)
         sigs = {system.weak_enabled(c) for c in m.probs}
         shapes.append(sigs.pop() if len(sigs) == 1 else None)
         key = _env_class(m)
@@ -1434,49 +1458,46 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
         env_class.append(classes[key])
     class_keys = list(classes)
     meets = {}       # sorted pair of classes -> does it meet clause (i)?
-    alive = set()
-    decided = set()  # pairs alive in `facts`, never checked here
-    for i in range(len(members)):
-        for j in range(i, len(members)):
-            if ids is not None:
-                if fact(i, j) in facts.alive:
-                    alive.add((i, j))
-                    decided.add((i, j))
-                    continue
-                if fact(i, j) in facts.dead:
-                    continue
-            if (shapes[i] is not None and shapes[j] is not None
-                    and shapes[i] != shapes[j]):
+    alive = set()    # pairs alive in `facts`, never checked here
+    if ids is not None:
+        pos = {x: i for i, x in enumerate(ids)}
+        alive = {tuple(sorted((pos[x], pos[y]))) for x, y in facts.alive
+                 if x in pos and y in pos}
+    pending = set()  # candidates no completed fixpoint decided
+    masks = list(groups)
+    for k, g in enumerate(masks):
+        for h in masks[k:]:
+            if g & h:
                 continue
-            a, b = sorted((env_class[i], env_class[j]))
-            ok = meets.get((a, b))
-            if ok is None:
-                ok = meets[a, b] = _kept_clause_i(
-                    system, delegates[a], delegates[b], tol,
-                    class_keys[a], class_keys[b]) is None
-            if ok:
-                alive.add((i, j))
+            for i, j in (itertools.combinations(groups[g], 2) if g == h
+                         else itertools.product(groups[g], groups[h])):
+                if (shapes[i] is not None and shapes[j] is not None
+                        and shapes[i] != shapes[j]):
+                    continue
+                a, b = sorted((env_class[i], env_class[j]))
+                ok = meets.get((a, b))
+                if ok is None:
+                    ok = meets[a, b] = _kept_clause_i(
+                        system, delegates[a], delegates[b], tol,
+                        class_keys[a], class_keys[b]) is None
+                if ok:
+                    pending.add((i, j) if i < j else (j, i))
+    alive |= pending
 
-    rel = owners = None
-    slots = {}   # pair -> its positions in `rel`
+    rel = None
     deps = {}    # survivor -> the pairs its last check relied on
     users = {}   # pair -> the survivors whose last check relied on it
     deleted = {}  # entries for `log`
-    pending = alive - decided
-    checked = set(pending)
     while pending:
         for key in sorted(pending):
             pending.discard(key)
             if key not in alive:
                 continue
             if rel is None:
-                oriented, owners = [], []
-                for i, j in sorted(alive):
-                    for x, y in ((i, j), (j, i)) if i != j else ((i, i),):
-                        slots.setdefault((i, j), []).append(len(oriented))
-                        oriented.append((members[x], members[y]))
-                        owners.append((i, j))
-                rel = _Relation(oriented)
+                owners = sorted(alive)
+                rank = {pair: k for k, pair in enumerate(owners)}
+                rel = _Relation([(members[x], members[y]) for i, j in owners
+                                 for x, y in ((i, j), (j, i))])
             for q in deps.pop(key, ()):
                 users.get(q, set()).discard(key)
             used = set()
@@ -1485,20 +1506,21 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
             bad = _pair_violation(system, rel, members[i], members[j], tol,
                                   attack_cache, used, proof)
             if bad is None:
-                deps[key] = {owners[k] for k in used}
+                deps[key] = {owners[k // 2] for k in used}
                 for q in deps[key]:
                     users.setdefault(q, set()).add(key)
             else:
                 alive.discard(key)
                 pending |= users.pop(key, set())
-                for k in slots.pop(key):
-                    rel.drop(k)
+                rel.drop(2 * rank[key])
+                rel.drop(2 * rank[key] + 1)
                 if log is not None:
                     deleted[_pair_key(members[i], members[j])] = _entry(
                         len(log) + len(deleted), (members[i], members[j]), bad, proof)
     if ids is not None:
-        for i, j in checked:
-            (facts.alive if (i, j) in alive else facts.dead).add(fact(i, j))
+        facts.alive.update((min(ids[i], ids[j]), max(ids[i], ids[j])) for i, j in alive)
+        bit = 1 << next(facts.runs)
+        facts.seen.update((x, facts.seen.get(x, 0) | bit) for x in ids)
     if log is not None:
         log.update(deleted)
     return alive
@@ -1531,7 +1553,7 @@ def _refine(system: System, members: list, mu, nu, tol: float, mode: str) -> Che
     facts = None
     log = {}
     if mode == "state-based":
-        facts = system._state_facts.setdefault(tol, _StateFacts(set(), set(), {}))
+        facts = system._state_facts.setdefault(tol, _StateFacts(set(), {}, {}, itertools.count()))
         log = facts.log
     alive = _ground_fixpoint(system, members, tol, attack_cache, facts, log)
     survivors = [(members[i], members[j]) for i, j in sorted(alive)]
@@ -1944,7 +1966,12 @@ class _EntryChecker:
     Nothing else is negative on such a row, whose target is 0, so those
     columns carry no weight in any solution.  Engine and checker thus
     build one LP, and its rows and columns depend on the attack and the
-    defender's extreme moves, not on the size of the family.
+    defender's extreme moves, not on the size of the family.  The engine
+    gives an identity pair (m, m) no column, while the checker still reads
+    every pair of members, m with itself included.  That column is the
+    sum of m(c) times the identity carrier of c, which the checker
+    requires to have a nonnegative product, so it never breaks a Farkas
+    vector and the two readings agree.
     """
 
     def __init__(self, system: System, tol: float, family=None):

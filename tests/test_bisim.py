@@ -996,8 +996,9 @@ def sweep_refine(record, system, members, mu, nu, tol, mode):
     stood at the start of the pass, a relation built anew for the pass,
     until a pass deletes nothing.  Clause (i) is checked pair by pair, and
     matches get no point pairs (`LPOnly`), so only the identity coupling
-    skips the LP.  The surviving index pairs and the number of passes go
-    into `record`.
+    skips the LP.  Candidates are pairs of two distinct members, as in the
+    engine: identity pairs are implicit in every closure.  The surviving
+    index pairs and the number of passes go into `record`.
     """
     shapes = []
     for m in members:
@@ -1005,7 +1006,7 @@ def sweep_refine(record, system, members, mu, nu, tol, mode):
         shapes.append(sigs.pop() if len(sigs) == 1 else None)
     alive = set()
     for i, a in enumerate(members):
-        for j in range(i, len(members)):
+        for j in range(i + 1, len(members)):
             if (shapes[i] is not None and shapes[j] is not None
                     and shapes[i] != shapes[j]):
                 continue
@@ -1158,6 +1159,100 @@ def count_lps(monkeypatch) -> list:
 
     monkeypatch.setattr(bisim, "combination_weights", counted)
     return calls
+
+
+class TestIdentityPairs:
+    """Identity pairs are implicit in every closure and never candidates:
+    the column of (mu, mu) is a nonnegative sum of identity carriers, so
+    witnesses hold no identity pair, and certificates replay as before."""
+
+    # shape -> (rng seed, register, term maker)
+    SHAPES = {
+        "term": (1, randsys.REGISTER, lambda rng: randsys.random_term(rng, 3)),
+        "wide": (2, randsys.REGISTER2, randsys.random_wide_term),
+        "entangled": (3, randsys.REGISTER2, randsys.random_entangled_term),
+        "nested": (4, randsys.REGISTER2, lambda rng: randsys.random_nested_term(
+            rng, randsys.NESTED_SHAPES[rng.integers(0, len(randsys.NESTED_SHAPES))])),
+    }
+
+    def instances(self, shape, count):
+        """(system, base, tau-padded twin, unrelated term) per instance."""
+        seed, register, term = self.SHAPES[shape]
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            system, state = randsys.random_system(rng, register)
+            base = term(rng)
+            yield (system, system.config(base, state),
+                   system.config(randsys.variants(base)[1], state),
+                   system.config(term(rng), state))
+
+    def test_identity_column_is_a_sum_of_carriers(self):
+        """On members of the relation-search family, the column of
+        (mu, mu) exists exactly when supp(mu) lies in supp(left) and in the
+        rows, and then equals the sum of mu(c) times the carrier of c."""
+        rng = np.random.default_rng(7)
+        checked = absent = spread = 0
+        for shape in sorted(self.SHAPES):
+            for system, c, d, _ in self.instances(shape, 3):
+                mu, nu = system.dirac(c), system.dirac(d)
+                family = bisim._search_family(bisim._Canon(system), mu, nu)
+                for k in rng.permutation(len(family))[:20]:
+                    m = family[k]
+                    lefts = [x for x in family if all(y in x.probs for y in m.probs)]
+                    for left in lefts[:4]:
+                        inside = set(left.probs)
+                        rows = {y for y in inside if rng.random() < 0.8} | set(m.probs)
+                        if rng.random() < 0.3:
+                            rows.discard(next(iter(m.probs)))
+                        tag = ("L", int(rng.integers(0, 3)))
+                        columns, origins = bisim._closure_columns(
+                            bisim._Relation([(m, m)]), left, rows, tag)
+                        carriers = {next(key for key in col if key[0] == "R"): col
+                                    for col, k in zip(columns, origins) if k is None}
+                        assert len(carriers) == len(inside & rows)
+                        own = [col for col, k in zip(columns, origins) if k == 0]
+                        if not all(y in rows for y in m.probs):
+                            assert own == []
+                            absent += 1
+                            continue
+                        total = {}
+                        for y, p in m.probs.items():
+                            for key, v in carriers["R", y.index].items():
+                                total[key] = total.get(key, 0) + Fraction(p) * Fraction(v)
+                        (column,) = own
+                        assert {key: Fraction(v) for key, v in column.items()} == total
+                        checked += 1
+                        spread += len(m.probs) > 1
+        assert checked >= 100 and absent >= 10 and spread >= 10, (checked, absent, spread)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_witnesses_hold_no_identity_pair(self, shape):
+        for system, c, twin, _ in self.instances(shape, 2):
+            for report in (decide_state_based(c, twin, system),
+                           decide_bisim(c, twin, system, mode="relation-search")):
+                assert report.holds
+                pairs = report.witness.pairs
+                assert pairs and all(a.digest != b.digest for a, b in pairs)
+                assert check_ground_bisim_relation(report.witness, system,
+                                                   mode="exhaustive").holds
+
+    def test_certificates_replay_and_reject_edits(self):
+        refuted = {"state-based": 0, "relation-search": 0}
+        for shape in sorted(self.SHAPES):
+            for system, c, _, other in self.instances(shape, 3):
+                for report in (decide_state_based(c, other, system),
+                               decide_bisim(c, other, system, mode="relation-search")):
+                    if report.holds or report.clause == "i":
+                        continue
+                    entries = report.certificate.entries
+                    assert all(a.digest != b.digest for a, b in (e.pair for e in entries))
+                    assert replay_refutation(report, system)
+                    for k in range(len(entries)):
+                        cut = report.certificate._replace(entries=entries[:k] + entries[k + 1:])
+                        assert not replay_refutation(
+                            dataclasses.replace(report, certificate=cut), system)
+                    refuted[report.mode] += 1
+        assert min(refuted.values()) >= 3, refuted
 
 
 class TestCouplingAnswer:
@@ -1343,6 +1438,20 @@ class TestSharedRefinement:
                 assert got == expected
                 shared_lps[run] += len(calls) - before
         assert max(shared_lps) < fresh_lps
+
+    def test_members_of_different_fixpoints_are_paired(self):
+        """Two configurations that earlier state-based fixpoints reached
+        only apart are still a candidate pair when a later one reaches
+        both: the pairs a fixpoint decided are those of its own members."""
+        sources = ["a!0 . b!1 . nil", "c!0 . nil",
+                   "a!0 . ( b!1 . nil || nil )", "c!1 . nil"]
+        s, roots = indexed_system(R1, ground(q1="+"), sources)
+        assert not decide_state_based(roots[0], roots[1], s).holds
+        assert not decide_state_based(roots[2], roots[3], s).holds
+        got = decide_state_based(roots[0], roots[2], s)
+        f, froots = indexed_system(R1, ground(q1="+"), sources)
+        assert got.holds
+        assert got.to_json() == decide_state_based(froots[0], froots[2], f).to_json()
 
     def uncertified(self):
         """A sum offering a visible and an internal move, so `decide_bisim`
