@@ -318,17 +318,24 @@ def verify_security(n: int, tol: float = None) -> DistanceBound:
     annotations.  Raises ArithmeticError if either quantity exceeds the
     c^n bound beyond tolerance: that would falsify the security claim.
     """
+    return _security(n, tol)[1]
+
+
+def _security(n: int, tol: float = None) -> tuple:
+    """(instance, `verify_security(n, tol)`, the eventual label
+    probabilities of the instance), each computed once."""
     instance = build_bb84_security_test(n)
     tol = instance.system.tol if tol is None else tol
     bound = distance_upper_bound(instance.root, instance.ideal, instance.system, tol=tol)
-    p = forbidden_action_probability(instance)
+    probs = eventual_label_probabilities(instance.system, instance.root)
+    p = sum(q for label, q in probs.items() if label in instance.forbidden)
     cn = security_bound(n)
     if bound.value > cn + tol or p > cn + tol:
         raise ArithmeticError(
             f"security bound violated at n={n}: distance {bound.value!r}, "
             f"forbidden probability {p!r}, bound {cn!r}")
     extra = {"forbidden_probability": p, "security_bound": cn}
-    return replace(bound, annotations=tuple(bound.annotations) + (extra,))
+    return instance, replace(bound, annotations=tuple(bound.annotations) + (extra,)), probs
 
 
 def soundness_report(n: int, tol: float = None) -> dict:
@@ -349,9 +356,7 @@ def soundness_report(n: int, tol: float = None) -> dict:
 
 def security_report(n: int, tol: float = None) -> dict:
     """Machine-readable summary of the security check."""
-    instance = build_bb84_security_test(n)
-    bound = verify_security(n, tol=tol)
-    probs = eventual_label_probabilities(instance.system, instance.root)
+    instance, bound, probs = _security(n, tol)
     return {
         "n": n,
         "mode": instance.mode,

@@ -78,15 +78,20 @@ Distributions are one object per value on a System (`System.combine`):
 the saturations, derivatives, weak extremes, strong attacks and
 transition-consistent classes that the engines build with the same
 configurations, order and exact probabilities are one object, shared by
-every query.  What is derived from a distribution alone is kept on it:
-its digest, held qubits, environment and classes (`tc_decompose`).  So a
+every query.  What is derived from one object alone is kept on it, by
+identity, never by digest: a configuration's first-choice saturation,
+and a distribution's digest, held qubits, environment, classes
+(`tc_decompose`), saturation, derivatives and behaviour form.  So a
 replay reads derived facts that are functions of exact values: step
-results, weak extremes, transition-consistent classes, and, when it
-re-decides a pair by relation search, the kept environment distances
-(which it also adds to).  It never reads a verdict, a state-based fact or
-a relation-search outcome.  Each query still walks its own canonical
-tables (`_Canon`), so the work units it spends do not depend on what
-earlier queries built.
+results, weak extremes, transition-consistent classes, saturations,
+derivatives and forms, and, when it re-decides a pair by relation search,
+the kept environment distances (which it also adds to).  These are values,
+never verdicts: a replay never reads a state-based fact or a
+relation-search outcome.  Building or reading a kept value spends no work
+units.  The canonical walks (`_compare_forms` and the walk inside
+`distance_upper_bound`) are not kept: each charges the support sizes of
+every pair of saturations it visits, so a repeated query spends exactly
+what the first one did.
 
 Refutations replay through `replay_refutation`.  The refinement engines
 follow the certifying-algorithm pattern (McConnell, Mehlhorn, Näher and
@@ -423,101 +428,92 @@ class DistanceBound:
 
 # ---------------------------------------------------------------------------
 # canonical scheduler
+#
+# The scheduler resolves internal nondeterminism per configuration by firing
+# its first move and saturates each support configuration independently; on
+# confluent systems (`confluence_check`) every schedule agrees with this one.
+# Saturations, derivatives and behaviour forms are functions of exact values,
+# so each is computed once per System and kept on the object it is derived
+# from, by identity; computing or reading one spends no work units.
 
 
-class _ClassForm(NamedTuple):
-    signature: frozenset
-    weight: float
-    qv: frozenset
-    dist: ConfigDistribution
-    children: tuple  # ((label, _Form), ...) in label order
+_SATURATING = object()  # `Configuration.sat` while its saturation is open
 
 
-class _Form(NamedTuple):
-    sat: ConfigDistribution
-    classes: tuple  # _ClassForm in signature order
-
-
-class _Canon:
-    """Canonical-scheduler engine: saturation, derivatives, behaviour forms.
-
-    The scheduler resolves internal nondeterminism per configuration by
-    firing its first move and saturates each support configuration
-    independently; on confluent systems (`confluence_check`) every
-    schedule agrees with this one.  All tables memoize against the owning
-    system's interned configurations.
-    """
-
-    _MISSING = object()
-
-    def __init__(self, system: System):
-        self.system = system
-        self._sat = {}  # configuration index -> saturation, None while open
-        self._der = {}
-        self._forms = {}
-
-    def config_sat(self, config: Configuration) -> ConfigDistribution:
-        """The saturation of `config`: its point distribution when it has
-        no internal move, else its first internal move's distribution with
-        each support configuration saturated.  Along a point chain (an
-        internal move to one configuration with weight 1) every link
-        returns the object its end saturates to, without a combination."""
-        got = self._sat.get(config.index, self._MISSING)
-        if got is self._MISSING:
-            self._sat[config.index] = None
-            taus = self.system.tau_transitions(config)
-            if not taus:
-                got = self.system.dirac(config)
+def _config_sat(system: System, config: Configuration) -> ConfigDistribution:
+    """The saturation of `config`: its point distribution when it has no
+    internal move, else its first internal move's distribution with each
+    support configuration saturated, kept on `config` (`sat`).  Along a
+    point chain (an internal move to one configuration with weight 1) every
+    link returns the object its end saturates to, without a combination."""
+    got = config.sat
+    if got is None:
+        taus = system.tau_transitions(config)
+        if not taus:
+            return system.dirac(config)
+        config.sat = _SATURATING
+        try:
+            probs = taus[0].dist.probs
+            if len(probs) == 1 and 1 in probs.values():
+                # a point chain shares the saturation its end has
+                (d,) = probs
+                got = _config_sat(system, d)
             else:
-                probs = taus[0].dist.probs
-                self.system._spend(len(probs))
-                if len(probs) == 1 and 1 in probs.values():
-                    # a point chain shares the saturation its end has
-                    (d,) = probs
-                    got = self.config_sat(d)
-                else:
-                    got = self.system.combine((q, self.config_sat(d)) for d, q in probs.items())
-            self._sat[config.index] = got
-        elif got is None:
-            raise CyclicModelError(
-                "internal cycle during canonical saturation; "
-                "the canonical scheduler needs an acyclic internal graph")
-        return got
+                got = system.combine((q, _config_sat(system, d)) for d, q in probs.items())
+        finally:
+            config.sat = got  # None again when the saturation raised
+    elif got is _SATURATING:
+        raise CyclicModelError(
+            "internal cycle during canonical saturation; "
+            "the canonical scheduler needs an acyclic internal graph")
+    return got
 
-    def saturate(self, dist: ConfigDistribution) -> ConfigDistribution:
-        return self.system.combine((p, self.config_sat(c)) for c, p in dist)
 
-    def derivative(self, dist: ConfigDistribution, label: Label) -> ConfigDistribution:
-        """Fire the first `label` move of every support configuration, then
-        saturate.
+def _saturate(system: System, dist: ConfigDistribution) -> ConfigDistribution:
+    """The saturation of every support configuration of `dist`, combined;
+    kept on `dist` (`_sat`, True when it is `dist` itself)."""
+    got = dist._sat
+    if got is None:
+        got = system.combine((p, _config_sat(system, c)) for c, p in dist)
+        dist._sat = True if got is dist else got
+    return dist if got is True else got
 
-        Defined on saturated distributions whose support all enables the
-        label; support configurations are internally inert there, so the
-        weakly enabled label is a strong transition.
-        """
-        key = (dist.digest, label)
-        got = self._der.get(key)
-        if got is None:
-            parts = [(p, [t for t in self.system.step(c) if t.label == label][0].dist)
-                     for c, p in dist]
-            got = self._der[key] = self.saturate(self.system.combine(parts))
-        return got
 
-    def form(self, dist: ConfigDistribution) -> _Form:
-        sat = self.saturate(dist)
-        got = self._forms.get(sat.digest)
-        if got is None:
-            decomp = tc_decompose(sat, self.system)
-            classes = []
-            for cls in decomp.classes:
-                children = []
-                for label in sorted(cls.signature, key=str):
-                    children.append((label, self.form(self.derivative(cls.dist, label))))
-                classes.append(_ClassForm(cls.signature, cls.weight,
-                                          cls.dist.held_qubits(), cls.dist,
-                                          tuple(children)))
-            got = self._forms[sat.digest] = _Form(sat, tuple(classes))
-        return got
+def _derivative(system: System, dist: ConfigDistribution, label: Label) -> ConfigDistribution:
+    """Fire the first `label` move of every support configuration, then
+    saturate; kept on `dist` (`_der`) unless it is `dist` itself.
+
+    Defined on saturated distributions whose support all enables the
+    label; support configurations are internally inert there, so the
+    weakly enabled label is a strong transition.
+    """
+    kept = dist._der
+    if kept is None:
+        kept = dist._der = {}
+    got = kept.get(label)
+    if got is None:
+        parts = [(p, [t for t in system.step(c) if t.label == label][0].dist)
+                 for c, p in dist]
+        got = _saturate(system, system.combine(parts))
+        if got is not dist:
+            kept[label] = got
+    return got
+
+
+def _form(system: System, sat: ConfigDistribution) -> tuple:
+    """The behaviour form of the saturated distribution `sat`: per
+    transition-consistent class (`tc_decompose`), in signature order, the
+    pair (class, its derivatives), the derivatives being (label,
+    derivative) in label order.  The derivatives are kept on `sat`
+    (`_form`); on the acyclic graphs of certified systems none is `sat`."""
+    classes = tc_decompose(sat, system).classes
+    kept = sat._form
+    if kept is None:
+        kept = sat._form = tuple(
+            tuple((label, _derivative(system, cls.dist, label))
+                  for label in sorted(cls.signature, key=str))
+            for cls in classes)
+    return tuple(zip(classes, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +542,17 @@ def _prepare(system: System, dists) -> list:
     return configs
 
 
-def _confluent_at(canon: _Canon, config: Configuration) -> bool:
+def _confluent_at(system: System, config: Configuration) -> bool:
     """Do all moves of `config` with one label saturate to one distribution?
 
-    For internal moves that distribution is `canon.config_sat(config)`,
-    the saturation through the first one.  A configuration with at most
-    one move per label passes without saturating anything.
+    For internal moves that distribution is `_config_sat(config)`, the
+    saturation through the first one.  A configuration with at most one
+    move per label passes without saturating anything.
     """
     by_label = {}
-    for t in canon.system.step(config):
+    for t in system.step(config):
         by_label.setdefault(t.label, []).append(t.dist)
-    return all(len({canon.saturate(d).digest for d in dists}) == 1
+    return all(len({_saturate(system, d).digest for d in dists}) == 1
                for dists in by_label.values() if len(dists) > 1)
 
 
@@ -589,36 +585,33 @@ def confluence_check(context, roots=None) -> bool:
         else:
             raise ValueError("pass a PLTS or explicit roots")
     configs = _prepare(system, [_as_dist(system, r) for r in roots])
-    canon = _Canon(system)
-    return all(_confluent_at(canon, c) for c in configs)
+    return all(_confluent_at(system, c) for c in configs)
 
 
 def _certified(system: System, configs) -> tuple:
-    """(canon, ok, reason): is the canonical collapse justified here?
+    """(ok, reason): is the canonical collapse justified here?
 
     Certified means tau-normal (no visibly-enabled configuration has
     internal moves) and confluent in the sense of `confluence_check`,
     decided over the reachable `configs`; only configurations with two
-    moves under one label are saturated.  `canon` is the query's one
-    first-choice table, which the engines that run next share.
+    moves under one label are saturated, and the saturations are kept.
     """
-    canon = _Canon(system)
     branching = []
     for c in configs:
         moves = system.step(c)
         taus = system.tau_transitions(c)
         if taus:
             if len(taus) < len(moves):
-                return canon, False, "a visibly-enabled configuration has internal moves"
+                return False, "a visibly-enabled configuration has internal moves"
             if len(taus) > 1:
                 branching.append(c)
         elif len({t.label for t in moves}) < len(moves):
             branching.append(c)
     if not branching:
-        return canon, True, "certified: scheduling is deterministic"
-    if all(_confluent_at(canon, c) for c in branching):
-        return canon, True, "certified: confluence proved by local diamonds"
-    return canon, False, "nondeterminism is not confluent"
+        return True, "certified: scheduling is deterministic"
+    if all(_confluent_at(system, c) for c in branching):
+        return True, "certified: confluence proved by local diamonds"
+    return False, "nondeterminism is not confluent"
 
 
 # ---------------------------------------------------------------------------
@@ -1069,9 +1062,8 @@ def _check_exhaustive(system: System, relation: RelationCandidate,
                        detail=f"{len(rel.pairs)} oriented pairs verified by enumeration")
 
 
-def _check_saturated(canon: _Canon, relation: RelationCandidate,
+def _check_saturated(system: System, relation: RelationCandidate,
                      lam: float, tol: float, certificate: str) -> CheckReport:
-    system = canon.system
     rel = _Relation(_oriented(relation.pairs))
     digests = {(a.digest, b.digest) for a, b in rel.pairs}
     memo = {}
@@ -1091,7 +1083,7 @@ def _check_saturated(canon: _Canon, relation: RelationCandidate,
             return CheckReport(False, "saturated", clause="i", pair=(x, y),
                                lam=lam, tol=tol, detail=detail)
 
-        sx, sy = canon.saturate(x), canon.saturate(y)
+        sx, sy = _saturate(system, x), _saturate(system, y)
         if sx.digest != x.digest or sy.digest != y.digest:
             # internal attacks re-converge to the saturation on certified
             # systems, so the saturated pair carries this pair's obligations
@@ -1114,10 +1106,10 @@ def _check_saturated(canon: _Canon, relation: RelationCandidate,
             return CheckReport(
                 False, "saturated", clause="ii", pair=(x, y), lam=lam, tol=tol,
                 direction="left" if odd in shared_x else "right", label=odd,
-                attack=canon.derivative(side, odd),
+                attack=_derivative(system, side, odd),
                 detail=f"whole-distribution move {odd} is enabled on one side only")
         for label in sorted(shared_x, key=str):
-            dx, dy = canon.derivative(x, label), canon.derivative(y, label)
+            dx, dy = _derivative(system, x, label), _derivative(system, y, label)
             if not related(dx, dy):
                 return CheckReport(
                     False, "saturated", clause="ii", pair=(x, y), lam=lam, tol=tol,
@@ -1133,8 +1125,8 @@ def _check_saturated(canon: _Canon, relation: RelationCandidate,
                 continue
             ok = True
             for label in sorted(cls.signature, key=str):
-                if not related(canon.derivative(cls.dist, label),
-                               canon.derivative(partner.dist, label)):
+                if not related(_derivative(system, cls.dist, label),
+                               _derivative(system, partner.dist, label)):
                     ok = False
                     break
             if ok:
@@ -1188,9 +1180,9 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
         except (CyclicModelError, QuantumInputFragmentError):
             pass
         else:
-            canon, ok, why = _certified(system, configs)
+            ok, why = _certified(system, configs)
             if ok:
-                return _check_saturated(canon, relation, lam, tol, why)
+                return _check_saturated(system, relation, lam, tol, why)
     _refuse_quantum_input(system, dict.fromkeys(
         c for pair in relation.pairs for d in pair for c in d.support))
     return _check_exhaustive(system, relation, lam, tol)
@@ -1206,69 +1198,74 @@ def check_ground_bisim_relation(relation, context, tol: float = None,
 # deciding distribution bisimilarity
 
 
-def _compare_forms(canon: _Canon, fl: _Form, fr: _Form, tol: float,
-                   pairs: list, seen: set):
-    """Structural equality of behaviour forms, with failure evidence.
+def _compare_forms(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
+                   tol: float, pairs: list, seen: set):
+    """Structural equality of the behaviour forms (`_form`) of the
+    saturated distributions `sl` and `sr`, with failure evidence.
 
     Returns None when the forms agree within tolerance, recording every
     compared pair of distributions in `pairs`; otherwise returns the
-    failing CheckReport fragment as a dict of keyword arguments.
+    failing CheckReport fragment as a dict of keyword arguments.  Each pair
+    of forms the walk visits costs the support sizes of its two
+    saturations in work units, whatever earlier queries kept.
     """
-    key = (fl.sat.digest, fr.sat.digest)
+    key = (sl.digest, sr.digest)
     if key in seen:
         return None
     seen.add(key)
-    pairs.append((fl.sat, fr.sat))
+    system._spend(len(sl.probs) + len(sr.probs))
+    pairs.append((sl, sr))
 
-    detail = _clause_i(fl.sat, fr.sat, tol)
+    detail = _clause_i(sl, sr, tol)
     if detail is not None:
-        return dict(clause="i", pair=(fl.sat, fr.sat), detail=detail)
+        return dict(clause="i", pair=(sl, sr), detail=detail)
 
-    by_sig_l = {cls.signature: cls for cls in fl.classes}
-    by_sig_r = {cls.signature: cls for cls in fr.classes}
+    fl, fr = _form(system, sl), _form(system, sr)
+    by_sig_l = {cls.signature: (cls, children) for cls, children in fl}
+    by_sig_r = {cls.signature: (cls, children) for cls, children in fr}
     for sig, cls, side, other in (
-            [(c.signature, c, "left", by_sig_r) for c in fl.classes] +
-            [(c.signature, c, "right", by_sig_l) for c in fr.classes]):
+            [(c.signature, c, "left", by_sig_r) for c, _ in fl] +
+            [(c.signature, c, "right", by_sig_l) for c, _ in fr]):
         if sig in other:
             continue
         visible = sorted((l for l in sig if l.visible), key=str)
         if visible:
-            evidence = (cls.dist, fr.sat) if side == "left" else (fl.sat, cls.dist)
+            evidence = (cls.dist, sr) if side == "left" else (sl, cls.dist)
             return dict(clause="ii", direction=side, label=visible[0],
                         pair=evidence,
-                        attack=canon.derivative(cls.dist, visible[0]),
+                        attack=_derivative(system, cls.dist, visible[0]),
                         detail=f"class with weight {float(cls.weight):.6g} enables "
                                f"{visible[0]} on the {side} side only")
-        return dict(clause="iii", direction=side, pair=(fl.sat, fr.sat),
+        return dict(clause="iii", direction=side, pair=(sl, sr),
                     detail=f"the {side} side can stall silently with mass "
                            f"{float(cls.weight):.6g}, the other side cannot")
 
     for sig in sorted(by_sig_l, key=_sig_key):
-        cl, cr = by_sig_l[sig], by_sig_r[sig]
+        (cl, children_l), (cr, children_r) = by_sig_l[sig], by_sig_r[sig]
         if abs(cl.weight - cr.weight) > tol:
-            return dict(clause="iii", pair=(fl.sat, fr.sat),
+            return dict(clause="iii", pair=(sl, sr),
                         detail=f"class {list(_sig_key(sig))} has weight "
                                f"{float(cl.weight):.6g} vs {float(cr.weight):.6g}")
         detail = _clause_i(cl.dist, cr.dist, tol)
         if detail is not None:
             return dict(clause="i", pair=(cl.dist, cr.dist), detail=f"class {detail}")
         pairs.append((cl.dist, cr.dist))
-        for (label, child_l), (_, child_r) in zip(cl.children, cr.children):
-            bad = _compare_forms(canon, child_l, child_r, tol, pairs, seen)
+        for (label, child_l), (_, child_r) in zip(children_l, children_r):
+            bad = _compare_forms(system, child_l, child_r, tol, pairs, seen)
             if bad is not None:
                 return bad
 
-    if len(fl.classes) > 1:
+    if len(fl) > 1:
         # whole-distribution moves shared by every class, so the witness
         # carries their mixed derivatives as literal pairs
-        shared = frozenset.intersection(*(c.signature for c in fl.classes))
+        shared = frozenset.intersection(*(c.signature for c, _ in fl))
         for label in sorted(shared, key=str):
-            pairs.append((canon.derivative(fl.sat, label),
-                          canon.derivative(fr.sat, label)))
+            pairs.append((_derivative(system, sl, label),
+                          _derivative(system, sr, label)))
     return None
 
 
-def _decide_canonical(canon: _Canon, mu, nu, tol: float, certificate: str) -> CheckReport:
+def _decide_canonical(system: System, mu, nu, tol: float, certificate: str) -> CheckReport:
     pairs = [(mu, nu)]
 
     detail = _clause_i(mu, nu, tol)
@@ -1276,7 +1273,8 @@ def _decide_canonical(canon: _Canon, mu, nu, tol: float, certificate: str) -> Ch
         return CheckReport(False, "canonical", clause="i", pair=(mu, nu), tol=tol,
                            detail=f"{detail}; {certificate}")
 
-    bad = _compare_forms(canon, canon.form(mu), canon.form(nu), tol, pairs, set())
+    bad = _compare_forms(system, _saturate(system, mu), _saturate(system, nu), tol,
+                         pairs, set())
     if bad is not None:
         bad.setdefault("pair", (mu, nu))
         detail = bad.pop("detail", "")
@@ -1601,7 +1599,7 @@ def _certify(system: System, members: list, mode: str, log: dict,
                        else tuple(m.digest for m in members))
 
 
-def _search_family(canon: _Canon, mu, nu) -> list:
+def _search_family(system: System, mu, nu) -> list:
     """The family relation search refines over, sorted by digest.
 
     It holds the queried pair, every point distribution, every one-step
@@ -1609,7 +1607,6 @@ def _search_family(canon: _Canon, mu, nu) -> list:
     member.  Complete only as far as the family reaches, which covers the
     acyclic desk-scale systems this mode is meant for.
     """
-    system = canon.system
     family = {}
 
     def add(d):
@@ -1626,18 +1623,17 @@ def _search_family(canon: _Canon, mu, nu) -> list:
         for t in system.step(c):
             add(t.dist)
     for d in (mu, nu):
-        add(canon.saturate(d))
+        add(_saturate(system, d))
     for d in list(family.values()):
         for cls in tc_decompose(d, system).classes:
             add(cls.dist)
     return sorted(family.values(), key=lambda d: d.digest)
 
 
-def _relation_search(canon: _Canon, mu, nu, tol: float) -> CheckReport:
+def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
     """Refinement over the finite family `_search_family` of reachable
     distributions."""
-    return _refine(canon.system, _search_family(canon, mu, nu), mu, nu, tol,
-                   "relation-search")
+    return _refine(system, _search_family(system, mu, nu), mu, nu, tol, "relation-search")
 
 
 def _search_key(mu: ConfigDistribution, nu: ConfigDistribution, tol: float) -> tuple:
@@ -1648,11 +1644,11 @@ def _search_key(mu: ConfigDistribution, nu: ConfigDistribution, tol: float) -> t
             tuple(sorted((d.index, q) for d, q in nu.probs.items())), tol)
 
 
-def _recorded_search(canon: _Canon, mu, nu, tol: float) -> CheckReport:
+def _recorded_search(system: System, mu, nu, tol: float) -> CheckReport:
     """`_relation_search`, its outcome kept on the System for
     `distance_upper_bound`."""
-    report = _relation_search(canon, mu, nu, tol)
-    canon.system._searches[_search_key(mu, nu, tol)] = (
+    report = _relation_search(system, mu, nu, tol)
+    system._searches[_search_key(mu, nu, tol)] = (
         report.holds, report.witness, report.detail)
     return report
 
@@ -1678,11 +1674,11 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
     mu, nu = _as_dist(system, mu), _as_dist(system, nu)
     configs = _prepare(system, (mu, nu))
     if mode == "relation-search":
-        return _recorded_search(_Canon(system), mu, nu, tol)
-    canon, ok, why = _certified(system, configs)
+        return _recorded_search(system, mu, nu, tol)
+    ok, why = _certified(system, configs)
     if ok:
-        return _decide_canonical(canon, mu, nu, tol, why)
-    return _recorded_search(canon, mu, nu, tol)
+        return _decide_canonical(system, mu, nu, tol, why)
+    return _recorded_search(system, mu, nu, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1738,11 +1734,11 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     tol = system.tol if tol is None else tol
     mu, nu = _as_dist(system, mu), _as_dist(system, nu)
     configs = _prepare(system, (mu, nu))
-    canon, ok, why = _certified(system, configs)
+    ok, why = _certified(system, configs)
     if not ok:
         found = system._searches.get(_search_key(mu, nu, tol))
         if found is None:
-            report = _recorded_search(canon, mu, nu, tol)
+            report = _recorded_search(system, mu, nu, tol)
             found = (report.holds, report.witness, report.detail)
         holds, witness, searched = found
         if holds:
@@ -1754,38 +1750,40 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     memo = {}
     annotations = []
 
-    def rec(fl: _Form, fr: _Form):
-        key = (fl.sat.digest, fr.sat.digest)
+    def rec(sl: ConfigDistribution, sr: ConfigDistribution):
+        key = (sl.digest, sr.digest)
         got = memo.get(key)
         if got is not None:
             return got
-        node_pairs = [(fl.sat, fr.sat)]
-        if fl.sat.held_qubits() != fr.sat.held_qubits():
+        system._spend(len(sl.probs) + len(sr.probs))
+        node_pairs = [(sl, sr)]
+        if sl.held_qubits() != sr.held_qubits():
             got = memo[key] = (1.0, ())
             return got
-        lam = _env_distance(fl.sat, fr.sat)
+        lam = _env_distance(sl, sr)
 
-        shared_l = frozenset.intersection(*(c.signature for c in fl.classes))
-        shared_r = frozenset.intersection(*(c.signature for c in fr.classes))
+        fl, fr = _form(system, sl), _form(system, sr)
+        shared_l = frozenset.intersection(*(c.signature for c, _ in fl))
+        shared_r = frozenset.intersection(*(c.signature for c, _ in fr))
         if shared_l != shared_r:
             got = memo[key] = (1.0, ())
             return got
         for label in sorted(shared_l, key=str):
-            sub, sub_pairs = rec(canon.form(canon.derivative(fl.sat, label)),
-                                 canon.form(canon.derivative(fr.sat, label)))
+            sub, sub_pairs = rec(_derivative(system, sl, label),
+                                 _derivative(system, sr, label))
             lam = max(lam, sub)
             node_pairs.extend(sub_pairs)
 
-        by_sig_r = {c.signature: c for c in fr.classes}
+        by_sig_r = {c.signature: (c, children) for c, children in fr}
         candidates = []
-        for cl in fl.classes:
-            cr = by_sig_r.get(cl.signature)
-            if cr is None or cl.qv != cr.qv:
+        for cl, children_l in fl:
+            cr, children_r = by_sig_r.get(cl.signature, (None, None))
+            if cr is None or cl.dist.held_qubits() != cr.dist.held_qubits():
                 continue
             env = _env_distance(cl.dist, cr.dist)
             pairs_s = [(cl.dist, cr.dist)]
             worst = env
-            for (label, child_l), (_, child_r) in zip(cl.children, cr.children):
+            for (label, child_l), (_, child_r) in zip(children_l, children_r):
                 sub, sub_pairs = rec(child_l, child_r)
                 worst = max(worst, sub)
                 pairs_s.extend(sub_pairs)
@@ -1804,12 +1802,12 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
         for item in candidates[:best_k]:
             node_pairs.extend(item[4])
         annotations.append({
-            "pair": [_dist_json(fl.sat), _dist_json(fr.sat)],
+            "pair": [_dist_json(sl), _dist_json(sr)],
             "matched": [list(item[2]) for item in candidates[:best_k]],
-            "dropped": [list(_sig_key(c.signature)) for c in fl.classes
+            "dropped": [list(_sig_key(c.signature)) for c, _ in fl
                         if c.signature not in {item[3] for item in candidates[:best_k]}],
             "unmatched_mass": max(0.0, 1.0 - sum(item[1] for item in candidates[:best_k])),
-            "env_distance": _env_distance(fl.sat, fr.sat),
+            "env_distance": _env_distance(sl, sr),
         })
         got = memo[key] = (lam, tuple(node_pairs))
         return got
@@ -1818,12 +1816,16 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
         return DistanceBound(1.0, RelationCandidate(()), "canonical",
                              detail="quantum variables differ; no lambda relates them")
     lam = _env_distance(mu, nu)
-    sub, pairs = rec(canon.form(mu), canon.form(nu))
+    sub, pairs = rec(_saturate(system, mu), _saturate(system, nu))
     lam = max(lam, sub)
     if lam >= 1.0:
         return DistanceBound(1.0, RelationCandidate(()), "canonical",
                              detail=f"no matching found; {why}")
     witness = RelationCandidate(_unique_pairs([(mu, nu)] + list(pairs)))
+    # a bound stands on its witness passing `check_lambda_relation`, whose
+    # saturated checker reads the saturation of every witness distribution
+    for d in itertools.chain.from_iterable(witness.pairs):
+        _saturate(system, d)
     return DistanceBound(lam, witness, "canonical", detail=why,
                          annotations=tuple(annotations))
 
@@ -1892,7 +1894,7 @@ def replay_refutation(report: CheckReport, context) -> bool:
         return not fresh.holds
     try:
         _prepare(system, (x, y))
-        return not _relation_search(_Canon(system), x, y, tol).holds
+        return not _relation_search(system, x, y, tol).holds
     except (QuantumInputFragmentError, BudgetExceededError):
         # relation search refuses a visible quantum input in the reach, or
         # its family outgrows `_FAMILY_CAP`
@@ -1916,7 +1918,7 @@ def _certificate_holds(system: System, report: CheckReport) -> bool:
     mu, nu = report.pair
     family = None
     if cert.family is not None:
-        family = _search_family(_Canon(system), mu, nu)
+        family = _search_family(system, mu, nu)
         if tuple(m.digest for m in family) != cert.family:
             return False
     reader = _EntryChecker(system, report.tol, family)
@@ -2092,12 +2094,11 @@ def _attack_exists(system: System, attacker: ConfigDistribution,
         pass
     # canonical evidence reports saturated derivatives of weak moves
     try:
-        canon = _Canon(system)
         if label == TAU:
-            return canon.saturate(attacker).digest == attack.digest
+            return _saturate(system, attacker).digest == attack.digest
         if all(label in system.weak_enabled(c) for c in attacker.support):
-            sat = canon.saturate(attacker)
-            return canon.derivative(sat, label).digest == attack.digest
-    except (CyclicModelError, BudgetExceededError):
+            sat = _saturate(system, attacker)
+            return _derivative(system, sat, label).digest == attack.digest
+    except CyclicModelError:
         pass
     return False

@@ -206,17 +206,20 @@ class Configuration:
     point revalidates.  A configuration belongs to the one System that
     interned it, which keeps its step memo here: `moves`, the step result,
     and `tau_moves`, its internal part, both None until first asked for.
+    `sat` is its first-choice saturation (`qbisim.bisim`), kept once it
+    has an internal move; an inert configuration saturates to its point
+    distribution, which is not kept here, since it refers back to it.
     """
 
     __slots__ = ("key", "register", "matrix", "index", "moves", "tau_moves",
-                 "_term", "_qv")
+                 "sat", "_term", "_qv")
 
     def __init__(self, key: tuple, register, matrix, index: int):
         self.key = key
         self.register = register
         self.matrix = matrix
         self.index = index
-        self.moves = self.tau_moves = self._term = self._qv = None
+        self.moves = self.tau_moves = self.sat = self._term = self._qv = None
 
     @property
     def term(self) -> Process:
@@ -246,6 +249,14 @@ class Configuration:
         return f"<cfg {self.index}: {ca.pretty(self.term)}>"
 
 
+def _float(p) -> float:
+    """`float(p)` of an int, a float or a Fraction, with the same bits:
+    the true division of numerator by denominator, which is what
+    `numbers.Rational.__float__` computes, without its Python frame and
+    its two `int` calls."""
+    return p if p.__class__ is float else p.numerator / p.denominator
+
+
 class ConfigDistribution:
     """Finite-support distribution over configurations of one system.
 
@@ -255,21 +266,26 @@ class ConfigDistribution:
     Distributions are immutable, and each System keeps one object per
     distribution its engines build (`System.combine`), so the facts derived
     from one are computed once and kept on it: its digest, its held qubits,
-    its environment (`_env`, kept by `qbisim.bisim`) and its
-    transition-consistent classes (`_tc`, likewise).  No kept fact refers
-    back to the distribution itself.  Never assign into `probs`."""
+    and, kept by `qbisim.bisim`, its environment (`_env`), its
+    transition-consistent classes (`_tc`), its first-choice saturation
+    (`_sat`, True when that is the distribution itself), its derivatives
+    (`_der`, by label) and, once saturated, its behaviour form (`_form`).
+    Each is a function of the exact value, never a verdict, and no kept
+    fact refers back to the distribution itself.  Never assign into
+    `probs`."""
 
-    __slots__ = ("probs", "_digest", "_held", "_env", "_tc")
+    __slots__ = ("probs", "_digest", "_held", "_env", "_tc", "_sat", "_der", "_form")
 
     def __init__(self, probs):
         self.probs = probs
         self._digest = self._held = self._env = self._tc = None
+        self._sat = self._der = self._form = None
 
     @property
     def digest(self):
         if self._digest is None:
             self._digest = tuple(sorted(
-                (c.index, round(float(p), _DIGEST_DECIMALS)) for c, p in self.probs.items()))
+                (c.index, round(_float(p), _DIGEST_DECIMALS)) for c, p in self.probs.items()))
         return self._digest
 
     def __hash__(self):
@@ -308,7 +324,7 @@ class ConfigDistribution:
         for c, p in self.probs.items():
             keep = tuple(q for q in c.register.names if q not in held)
             reduced = partial_trace(c.matrix, c.register, keep)
-            p = float(p)
+            p = _float(p)
             acc = p * reduced if acc is None else acc + p * reduced
         return keep, acc
 
@@ -381,8 +397,10 @@ class System:
     build the moves and input capabilities its restriction hides.  An
     input prefix is instantiated once per received value or qubit, and a
     constant once per argument values.  Configurations proved acyclic are
-    remembered, so no search repeats that proof.  `work` counts the
-    expansion done by the current query against `budget` (see `query`).
+    remembered, so no search repeats that proof.  `work` counts the units
+    the current query spent against `budget` (see `query`): one per
+    combination of extreme weak moves built, and in the canonical walks of
+    `qbisim.bisim` the support sizes of each pair of saturations visited.
 
     A System also keeps what the bisimulation engines proved on it
     (`qbisim.bisim`): per tolerance, the point pairs some state-based
@@ -390,8 +408,10 @@ class System:
     relation-search outcome of `decide_bisim`.  Those verdicts hold for
     every later query on the System, since a configuration's behaviour is
     fixed by what it reaches.  It also keeps the environment distance the
-    refinement computed for each pair of environment classes.  Looking
-    them up spends no work units, and replays never read them.
+    refinement computed for each pair of environment classes, and, on its
+    configurations and distributions, the canonical scheduler's
+    saturations, derivatives and behaviour forms.  Looking any of them up
+    spends no work units, and replays never read a verdict.
     """
 
     def __init__(self, module=None, register=None, registry=None,
@@ -559,7 +579,7 @@ class System:
         self.work += units
         if self.work > self.budget:
             raise BudgetExceededError(
-                "weak-transition expansion exceeded the work budget", budget=self.budget)
+                "the query exceeded its work budget", budget=self.budget)
 
     # -- constant unfolding
 

@@ -265,3 +265,17 @@ class TestSecurity:
         assert rep["verdict"] == "secure"
         assert rep["p_hacked"] == pytest.approx(0.0)
         assert rep["bound"] <= rep["c_pow_n"]
+
+    def test_report_accumulates_probabilities_once(self, monkeypatch):
+        calls = []
+        accumulate = bb84.eventual_label_probabilities
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return accumulate(*args, **kwargs)
+
+        monkeypatch.setattr(bb84, "eventual_label_probabilities", counted)
+        rep = bb84.security_report(2)
+        assert len(calls) == 1
+        assert rep["p_fail"] == pytest.approx(float(SECURITY_FAIL[2]), abs=1e-9)
+        assert rep["bound"] == bb84.verify_security(2).value

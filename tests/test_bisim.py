@@ -1195,7 +1195,7 @@ class TestIdentityPairs:
         for shape in sorted(self.SHAPES):
             for system, c, d, _ in self.instances(shape, 3):
                 mu, nu = system.dirac(c), system.dirac(d)
-                family = bisim._search_family(bisim._Canon(system), mu, nu)
+                family = bisim._search_family(system, mu, nu)
                 for k in rng.permutation(len(family))[:20]:
                     m = family[k]
                     lefts = [x for x in family if all(y in x.probs for y in m.probs)]
@@ -1570,8 +1570,86 @@ class TestCanonicalReplay:
         assert (report.mode, report.clause, report.holds) == ("exhaustive", "ii", False)
         monkeypatch.setattr(bisim, "_FAMILY_CAP", 2)
         with pytest.raises(BudgetExceededError):
-            bisim._search_family(bisim._Canon(s), *report.pair)
+            bisim._search_family(s, *report.pair)
         assert replay_refutation(report, s)
+
+
+class TestKeptCanonicalValues:
+    """Saturations, derivatives and behaviour forms are kept once per System
+    on the objects they derive from.  Replaying a bound's witness and
+    repeating a decision build none of them again, and a repeated query
+    still spends the work units of the first."""
+
+    # (register, state assignment, left, right), each pair certified
+    PAIRS = (
+        (R2, {"q1": "+", "q2": "+"}, TestWorkBudget.LEFT, TestWorkBudget.RIGHT),
+        (R1, {"q1": "0"}, "pchoice { 3/4 -> a!0 . b!0 . nil ; 1/4 -> nil }",
+         "pchoice { 1/2 -> a!0 . b!0 . nil ; 1/2 -> nil }"),
+        (R1, {"q1": "+"}) + CERTIFIED_APART,
+        (R1, {"q1": "+"}, "tau . meas Mcomp[q1; x] . c!x . nil",
+         "meas Mcomp[q1; y] . tau . c!y . nil"),
+    )
+
+    @pytest.mark.parametrize("k", range(len(PAIRS)))
+    def test_replay_and_repeat_build_nothing(self, k, monkeypatch):
+        register, assignment, left, right = self.PAIRS[k]
+        s = fresh(register)
+        c, d = (s.config(src, ground(register, **assignment)) for src in (left, right))
+        first = decide_bisim(c, d, s)
+        cost = s.work
+        bound = distance_upper_bound(c, d, s)
+        assert (first.mode, bound.mode) == ("canonical", "canonical")
+        combined = []
+        combine = System.combine
+
+        def counted(system, parts):
+            combined.append(parts)
+            return combine(system, parts)
+
+        monkeypatch.setattr(System, "combine", counted)
+        assert check_lambda_relation(bound.witness, bound.value, s).holds
+        again = decide_bisim(c, d, s)
+        assert combined == []
+        assert s.work == cost
+        assert again.to_json_str() == first.to_json_str()
+
+
+class TestQueryOrder:
+    """Kept values are keyed by object identity, never by the 10-decimal
+    digest: answers on one System do not depend on which pairs it answered
+    before, even when their distributions share a digest."""
+
+    # the saturations of A and B and their a!0 derivatives share digests:
+    # 333333333333/10^12 and 1/3 agree to 10 decimals
+    A = ("tau . pchoice { 1/3 -> a!0 . b!0 . nil ; 2/3 -> a!0 . b!1 . nil }",
+         "pchoice { 1/3 -> tau . a!0 . b!0 . nil ; 2/3 -> a!0 . b!1 . nil }")
+    B = ("tau . pchoice { 333333333333/1000000000000 -> a!0 . b!0 . nil ; "
+         "666666666667/1000000000000 -> a!0 . b!1 . nil }",
+         "pchoice { 1/2 -> a!0 . b!0 . nil ; 1/2 -> a!0 . b!1 . nil }")
+
+    def answers(self, s, c, d) -> tuple:
+        """The JSON of the decision and the bound on (c, d), both replayed."""
+        report = decide_bisim(c, d, s)
+        if report.holds:
+            assert check_ground_bisim_relation(report.witness, s).holds
+        else:
+            assert replay_refutation(report, s)
+        bound = distance_upper_bound(c, d, s)
+        assert check_lambda_relation(bound.witness, bound.value, s).holds
+        return report.to_json_str(), bound.to_json_str()
+
+    @pytest.mark.parametrize("register, assignment, a", [
+        (R1, {"q1": "+"}, A),
+        (R2, {"q1": "+", "q2": "+"}, (TestWorkBudget.LEFT, TestWorkBudget.RIGHT))])
+    def test_an_unrelated_pair_between_changes_nothing(self, register, assignment, a):
+        state = ground(register, **assignment)
+        sources = list(a + self.B)
+        s, roots = indexed_system(register, state, sources)
+        first = self.answers(s, roots[0], roots[1])
+        between = self.answers(s, roots[2], roots[3])
+        assert self.answers(s, roots[0], roots[1]) == first
+        f, froots = indexed_system(register, state, sources)
+        assert self.answers(f, froots[2], froots[3]) == between
 
 
 class TestRefutationCertificates:

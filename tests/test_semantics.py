@@ -35,12 +35,13 @@ from qbisim.semantics import (
 )
 from qbisim.bb84 import build_bb84_security_test
 from qbisim.bisim import (
-    _Canon,
     _closure_columns,
+    _config_sat,
     _member_lin,
     _Relation,
     check_lambda_relation,
     decide_bisim,
+    distance_upper_bound,
     tc_decompose,
 )
 from qbisim.lp import combination_weights
@@ -1012,16 +1013,33 @@ class TestSharedDistributions:
     def test_dirac_saturation_chain_shares_one_distribution(self):
         s = fresh()
         c = s.config("tau . tau . a!0 . nil", state())
-        canon = _Canon(s)
         with s.query():
-            sat = canon.config_sat(c)
-            assert s.work == 2  # one unit per support configuration saturated
+            sat = _config_sat(s, c)
+            assert s.work == 0  # a saturation is a kept value: no work units
         (mid,) = only_transition(s, c).dist.support
         (last,) = only_transition(s, mid).dist.support
         assert sat.probs == {last: 1}
-        assert canon.config_sat(last) is sat
-        assert canon.config_sat(mid) is sat
+        assert _config_sat(s, last) is sat
+        assert _config_sat(s, mid) is sat
         assert sat is s.dirac(last)
+        # the canonical walk visits (sat, sat) and the pair of its a!0
+        # derivatives, each charged the support sizes of its two sides
+        assert decide_bisim(c, mid, s).holds
+        assert s.work == 4
+
+    def test_kept_canonical_values_never_refer_back(self):
+        s = fresh()
+        st = state(assignment={"q1": "+"})
+        c = s.config("tau . pchoice { 1/4 -> a!0 . b!0 . nil ; 3/4 -> nil }", st)
+        d = s.config("pchoice { 1/2 -> a!0 . b!0 . nil ; 1/2 -> tau . nil }", st)
+        bound = distance_upper_bound(c, d, s)
+        assert bound.value == 0.25
+        assert check_lambda_relation(bound.witness, bound.value, s).holds
+        dists = list(s._dists.values()) + list(s._points.values())
+        assert sum(mu._form is not None for mu in dists) > 2
+        for mu in dists:
+            assert mu._sat is not mu and mu not in (mu._der or {}).values()
+            assert not refers_to(mu._form, mu)
 
     def test_dirac_targets_are_point_distributions(self):
         s = fresh()
@@ -1050,6 +1068,24 @@ class TestSharedDistributions:
         assert [t.label for t in s.step(mixed)] == [TAU, Label(Label.OUT, Channel("b"), 0.0)]
         inert = s.config("nil", state())
         assert s.tau_transitions(inert) is s.step(inert) == ()
+
+
+class TestFloatReading:
+    """Digests and environments read a weight through `_float`, which gives
+    the bits `float` gives, for ints, floats and Fractions alike.  (The
+    products of random integers make numerators and denominators past 2**53,
+    where a ratio must be rounded once, from the exact quotient.)"""
+
+    def test_same_bits_as_float(self):
+        rng = np.random.default_rng(51)
+        values = [0, 1, -3, 2 ** 60 + 1, 10 ** 30 + 7, Fraction(1, 3), Fraction(2, 3)]
+        for _ in range(300):
+            num = int(rng.integers(-10 ** 18, 10 ** 18)) * int(rng.integers(1, 10 ** 12))
+            den = int(rng.integers(1, 10 ** 18)) * int(rng.integers(1, 10 ** 12))
+            values += [Fraction(num, den), num, float(rng.random()), num / den]
+        for p in values:
+            got = sem._float(p)
+            assert type(got) is float and got.hex() == float(p).hex(), p
 
 
 class TestCanonicalBinders:
