@@ -88,8 +88,8 @@ derivatives and forms, and, when it re-decides a pair by relation search,
 the kept environment distances (which it also adds to).  These are values,
 never verdicts: a replay never reads a state-based fact or a
 relation-search outcome.  Building or reading a kept value spends no work
-units.  The canonical walks (`_compare_forms` and the walk inside
-`distance_upper_bound`) are not kept: each charges the support sizes of
+units.  The canonical walk (`_walk`), which serves both `decide_bisim`
+and `distance_upper_bound`, is not kept: it charges the support sizes of
 every pair of saturations it visits, so a repeated query spends exactly
 what the first one did.
 
@@ -116,7 +116,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from math import lcm
+from math import inf, lcm
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -1195,94 +1195,160 @@ def check_ground_bisim_relation(relation, context, tol: float = None,
 
 
 # ---------------------------------------------------------------------------
-# deciding distribution bisimilarity
+# the canonical walk, behind `decide_bisim` and `distance_upper_bound`
 
 
-def _compare_forms(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
-                   tol: float, pairs: list, seen: set):
-    """Structural equality of the behaviour forms (`_form`) of the
-    saturated distributions `sl` and `sr`, with failure evidence.
-
-    Returns None when the forms agree within tolerance, recording every
-    compared pair of distributions in `pairs`; otherwise returns the
-    failing CheckReport fragment as a dict of keyword arguments.  Each pair
-    of forms the walk visits costs the support sizes of its two
-    saturations in work units, whatever earlier queries kept.
-    """
-    key = (sl.digest, sr.digest)
-    if key in seen:
-        return None
-    seen.add(key)
-    system._spend(len(sl.probs) + len(sr.probs))
-    pairs.append((sl, sr))
-
-    detail = _clause_i(sl, sr, tol)
-    if detail is not None:
-        return dict(clause="i", pair=(sl, sr), detail=detail)
-
-    fl, fr = _form(system, sl), _form(system, sr)
-    by_sig_l = {cls.signature: (cls, children) for cls, children in fl}
-    by_sig_r = {cls.signature: (cls, children) for cls, children in fr}
-    for sig, cls, side, other in (
-            [(c.signature, c, "left", by_sig_r) for c, _ in fl] +
-            [(c.signature, c, "right", by_sig_l) for c, _ in fr]):
-        if sig in other:
-            continue
-        visible = sorted((l for l in sig if l.visible), key=str)
-        if visible:
-            evidence = (cls.dist, sr) if side == "left" else (sl, cls.dist)
-            return dict(clause="ii", direction=side, label=visible[0],
-                        pair=evidence,
-                        attack=_derivative(system, cls.dist, visible[0]),
-                        detail=f"class with weight {float(cls.weight):.6g} enables "
-                               f"{visible[0]} on the {side} side only")
-        return dict(clause="iii", direction=side, pair=(sl, sr),
-                    detail=f"the {side} side can stall silently with mass "
-                           f"{float(cls.weight):.6g}, the other side cannot")
-
-    for sig in sorted(by_sig_l, key=_sig_key):
-        (cl, children_l), (cr, children_r) = by_sig_l[sig], by_sig_r[sig]
-        if abs(cl.weight - cr.weight) > tol:
-            return dict(clause="iii", pair=(sl, sr),
-                        detail=f"class {list(_sig_key(sig))} has weight "
-                               f"{float(cl.weight):.6g} vs {float(cr.weight):.6g}")
-        detail = _clause_i(cl.dist, cr.dist, tol)
-        if detail is not None:
-            return dict(clause="i", pair=(cl.dist, cr.dist), detail=f"class {detail}")
-        pairs.append((cl.dist, cr.dist))
-        for (label, child_l), (_, child_r) in zip(children_l, children_r):
-            bad = _compare_forms(system, child_l, child_r, tol, pairs, seen)
-            if bad is not None:
-                return bad
-
-    if len(fl) > 1:
-        # whole-distribution moves shared by every class, so the witness
-        # carries their mixed derivatives as literal pairs
-        shared = frozenset.intersection(*(c.signature for c, _ in fl))
-        for label in sorted(shared, key=str):
-            pairs.append((_derivative(system, sl, label),
-                          _derivative(system, sr, label)))
+def _lonely_class(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
+                  fl: tuple, fr: tuple) -> Optional[dict]:
+    """The first class of the forms `fl` of `sl` and `fr` of `sr`, left
+    side first, whose signature the other side lacks, as CheckReport
+    fields: clause (ii) on its first visible label, or (iii) when it only
+    stalls silently; None when every class has a partner."""
+    for classes, side, other in ((fl, "left", fr), (fr, "right", fl)):
+        present = {c.signature for c, _ in other}
+        for cls, _ in classes:
+            if cls.signature in present:
+                continue
+            visible = sorted((l for l in cls.signature if l.visible), key=str)
+            if visible:
+                return dict(clause="ii", direction=side, label=visible[0],
+                            pair=(cls.dist, sr) if side == "left" else (sl, cls.dist),
+                            attack=_derivative(system, cls.dist, visible[0]),
+                            detail=f"class with weight {float(cls.weight):.6g} enables "
+                                   f"{visible[0]} on the {side} side only")
+            return dict(clause="iii", direction=side, pair=(sl, sr),
+                        detail=f"the {side} side can stall silently with mass "
+                               f"{float(cls.weight):.6g}, the other side cannot")
     return None
 
 
-def _decide_canonical(system: System, mu, nu, tol: float, certificate: str) -> CheckReport:
-    pairs = [(mu, nu)]
+class _Node(NamedTuple):
+    """What `_walk` found at a pair of saturated distributions."""
 
-    detail = _clause_i(mu, nu, tol)
-    if detail is not None:
-        return CheckReport(False, "canonical", clause="i", pair=(mu, nu), tol=tol,
-                           detail=f"{detail}; {certificate}")
+    lam: float          # past the walk's `stop`, only known to exceed it
+    pairs: tuple        # the witness pairs the lambda stands on
+    bad: Optional[dict]  # past `stop`: the first failing pair, as CheckReport fields
 
-    bad = _compare_forms(system, _saturate(system, mu), _saturate(system, nu), tol,
-                         pairs, set())
-    if bad is not None:
-        bad.setdefault("pair", (mu, nu))
-        detail = bad.pop("detail", "")
-        return CheckReport(False, "canonical", tol=tol,
-                           detail=f"{detail}; {certificate}", **bad)
-    witness = RelationCandidate(_unique_pairs(pairs))
-    return CheckReport(True, "canonical", tol=tol, witness=witness,
-                       detail=f"behaviour forms coincide; {certificate}")
+
+def _walk(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
+          stop: float, memo: dict, notes: list) -> _Node:
+    """The lambda relating the saturated distributions `sl` and `sr`, found by
+    walking their behaviour forms (`_form`) in parallel.
+
+    The lambda of a pair is the largest of its environment distance, the
+    lambdas of its derivatives under each label every class enables, and
+    the cost of matching its classes.  Classes of one signature whose held
+    qubits agree are candidates, and each costs the largest of its
+    environment distance and its derivatives' lambdas; a prefix of the
+    candidates, ordered by cost and signature, costs its largest cost or
+    the class mass it leaves unmatched, 1 - sum(min(wl, wr)), whichever is
+    larger, and the cheapest prefix (the shortest on ties) is matched.  A
+    pair gets 1 when its held qubits differ, or when the labels all classes
+    of one side enable are not those all classes of the other enable.  The
+    pair, the shared derivatives' pairs and the matched classes' pairs form
+    a witness passing `check_lambda_relation` at the lambda.
+
+    The walk stops at a pair once its lambda is known to exceed `stop`.
+    Such a pair is known only to exceed it, so a class that has one among
+    its derivatives is never matched and its mass is left unmatched.  Its
+    `bad` is the first failing pair, in this order: clause (i) on the
+    pair; a class on one side only (`_lonely_class`); the first class, in
+    signature order, that fails clause (i) or has such a derivative; such
+    a shared derivative; the unmatched mass, in clause (iii).  With `stop`
+    infinite the walk is complete.
+
+    Each pair is walked once per `memo`, and the first visit charges the
+    support sizes of its two sides in work units, whatever earlier queries
+    kept.  A pair walked to the end adds (sl, sr, environment distance,
+    signatures of the matched and of the other classes, unmatched mass)
+    to `notes`.
+    """
+    key = (sl.digest, sr.digest)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    system._spend(len(sl.probs) + len(sr.probs))
+
+    def done(lam, pairs=(), **bad) -> _Node:
+        node = memo[key] = _Node(lam, pairs, bad or None)
+        return node
+
+    held = sl.held_qubits() == sr.held_qubits()
+    env = _env_distance(sl, sr) if held else 1.0
+    if not held or env > stop:
+        return done(env, clause="i", pair=(sl, sr), detail=_clause_i(sl, sr, stop, env))
+
+    fl, fr = _form(system, sl), _form(system, sr)
+    first = _lonely_class(system, sl, sr, fl, fr)   # the evidence so far
+    shared = frozenset.intersection(*(c.signature for c, _ in fl))
+    if shared != frozenset.intersection(*(c.signature for c, _ in fr)):
+        return done(1.0, **first)
+    lam, pairs, failed = env, [(sl, sr)], None
+    for label in sorted(shared, key=str):
+        sub = _walk(system, _derivative(system, sl, label),
+                    _derivative(system, sr, label), stop, memo, notes)
+        lam = max(lam, sub.lam)
+        if sub.lam > stop:
+            failed = sub.bad
+            break
+        pairs.extend(sub.pairs)
+
+    by_sig_r = {c.signature: (c, children) for c, children in fr}
+    candidates = []
+    for cl, children_l in fl:
+        if failed is not None and first is not None:
+            break
+        cr, children_r = by_sig_r.get(cl.signature, (None, None))
+        if cr is None:
+            continue
+        held = cl.dist.held_qubits() == cr.dist.held_qubits()
+        worst = _env_distance(cl.dist, cr.dist) if held else 1.0
+        bad, below = None, [(cl.dist, cr.dist)]
+        if not held or worst > stop:
+            bad = dict(clause="i", pair=(cl.dist, cr.dist),
+                       detail=f"class {_clause_i(cl.dist, cr.dist, stop, worst)}")
+        else:
+            for (_, child_l), (_, child_r) in zip(children_l, children_r):
+                sub = _walk(system, child_l, child_r, stop, memo, notes)
+                if sub.lam > stop:
+                    bad = sub.bad
+                    break
+                worst = max(worst, sub.lam)
+                below.extend(sub.pairs)
+        if bad is None:
+            candidates.append((worst, min(cl.weight, cr.weight),
+                               _sig_key(cl.signature), cl.signature, below))
+        elif first is None:
+            first = bad
+    if failed is not None:
+        return done(lam, **(first or failed))
+
+    # match the shortest prefix (by per-class cost) minimising the maximum
+    candidates.sort(key=lambda item: (item[0], item[2]))
+    best_lam, best_k, mass = 1.0, 0, 0
+    for k, item in enumerate(candidates, 1):
+        mass += item[1]
+        cost = max(1.0 - mass, item[0])
+        if cost < best_lam:
+            best_lam, best_k = cost, k
+    lam = max(lam, best_lam)
+    matched = candidates[:best_k]
+    unmatched = max(0.0, 1.0 - sum(item[1] for item in matched))
+    if lam > stop:
+        return done(lam, **(first or dict(
+            clause="iii", pair=(sl, sr),
+            detail=f"unmatched class mass {unmatched:.6g} exceeds {stop:.6g}")))
+    for item in matched:
+        pairs.extend(item[4])
+    kept = {item[3] for item in matched}
+    notes.append((sl, sr, env, [item[2] for item in matched],
+                  [_sig_key(c.signature) for c, _ in fl if c.signature not in kept],
+                  unmatched))
+    return done(lam, tuple(pairs))
+
+
+# ---------------------------------------------------------------------------
+# deciding distribution bisimilarity
 
 
 def _pair_violation(system: System, rel: _Relation, a: ConfigDistribution,
@@ -1659,12 +1725,15 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
 
     Preconditions: the reachable graph is acyclic and free of visible
     quantum input, so the super-operator clause holds (module docstring).
-    "auto" compares behaviour forms under the canonical scheduler, which is
-    complete on certified systems, and elsewhere runs the greatest-fixpoint
-    refinement, which "relation-search" always runs; the report records the
-    mode.  Certification proves that scheduling cannot change the canonical
-    answers: the system is tau-normal and meets the local-diamond
-    criterion of `confluence_check` at every reachable configuration.
+    "auto" walks behaviour forms under the canonical scheduler (`_walk`),
+    which is complete on certified systems, and elsewhere runs the
+    greatest-fixpoint refinement, which "relation-search" always runs; the
+    report records the mode.  Certification proves that scheduling cannot
+    change the canonical answers: the system is tau-normal and meets the
+    local-diamond criterion of `confluence_check` at every reachable
+    configuration.  The canonical decision holds iff the walk's lambda,
+    the value `distance_upper_bound` reports, is within `tol`; the walk
+    stops once it is past, and reports the first failing pair it met.
     Every relation-search outcome is kept on the System (module docstring).
     """
     if mode not in ("auto", "relation-search"):
@@ -1676,9 +1745,20 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
     if mode == "relation-search":
         return _recorded_search(system, mu, nu, tol)
     ok, why = _certified(system, configs)
-    if ok:
-        return _decide_canonical(system, mu, nu, tol, why)
-    return _recorded_search(system, mu, nu, tol)
+    if not ok:
+        return _recorded_search(system, mu, nu, tol)
+    detail = _clause_i(mu, nu, tol)
+    if detail is not None:
+        return CheckReport(False, "canonical", clause="i", pair=(mu, nu), tol=tol,
+                           detail=f"{detail}; {why}")
+    node = _walk(system, _saturate(system, mu), _saturate(system, nu), tol, {}, [])
+    if node.lam > tol:
+        bad = dict(node.bad)
+        detail = bad.pop("detail")
+        return CheckReport(False, "canonical", tol=tol, detail=f"{detail}; {why}", **bad)
+    witness = RelationCandidate(_unique_pairs(((mu, nu),) + node.pairs))
+    return CheckReport(True, "canonical", tol=tol, witness=witness,
+                       detail=f"behaviour forms agree within the tolerance; {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -1720,11 +1800,12 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     """A verified upper bound on the bisimulation distance of two distributions.
 
     On certified systems (tau-normal, and confluent by the local-diamond
-    criterion of `confluence_check`), walks both canonical behaviour forms
-    in parallel and takes the maximum over all visited pairs of the
+    criterion of `confluence_check`), the bound is the lambda of the
+    canonical walk (`_walk`): the maximum over all visited pairs of the
     environment trace distance and the transition-consistent class mass
-    left unmatched; the per-node matched subset is chosen greedily to
-    minimise that maximum.
+    left unmatched, the per-node matched subset chosen greedily to
+    minimise that maximum.  `decide_bisim` holds on a certified pair iff
+    this lambda is within the tolerance.
     The visited pairs form a witness passing `check_lambda_relation` at the
     returned value.  Elsewhere the bound degrades to 0 (when relation-search
     proves bisimilarity) or the trivial 1; the relation search that
@@ -1747,87 +1828,29 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
         return DistanceBound(1.0, RelationCandidate(()), "relation-search",
                              detail=f"trivial bound; {why}; {searched}")
 
-    memo = {}
-    annotations = []
-
-    def rec(sl: ConfigDistribution, sr: ConfigDistribution):
-        key = (sl.digest, sr.digest)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        system._spend(len(sl.probs) + len(sr.probs))
-        node_pairs = [(sl, sr)]
-        if sl.held_qubits() != sr.held_qubits():
-            got = memo[key] = (1.0, ())
-            return got
-        lam = _env_distance(sl, sr)
-
-        fl, fr = _form(system, sl), _form(system, sr)
-        shared_l = frozenset.intersection(*(c.signature for c, _ in fl))
-        shared_r = frozenset.intersection(*(c.signature for c, _ in fr))
-        if shared_l != shared_r:
-            got = memo[key] = (1.0, ())
-            return got
-        for label in sorted(shared_l, key=str):
-            sub, sub_pairs = rec(_derivative(system, sl, label),
-                                 _derivative(system, sr, label))
-            lam = max(lam, sub)
-            node_pairs.extend(sub_pairs)
-
-        by_sig_r = {c.signature: (c, children) for c, children in fr}
-        candidates = []
-        for cl, children_l in fl:
-            cr, children_r = by_sig_r.get(cl.signature, (None, None))
-            if cr is None or cl.dist.held_qubits() != cr.dist.held_qubits():
-                continue
-            env = _env_distance(cl.dist, cr.dist)
-            pairs_s = [(cl.dist, cr.dist)]
-            worst = env
-            for (label, child_l), (_, child_r) in zip(children_l, children_r):
-                sub, sub_pairs = rec(child_l, child_r)
-                worst = max(worst, sub)
-                pairs_s.extend(sub_pairs)
-            candidates.append((worst, min(cl.weight, cr.weight),
-                               _sig_key(cl.signature), cl.signature, pairs_s))
-
-        # pick the prefix (by per-class cost) minimising the overall maximum
-        candidates.sort(key=lambda item: (item[0], item[2]))
-        best_lam, best_k = 1.0, 0
-        for k in range(len(candidates), -1, -1):
-            matched_mass = sum(item[1] for item in candidates[:k])
-            cost = max([1.0 - matched_mass] + [item[0] for item in candidates[:k]])
-            if cost <= best_lam:
-                best_lam, best_k = cost, k
-        lam = max(lam, best_lam)
-        for item in candidates[:best_k]:
-            node_pairs.extend(item[4])
-        annotations.append({
-            "pair": [_dist_json(sl), _dist_json(sr)],
-            "matched": [list(item[2]) for item in candidates[:best_k]],
-            "dropped": [list(_sig_key(c.signature)) for c, _ in fl
-                        if c.signature not in {item[3] for item in candidates[:best_k]}],
-            "unmatched_mass": max(0.0, 1.0 - sum(item[1] for item in candidates[:best_k])),
-            "env_distance": _env_distance(sl, sr),
-        })
-        got = memo[key] = (lam, tuple(node_pairs))
-        return got
-
     if mu.held_qubits() != nu.held_qubits():
         return DistanceBound(1.0, RelationCandidate(()), "canonical",
                              detail="quantum variables differ; no lambda relates them")
     lam = _env_distance(mu, nu)
-    sub, pairs = rec(_saturate(system, mu), _saturate(system, nu))
-    lam = max(lam, sub)
+    notes = []
+    node = _walk(system, _saturate(system, mu), _saturate(system, nu), inf, {}, notes)
+    lam = max(lam, node.lam)
     if lam >= 1.0:
         return DistanceBound(1.0, RelationCandidate(()), "canonical",
                              detail=f"no matching found; {why}")
-    witness = RelationCandidate(_unique_pairs([(mu, nu)] + list(pairs)))
+    witness = RelationCandidate(_unique_pairs(((mu, nu),) + node.pairs))
     # a bound stands on its witness passing `check_lambda_relation`, whose
     # saturated checker reads the saturation of every witness distribution
     for d in itertools.chain.from_iterable(witness.pairs):
         _saturate(system, d)
-    return DistanceBound(lam, witness, "canonical", detail=why,
-                         annotations=tuple(annotations))
+    annotations = tuple({
+        "pair": [_dist_json(sl), _dist_json(sr)],
+        "matched": [list(sig) for sig in matched],
+        "dropped": [list(sig) for sig in dropped],
+        "unmatched_mass": unmatched,
+        "env_distance": env,
+    } for sl, sr, env, matched, dropped, unmatched in notes)
+    return DistanceBound(lam, witness, "canonical", detail=why, annotations=annotations)
 
 
 # ---------------------------------------------------------------------------
