@@ -12,21 +12,24 @@ distributions; state-based bisimulation is the special case whose family
 holds only point distributions, so a state-based decision is relation
 search over the point distributions of the reachable configurations.
 
-Two checking engines coexist.  The exhaustive engine enumerates extreme
-strong moves and matches them against the convex closure of the candidate
-relation by exact rational feasibility; it is the literal reading of the
-definitions and is used for small systems.  The saturated engine runs
-only on certified systems (acyclic, free of visible quantum input, every
-visibly-enabled configuration internally inert, and confluent as proved
-by the local-diamond criterion of `confluence_check`); there, every
-internal interleaving of a distribution shares one canonical saturation,
-so matching collapses to comparing saturated transition-consistent
-classes.  That collapse is what keeps protocol-sized witnesses small
-enough to re-verify.  A canonical witness is therefore a bisimulation up
-to canonical saturation: it relates saturations and classes, so the
-exhaustive engine can reject it when the two sides pass through different
-intermediate configurations (a silent step one side takes and the other
-lacks).
+One loop checks relations (`_check`): it orients the candidate pairs
+once, checks clause (i) on each, and asks a checking rule for the first
+obligation the pair breaks.  The exhaustive rule (`_violation`)
+enumerates extreme strong moves and matches them against the convex
+closure of the candidate relation by exact rational feasibility; it is
+the literal reading of the definitions and is used for small systems.
+The saturated rule (`_saturated_rule`) runs only on certified systems
+(acyclic, free of visible quantum input, every visibly-enabled
+configuration internally inert, and confluent as proved by the
+local-diamond criterion of `confluence_check`); there, every internal
+interleaving of a distribution shares one canonical saturation, so
+matching collapses to comparing the transition-consistent classes and
+derivatives of the kept behaviour forms (`_form`).  That collapse is what
+keeps protocol-sized witnesses small enough to re-verify.  A canonical
+witness is therefore a bisimulation up to canonical saturation: it
+relates saturations and classes, so the exhaustive rule can reject it
+when the two sides pass through different intermediate configurations (a
+silent step one side takes and the other lacks).
 
 Soundness of relation verdicts rests on three facts about the convex
 closure: lifted transitions are linear and left-decomposable, the canonical
@@ -106,8 +109,9 @@ fixpoint, so a replay does not repeat the decision.  A certificate is
 exact relative to the float probabilities the engine used, so it cannot
 see a defect in those probabilities, such as a measured 1/3 p + 2/3 p that
 differs from p in floats.  Canonical, exhaustive and saturated refutations
-carry no certificate: at lambda 0 they are re-decided by relation search,
-and above it by a lambda-relation check.
+carry no certificate: they are re-decided by relation search, which
+disproves them when it holds and confirms them when it refutes at lambda
+0; above lambda 0 a refuting search leaves the move verified directly.
 """
 
 from __future__ import annotations
@@ -287,7 +291,9 @@ def tc_decompose(mu, context) -> TcDecomposition:
     """Group the support by enabled-weak-visible signature.
 
     This is the canonical coarsest tc-decomposition: every other one refines
-    it, so matching these classes suffices for matching grouped classes.
+    it, so at lambda 0 matching these classes suffices for matching grouped
+    classes.  Above lambda 0 it does not: a finer split can leave less mass
+    unmatched than whole coarsest classes do.
     A class is its probabilities divided by its weight.  When that changes
     no value (one class of mass exactly 1, not a float sum over exact
     probabilities), the class is `mu` itself; every other class is the
@@ -1045,101 +1051,95 @@ def _violation(system: System, rel: _Relation, x: ConfigDistribution,
     return None
 
 
-def _check_exhaustive(system: System, relation: RelationCandidate,
-                      lam: float, tol: float) -> CheckReport:
-    rel = _Relation(_oriented(relation.pairs))
-    attack_cache = {}
-    for x, y in rel.pairs:
-        detail = _clause_i(x, y, lam + tol)
-        if detail is not None:
-            return CheckReport(False, "exhaustive", clause="i", pair=(x, y),
-                               lam=lam, tol=tol, detail=detail)
-        bad = _violation(system, rel, x, y, lam, tol, attack_cache)
-        if bad is not None:
-            return CheckReport(False, "exhaustive", pair=(x, y), lam=lam, tol=tol,
-                               direction="left", **bad)
-    return CheckReport(True, "exhaustive", lam=lam, tol=tol, witness=relation,
-                       detail=f"{len(rel.pairs)} oriented pairs verified by enumeration")
+def _saturated_rule(system: System, relation: RelationCandidate,
+                    lam: float, tol: float):
+    """The checking rule of certified systems, as `violation(rel, x, y)`
+    for `_check`: the first obligation of x, attacking y, that the closure
+    of `rel` fails to meet, as CheckReport fields, or None.
 
-
-def _check_saturated(system: System, relation: RelationCandidate,
-                     lam: float, tol: float, certificate: str) -> CheckReport:
-    rel = _Relation(_oriented(relation.pairs))
-    digests = {(a.digest, b.digest) for a, b in rel.pairs}
+    An unsaturated pair stands on its saturated pair, since internal
+    attacks re-converge to the saturation on certified systems.  A
+    saturated pair needs the labels all classes enable to agree on both
+    sides, with related whole-distribution derivatives (`_derivative`),
+    and at most `lam` class mass unmatched, a class matching its partner
+    of one signature when their held qubits agree, they are related and
+    so are their derivatives.  Classes and class derivatives are read from
+    the kept behaviour forms (`_form`).  A pair is related when it is an
+    identity or a literal pair of `relation`, else by the closure LP
+    (`_member_lin`), each answer kept for the whole check.
+    """
+    literal = {(a.digest, b.digest) for pair in relation.pairs
+               for a, b in (pair, pair[::-1])}
     memo = {}
 
-    def related(a, b):
+    def related(rel, a, b):
         key = (a.digest, b.digest)
-        if key[0] == key[1] or key in digests:
+        if key[0] == key[1] or key in literal:
             return True
         got = memo.get(key)
         if got is None:
             got = memo[key] = _member_lin(rel, a, b)
         return got
 
+    def violation(rel, x, y) -> Optional[dict]:
+        sx, sy = _saturate(system, x), _saturate(system, y)
+        if sx.digest != x.digest or sy.digest != y.digest:
+            if related(rel, sx, sy):
+                return None
+            return dict(clause="ii", label=TAU, attack=sx,
+                        detail="canonical saturation of the pair is not in the closure")
+        fx, fy = _form(system, x), _form(system, y)
+        shared_x = frozenset.intersection(*(cls.signature for cls, _ in fx))
+        shared_y = frozenset.intersection(*(cls.signature for cls, _ in fy))
+        if shared_x != shared_y:
+            odd = sorted(shared_x ^ shared_y, key=str)[0]
+            side = "left" if odd in shared_x else "right"
+            return dict(clause="ii", direction=side, label=odd,
+                        attack=_derivative(system, x if side == "left" else y, odd),
+                        detail=f"whole-distribution move {odd} is enabled on one side only")
+        for label in sorted(shared_x, key=str):
+            dx, dy = _derivative(system, x, label), _derivative(system, y, label)
+            if not related(rel, dx, dy):
+                return dict(clause="ii", label=label, attack=dx,
+                            detail=f"whole-distribution {label} derivatives are unrelated")
+        by_sig = {cls.signature: (cls, children) for cls, children in fy}
+        matched = 0.0
+        for cls, children in fx:
+            partner, partner_children = by_sig.get(cls.signature, (None, ()))
+            if (partner is not None
+                    and cls.dist.held_qubits() == partner.dist.held_qubits()
+                    and related(rel, cls.dist, partner.dist)
+                    and all(related(rel, dl, dr) for (_, dl), (_, dr)
+                            in zip(children, partner_children))):
+                matched += min(cls.weight, partner.weight)
+        if 1.0 - matched > lam + tol:
+            return dict(clause="iii", label=TAU,
+                        detail=f"only {float(matched):.6g} class mass matches; "
+                               f"{float(1 - matched):.6g} exceeds the allowed {lam + tol:.6g}")
+        return None
+
+    return violation
+
+
+def _check(system: System, relation: RelationCandidate, lam: float, tol: float,
+           mode: str, violation, done: str) -> CheckReport:
+    """Check every oriented pair (x, y) of `relation` in order: clause (i),
+    then `violation(rel, x, y)`, the first broken obligation of x attacking
+    y against the closure of the oriented relation `rel`, as CheckReport
+    fields (direction "left" unless they name one), or None.  The report
+    records `mode`; `done` ends the detail of a passing one."""
+    rel = _Relation(_oriented(relation.pairs))
     for x, y in rel.pairs:
         detail = _clause_i(x, y, lam + tol)
         if detail is not None:
-            return CheckReport(False, "saturated", clause="i", pair=(x, y),
+            return CheckReport(False, mode, clause="i", pair=(x, y),
                                lam=lam, tol=tol, detail=detail)
-
-        sx, sy = _saturate(system, x), _saturate(system, y)
-        if sx.digest != x.digest or sy.digest != y.digest:
-            # internal attacks re-converge to the saturation on certified
-            # systems, so the saturated pair carries this pair's obligations
-            if not related(sx, sy):
-                return CheckReport(
-                    False, "saturated", clause="ii", pair=(x, y), lam=lam, tol=tol,
-                    direction="left", label=TAU, attack=sx,
-                    detail="canonical saturation of the pair is not in the closure")
-            continue
-
-        left = tc_decompose(x, system)
-        right = tc_decompose(y, system)
-        by_sig = {cls.signature: cls for cls in right.classes}
-
-        shared_x = frozenset.intersection(*(cls.signature for cls in left.classes))
-        shared_y = frozenset.intersection(*(cls.signature for cls in right.classes))
-        if shared_x != shared_y:
-            odd = sorted(shared_x ^ shared_y, key=str)[0]
-            side = x if odd in shared_x else y
-            return CheckReport(
-                False, "saturated", clause="ii", pair=(x, y), lam=lam, tol=tol,
-                direction="left" if odd in shared_x else "right", label=odd,
-                attack=_derivative(system, side, odd),
-                detail=f"whole-distribution move {odd} is enabled on one side only")
-        for label in sorted(shared_x, key=str):
-            dx, dy = _derivative(system, x, label), _derivative(system, y, label)
-            if not related(dx, dy):
-                return CheckReport(
-                    False, "saturated", clause="ii", pair=(x, y), lam=lam, tol=tol,
-                    direction="left", label=label, attack=dx,
-                    detail=f"whole-distribution {label} derivatives are unrelated")
-
-        matched = 0.0
-        for cls in left.classes:
-            partner = by_sig.get(cls.signature)
-            if partner is None or cls.dist.held_qubits() != partner.dist.held_qubits():
-                continue
-            if not related(cls.dist, partner.dist):
-                continue
-            ok = True
-            for label in sorted(cls.signature, key=str):
-                if not related(_derivative(system, cls.dist, label),
-                               _derivative(system, partner.dist, label)):
-                    ok = False
-                    break
-            if ok:
-                matched += min(cls.weight, partner.weight)
-        if 1.0 - matched > lam + tol:
-            return CheckReport(
-                False, "saturated", clause="iii", pair=(x, y), lam=lam, tol=tol,
-                direction="left", label=TAU,
-                detail=f"only {float(matched):.6g} class mass matches; "
-                       f"{float(1 - matched):.6g} exceeds the allowed {lam + tol:.6g}")
-
-    return CheckReport(True, "saturated", lam=lam, tol=tol, witness=relation,
-                       detail=f"{len(rel.pairs)} oriented pairs verified; {certificate}")
+        bad = violation(rel, x, y)
+        if bad is not None:
+            return CheckReport(False, mode, pair=(x, y), lam=lam, tol=tol,
+                               **{"direction": "left", **bad})
+    return CheckReport(True, mode, lam=lam, tol=tol, witness=relation,
+                       detail=f"{len(rel.pairs)} oriented pairs verified{done}")
 
 
 @_query
@@ -1154,9 +1154,11 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
     matched by an internal split of the right side with at most lambda mass
     unmatched.  At lambda 0 this is the ground-bisimulation check.
 
-    `mode` picks the engine: "exhaustive" enumerates attacks literally;
-    "auto" uses the canonical collapse when certification (tau-normality
-    and the local-diamond criterion of `confluence_check` on the graph the
+    One loop (`_check`) visits the pairs with either checking rule.
+    `mode` picks the rule: "exhaustive" enumerates attacks literally
+    (`_violation`); "auto" uses the canonical collapse (`_saturated_rule`,
+    over the kept behaviour forms) when certification (tau-normality and
+    the local-diamond criterion of `confluence_check` on the graph the
     pairs reach) succeeds, and enumerates otherwise.  Both refuse a
     relation whose supports have a visible quantum input
     (`QuantumInputFragmentError`): only without one is the super-operator
@@ -1182,10 +1184,14 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
         else:
             ok, why = _certified(system, configs)
             if ok:
-                return _check_saturated(system, relation, lam, tol, why)
+                return _check(system, relation, lam, tol, "saturated",
+                              _saturated_rule(system, relation, lam, tol), f"; {why}")
     _refuse_quantum_input(system, dict.fromkeys(
         c for pair in relation.pairs for d in pair for c in d.support))
-    return _check_exhaustive(system, relation, lam, tol)
+    attack_cache = {}
+    return _check(system, relation, lam, tol, "exhaustive",
+                  lambda rel, x, y: _violation(system, rel, x, y, lam, tol, attack_cache),
+                  " by enumeration")
 
 
 def check_ground_bisim_relation(relation, context, tol: float = None,
@@ -1840,7 +1846,7 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
                              detail=f"no matching found; {why}")
     witness = RelationCandidate(_unique_pairs(((mu, nu),) + node.pairs))
     # a bound stands on its witness passing `check_lambda_relation`, whose
-    # saturated checker reads the saturation of every witness distribution
+    # saturated rule reads the saturation of every witness distribution
     for d in itertools.chain.from_iterable(witness.pairs):
         _saturate(system, d)
     annotations = tuple({
@@ -1867,13 +1873,16 @@ def replay_refutation(report: CheckReport, context) -> bool:
     move: no LP is solved and no fixpoint runs, and what the System keeps
     from earlier queries is neither read nor written.  For canonical,
     exhaustive and saturated refutations a reported move must exist in the
-    transition graph, and the pair is re-decided when the reachable graph
-    fits in `_REPLAY_CAP` configurations: by a lambda-relation check when
-    lambda > 0, and by relation search at lambda 0, an algorithm other
-    than the canonical and relation-checking engines.  Beyond the cap, or
-    when relation search refuses a visible quantum input in the reach or
-    its family outgrows `_FAMILY_CAP`, the directly verified evidence
-    stands.  Used by the test suite on every refutation.
+    transition graph, and the pair is re-decided by relation search, an
+    algorithm other than the canonical and relation-checking engines, when
+    the reachable graph fits in `_REPLAY_CAP` configurations.  A holding
+    search disproves the refutation at every lambda, since a ground
+    bisimilar pair is lambda-bisimilar for every lambda.  A refuting
+    search confirms it at lambda 0; above lambda 0 ground refutation says
+    nothing about lambda, and the directly verified evidence stands.  It
+    stands too beyond the cap, or when relation search refuses a visible
+    quantum input in the reach or its family outgrows `_FAMILY_CAP`.
+    Used by the test suite on every refutation.
     """
     system = _system_of(context)
     if report.holds:
@@ -1912,12 +1921,11 @@ def replay_refutation(report: CheckReport, context) -> bool:
         # too large to re-decide; stand on the directly verified evidence
         return confirmed
 
-    if lam > 0.0:
-        fresh = check_lambda_relation([(x, y)], lam, system, tol=tol)
-        return not fresh.holds
     try:
         _prepare(system, (x, y))
-        return not _relation_search(system, x, y, tol).holds
+        if _relation_search(system, x, y, tol).holds:
+            return False   # ground bisimilar, so lambda-bisimilar for every lambda
+        return lam == 0.0 or confirmed
     except (QuantumInputFragmentError, BudgetExceededError):
         # relation search refuses a visible quantum input in the reach, or
         # its family outgrows `_FAMILY_CAP`

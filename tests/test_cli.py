@@ -92,6 +92,24 @@ class TestLts:
         assert code == 4
         assert "depth" in err
 
+    def test_depth_closes_within_the_bound(self, capsys, module_file):
+        code, out, _ = run(capsys, "lts", module_file, "--root", "tau . nil",
+                           "--depth", "1")
+        assert code == 0
+        assert len(json.loads(out)["states"]) == 2
+
+    def test_depth_past_the_bound(self, capsys, module_file):
+        code, _, err = run(capsys, "lts", module_file, "--root", "tau . tau . nil",
+                           "--depth", "1")
+        assert code == 4
+        assert "depth" in err
+
+    def test_text_output(self, capsys, module_file):
+        code, out, _ = run(capsys, "lts", module_file,
+                           "--root", "C", "--rho", "q=+", "--format", "text")
+        assert code == 0
+        assert out.splitlines()[0] == "3 states, 1 transitions, acyclic=True"
+
     def test_state_budget(self, capsys, module_file):
         code, _, _ = run(capsys, "lts", module_file,
                          "--root", "C", "--rho", "q=+", "--max-configs", "1")
