@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .bisim import CheckReport, DistanceBound, decide_bisim, distance_upper_bound
 from .calculus import Channel, parse_module
-from .errors import ConfluenceError, CyclicModelError
+from .errors import ConfluenceError
 from .quantum import QubitRegister, QuantumState
 from .semantics import ConfigDistribution, Label, System
 
@@ -236,43 +236,40 @@ def eventual_label_probabilities(system: System, root: ConfigDistribution,
                                  tol: float = None) -> dict:
     """Probability that each visible label is ever fired, from `root`.
 
-    Backward accumulation over the acyclic graph; a cycle raises
-    CyclicModelError.  The acyclicity proof steps configurations in the
-    order the accumulation does, and is kept on the System.  Internal
-    nondeterminism is tolerated only when every choice yields the same
-    eventual probabilities (checked within `tol`); otherwise the quantity
-    is scheduler-dependent and a ConfluenceError is raised.
+    Backward accumulation over the finishing order of the reach
+    (`System.post_order`), so each configuration is folded after all of
+    its successors, without recursion; a cycle raises CyclicModelError.
+    Internal nondeterminism is tolerated only when every choice yields the
+    same eventual probabilities (checked within `tol`); otherwise the
+    quantity is scheduler-dependent and a ConfluenceError is raised.
     """
-    if not system.is_acyclic(root.support):
-        raise CyclicModelError("the reachable transition graph has a cycle")
     tol = system.tol if tol is None else tol
-    memo = {}
-
-    def visit(cfg):
-        hit = memo.get(cfg)
-        if hit is not None:
-            return hit
+    memo = {}  # configuration index -> eventual probability of each label
+    for cfg in system.post_order(root.support, skip_proved=False):
         vecs = []
-        for t in system.step(cfg):
+        for label, dist in system.step(cfg):
+            probs = dist.probs
+            if not label.visible and list(probs.values()) == [1]:
+                # each sum below would be 0.0 + 1 * q, which is q
+                vecs.append(memo[next(iter(probs)).index])
+                continue
             vec = {}
-            for s, p in t.dist:
-                for label, q in visit(s).items():
-                    vec[label] = vec.get(label, 0.0) + p * q
-            if t.label.visible:
-                vec[t.label] = 1.0
+            for s, p in probs.items():
+                for seen, q in memo[s.index].items():
+                    vec[seen] = vec.get(seen, 0.0) + p * q
+            if label.visible:
+                vec[label] = 1.0
             vecs.append(vec)
         for other in vecs[1:]:
             keys = set(vecs[0]) | set(other)
             if any(abs(vecs[0].get(k, 0.0) - other.get(k, 0.0)) > tol for k in keys):
                 raise ConfluenceError(
                     f"eventual probabilities depend on scheduling at {cfg}")
-        out = vecs[0] if vecs and vecs[0] else _NOTHING
-        memo[cfg] = out
-        return out
+        memo[cfg.index] = vecs[0] if vecs and vecs[0] else _NOTHING
 
     total = {}
     for c, p in root:
-        for label, q in visit(c).items():
+        for label, q in memo[c.index].items():
             total[label] = total.get(label, 0.0) + p * q
     return total
 

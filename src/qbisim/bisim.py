@@ -21,10 +21,15 @@ the literal reading of the definitions and is used for small systems.
 The saturated rule (`_saturated_rule`) runs only on certified systems
 (acyclic, free of visible quantum input, every visibly-enabled
 configuration internally inert, and confluent as proved by the
-local-diamond criterion of `confluence_check`); there, every internal
-interleaving of a distribution shares one canonical saturation, so
-matching collapses to comparing the transition-consistent classes and
-derivatives of the kept behaviour forms (`_form`).  That collapse is what
+local-diamond criterion of `confluence_check`).  One iterative post-order
+walk of the reach proves all four (`_prepare`, over `System.post_order`):
+a back edge is a cycle, and each configuration, once its successors are
+finished, is checked for a visible quantum input and for local diamonds
+and keeps the facts of its reach (`Configuration.facts`), so no later
+query walks it again.  There, every internal interleaving of a
+distribution shares one canonical saturation, so matching collapses to
+comparing the transition-consistent classes and derivatives of the kept
+behaviour forms (`_form`).  That collapse is what
 keeps protocol-sized witnesses small enough to re-verify.  A canonical
 witness is therefore a bisimulation up to canonical saturation: it
 relates saturations and classes, so the exhaustive rule can reject it
@@ -45,7 +50,7 @@ carriers (`_ground_fixpoint`).
 The definitions also ask that related pairs stay related under every
 super-operator E on the qubits the processes do not hold.  No engine tests
 this clause; it is proved for the fragment every engine accepts, where no
-configuration has a visible quantum input (`_refuse_quantum_input`):
+configuration has a visible quantum input (`_prepare`):
   - a qubit a configuration does not hold stays unheld in all it reaches,
     since a visible quantum input is the only rule that brings one in;
   - every rule reads or changes only held qubits, so E commutes with every
@@ -142,7 +147,6 @@ from .semantics import (
 _ATTACK_CAP = 4096      # extreme strong moves enumerated per distribution
 _SUBSET_CAP = 4096      # matched-class subsets tried per lambda decomposition
 _FAMILY_CAP = 512       # distributions kept by relation-search mode
-_REPLAY_CAP = 5000      # reachable configurations a replay re-decides
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +541,52 @@ def _refuse_quantum_input(system: System, configs) -> None:
                     f"visible quantum input {t.label} at {c!r}; restrict the channel")
 
 
-def _prepare(system: System, dists) -> list:
-    """Reachable configurations; raises when a visible quantum input is
-    reachable (`_refuse_quantum_input`) or when the graph has a cycle."""
+# bits of `Configuration.facts`, each about the whole reach of a configuration
+_PROVED = 1     # acyclic and free of visible quantum input
+_MIXED = 2      # some visibly-enabled configuration has internal moves
+_BRANCHES = 4   # some configuration has two moves with one label
+_DIVERGES = 8   # at some such configuration they saturate apart (`_confluent_at`)
+
+
+def _prepare(system: System, dists) -> tuple:
+    """(ok, reason): is the canonical collapse justified on the reach of
+    `dists`?  Raises when the reach has a cycle or a visible quantum input.
+
+    One post-order walk (`System.post_order`) proves what no earlier walk
+    did, and the fold over its finishing order keeps on each configuration
+    the facts of its reach (`Configuration.facts`): those of its successors
+    and its own.  A configuration with two moves under one label is checked
+    for local diamonds (`_confluent_at`) once its successors are finished,
+    unless one of them already diverges.  A walk that meets a cycle keeps
+    nothing, and one whose roots all have facts walks nothing.  Certified
+    means tau-normal (no visibly-enabled configuration has internal moves)
+    and confluent in the sense of `confluence_check`.
+    """
     roots = [c for d in dists for c in d.support]
-    configs = system.reachable(roots)
-    _refuse_quantum_input(system, configs)
-    if not system.is_acyclic(roots):
-        raise CyclicModelError("the reachable transition graph has a cycle")
-    return configs
+    for c in system.post_order(roots):
+        moves = c.moves
+        facts = _PROVED
+        for t in moves:
+            if t.label.kind == Label.QIN:
+                _refuse_quantum_input(system, (c,))
+            for s in t.dist.probs:
+                facts |= s.facts
+        if len(moves) > 1:
+            if c.tau_moves and len(c.tau_moves) < len(moves):
+                facts |= _MIXED
+            if len({t.label for t in moves}) < len(moves):
+                facts |= _BRANCHES
+                if not facts & _DIVERGES and not _confluent_at(system, c):
+                    facts |= _DIVERGES
+        c.facts = facts
+    facts = functools.reduce(int.__or__, (c.facts for c in roots), 0)
+    if facts & _MIXED:
+        return False, "a visibly-enabled configuration has internal moves"
+    if not facts & _BRANCHES:
+        return True, "certified: scheduling is deterministic"
+    if facts & _DIVERGES:
+        return False, "nondeterminism is not confluent"
+    return True, "certified: confluence proved by local diamonds"
 
 
 def _confluent_at(system: System, config: Configuration) -> bool:
@@ -590,34 +631,9 @@ def confluence_check(context, roots=None) -> bool:
             roots = [context.root]
         else:
             raise ValueError("pass a PLTS or explicit roots")
-    configs = _prepare(system, [_as_dist(system, r) for r in roots])
-    return all(_confluent_at(system, c) for c in configs)
-
-
-def _certified(system: System, configs) -> tuple:
-    """(ok, reason): is the canonical collapse justified here?
-
-    Certified means tau-normal (no visibly-enabled configuration has
-    internal moves) and confluent in the sense of `confluence_check`,
-    decided over the reachable `configs`; only configurations with two
-    moves under one label are saturated, and the saturations are kept.
-    """
-    branching = []
-    for c in configs:
-        moves = system.step(c)
-        taus = system.tau_transitions(c)
-        if taus:
-            if len(taus) < len(moves):
-                return False, "a visibly-enabled configuration has internal moves"
-            if len(taus) > 1:
-                branching.append(c)
-        elif len({t.label for t in moves}) < len(moves):
-            branching.append(c)
-    if not branching:
-        return True, "certified: scheduling is deterministic"
-    if all(_confluent_at(system, c) for c in branching):
-        return True, "certified: confluence proved by local diamonds"
-    return False, "nondeterminism is not confluent"
+    dists = [_as_dist(system, r) for r in roots]
+    _prepare(system, dists)
+    return not any(c.facts & _DIVERGES for d in dists for c in d.support)
 
 
 # ---------------------------------------------------------------------------
@@ -1178,11 +1194,10 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
 
     if mode == "auto":
         try:
-            configs = _prepare(system, [d for pair in relation.pairs for d in pair])
+            ok, why = _prepare(system, [d for pair in relation.pairs for d in pair])
         except (CyclicModelError, QuantumInputFragmentError):
             pass
         else:
-            ok, why = _certified(system, configs)
             if ok:
                 return _check(system, relation, lam, tol, "saturated",
                               _saturated_rule(system, relation, lam, tol), f"; {why}")
@@ -1350,7 +1365,9 @@ def _walk(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
     notes.append((sl, sr, env, [item[2] for item in matched],
                   [_sig_key(c.signature) for c, _ in fl if c.signature not in kept],
                   unmatched))
-    return done(lam, tuple(pairs))
+    # a class's children can be the shared derivatives, walked above: without
+    # this, each level of a chain would double the list
+    return done(lam, _unique_pairs(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -1671,13 +1688,14 @@ def _certify(system: System, members: list, mode: str, log: dict,
                        else tuple(m.digest for m in members))
 
 
-def _search_family(system: System, mu, nu) -> list:
+def _search_family(system: System, mu, nu, configs=None) -> list:
     """The family relation search refines over, sorted by digest.
 
-    It holds the queried pair, every point distribution, every one-step
-    target, canonical saturations, and the canonical classes of each
-    member.  Complete only as far as the family reaches, which covers the
-    acyclic desk-scale systems this mode is meant for.
+    It holds the queried pair, the point distribution and every one-step
+    target of each configuration that (mu, nu) reach (`configs`, walked
+    here when not given), canonical saturations, and the canonical classes
+    of each member.  Complete only as far as the family reaches, which covers
+    the acyclic desk-scale systems this mode is meant for.
     """
     family = {}
 
@@ -1689,7 +1707,8 @@ def _search_family(system: System, mu, nu) -> list:
             family[d.digest] = d
 
     add(mu), add(nu)
-    configs = system.reachable([c for d in (mu, nu) for c in d.support])
+    if configs is None:
+        configs = system.reachable([c for d in (mu, nu) for c in d.support])
     for c in configs:
         add(system.dirac(c))
         for t in system.step(c):
@@ -1702,10 +1721,10 @@ def _search_family(system: System, mu, nu) -> list:
     return sorted(family.values(), key=lambda d: d.digest)
 
 
-def _relation_search(system: System, mu, nu, tol: float) -> CheckReport:
+def _relation_search(system: System, mu, nu, tol: float, configs=None) -> CheckReport:
     """Refinement over the finite family `_search_family` of reachable
     distributions."""
-    return _refine(system, _search_family(system, mu, nu), mu, nu, tol, "relation-search")
+    return _refine(system, _search_family(system, mu, nu, configs), mu, nu, tol, "relation-search")
 
 
 def _search_key(mu: ConfigDistribution, nu: ConfigDistribution, tol: float) -> tuple:
@@ -1747,11 +1766,8 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
     system = _system_of(context)
     tol = system.tol if tol is None else tol
     mu, nu = _as_dist(system, mu), _as_dist(system, nu)
-    configs = _prepare(system, (mu, nu))
-    if mode == "relation-search":
-        return _recorded_search(system, mu, nu, tol)
-    ok, why = _certified(system, configs)
-    if not ok:
+    ok, why = _prepare(system, (mu, nu))
+    if mode == "relation-search" or not ok:
         return _recorded_search(system, mu, nu, tol)
     detail = _clause_i(mu, nu, tol)
     if detail is not None:
@@ -1793,7 +1809,8 @@ def decide_state_based(c, d, context, tol: float = None) -> CheckReport:
     if isinstance(d, ConfigDistribution):
         (d,) = d.support
     mu, nu = system.dirac(c), system.dirac(d)
-    family = [system.dirac(x) for x in _prepare(system, (mu, nu))]
+    _prepare(system, (mu, nu))
+    family = [system.dirac(x) for x in system.reachable([c, d])]
     return _refine(system, family, mu, nu, tol, "state-based")
 
 
@@ -1820,8 +1837,7 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     system = _system_of(context)
     tol = system.tol if tol is None else tol
     mu, nu = _as_dist(system, mu), _as_dist(system, nu)
-    configs = _prepare(system, (mu, nu))
-    ok, why = _certified(system, configs)
+    ok, why = _prepare(system, (mu, nu))
     if not ok:
         found = system._searches.get(_search_key(mu, nu, tol))
         if found is None:
@@ -1874,14 +1890,16 @@ def replay_refutation(report: CheckReport, context) -> bool:
     from earlier queries is neither read nor written.  For canonical,
     exhaustive and saturated refutations a reported move must exist in the
     transition graph, and the pair is re-decided by relation search, an
-    algorithm other than the canonical and relation-checking engines, when
-    the reachable graph fits in `_REPLAY_CAP` configurations.  A holding
-    search disproves the refutation at every lambda, since a ground
-    bisimilar pair is lambda-bisimilar for every lambda.  A refuting
+    algorithm other than the canonical and relation-checking engines, over
+    the reach walked once, when it fits in `_FAMILY_CAP` configurations: a
+    larger reach puts more point distributions in the family than its cap.
+    A holding search disproves the refutation at every lambda, since a
+    ground bisimilar pair is lambda-bisimilar for every lambda.  A refuting
     search confirms it at lambda 0; above lambda 0 ground refutation says
     nothing about lambda, and the directly verified evidence stands.  It
-    stands too beyond the cap, or when relation search refuses a visible
-    quantum input in the reach or its family outgrows `_FAMILY_CAP`.
+    stands too beyond the cap, cyclic or not, or when relation search
+    refuses a visible quantum input in the reach or its family outgrows
+    `_FAMILY_CAP`.
     Used by the test suite on every refutation.
     """
     system = _system_of(context)
@@ -1915,15 +1933,15 @@ def replay_refutation(report: CheckReport, context) -> bool:
             confirmed = True  # the canonical decompositions genuinely disagree
 
     try:
-        system.reachable([c for d in (x, y) for c in d.support],
-                         max_configs=_REPLAY_CAP)
+        configs = system.reachable([c for d in (x, y) for c in d.support],
+                                   max_configs=_FAMILY_CAP)
     except BudgetExceededError:
         # too large to re-decide; stand on the directly verified evidence
         return confirmed
 
     try:
         _prepare(system, (x, y))
-        if _relation_search(system, x, y, tol).holds:
+        if _relation_search(system, x, y, tol, configs).holds:
             return False   # ground bisimilar, so lambda-bisimilar for every lambda
         return lam == 0.0 or confirmed
     except (QuantumInputFragmentError, BudgetExceededError):

@@ -209,10 +209,13 @@ class Configuration:
     `sat` is its first-choice saturation (`qbisim.bisim`), kept once it
     has an internal move; an inert configuration saturates to its point
     distribution, which is not kept here, since it refers back to it.
+    `facts` is 0 until `qbisim.bisim` proves its reach acyclic and free of
+    visible quantum input, folding over a walk (`System.post_order`), and
+    then the bits of what that fold found in the reach.
     """
 
     __slots__ = ("key", "register", "matrix", "index", "moves", "tau_moves",
-                 "sat", "_term", "_qv")
+                 "sat", "facts", "_term", "_qv")
 
     def __init__(self, key: tuple, register, matrix, index: int):
         self.key = key
@@ -220,6 +223,7 @@ class Configuration:
         self.matrix = matrix
         self.index = index
         self.moves = self.tau_moves = self.sat = self._term = self._qv = None
+        self.facts = 0
 
     @property
     def term(self) -> Process:
@@ -396,8 +400,10 @@ class System:
     moves and input capabilities.  A restricted composition does not
     build the moves and input capabilities its restriction hides.  An
     input prefix is instantiated once per received value or qubit, and a
-    constant once per argument values.  Configurations proved acyclic are
-    remembered, so no search repeats that proof.  `work` counts the units
+    constant once per argument values.  One depth-first walk
+    (`post_order`) proves a reach acyclic, and a configuration whose reach
+    was proved keeps what the proof found (`Configuration.facts`), so no
+    walk repeats that proof.  `work` counts the units
     the current query spent against `budget` (see `query`): one per
     combination of extreme weak moves built, and in the canonical walks of
     `qbisim.bisim` the support sizes of each pair of saturations visited.
@@ -435,7 +441,6 @@ class System:
         self._inputs = {}
         self._extreme_sets = {}
         self._enabled_cache = {}
-        self._acyclic = set()    # indexes of configurations proved acyclic
         self._state_facts = {}   # tol -> bisim._StateFacts
         self._searches = {}      # bisim._search_key -> relation-search outcome
         self._env_distances = {}  # pair of bisim._env_class -> environment distance
@@ -924,15 +929,17 @@ class System:
 
     # -- reachability
 
-    def reachable(self, roots, max_configs=None):
-        """All configurations reachable from the given ones, breadth first."""
+    def reachable(self, roots, max_configs=None, skip_proved=False):
+        """All configurations reachable from the given ones, breadth first;
+        with `skip_proved`, none from a configuration whose reach a walk
+        proved (`Configuration.facts`), all of which is stepped already."""
         seen = []
         seen_set = set()  # indexes, which hash without a Python call
         frontier = list(roots)
         while frontier:
             nxt = []
             for c in frontier:
-                if c.index in seen_set:
+                if c.index in seen_set or skip_proved and c.facts:
                     continue
                 seen_set.add(c.index)
                 seen.append(c)
@@ -947,49 +954,50 @@ class System:
             frontier = nxt
         return seen
 
-    def is_acyclic(self, roots) -> bool:
-        """True when no configuration reachable from `roots` can reach
-        itself again.
+    def post_order(self, roots, skip_proved=True) -> list:
+        """The configurations reachable from `roots`, each after all of its
+        successors: the finishing order of an iterative depth-first search
+        (Tarjan, SIAM J. Comput. 1972).  A back edge raises
+        `CyclicModelError`, so the reach of every configuration listed is
+        acyclic.
 
-        Every configuration a search that returns True visits reaches no
-        cycle, so its index is kept in `_acyclic` and later searches skip
-        it as a root and as a successor; a search that finds a cycle keeps
-        nothing.  Spends no work units.
+        With `skip_proved`, a configuration whose reach an earlier walk
+        proved (`Configuration.facts`) is neither entered nor listed.  The
+        first unstepped configuration the search meets makes it step the
+        unproved reach of all `roots` breadth first (`reachable`), so
+        configurations are interned in the order every entry point uses.
+        Spends no work units.
         """
-        WHITE, GREY, BLACK = 0, 1, 2
-        proved = self._acyclic
-        color = {}  # by index, which hashes without a Python call
-        for root in roots:
-            if root.index in proved:
+        roots = list(roots)
+        order = []
+        # by index: 0 not entered, 1 on the search path, 2 finished
+        state = bytearray(self._n_configs)
+        # a configuration is entered when first on top, with its successors
+        # pushed above it in reverse, and finished when on top again; an
+        # edge to an entered, unfinished one is a back edge
+        stack = [r for r in reversed(roots) if not (skip_proved and r.facts)]
+        while stack:
+            c = stack[-1]
+            seen = state[c.index]
+            if seen:
+                stack.pop()
+                if seen == 1:
+                    state[c.index] = 2
+                    order.append(c)
                 continue
-            stack = [(root, None)]
-            while stack:
-                node, it = stack.pop()
-                if it is None:
-                    c = color.get(node.index, WHITE)
-                    if c == GREY:
-                        return False
-                    if c == BLACK:
-                        continue
-                    color[node.index] = GREY
-                    succs = [s for t in self.step(node) for s in t.dist.probs
-                             if s.index not in proved]
-                    stack.append((node, iter(succs)))
-                    continue
-                advanced = False
-                for s in it:
-                    c = color.get(s.index, WHITE)
-                    if c == GREY:
-                        return False
-                    if c == WHITE:
-                        stack.append((node, it))
-                        stack.append((s, None))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node.index] = BLACK
-        proved.update(color)
-        return True
+            state[c.index] = 1
+            if c.moves is None:
+                self.reachable(roots, skip_proved=True)
+                state.extend(bytes(self._n_configs - len(state)))
+            for t in reversed(c.moves):
+                for s in reversed(t.dist.probs):
+                    got = state[s.index]
+                    if got == 1:
+                        raise CyclicModelError(
+                            "the reachable transition graph has a cycle")
+                    if not got and not (skip_proved and s.facts):
+                        stack.append(s)
+        return order
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +1021,11 @@ class PLTS:
                 self.edges.append((self.index[c], label, tuple(
                     (p, self.index[d]) for d, p in sorted(
                         dist, key=lambda kv: kv[0].index))))
-        self.acyclic = system.is_acyclic(root.support)
+        try:
+            system.post_order(root.support)
+            self.acyclic = True
+        except CyclicModelError:
+            self.acyclic = False
 
     def _env_digest(self, config) -> str:
         keep = [q for q in self.system.register.names if q not in config.qv]

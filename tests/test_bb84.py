@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from qbisim import bb84
-from qbisim.calculus import eval_expr, parse_module, parse_term
+from qbisim.calculus import Channel, eval_expr, parse_module, parse_term
 from qbisim.errors import ConfluenceError, CyclicModelError, EvaluationError
 from qbisim.bisim import check_lambda_relation, decide_bisim, replay_refutation
 from qbisim.quantum import BitString, QubitRegister, QuantumState
@@ -212,6 +212,16 @@ class TestOutcomeProbabilities:
         cfg = s.config("a!0 . Loop", QuantumState.product(s.register, None))
         with pytest.raises(CyclicModelError):
             bb84.eventual_label_probabilities(s, s.dirac(cfg))
+
+
+    def test_a_deep_chain_needs_no_recursion(self):
+        """The accumulation folds over an iterative post-order, so a chain
+        of 2,000 visible steps is within reach."""
+        s = System(parse_module("Chain(n;) := if n < 2000 then ( a!0 . Chain(n + 1;) )"),
+                   register=QubitRegister.of(["q1"]))
+        cfg = s.config("Chain(0;)", QuantumState.product(s.register, None))
+        probs = bb84.eventual_label_probabilities(s, s.dirac(cfg))
+        assert probs == {Label(Label.OUT, Channel("a"), 0.0): 1.0}
 
 
 class TestSoundness:

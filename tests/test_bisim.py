@@ -733,6 +733,35 @@ class TestDistance:
         json.dumps(payload)
 
 
+class TestWalkPairs:
+    """At a pair whose forms have one class each, that class's derivatives
+    are the shared ones the walk visited first, so the same memoised node
+    contributes its pairs twice.  A node lists each pair once, so a chain
+    of k visible steps keeps k + 1 pairs, not 2^(k+1)."""
+
+    @staticmethod
+    def chain(k):
+        s = System(parse_module(f"Chain(n;) := if n < {k} then ( a!0 . Chain(n + 1;) )"),
+                   register=R1)
+        rho = QuantumState.product(R1, None)
+        return s, s.config("Chain(0;)", rho), s.config("tau . Chain(0;)", rho)
+
+    def test_a_node_lists_each_pair_once(self):
+        s, c, d = self.chain(12)
+        node = bisim._walk(s, bisim._saturate(s, s.dirac(c)),
+                           bisim._saturate(s, s.dirac(d)), math.inf, {}, [])
+        keys = [(a.digest, b.digest) for a, b in node.pairs]
+        assert len(keys) == len(set(keys)) == 13
+
+    def test_a_long_chain_holds(self):
+        s, c, d = self.chain(40)
+        report = decide_bisim(c, d, s)
+        assert report.holds and report.mode == "canonical"
+        assert len(report.witness.pairs) == 42
+        bound = distance_upper_bound(c, d, s)
+        assert bound.value == 0.0 and len(bound.witness.pairs) == 42
+
+
 class TestKernel:
     """Bisimilarity is the kernel of the distance: on every pair,
     `decide_bisim` holds exactly when `distance_upper_bound` is within the
@@ -1624,7 +1653,7 @@ class TestCanonicalReplay:
         s, report = self.canonical_refutation()
         searched = []
 
-        def holds(canon, mu, nu, tol):
+        def holds(canon, mu, nu, tol, configs=None):
             searched.append((mu, nu))
             return CheckReport(True, "relation-search", tol=tol)
 
@@ -1642,6 +1671,28 @@ class TestCanonicalReplay:
         with pytest.raises(BudgetExceededError):
             bisim._search_family(s, *report.pair)
         assert replay_refutation(report, s)
+
+    def test_replay_walks_the_reach_once(self, monkeypatch):
+        s, report = self.canonical_refutation()
+        walks = []
+        reachable = System.reachable
+        monkeypatch.setattr(System, "reachable", lambda self, roots, **kw: (
+            walks.append(kw) or reachable(self, roots, **kw)))
+        assert replay_refutation(report, s)
+        assert walks == [{"max_configs": bisim._FAMILY_CAP}]
+
+    def test_a_cyclic_reach_past_the_cap_stands_on_the_evidence(self):
+        """A reach of more configurations than `_FAMILY_CAP` would overflow
+        the relation-search family, so the replay walks no further, and a
+        cycle beyond the cap goes unseen."""
+        s = System(parse_module("Cyc(n;) := if n < 600 then ( b!0 . Cyc(n + 1;) ) "
+                                "else ( b!0 . Cyc(0;) )"), register=R1)
+        x, y = s.config("a!0 . Cyc(0;)", ground()), s.config("a!1 . nil", ground())
+        report = check_ground_bisim_relation([(x, y)], s, mode="exhaustive")
+        assert (report.mode, report.clause, report.holds) == ("exhaustive", "ii", False)
+        assert replay_refutation(report, s)
+        with pytest.raises(CyclicModelError):
+            decide_bisim(x, y, s)
 
 
 class TestKeptCanonicalValues:

@@ -279,6 +279,25 @@ class TestQuantumInput:
         assert code == 0
 
 
+# a chain of 2,000 visible steps, deeper than the canonical walk recurses
+CHAIN = """\
+Chain(n;) := if n < 2000 then ( a!0 . Chain(n + 1;) )
+Start(;) := Chain(0;)
+Late(;) := tau . Chain(0;)
+"""
+
+
+class TestDeepModel:
+    @pytest.mark.parametrize("command", ["check", "distance"])
+    def test_recursion_depth_is_not_a_refutation(self, capsys, tmp_path, command):
+        path = tmp_path / "chain.qp"
+        path.write_text(CHAIN)
+        code, out, err = run(capsys, command, str(path), "--left", "Start", "--right", "Late")
+        assert code == 4 and out == ""
+        assert err.startswith("qbisim: model not handled: maximum recursion depth")
+        assert len(err.splitlines()) == 1
+
+
 # two commuting internal moves: certification proves them confluent
 CONFLUENT = """\
 L(; q1, q2) := ( apply X[q1] . m!0 . nil || apply H[q2] . m?x . a!x . nil ) \\ {m}

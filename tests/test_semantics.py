@@ -13,6 +13,7 @@ from qbisim.errors import (
     ChannelDomainError,
     CyclicModelError,
     EvaluationError,
+    QuantumInputFragmentError,
     WellFormednessError,
 )
 from qbisim.quantum import (
@@ -38,6 +39,7 @@ from qbisim.bisim import (
     _closure_columns,
     _config_sat,
     _member_lin,
+    _prepare,
     _Relation,
     check_lambda_relation,
     decide_bisim,
@@ -563,36 +565,115 @@ class TestComponentKeys:
 
 
 class TestAcyclicityMemo:
-    """`is_acyclic` remembers the configurations a successful search
-    visited, and nothing from a search that finds a cycle."""
+    """One post-order walk (`_prepare` over `System.post_order`) proves a
+    reach once: each configuration it finishes keeps its facts, and a walk
+    that finds a cycle keeps nothing."""
+
+    @staticmethod
+    def proves(s, root) -> bool:
+        """Does `_prepare` prove the reach of `root` acyclic?"""
+        try:
+            _prepare(s, [s.dirac(root)])
+        except CyclicModelError:
+            return False
+        return True
+
+    @staticmethod
+    def proved(s) -> set:
+        return {c.index for table in s._configs.values() for c in table.values()
+                if c.facts}
 
     def test_proved_configurations_do_not_hide_a_cycle(self):
         s = fresh("Loop := tau . Loop")
-        assert s.is_acyclic([s.config("tau . nil", state())])
+        assert self.proves(s, s.config("tau . nil", state()))
         # the nil successor is proved; the Loop branch still closes a cycle
-        assert not s.is_acyclic([s.config("tau . nil + tau . Loop", state())])
-        assert not s.is_acyclic([s.config("Loop", state())])
+        assert not self.proves(s, s.config("tau . nil + tau . Loop", state()))
+        assert not self.proves(s, s.config("Loop", state()))
 
     def test_cycle_records_nothing(self):
         s = fresh("Loop := tau . Loop")
-        assert s.is_acyclic([s.config("tau . nil", state())])
-        before = set(s._acyclic)
-        assert not s.is_acyclic([s.config("a!0 . nil + tau . Loop", state())])
-        assert s._acyclic == before
+        assert self.proves(s, s.config("tau . nil", state()))
+        before = self.proved(s)
+        assert before
+        assert not self.proves(s, s.config("a!0 . nil + tau . Loop", state()))
+        assert self.proved(s) == before
 
     def test_repeated_proof_steps_nothing(self, monkeypatch):
         s = fresh("Loop := tau . Loop")
         root = s.config("tau . nil", state())
-        assert s.is_acyclic([root])
+        assert self.proves(s, root)
         stepped = []
         step = s.step
         monkeypatch.setattr(s, "step", lambda c: stepped.append(c) or step(c))
-        assert s.is_acyclic([root])
-        assert stepped == []
-        # a new root is searched, but not past the proved configurations
+        assert self.proves(s, root)
+        assert stepped == [] and s.post_order([root]) == []
+        # a new root is walked, but not past the proved configurations
         longer = s.config("tau . tau . nil", state())
-        assert s.is_acyclic([longer])
+        assert self.proves(s, longer)
         assert stepped == [longer]
+
+
+class TestPostOrder:
+    """`System.post_order` lists a reach in a finishing order, and the facts
+    `_prepare` keeps on each configuration are those of its reach."""
+
+    def test_each_configuration_follows_its_successors(self):
+        inst = build_bb84_security_test(1)
+        s = inst.system
+        order = s.post_order(inst.root.support, skip_proved=False)
+        assert len(order) == len(s.reachable(inst.root.support))
+        place = {c.index: k for k, c in enumerate(order)}
+        assert len(place) == len(order)
+        for c in order:
+            for t in c.moves:
+                assert all(place[d.index] < place[c.index] for d in t.dist.probs)
+
+    def test_a_cold_walk_interns_breadth_first(self):
+        """Configurations new to a walk are interned in the order
+        `reachable` interns them, across all of its roots."""
+        source = "P := pchoice { 1/2 -> tau . a!0 . nil ; 1/2 -> b!0 . tau . nil }"
+        texts = ("P || tau . P", "tau . tau . c!0 . P")
+        walked, stepped = fresh(source), fresh(source)
+        roots = [[s.config(t, state()) for t in texts] for s in (walked, stepped)]
+        walked.post_order(roots[0])
+        stepped.reachable(roots[1])
+        indexed = [[(c.index, c.key) for c in s.reachable(r)]
+                   for s, r in ((walked, roots[0]), (stepped, roots[1]))]
+        assert indexed[0] == indexed[1]
+
+    def test_deep_chain_needs_no_recursion(self):
+        s = fresh("Chain(n;) := if n < 2000 then ( a!0 . Chain(n + 1;) )")
+        root = s.config("Chain(0;)", state())
+        order = s.post_order([root])
+        assert len(order) == 2001 and order[-1] is root
+        assert _prepare(s, [s.dirac(root)]) == (True, "certified: scheduling is deterministic")
+
+    def test_facts_are_those_of_the_reach(self):
+        s = fresh()
+        root = s.config("a!0 . ( b!0 . nil + tau . nil )", state())
+        assert _prepare(s, [s.dirac(root)]) == (
+            False, "a visibly-enabled configuration has internal moves")
+        mixed = s.config("b!0 . nil + tau . nil", state())
+        inert = s.config("nil", state())
+        assert inert.facts and root.facts == mixed.facts != inert.facts
+
+    def test_a_cycle_is_refused_before_a_quantum_input(self):
+        """The fold reads the finishing order, which only an acyclic reach
+        has, so a reach with both a cycle and a visible quantum input
+        raises CyclicModelError, whichever the walk meets first."""
+        s = fresh("Loop := tau . Loop")
+        for text in ("#c?r . nil + tau . Loop", "tau . Loop + #c?r . nil"):
+            with pytest.raises(CyclicModelError):
+                _prepare(s, [s.dirac(s.config(text, state()))])
+        with pytest.raises(QuantumInputFragmentError):
+            _prepare(s, [s.dirac(s.config("#c?r . nil + tau . nil", state()))])
+
+    def test_a_refused_input_keeps_the_facts_below_it(self):
+        s = fresh()
+        below = s.config("a!0 . nil", state())
+        with pytest.raises(QuantumInputFragmentError):
+            _prepare(s, [s.dirac(s.config("#c?r . nil + tau . a!0 . nil", state()))])
+        assert below.facts and s.post_order([below]) == []
 
 
 class TestSpecExamples:
