@@ -28,7 +28,7 @@ from .bisim import CheckReport, DistanceBound, decide_bisim, distance_upper_boun
 from .calculus import Channel, parse_module
 from .errors import ConfluenceError
 from .quantum import QubitRegister, QuantumState
-from .semantics import ConfigDistribution, Label, System
+from .semantics import ConfigDistribution, Label, System, _float
 
 
 class SecurityConstant(NamedTuple):
@@ -247,14 +247,16 @@ def eventual_label_probabilities(system: System, root: ConfigDistribution,
     memo = {}  # configuration index -> eventual probability of each label
     for cfg in system.post_order(root.support, skip_proved=False):
         vecs = []
-        for label, dist in system.step(cfg):
-            probs = dist.probs
-            if not label.visible and list(probs.values()) == [1]:
+        for t in system.step(cfg):
+            label, target = t.label, t.target
+            if target is not None:
                 # each sum below would be 0.0 + 1 * q, which is q
-                vecs.append(memo[next(iter(probs)).index])
+                vec = memo[target.index]
+                vecs.append({**vec, label: 1.0} if label.visible else vec)
                 continue
             vec = {}
-            for s, p in probs.items():
+            for s, p in t.dist.probs.items():
+                p = _float(p)  # every q is a float: the same bits as p * q
                 for seen, q in memo[s.index].items():
                     vec[seen] = vec.get(seen, 0.0) + p * q
             if label.visible:
@@ -269,6 +271,7 @@ def eventual_label_probabilities(system: System, root: ConfigDistribution,
 
     total = {}
     for c, p in root:
+        p = _float(p)
         for label, q in memo[c.index].items():
             total[label] = total.get(label, 0.0) + p * q
     return total

@@ -453,29 +453,44 @@ _SATURATING = object()  # `Configuration.sat` while its saturation is open
 def _config_sat(system: System, config: Configuration) -> ConfigDistribution:
     """The saturation of `config`: its point distribution when it has no
     internal move, else its first internal move's distribution with each
-    support configuration saturated, kept on `config` (`sat`).  Along a
-    point chain (an internal move to one configuration with weight 1) every
-    link returns the object its end saturates to, without a combination."""
-    got = config.sat
-    if got is None:
-        taus = system.tau_transitions(config)
-        if not taus:
-            return system.dirac(config)
-        config.sat = _SATURATING
-        try:
-            probs = taus[0].dist.probs
-            if len(probs) == 1 and 1 in probs.values():
-                # a point chain shares the saturation its end has
-                (d,) = probs
-                got = _config_sat(system, d)
-            else:
-                got = system.combine((q, _config_sat(system, d)) for d, q in probs.items())
-        finally:
-            config.sat = got  # None again when the saturation raised
-    elif got is _SATURATING:
-        raise CyclicModelError(
-            "internal cycle during canonical saturation; "
-            "the canonical scheduler needs an acyclic internal graph")
+    support configuration saturated, kept on `config` (`sat`).
+
+    A point chain (first internal moves to one configuration with weight
+    1) is followed in a loop, not one Python frame per link, and every
+    link keeps the object its end saturates to, without a combination;
+    only a move that branches recurses.  A configuration met again while
+    its saturation is open closes an internal cycle.
+    """
+    chain, got = [], None  # the links whose saturation is open in this frame
+    try:
+        c = config
+        while True:
+            if c.sat is _SATURATING:
+                raise CyclicModelError(
+                    "internal cycle during canonical saturation; "
+                    "the canonical scheduler needs an acyclic internal graph")
+            if c.sat is not None:
+                got = c.sat
+                break
+            taus = system.tau_transitions(c)
+            if not taus:
+                got = system.dirac(c)
+                break
+            c.sat = _SATURATING
+            chain.append(c)
+            first = taus[0]
+            c = first.target
+            if c is None:
+                probs = first.dist.probs
+                if len(probs) == 1 and 1 in probs.values():
+                    (c,) = probs
+                else:
+                    got = system.combine(
+                        (q, _config_sat(system, d)) for d, q in probs.items())
+                    break
+    finally:
+        for link in chain:
+            link.sat = got  # None again when the saturation raised
     return got
 
 
@@ -569,10 +584,10 @@ def _prepare(system: System, dists) -> tuple:
         for t in moves:
             if t.label.kind == Label.QIN:
                 _refuse_quantum_input(system, (c,))
-            for s in t.dist.probs:
+            for s in t.targets:
                 facts |= s.facts
         if len(moves) > 1:
-            if c.tau_moves and len(c.tau_moves) < len(moves):
+            if len({t.label.visible for t in moves}) > 1:
                 facts |= _MIXED
             if len({t.label for t in moves}) < len(moves):
                 facts |= _BRANCHES
@@ -593,14 +608,17 @@ def _confluent_at(system: System, config: Configuration) -> bool:
     """Do all moves of `config` with one label saturate to one distribution?
 
     For internal moves that distribution is `_config_sat(config)`, the
-    saturation through the first one.  A configuration with at most one
-    move per label passes without saturating anything.
+    saturation through the first one.  A point move saturates to its
+    target's saturation, which is what saturating its point distribution
+    gives.  A configuration with at most one move per label passes without
+    saturating anything.
     """
     by_label = {}
     for t in system.step(config):
-        by_label.setdefault(t.label, []).append(t.dist)
-    return all(len({_saturate(system, d).digest for d in dists}) == 1
-               for dists in by_label.values() if len(dists) > 1)
+        by_label.setdefault(t.label, []).append(t)
+    return all(len({(_saturate(system, t.dist) if t.target is None
+                     else _config_sat(system, t.target)).digest for t in moves}) == 1
+               for moves in by_label.values() if len(moves) > 1)
 
 
 def confluence_check(context, roots=None) -> bool:

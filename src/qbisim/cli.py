@@ -221,13 +221,13 @@ def _check_depth(system, root, depth: int) -> None:
     frontier = [root]
     for _ in range(depth):
         nxt = [s for c in frontier for t in system.step(c)
-               for s in t.dist.support if s not in seen]
+               for s in t.targets if s not in seen]
         if not nxt:
             return
         seen.update(nxt)
         frontier = list(dict.fromkeys(nxt))
     if any(s not in seen for c in frontier for t in system.step(c)
-           for s in t.dist.support):
+           for s in t.targets):
         raise BudgetExceededError(
             f"graph does not close within depth {depth}", budget=depth)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import weakref
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
@@ -129,7 +130,7 @@ _OPEN = frozenset()  # the hidden channels of a key with no restriction
 def _key(term: Process):
     """The component of a term: the term itself when it is a leaf, a node
     that is not a `Par`, `Restrict` or `Relabel`, and otherwise the
-    composition key `(parts, hidden, relabel)`.
+    composition key `(hidden, relabel, *parts)`, one flat tuple.
 
     A key stands for `Relabel(Restrict(Par(parts), hidden), relabel)`: its
     parts are components, `hidden` holds the channels its restriction hides
@@ -141,10 +142,10 @@ def _key(term: Process):
     """
     cls = term.__class__
     if cls is Par:
-        return tuple(map(_key, term.parts)), _OPEN, None
+        return (_OPEN, None, *map(_key, term.parts))
     if cls is Restrict:
         if not term.channels:
-            return (_key(term.body),), _OPEN, None
+            return _OPEN, None, _key(term.body)
         return _wrap(_key(term.body), term.channels, None)
     if cls is Relabel:
         return _wrap(_key(term.body), _OPEN, term.mapping)
@@ -166,10 +167,10 @@ def _wrap(body, hidden: frozenset, relabel):
     if not hidden and relabel is None:
         return body
     if body.__class__ is tuple:
-        parts, inner, again = body
-        if again is None and (inner and not hidden or len(parts) > 1 and not inner):
-            return parts, hidden or inner, relabel
-    return (body,), hidden, relabel
+        inner, again = body[0], body[1]
+        if again is None and (inner and not hidden or len(body) > 3 and not inner):
+            return (hidden or inner, relabel) + body[2:]
+    return hidden, relabel, body
 
 
 def _compose(comp) -> Process:
@@ -177,9 +178,10 @@ def _compose(comp) -> Process:
     its parts' terms in parallel, inside its restriction and relabelling."""
     if comp.__class__ is not tuple:
         return comp
-    parts, hidden, relabel = comp
-    term = Par(tuple(map(_compose, parts))) if len(parts) > 1 else _compose(parts[0])
-    if hidden or relabel is None and len(parts) == 1:
+    hidden, relabel = comp[0], comp[1]
+    one = len(comp) == 3
+    term = _compose(comp[2]) if one else Par(tuple(map(_compose, comp[2:])))
+    if hidden or relabel is None and one:
         term = Restrict(term, hidden)
     if relabel is not None:
         term = Relabel(term, relabel)
@@ -190,8 +192,7 @@ def _qv(comp) -> frozenset:
     """Free qubits of a component; a one-part key shares its part's set."""
     if comp.__class__ is not tuple:
         return ca.qv(comp)
-    parts = comp[0]
-    return _qv(parts[0]) if len(parts) == 1 else frozenset().union(*map(_qv, parts))
+    return _qv(comp[2]) if len(comp) == 3 else frozenset().union(*map(_qv, comp[2:]))
 
 
 class Configuration:
@@ -200,12 +201,17 @@ class Configuration:
 
     The key is the component of the term (`_key`): a leaf term, or a
     composition key whose parts are components in turn.  `term` is built
-    from it on first read, and `qv` is read from its leaves, both once.
+    from it on each read, which only printing does, and `qv` is read from
+    its leaves once.
     The matrix is stored raw: states reached by stepping a valid initial
     state through trace-preserving operations stay valid, so only the entry
     point revalidates.  A configuration belongs to the one System that
-    interned it, which keeps its step memo here: `moves`, the step result,
-    and `tau_moves`, its internal part, both None until first asked for.
+    interned it, and holds a weak reference to it (`owner`), through which
+    its register is read and a point move to it finds its point
+    distribution (`System.dirac`); a strong one would keep the System
+    alive in a reference cycle.  The
+    System keeps its step memo here: `moves`, the step result, None until
+    first asked for.
     `sat` is its first-choice saturation (`qbisim.bisim`), kept once it
     has an internal move; an inert configuration saturates to its point
     distribution, which is not kept here, since it refers back to it.
@@ -214,23 +220,23 @@ class Configuration:
     then the bits of what that fold found in the reach.
     """
 
-    __slots__ = ("key", "register", "matrix", "index", "moves", "tau_moves",
-                 "sat", "facts", "_term", "_qv")
+    __slots__ = ("key", "owner", "matrix", "index", "moves", "sat", "facts", "_qv")
 
-    def __init__(self, key: tuple, register, matrix, index: int):
+    def __init__(self, key: tuple, owner, matrix, index: int):
         self.key = key
-        self.register = register
+        self.owner = owner
         self.matrix = matrix
         self.index = index
-        self.moves = self.tau_moves = self.sat = self._term = self._qv = None
+        self.moves = self.sat = self._qv = None
         self.facts = 0
 
     @property
+    def register(self):
+        return self.owner().register
+
+    @property
     def term(self) -> Process:
-        got = self._term
-        if got is None:
-            got = self._term = _compose(self.key)
-        return got
+        return _compose(self.key)
 
     @property
     def qv(self) -> frozenset:
@@ -338,9 +344,59 @@ class ConfigDistribution:
         return f"{{{inner}}}"
 
 
+def _product(a, b):
+    """`a * b` with the same bits, where exactly one factor being a float
+    multiplies the two floats (`_float`), as the mixed operators of
+    `fractions.Fraction` do, without their Python calls; two exact factors
+    stay exact."""
+    if (a.__class__ is float) is (b.__class__ is float):
+        return a * b
+    return _float(a) * _float(b)
+
+
 class Transition(NamedTuple):
+    """A move to a distribution that is not a point: `label, dist = t`."""
+
     label: Label
     dist: ConfigDistribution
+    target = None  # a `PointMove` names its one target here
+
+    @property
+    def targets(self):
+        """The configurations the move reaches, in branch order."""
+        return self.dist.probs
+
+
+class PointMove:
+    """A move of weight exactly int 1 to one configuration, `target`.
+
+    It builds no distribution: `dist` is the System's point distribution
+    on the target (`System.dirac`), built on first read and the same
+    object on every read, and `label, dist = t` unpacks as a `Transition`
+    does.  Walkers read `target` (or `targets`) instead.  The move holds
+    no reference to the System; the target does, weakly.
+    """
+
+    __slots__ = ("label", "target")
+
+    def __init__(self, label: Label, target: Configuration):
+        self.label = label
+        self.target = target
+
+    @property
+    def dist(self) -> ConfigDistribution:
+        target = self.target
+        return target.owner().dirac(target)
+
+    @property
+    def targets(self) -> tuple:
+        return (self.target,)
+
+    def __iter__(self):
+        return iter((self.label, self.dist))
+
+    def __repr__(self):
+        return f"PointMove({self.label}, {self.target!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +433,14 @@ class System:
 
     Owns the configuration store, kept per interned density matrix, so
     configurations from different systems never mix.  Each configuration
-    carries the System's memo of its step result and of its internal moves
-    (the step tuple itself when every move is internal).  There is one
-    point distribution per configuration (`dirac`), and every move of
-    weight exactly int 1 targets it.  Every other distribution the engines
-    build is kept once per value (`combine`), with the facts derived from
-    it, so equal combinations in any query are one object.  The
+    carries the System's memo of its step result.  A move of weight
+    exactly int 1 is a `PointMove`: it names its target configuration and
+    builds no distribution.  There is one point distribution per
+    configuration (`dirac`), built when first asked for, and a point move's
+    `dist` is that one.  Every other distribution the engines build is kept
+    once per value (`combine`), with the facts derived from it, so equal
+    combinations in any query are one object.  The configurations hold the
+    register through a weak reference to the System (`owner`).  The
     extreme points of weak moves are memoized per (configuration, label);
     an internal cycle raises `CyclicModelError` from every weak-closure
     query.
@@ -427,6 +485,7 @@ class System:
         self.registry = dict(registry or {})
         self.tol = tol
         self.budget = budget
+        self._ref = weakref.ref(self)  # each configuration's `owner`
         self.work = 0
         self._open_queries = 0
         self._n_configs = 0
@@ -438,6 +497,7 @@ class System:
         self._points = {}
         self._dists = {}         # `_distribution` key -> the one distribution
         self._component_steps = {}
+        self._parts = {}         # composition key a part received -> the one such key
         self._inputs = {}
         self._extreme_sets = {}
         self._enabled_cache = {}
@@ -501,7 +561,7 @@ class System:
             table = self._configs[id(matrix)]
         got = table.get(key)
         if got is None:
-            got = table[key] = Configuration(key, self.register, matrix, self._n_configs)
+            got = table[key] = Configuration(key, self._ref, matrix, self._n_configs)
             self._n_configs += 1
         return got
 
@@ -529,9 +589,9 @@ class System:
                     first = w, dist
                     continue
                 fw, fdist = first
-                acc = {c: p if fw == 1 else fw * p for c, p in fdist.probs.items()}
+                acc = {c: p if fw == 1 else _product(fw, p) for c, p in fdist.probs.items()}
             for c, p in dist.probs.items():
-                q = p if w == 1 else w * p
+                q = p if w == 1 else _product(w, p)
                 prev = acc.get(c)
                 acc[c] = q if prev is None else prev + q
         if acc is None:
@@ -540,7 +600,7 @@ class System:
             w, dist = first
             if w == 1:
                 return dist
-            acc = {c: w * p for c, p in dist.probs.items()}
+            acc = {c: _product(w, p) for c, p in dist.probs.items()}
         return self._distribution(acc)
 
     def _distribution(self, probs: dict) -> ConfigDistribution:
@@ -605,7 +665,9 @@ class System:
     # -- one strong step
 
     def step(self, config: Configuration) -> tuple:
-        """All strong transitions of a configuration (inputs made concrete)."""
+        """All strong transitions of a configuration (inputs made concrete):
+        a `PointMove` for each move of weight exactly int 1, a `Transition`
+        for each other."""
         cached = config.moves
         if cached is not None:
             return cached
@@ -633,17 +695,18 @@ class System:
         intern = self._intern_key
         out = []
         for label, branches in moves:
+            if len(branches) == 1:
+                ((p, t, s),) = branches
+                if p.__class__ is int and p == 1:
+                    out.append(PointMove(label, intern(t, s)))
+                    continue
             probs = {}
             for p, t, s in branches:
                 c = intern(t, s)
                 prev = probs.get(c)
                 probs[c] = p if prev is None else prev + p
-            out.append(Transition(label, self.dirac(c) if (
-                len(branches) == 1 and p.__class__ is int and p == 1) else ConfigDistribution(probs)))
-        result = tuple(out)
-        config.moves = result
-        taus = tuple(t for t in result if not t.label.visible)
-        config.tau_moves = result if len(taus) == len(result) else taus
+            out.append(Transition(label, ConfigDistribution(probs)))
+        result = config.moves = tuple(out)
         return result
 
     def _step_term(self, term, mat, fuel: int):
@@ -777,17 +840,20 @@ class System:
         relabelling `relabel`; interleaved part moves and capabilities,
         then communication.
 
-        Each target is a component key, built once: `parts` with one or two
-        parts replaced, with the same `hidden` and `relabel`, or for a key
-        of one part, its target joined to the wrappers (`_wrap`); no term
-        is built.  A part move visible on a hidden channel is dropped, as
-        is a capability on one, since the restriction would discard them;
-        the relabelling renames the channels of the rest.  Communication
-        still pairs the parts' own outputs and capabilities, so hidden
-        channels still synchronise, and the moves that remain keep their
-        order.
+        Each target is a component key, built once: `key` with one or two
+        parts replaced, so with the same `hidden` and `relabel`, or for a
+        key of one part, its target joined to the wrappers (`_wrap`); no
+        term is built.  A part move visible on a hidden channel is dropped,
+        as is a capability on one, since the restriction would discard
+        them; the relabelling renames the channels of the rest.
+        Communication still pairs the parts' own outputs and capabilities,
+        so hidden channels still synchronise, and the moves that remain
+        keep their order.  A composition key a part receives is kept once
+        per System (`_parts`): a nested composition stepped at each matrix
+        would otherwise build an equal key for every such target.
         """
-        parts, hidden, relabel = key
+        hidden, relabel = key[0], key[1]
+        parts = key[2:]
         # the table also holds `mat`, so its id is not reused while it lives
         slot = (id(mat), fuel, hidden)
         got = self._component_steps.get(slot)
@@ -802,7 +868,8 @@ class System:
         for i, entry in enumerate(entries):
             if not (entry.moves or entry.caps):
                 continue
-            head, tail = parts[:i], parts[i + 1:]
+            # the key before and after part i, wrappers included
+            head, tail = key[:i + 2], key[i + 3:]
             for label, branches in entry.moves:
                 if relabel is not None:
                     label = relabel_label(label, relabel)
@@ -811,15 +878,15 @@ class System:
                         (p, _wrap(t, hidden, relabel), s) for p, t, s in branches)))
                 elif len(branches) == 1:
                     ((p, t, s),) = branches
-                    moves.append((label, ((p, (head + (t,) + tail, hidden, relabel), s),)))
+                    moves.append((label, ((p, head + (t,) + tail, s),)))
                 else:
                     moves.append((label, tuple(
-                        (p, (head + (t,) + tail, hidden, relabel), s) for p, t, s in branches)))
+                        (p, head + (t,) + tail, s) for p, t, s in branches)))
             others_qv = None  # qubits the siblings hold, for quantum inputs only
             for cap in entry.caps:
                 if cap.chan.quantum:
                     if others_qv is None:
-                        others_qv = frozenset().union(*map(_qv, head + tail))
+                        others_qv = frozenset().union(*map(_qv, parts[:i] + parts[i + 1:]))
 
                     def wrap(r, inst=cap.instantiate, head=head, tail=tail,
                              others=others_qv):
@@ -827,14 +894,14 @@ class System:
                             return None
                         t = inst(r)
                         return None if t is None else _wrap(t, hidden, relabel) if one else (
-                            head + (t,) + tail, hidden, relabel)
+                            head + (t,) + tail)
 
                 else:
 
                     def wrap(v, inst=cap.instantiate, head=head, tail=tail):
                         t = inst(v)
                         return None if t is None else _wrap(t, hidden, relabel) if one else (
-                            head + (t,) + tail, hidden, relabel)
+                            head + (t,) + tail)
 
                 caps.append(_Cap(
                     cap.chan if relabel is None else rename_channel(relabel, cap.chan), wrap))
@@ -853,20 +920,24 @@ class System:
                         received = receive(label.value)
                         if received is None:
                             continue
-                        pieces = list(parts)
-                        pieces[i] = sender
-                        pieces[j] = received
-                        moves.append((TAU, ((1, (tuple(pieces), hidden, relabel), sender_mat),)))
+                        if received.__class__ is tuple:
+                            received = self._parts.setdefault(received, received)
+                        pieces = list(key)
+                        pieces[i + 2] = sender
+                        pieces[j + 2] = received
+                        moves.append((TAU, ((1, tuple(pieces), sender_mat),)))
         return moves, caps
 
     # -- weak transitions as extreme points
 
     def tau_transitions(self, config):
-        got = config.tau_moves
-        if got is None:
-            self.step(config)
-            got = config.tau_moves
-        return got
+        """The internal moves of `config`: its step tuple itself when every
+        move is internal."""
+        moves = self.step(config)
+        for t in moves:
+            if t.label.visible:
+                return tuple(t for t in moves if not t.label.visible)
+        return moves
 
     def weak_extremes(self, config: Configuration, label: Label) -> tuple:
         """Extreme distributions reachable by a weak `label` move: internal
@@ -887,7 +958,9 @@ class System:
             halt = self.dirac(config)
             found[halt.digest] = halt
         for trans in self.step(config):
-            support = trans.dist.support
+            point = trans.target
+            probs = trans.dist.probs if point is None else {point: 1}
+            support = tuple(probs)
             if trans.label == label:
                 then = TAU
             elif trans.label.visible or not all(
@@ -898,8 +971,7 @@ class System:
             choice_sets = [self._extremes(s, then, stack) for s in support]
             for combo in itertools.product(*choice_sets):
                 self._spend()
-                mixed = self.combine(
-                    (trans.dist.probability(s), e) for s, e in zip(support, combo))
+                mixed = self.combine((probs[s], e) for s, e in zip(support, combo))
                 found.setdefault(mixed.digest, mixed)
         result = tuple(found.values())
         self._extreme_sets[key] = result
@@ -922,7 +994,7 @@ class System:
                 labels.add(trans.label)
             else:
                 labels |= frozenset.intersection(
-                    *[self._enabled(s, stack) for s in trans.dist.support])
+                    *[self._enabled(s, stack) for s in trans.targets])
         result = frozenset(labels)
         self._enabled_cache[config] = result
         return result
@@ -948,7 +1020,7 @@ class System:
                         "state space exceeded the configuration budget",
                         budget=max_configs)
                 for trans in self.step(c):
-                    for s in trans.dist.probs:
+                    for s in trans.targets:
                         if s.index not in seen_set:
                             nxt.append(s)
             frontier = nxt
@@ -990,7 +1062,7 @@ class System:
                 self.reachable(roots, skip_proved=True)
                 state.extend(bytes(self._n_configs - len(state)))
             for t in reversed(c.moves):
-                for s in reversed(t.dist.probs):
+                for s in reversed(t.targets):
                     got = state[s.index]
                     if got == 1:
                         raise CyclicModelError(
@@ -1017,10 +1089,13 @@ class PLTS:
         self.index = {c: i for i, c in enumerate(order)}
         self.edges = []
         for c in order:
-            for label, dist in system.step(c):
-                self.edges.append((self.index[c], label, tuple(
-                    (p, self.index[d]) for d, p in sorted(
-                        dist, key=lambda kv: kv[0].index))))
+            for t in system.step(c):
+                if t.target is not None:
+                    targets = ((1, self.index[t.target]),)
+                else:
+                    targets = tuple((p, self.index[d]) for d, p in sorted(
+                        t.dist, key=lambda kv: kv[0].index))
+                self.edges.append((self.index[c], t.label, targets))
         try:
             system.post_order(root.support)
             self.acyclic = True

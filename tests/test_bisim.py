@@ -30,7 +30,7 @@ from qbisim.bisim import (
     replay_refutation,
     tc_decompose,
 )
-from qbisim.bisim import _refine, _strong_attacks
+from qbisim.bisim import _config_sat, _refine, _strong_attacks
 
 import randsys
 from randsys import random_density
@@ -377,6 +377,42 @@ class TestDecide:
             with pytest.raises(ValueError):
                 check_lambda_relation([(cfg, cfg)], 0.0, s, mode=mode)
         assert stepped(s) == []
+
+
+class TestInternalChains:
+    """Canonical saturation follows a chain of internal point moves in a
+    loop, not one Python frame per step, and an internal cycle still
+    raises, keeping no saturation."""
+
+    CHAIN = "T(n;) := if n < 2000 then ( tau . T(n + 1;) ) else ( a!0 . nil )"
+
+    def test_a_chain_of_2000_internal_steps_is_decided(self):
+        s = System(parse_module(self.CHAIN), register=R1)
+        c, d = s.config("T(0;)", ground()), s.config("a!0 . nil", ground())
+        report = decide_bisim(c, d, s)
+        assert (report.holds, report.mode) == (True, "canonical")
+        bound = distance_upper_bound(c, d, s)
+        assert (bound.value, bound.mode) == (0.0, "canonical")
+        links = [c]
+        while s.tau_transitions(links[-1]):
+            links.append(s.step(links[-1])[0].target)
+        assert len(links) == 2001
+        sat = s.dirac(links[-1])
+        assert all(_config_sat(s, x) is sat for x in links)
+
+    @pytest.mark.parametrize("source", [
+        "L := tau . M\nM := tau . L",
+        "L := tau . pchoice { 1/2 -> tau . L ; 1/2 -> nil }",
+    ])
+    def test_an_internal_cycle_raises_and_keeps_nothing(self, source):
+        s = System(parse_module(source), register=R1)
+        c = s.config("L(;)", ground())
+        for _ in range(2):
+            with pytest.raises(CyclicModelError):
+                _config_sat(s, c)
+            assert all(x.sat is None for x in stepped(s))
+        with pytest.raises(CyclicModelError):
+            decide_bisim(c, c, s)
 
 
 class TestDuplicatedMeasurement:

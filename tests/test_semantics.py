@@ -27,14 +27,16 @@ from qbisim.semantics import (
     PLTS,
     ConfigDistribution,
     Label,
+    PointMove,
     System,
+    Transition,
     TAU,
     _Cap,
     _compose,
     _key,
     relabel_label,
 )
-from qbisim.bb84 import build_bb84_security_test
+from qbisim.bb84 import build_bb84_security_test, eventual_label_probabilities
 from qbisim.bisim import (
     _closure_columns,
     _config_sat,
@@ -359,8 +361,8 @@ class _Unpruned(System):
     hidden_moves = 0
 
     def _step_par(self, key, mat, fuel):
-        parts, hidden, relabel = key
-        moves, caps = super()._step_par((parts, frozenset(), None), mat, fuel)
+        hidden, relabel = key[0], key[1]
+        moves, caps = super()._step_par((frozenset(), None) + key[2:], mat, fuel)
         if hidden:
             kept = [(label, branches) for label, branches in moves
                     if not (label.visible and label.chan in hidden)]
@@ -448,7 +450,7 @@ class TestRestrictedStepping:
     def test_hidden_output_only_synchronises(self):
         s = fresh()
         cfg = s.config("( c!0 . nil || c?x . d!x . nil ) \\ {c}", state())
-        assert cfg.key == (cfg.term.body.parts, cfg.term.channels, None)
+        assert cfg.key == (cfg.term.channels, None, *cfg.term.body.parts)
         moves, caps = s._step_par(cfg.key, cfg.matrix, 1)
         assert [label for label, _ in moves] == [TAU] and caps == []
         assert [t.label for t in s.step(cfg)] == [TAU]
@@ -456,7 +458,7 @@ class TestRestrictedStepping:
 
 class TestComponentKeys:
     """A configuration is interned under the component of its term, a
-    leaf term or a key `(parts, hidden, relabel)` whose parts are
+    leaf term or a key `(hidden, relabel, *parts)` whose parts are
     components, and its term is built only when read."""
 
     @staticmethod
@@ -547,7 +549,6 @@ class TestComponentKeys:
         # the only new compositions are the two a measurement substitutes
         # its outcome into (fewer when a live term already holds them)
         assert len(made) <= 2
-        assert all(c._term is None for c in reached)
 
     @pytest.mark.parametrize("wrapped, bare", [
         ("( c!0 . nil ) \\ {}", "c!0 . nil"),
@@ -976,7 +977,7 @@ def refers_to(root, target) -> bool:
 class TestSharedDistributions:
     """Distributions are immutable, so a combination that reproduces one
     part returns that part itself, with its cached digest; a move of
-    weight exactly 1 targets the point distribution of its target, and a
+    weight exactly int 1 reads the point distribution of its target, and a
     configuration whose moves are all internal shares its step tuple.
     Every other combination, and every transition-consistent class, is
     the System's one object for its exact probabilities."""
@@ -1149,6 +1150,52 @@ class TestSharedDistributions:
         assert [t.label for t in s.step(mixed)] == [TAU, Label(Label.OUT, Channel("b"), 0.0)]
         inert = s.config("nil", state())
         assert s.tau_transitions(inert) is s.step(inert) == ()
+
+
+class TestCompactSteps:
+    """A move of weight exactly int 1 is a `PointMove`: it names its target
+    configuration and builds no distribution.  Its `dist` is the System's
+    point distribution on the target, built on first read; walkers read
+    the target instead."""
+
+    def test_a_whole_bb84_reach_builds_no_point_distribution(self):
+        instance = build_bb84_security_test(1)
+        system = System(instance.system.module, register=instance.register)
+        roots = [system.config(c.term, c.matrix)
+                 for c in instance.root.support + instance.ideal.support]
+        reach = system.reachable(roots)
+        points = [t for c in reach for t in system.step(c) if isinstance(t, PointMove)]
+        assert len(reach) > 200 and len(points) > 200
+        assert system._points == {}
+        assert len(system.post_order(roots, skip_proved=False)) == len(reach)
+        assert system._points == {}
+        # the fold builds only the point distribution of its root
+        root = system.dirac(roots[0])
+        assert eventual_label_probabilities(system, root) == \
+            eventual_label_probabilities(instance.system, instance.root)
+        assert list(system._points.values()) == [root]
+
+    def test_a_point_move_reads_the_point_distribution_of_its_target(self):
+        s = fresh()
+        c = s.config("tau . a!0 . nil", state())
+        t = only_transition(s, c)
+        assert isinstance(t, PointMove) and t.targets == (t.target,)
+        assert s._points == {}
+        first = t.dist
+        assert first is s.dirac(t.target) and first is t.dist
+        assert first.probs == {t.target: 1} and type(first.probs[t.target]) is int
+        assert only_transition(s, c) is t
+
+    def test_moves_unpack_as_label_and_distribution(self):
+        s = fresh()
+        c = s.config("a!0 . nil + meas Mcomp[q1; x] . nil", state(default="+"))
+        point, branching = s.step(c)
+        assert isinstance(point, PointMove) and isinstance(branching, Transition)
+        label, dist = point
+        assert label == point.label and dist is s.dirac(point.target)
+        label, dist = branching
+        assert label == TAU and dist is branching.dist and branching.target is None
+        assert list(branching.targets) == list(dist.support) and len(dist) == 2
 
 
 class TestFloatReading:
