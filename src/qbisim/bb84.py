@@ -242,10 +242,15 @@ def eventual_label_probabilities(system: System, root: ConfigDistribution,
     Internal nondeterminism is tolerated only when every choice yields the
     same eventual probabilities (checked within `tol`); otherwise the
     quantity is scheduler-dependent and a ConfluenceError is raised.
+
+    The memo is a list indexed by configuration index, sized after the
+    walk: the walk steps, and so interns, the configurations it reaches.
     """
     tol = system.tol if tol is None else tol
-    memo = {}  # configuration index -> eventual probability of each label
-    for cfg in system.post_order(root.support, skip_proved=False):
+    order = system.post_order(root.support, skip_proved=False)
+    # configuration index -> eventual probability of each label
+    memo = [None] * system._n_configs
+    for cfg in order:
         vecs = []
         for t in system.step(cfg):
             label, target = t.label, t.target

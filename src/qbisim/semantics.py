@@ -22,7 +22,6 @@ rational feasibility problems.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import weakref
@@ -1004,24 +1003,31 @@ class System:
     def reachable(self, roots, max_configs=None, skip_proved=False):
         """All configurations reachable from the given ones, breadth first;
         with `skip_proved`, none from a configuration whose reach a walk
-        proved (`Configuration.facts`), all of which is stepped already."""
+        proved (`Configuration.facts`), all of which is stepped already.
+
+        Marks are kept by configuration index, as in `post_order`, and grow
+        whenever stepping interns new configurations.
+        """
         seen = []
-        seen_set = set()  # indexes, which hash without a Python call
+        marked = bytearray(self._n_configs)
         frontier = list(roots)
         while frontier:
             nxt = []
             for c in frontier:
-                if c.index in seen_set or skip_proved and c.facts:
+                if marked[c.index] or skip_proved and c.facts:
                     continue
-                seen_set.add(c.index)
+                marked[c.index] = 1
                 seen.append(c)
                 if max_configs is not None and len(seen) > max_configs:
                     raise BudgetExceededError(
                         "state space exceeded the configuration budget",
                         budget=max_configs)
-                for trans in self.step(c):
+                moves = self.step(c)
+                if len(marked) < self._n_configs:
+                    marked.extend(bytes(self._n_configs - len(marked)))
+                for trans in moves:
                     for s in trans.targets:
-                        if s.index not in seen_set:
+                        if not marked[s.index]:
                             nxt.append(s)
             frontier = nxt
         return seen
@@ -1103,6 +1109,8 @@ class PLTS:
             self.acyclic = False
 
     def _env_digest(self, config) -> str:
+        # imported here: only export digests, and hashlib loads OpenSSL
+        import hashlib
         keep = [q for q in self.system.register.names if q not in config.qv]
         reduced = partial_trace(config.matrix, self.system.register, keep)
         return hashlib.sha1(_matrix_digest(reduced)).hexdigest()[:16]

@@ -3,10 +3,17 @@
 An import kept on purpose (a name that tracing tools resolve through the
 module, say) carries `# noqa: F401` on its line.  `__init__.py` is left out:
 its imports are the package's exports.
+
+No query loads OpenSSL: `hashlib` is imported only where PLTS export
+digests environments.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -41,3 +48,38 @@ def test_unused_import_is_found():
               "import json  # noqa: F401\n"
               "@dataclass\nclass A:\n    x: int = 0\n")
     assert unused_imports(source) == [(1, "field")]
+
+
+QUERIES_WITHOUT_HASHLIB = textwrap.dedent("""
+    import sys
+    import numpy
+    baseline = set(sys.modules)
+    import qbisim
+    from qbisim import (PLTS, QuantumState, QubitRegister, System,
+                        decide_bisim, decide_state_based, distance_upper_bound,
+                        parse_module, verify_security)
+    assert verify_security(1).value == 0.0
+    plus = QuantumState.product(QubitRegister.of(["q1"]), {"q1": "+"})
+    s = System(parse_module("Dummy := nil"))
+    c = s.config("meas Mcomp[q1; x] . nil", plus)
+    d = s.config("apply Dephase[q1] . nil", plus)
+    assert not decide_state_based(c, d, s).holds
+    assert decide_bisim(s.dirac(c), s.dirac(d), s).holds
+    assert distance_upper_bound(s.dirac(c), s.dirac(d), s).value == 0.0
+    loaded = sorted(set(sys.modules) - baseline)
+    assert "hashlib" not in loaded and "_hashlib" not in loaded, loaded
+    states = PLTS(s, s.dirac(c)).to_json()["states"]
+    assert all(len(node["env_digest"]) == 16 for node in states)
+    print("ok")
+""")
+
+
+def test_queries_load_no_hashlib():
+    """OpenSSL costs every engine process a few megabytes that no query
+    needs; export still digests environments."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", QUERIES_WITHOUT_HASHLIB],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]

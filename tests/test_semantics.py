@@ -677,6 +677,70 @@ class TestPostOrder:
         assert below.facts and s.post_order([below]) == []
 
 
+class TestIndexedWalks:
+    """`reachable` marks, and `eventual_label_probabilities` memoises, by
+    configuration index in arrays that a cold walk outgrows as stepping
+    interns configurations."""
+
+    SOURCE = "P := pchoice { 1/2 -> tau . a!0 . nil ; 1/2 -> b!0 . tau . nil }"
+    TEXTS = ("P || tau . P", "tau . tau . c!0 . P", "meas Mcomp[q1; x] . d!x . nil")
+
+    def roots(self):
+        s = fresh(self.SOURCE)
+        return s, [s.config(t, state(assignment={"q1": "+"})) for t in self.TEXTS]
+
+    @staticmethod
+    def indexed(configs):
+        return [(c.index, c.key) for c in configs]
+
+    def test_a_cold_reach_is_the_stepped_one(self):
+        cold, roots = self.roots()
+        assert cold._n_configs == len(roots)
+        reach = self.indexed(cold.reachable(roots))
+        stepped, again = self.roots()
+        stepped.reachable(again)
+        assert len(reach) == cold._n_configs > len(roots)
+        assert reach == self.indexed(stepped.reachable(again))
+
+    def test_cold_probabilities_are_the_stepped_ones(self):
+        cold, roots = self.roots()
+        stepped, again = self.roots()
+        for q in again:  # in the order the cold folds walk them
+            stepped.reachable([q])
+        got, want = ([{str(l): p for l, p in eventual_label_probabilities(
+            s, s.dirac(r)).items()} for r in rs] for s, rs in ((cold, roots), (stepped, again)))
+        assert got == want and got[0] == {"a!0": 0.75, "b!0": 0.75}
+        assert self.indexed(cold.reachable(roots)) == self.indexed(stepped.reachable(again))
+
+    def test_the_budget_stops_at_the_same_configuration(self):
+        s, roots = self.roots()
+        full = self.indexed(s.reachable(roots))
+        for budget in (1, 7, len(full) - 1):
+            cold, again = self.roots()
+            stepped = []
+            step = cold.step
+            cold.step = lambda c: stepped.append(c) or step(c)
+            with pytest.raises(BudgetExceededError) as err:
+                cold.reachable(again, max_configs=budget)
+            assert err.value.budget == budget
+            assert self.indexed(stepped) == full[:budget]
+        cold, again = self.roots()
+        assert self.indexed(cold.reachable(again, max_configs=len(full))) == full
+
+    def test_proved_reach_is_skipped(self):
+        s = fresh()
+        below = s.config("a!0 . nil", state())
+        _prepare(s, [s.dirac(below)])
+        root = s.config("tau . ( a!0 . nil + b!0 . nil )", state())
+        other = s.config("tau . a!0 . nil", state())
+        walked = s.reachable([other, root], skip_proved=True)
+        choice = s.config("a!0 . nil + b!0 . nil", state())
+        assert walked == [other, root, choice]
+        assert s.reachable([below, other], skip_proved=True) == [other]
+        inert = s.config("nil", state())
+        assert s.reachable([other, root]) == [other, root, below, choice, inert]
+
+
 class TestSpecExamples:
     def test_com_c_with_restriction_is_forced(self):
         s = fresh()
