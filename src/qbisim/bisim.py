@@ -124,6 +124,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from math import inf, lcm
 from typing import NamedTuple, Optional
@@ -142,6 +143,7 @@ from .semantics import (
     Label,
     PLTS,
     System,
+    fold,
 )
 
 _ATTACK_CAP = 4096      # extreme strong moves enumerated per distribution
@@ -447,51 +449,35 @@ class DistanceBound:
 # from, by identity; computing or reading one spends no work units.
 
 
-_SATURATING = object()  # `Configuration.sat` while its saturation is open
-
-
 def _config_sat(system: System, config: Configuration) -> ConfigDistribution:
     """The saturation of `config`: its point distribution when it has no
     internal move, else its first internal move's distribution with each
-    support configuration saturated, kept on `config` (`sat`).
+    support configuration saturated, kept on `config` (`sat`).  A `fold`,
+    so an internal cycle raises; a first move that is a point move takes
+    its target's saturation itself, with no combination, so every link of a
+    point chain keeps the object its end saturates to."""
+    return fold(config, functools.partial(_sat_frame, system), _sat_of, _keep_sat)
 
-    A point chain (first internal moves to one configuration with weight
-    1) is followed in a loop, not one Python frame per link, and every
-    link keeps the object its end saturates to, without a combination;
-    only a move that branches recurses.  A configuration met again while
-    its saturation is open closes an internal cycle.
-    """
-    chain, got = [], None  # the links whose saturation is open in this frame
-    try:
-        c = config
-        while True:
-            if c.sat is _SATURATING:
-                raise CyclicModelError(
-                    "internal cycle during canonical saturation; "
-                    "the canonical scheduler needs an acyclic internal graph")
-            if c.sat is not None:
-                got = c.sat
-                break
-            taus = system.tau_transitions(c)
-            if not taus:
-                got = system.dirac(c)
-                break
-            c.sat = _SATURATING
-            chain.append(c)
-            first = taus[0]
-            c = first.target
-            if c is None:
-                probs = first.dist.probs
-                if len(probs) == 1 and 1 in probs.values():
-                    (c,) = probs
-                else:
-                    got = system.combine(
-                        (q, _config_sat(system, d)) for d, q in probs.items())
-                    break
-    finally:
-        for link in chain:
-            link.sat = got  # None again when the saturation raised
-    return got
+
+_sat_of = operator.attrgetter("sat")
+
+
+def _keep_sat(config: Configuration, sat: ConfigDistribution) -> None:
+    if next(iter(sat.probs)) is not config:  # else inert: sat refers back to it
+        config.sat = sat
+
+
+def _sat_frame(system: System, config: Configuration):
+    taus = system.tau_transitions(config)
+    if not taus:
+        return system.dirac(config)
+    first = taus[0]
+    if first.target is not None:
+        return (yield first.target)
+    parts = []
+    for d, q in first.dist.probs.items():
+        parts.append((q, (yield d)))
+    return system.combine(parts)
 
 
 def _saturate(system: System, dist: ConfigDistribution) -> ConfigDistribution:
@@ -864,16 +850,20 @@ def _bijection(attack: ConfigDistribution, e: ConfigDistribution,
         options[x] = ys
     owner = {}
 
-    def augment(x, seen) -> bool:
+    def augment(x):  # a `fold` per search: it meets each y, so each x, once
         for y in options[x]:
             if y not in seen:
                 seen.add(y)
-                if y not in owner or augment(owner[y], seen):
+                if y not in owner or (yield owner[y]):
                     owner[y] = x
                     return True
         return False
 
-    return owner if all(augment(x, set()) for x in options) else None
+    for x in options:
+        seen, tried = set(), {}
+        if not fold(x, augment, tried.get, tried.__setitem__):
+            return None
+    return owner
 
 
 def _match_weak(system: System, rel: _Relation, attack: ConfigDistribution,
@@ -1265,8 +1255,25 @@ class _Node(NamedTuple):
     """What `_walk` found at a pair of saturated distributions."""
 
     lam: float          # past the walk's `stop`, only known to exceed it
-    pairs: tuple        # the witness pairs the lambda stands on
+    parts: tuple        # its pair, then the pairs and `_Node`s the lambda stands on
     bad: Optional[dict]  # past `stop`: the first failing pair, as CheckReport fields
+
+
+def _witness_pairs(parts) -> tuple:
+    """The pairs of `parts` and of the `_Node`s among them, depth first,
+    each at its first occurrence (`_unique_pairs`).  A node met again is
+    not expanded again: its pairs all came at its first expansion."""
+    out, expanded, stack = [], set(), [iter(parts)]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif item.__class__ is not _Node:
+            out.append(item)
+        elif id(item) not in expanded:
+            expanded.add(id(item))
+            stack.append(iter(item.parts))
+    return _unique_pairs(out)
 
 
 def _walk(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
@@ -1296,41 +1303,38 @@ def _walk(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
     a shared derivative; the unmatched mass, in clause (iii).  With `stop`
     infinite the walk is complete.
 
-    Each pair is walked once per `memo`, and the first visit charges the
-    support sizes of its two sides in work units, whatever earlier queries
-    kept.  A pair walked to the end adds (sl, sr, environment distance,
-    signatures of the matched and of the other classes, unmatched mass)
-    to `notes`.
+    Each pair is walked once per `memo` (a `fold`, keyed by the pair), and
+    the first visit charges the support sizes of its two sides in work
+    units, whatever earlier queries kept.  A pair walked to the end adds
+    (sl, sr, environment distance, signatures of the matched and of the
+    other classes, unmatched mass) to `notes`.
     """
-    key = (sl.digest, sr.digest)
-    got = memo.get(key)
-    if got is not None:
-        return got
+    return fold((sl, sr), functools.partial(_walk_frame, system, stop, notes),
+                memo.get, memo.__setitem__)
+
+
+def _walk_frame(system: System, stop: float, notes: list, pair: tuple):
+    sl, sr = pair
     system._spend(len(sl.probs) + len(sr.probs))
-
-    def done(lam, pairs=(), **bad) -> _Node:
-        node = memo[key] = _Node(lam, pairs, bad or None)
-        return node
-
     held = sl.held_qubits() == sr.held_qubits()
     env = _env_distance(sl, sr) if held else 1.0
     if not held or env > stop:
-        return done(env, clause="i", pair=(sl, sr), detail=_clause_i(sl, sr, stop, env))
+        return _Node(env, (), dict(clause="i", pair=(sl, sr),
+                                    detail=_clause_i(sl, sr, stop, env)))
 
     fl, fr = _form(system, sl), _form(system, sr)
     first = _lonely_class(system, sl, sr, fl, fr)   # the evidence so far
     shared = frozenset.intersection(*(c.signature for c, _ in fl))
     if shared != frozenset.intersection(*(c.signature for c, _ in fr)):
-        return done(1.0, **first)
-    lam, pairs, failed = env, [(sl, sr)], None
+        return _Node(1.0, (), first)
+    lam, parts, failed = env, [(sl, sr)], None
     for label in sorted(shared, key=str):
-        sub = _walk(system, _derivative(system, sl, label),
-                    _derivative(system, sr, label), stop, memo, notes)
+        sub = yield _derivative(system, sl, label), _derivative(system, sr, label)
         lam = max(lam, sub.lam)
         if sub.lam > stop:
             failed = sub.bad
             break
-        pairs.extend(sub.pairs)
+        parts.append(sub)
 
     by_sig_r = {c.signature: (c, children) for c, children in fr}
     candidates = []
@@ -1348,19 +1352,19 @@ def _walk(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
                        detail=f"class {_clause_i(cl.dist, cr.dist, stop, worst)}")
         else:
             for (_, child_l), (_, child_r) in zip(children_l, children_r):
-                sub = _walk(system, child_l, child_r, stop, memo, notes)
+                sub = yield child_l, child_r
                 if sub.lam > stop:
                     bad = sub.bad
                     break
                 worst = max(worst, sub.lam)
-                below.extend(sub.pairs)
+                below.append(sub)
         if bad is None:
             candidates.append((worst, min(cl.weight, cr.weight),
                                _sig_key(cl.signature), cl.signature, below))
         elif first is None:
             first = bad
     if failed is not None:
-        return done(lam, **(first or failed))
+        return _Node(lam, (), first or failed)
 
     # match the shortest prefix (by per-class cost) minimising the maximum
     candidates.sort(key=lambda item: (item[0], item[2]))
@@ -1374,18 +1378,16 @@ def _walk(system: System, sl: ConfigDistribution, sr: ConfigDistribution,
     matched = candidates[:best_k]
     unmatched = max(0.0, 1.0 - sum(item[1] for item in matched))
     if lam > stop:
-        return done(lam, **(first or dict(
+        return _Node(lam, (), first or dict(
             clause="iii", pair=(sl, sr),
-            detail=f"unmatched class mass {unmatched:.6g} exceeds {stop:.6g}")))
+            detail=f"unmatched class mass {unmatched:.6g} exceeds {stop:.6g}"))
     for item in matched:
-        pairs.extend(item[4])
+        parts.extend(item[4])
     kept = {item[3] for item in matched}
     notes.append((sl, sr, env, [item[2] for item in matched],
                   [_sig_key(c.signature) for c, _ in fl if c.signature not in kept],
                   unmatched))
-    # a class's children can be the shared derivatives, walked above: without
-    # this, each level of a chain would double the list
-    return done(lam, _unique_pairs(pairs))
+    return _Node(lam, tuple(parts), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1796,7 +1798,7 @@ def decide_bisim(mu, nu, context, tol: float = None, mode: str = "auto") -> Chec
         bad = dict(node.bad)
         detail = bad.pop("detail")
         return CheckReport(False, "canonical", tol=tol, detail=f"{detail}; {why}", **bad)
-    witness = RelationCandidate(_unique_pairs(((mu, nu),) + node.pairs))
+    witness = RelationCandidate(_witness_pairs(((mu, nu), node)))
     return CheckReport(True, "canonical", tol=tol, witness=witness,
                        detail=f"behaviour forms agree within the tolerance; {why}")
 
@@ -1878,7 +1880,7 @@ def distance_upper_bound(mu, nu, context, tol: float = None) -> DistanceBound:
     if lam >= 1.0:
         return DistanceBound(1.0, RelationCandidate(()), "canonical",
                              detail=f"no matching found; {why}")
-    witness = RelationCandidate(_unique_pairs(((mu, nu),) + node.pairs))
+    witness = RelationCandidate(_witness_pairs(((mu, nu), node)))
     # a bound stands on its witness passing `check_lambda_relation`, whose
     # saturated rule reads the saturation of every witness distribution
     for d in itertools.chain.from_iterable(witness.pairs):

@@ -8,9 +8,8 @@ computes a verified upper bound on their bisimulation distance, and
 
 Reports are UTF-8 JSON on stdout; everything addressed to a human goes
 to stderr.  Exit codes: 0 success or verdict holds, 1 refuted, 2 usage
-or syntax error, 3 I/O error, 4 budget exhausted, model outside the
-decidable fragment, or model too deep for the engine's recursion
-(`RecursionError`).  The environment variable QBISIM_TOL supplies the
+or syntax error, 3 I/O error, 4 budget exhausted or model outside the
+decidable fragment.  The environment variable QBISIM_TOL supplies the
 tolerance when --tol is not given.
 """
 
@@ -43,10 +42,8 @@ EXIT_BUDGET = 4
 
 _BAD_INPUT = (ParseError, WellFormednessError, EvaluationError,
               UnknownOperationError, ChannelDomainError, ValueError)
-# a model deeper than the engine's recursion reaches is out of reach too,
-# not refuted
 _BAD_MODEL = (CyclicModelError, QuantumInputFragmentError,
-              ConfluenceError, ConvergenceError, RecursionError)
+              ConfluenceError, ConvergenceError)
 
 
 @dataclass

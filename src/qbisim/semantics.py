@@ -211,9 +211,9 @@ class Configuration:
     alive in a reference cycle.  The
     System keeps its step memo here: `moves`, the step result, None until
     first asked for.
-    `sat` is its first-choice saturation (`qbisim.bisim`), kept once it
-    has an internal move; an inert configuration saturates to its point
-    distribution, which is not kept here, since it refers back to it.
+    `sat` is its first-choice saturation (`qbisim.bisim`), None until its
+    `fold` returns and kept only if it has an internal move: an inert
+    configuration saturates to its point distribution, which refers back.
     `facts` is 0 until `qbisim.bisim` proves its reach acyclic and free of
     visible quantum input, folding over a walk (`System.post_order`), and
     then the bits of what that fold found in the reach.
@@ -421,10 +421,36 @@ class _Component(NamedTuple):
 # the system: interning, stepping, weak closure
 
 
-def _internal_cycle(config) -> CyclicModelError:
-    return CyclicModelError(
-        f"internal cycle through configuration {config!r}; "
-        "weak transitions need an acyclic internal graph")
+def fold(key, frame, get, put):
+    """The value of `key` in a memoised fold run on an explicit stack, so a
+    fold takes no Python frame per step of a model.  `frame(k)` is a
+    generator that yields each key whose value it needs, is sent that value
+    and returns the value of `k`.  Only the driver reads the memo, by `get`
+    (None when missing), and keeps each returned value by `put`.  A key
+    needed while its frame is open raises `CyclicModelError`; the open keys
+    live in this call alone, so a frame that raises leaves none behind."""
+    sent = get(key)
+    if sent is not None:
+        return sent
+    stack, opened = [(key, frame(key))], {key}
+    while stack:
+        k, gen = stack[-1]
+        try:
+            need = gen.send(sent)
+        except StopIteration as end:
+            sent = end.value
+            put(k, sent)
+            opened.remove(k)
+            stack.pop()
+            continue
+        sent = get(need)
+        if sent is None:
+            if need in opened:
+                raise CyclicModelError(f"cycle through {need!r}; weak moves and "
+                                       "the canonical scheduler need an acyclic graph")
+            opened.add(need)
+            stack.append((need, frame(need)))
+    return sent
 
 
 class System:
@@ -440,9 +466,9 @@ class System:
     once per value (`combine`), with the facts derived from it, so equal
     combinations in any query are one object.  The configurations hold the
     register through a weak reference to the System (`owner`).  The
-    extreme points of weak moves are memoized per (configuration, label);
-    an internal cycle raises `CyclicModelError` from every weak-closure
-    query.
+    extreme points of weak moves are memoized per (configuration, label),
+    each weak-closure query is a `fold` on an explicit stack, and an
+    internal cycle raises `CyclicModelError` from every one.
 
     Configurations are interned per density matrix under the component of
     their term (`_key`), not under the term, and a configuration's term is
@@ -942,16 +968,11 @@ class System:
         """Extreme distributions reachable by a weak `label` move: internal
         moves, then `label`, then internal moves; for `TAU`, only internal
         moves, halting included."""
-        return self._extremes(config, label, frozenset())
+        memo = self._extreme_sets
+        return fold((config, label), self._extremes, memo.get, memo.__setitem__)
 
-    def _extremes(self, config, label, stack):
-        key = (config, label)
-        cached = self._extreme_sets.get(key)
-        if cached is not None:
-            return cached
-        if key in stack:
-            raise _internal_cycle(config)
-        stack = stack | {key}
+    def _extremes(self, key):
+        config, label = key
         found = {}
         if not label.visible:
             halt = self.dirac(config)
@@ -967,36 +988,31 @@ class System:
                 continue
             else:
                 then = label
-            choice_sets = [self._extremes(s, then, stack) for s in support]
+            choice_sets = []
+            for s in support:
+                choice_sets.append((yield s, then))
             for combo in itertools.product(*choice_sets):
                 self._spend()
                 mixed = self.combine((probs[s], e) for s, e in zip(support, combo))
                 found.setdefault(mixed.digest, mixed)
-        result = tuple(found.values())
-        self._extreme_sets[key] = result
-        return result
+        return tuple(found.values())
 
     def weak_enabled(self, config: Configuration) -> frozenset:
         """Visible labels reachable as a full weak transition from here."""
-        return self._enabled(config, frozenset())
+        memo = self._enabled_cache
+        return fold(config, self._enabled, memo.get, memo.__setitem__)
 
-    def _enabled(self, config, stack):
-        cached = self._enabled_cache.get(config)
-        if cached is not None:
-            return cached
-        if config in stack:
-            raise _internal_cycle(config)
-        stack = stack | {config}
+    def _enabled(self, config):
         labels = set()
         for trans in self.step(config):
             if trans.label.visible:
                 labels.add(trans.label)
             else:
-                labels |= frozenset.intersection(
-                    *[self._enabled(s, stack) for s in trans.targets])
-        result = frozenset(labels)
-        self._enabled_cache[config] = result
-        return result
+                below = []
+                for s in trans.targets:
+                    below.append((yield s))
+                labels |= frozenset.intersection(*below)
+        return frozenset(labels)
 
     # -- reachability
 

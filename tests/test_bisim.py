@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qbisim.calculus import parse_module
-from qbisim.errors import BudgetExceededError, CyclicModelError, QuantumInputFragmentError
+from qbisim.errors import (BudgetExceededError, ChannelDomainError, CyclicModelError,
+                           QuantumInputFragmentError)
 from qbisim.quantum import QubitRegister, QuantumState, _matrix_digest
 from qbisim import bisim
 from qbisim.lp import combination_weights
@@ -380,11 +381,14 @@ class TestDecide:
 
 
 class TestInternalChains:
-    """Canonical saturation follows a chain of internal point moves in a
-    loop, not one Python frame per step, and an internal cycle still
-    raises, keeping no saturation."""
+    """Canonical saturation, the weak moves and the canonical walk are folds
+    on an explicit stack (`qbisim.semantics.fold`), not one Python frame
+    per step, so chains deeper than the interpreter's stack limit are
+    decided by every entry point.  An internal cycle still raises, keeping
+    no saturation, and a fold that raises leaves nothing open behind it."""
 
     CHAIN = "T(n;) := if n < 2000 then ( tau . T(n + 1;) ) else ( a!0 . nil )"
+    VISIBLE = "Chain(n;) := if n < 2000 then ( a!0 . Chain(n + 1;) )"
 
     def test_a_chain_of_2000_internal_steps_is_decided(self):
         s = System(parse_module(self.CHAIN), register=R1)
@@ -413,6 +417,44 @@ class TestInternalChains:
             assert all(x.sat is None for x in stepped(s))
         with pytest.raises(CyclicModelError):
             decide_bisim(c, c, s)
+
+    def test_a_chain_of_2000_visible_steps_is_decided(self):
+        s = System(parse_module(self.VISIBLE), register=R1)
+        c, d = s.config("Chain(0;)", ground()), s.config("tau . Chain(0;)", ground())
+        report = decide_bisim(c, d, s)
+        assert (report.holds, report.mode) == (True, "canonical")
+        bound = distance_upper_bound(c, d, s)
+        assert (bound.value, bound.mode) == (0.0, "canonical")
+        for witness, lam in ((report.witness, 0.0), (bound.witness, bound.value)):
+            assert len(witness.pairs) == 2002
+            for mode in ("auto", "exhaustive"):
+                assert check_lambda_relation(witness, lam, s, mode=mode).holds
+
+    def test_weak_moves_down_a_chain_of_2000_internal_steps(self):
+        # each link adds one halting point to the extremes below it, so
+        # the extremes cost 2000 * 2001 / 2 work units
+        s = System(parse_module(self.CHAIN), register=R1, budget=2_001_000)
+        c = s.config("T(0;)", ground())
+        assert [str(l) for l in s.weak_enabled(c)] == ["a!0"]
+        assert len(s.weak_extremes(c, TAU)) == 2001
+        assert s.work == 2_001_000
+
+    def test_a_chain_of_500_internal_steps_is_decided_state_based(self):
+        s = System(parse_module(self.CHAIN.replace("2000", "500")), register=R1)
+        c, d = s.config("T(0;)", ground()), s.config("a!0 . nil", ground())
+        report = decide_state_based(c, d, s)
+        assert (report.holds, report.mode) == (True, "state-based")
+
+    def test_a_fold_that_raises_leaves_nothing_open(self):
+        # the chain ends in a visible input on a channel with no domain
+        s = System(parse_module("U(n;) := if n < 3 then ( tau . U(n + 1;) ) else ( c?x . nil )"),
+                   register=R1)
+        c = s.config("U(0;)", ground())
+        for ask in (s.weak_enabled, lambda c: s.weak_extremes(c, TAU),
+                    lambda c: _config_sat(s, c)):
+            for _ in range(2):
+                with pytest.raises(ChannelDomainError):
+                    ask(c)
 
 
 class TestDuplicatedMeasurement:
@@ -772,8 +814,9 @@ class TestDistance:
 class TestWalkPairs:
     """At a pair whose forms have one class each, that class's derivatives
     are the shared ones the walk visited first, so the same memoised node
-    contributes its pairs twice.  A node lists each pair once, so a chain
-    of k visible steps keeps k + 1 pairs, not 2^(k+1)."""
+    stands under its parent twice.  The witness expands each node once and
+    lists each pair once, so a chain of k visible steps keeps k + 1 pairs,
+    not 2^(k+1)."""
 
     @staticmethod
     def chain(k):
@@ -782,11 +825,11 @@ class TestWalkPairs:
         rho = QuantumState.product(R1, None)
         return s, s.config("Chain(0;)", rho), s.config("tau . Chain(0;)", rho)
 
-    def test_a_node_lists_each_pair_once(self):
+    def test_a_witness_lists_each_pair_once(self):
         s, c, d = self.chain(12)
         node = bisim._walk(s, bisim._saturate(s, s.dirac(c)),
                            bisim._saturate(s, s.dirac(d)), math.inf, {}, [])
-        keys = [(a.digest, b.digest) for a, b in node.pairs]
+        keys = [(a.digest, b.digest) for a, b in bisim._witness_pairs((node,))]
         assert len(keys) == len(set(keys)) == 13
 
     def test_a_long_chain_holds(self):
