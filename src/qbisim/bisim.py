@@ -106,9 +106,9 @@ follow the certifying-algorithm pattern (McConnell, Mehlhorn, Näher and
 Schweitzer, "Certifying algorithms", Computer Science Review 2011): a
 state-based or relation-search refutation carries a `Certificate`, the
 deletions it rests on, in order.  Each names a pair, the obligation it
-failed, and for each failed match either an integer Farkas vector showing
-the match's LP infeasible or the fact that the defender has no weak move
-with the label.  The checker re-reads the entries against the moves of
+failed, and for its one failed match either an integer Farkas vector
+showing the match's LP infeasible or the fact that the defender has no
+weak move with the label.  The checker re-reads the entries against the moves of
 the System with exact integer dot products.  It solves no LP and runs no
 fixpoint, so a replay does not repeat the decision.  A certificate is
 exact relative to the float probabilities the engine used, so it cannot
@@ -147,7 +147,6 @@ from .semantics import (
 )
 
 _ATTACK_CAP = 4096      # extreme strong moves enumerated per distribution
-_SUBSET_CAP = 4096      # matched-class subsets tried per lambda decomposition
 _FAMILY_CAP = 512       # distributions kept by relation-search mode
 
 
@@ -298,8 +297,9 @@ def tc_decompose(mu, context) -> TcDecomposition:
 
     This is the canonical coarsest tc-decomposition: every other one refines
     it, so at lambda 0 matching these classes suffices for matching grouped
-    classes.  Above lambda 0 it does not: a finer split can leave less mass
-    unmatched than whole coarsest classes do.
+    classes.  Above lambda 0 every checker lets a class go unmatched in
+    part, in proportion to it, dropping it whole included
+    (`_match_decomposition`); a finer split is not tried.
     A class is its probabilities divided by its weight.  When that changes
     no value (one class of mass exactly 1, not a float sum over exact
     probabilities), the class is `mu` itself; every other class is the
@@ -902,34 +902,7 @@ def _match_weak(system: System, rel: _Relation, attack: ConfigDistribution,
     columns, origins = _closure_columns(rel, attack, _debited(per_config))
     target = {("L", c.index): p for c, p in attack}
     target.update((("D", d.index), p) for d, p in defender)
-    farkas = None if proof is None else []
-    if _feasible(columns + _extreme_columns(per_config), origins, target, used, farkas):
-        return True
-    if proof is not None:
-        proof.extend(farkas)
-    return False
-
-
-def _partial_matchings(classes, bound: float):
-    """Yield (unmatched mass, matched indices, ascending) for every subset
-    of `classes` whose unmatched mass, summed in index order, is at most
-    `bound`.
-
-    Only classes that could go unmatched alone are ever left out.  A sum
-    of nonnegative terms is at least each term when it stays exact, and at
-    least the term's float once it is a float, so a class with weight w
-    above `bound` whose float is also above it is matched in every such
-    subset.  At lambda 0 that is usually every class, and the one subset
-    is found without walking the other 2^k - 1.
-    """
-    indices = range(len(classes))
-    free = [i for i in indices
-            if classes[i].weight <= bound or float(classes[i].weight) <= bound]
-    for r in range(len(free) + 1):
-        for dropped in itertools.combinations(free, r):
-            unmatched_mass = sum(classes[i].weight for i in dropped)
-            if unmatched_mass <= bound:
-                yield unmatched_mass, tuple(i for i in indices if i not in dropped)
+    return _feasible(columns + _extreme_columns(per_config), origins, target, used, proof)
 
 
 def _match_decomposition(system: System, rel: _Relation, decomp: TcDecomposition,
@@ -937,53 +910,37 @@ def _match_decomposition(system: System, rel: _Relation, decomp: TcDecomposition
                          used=None, proof=None) -> bool:
     """Can the defender internally split to match the attacker's classes?
 
-    Searches for a weak tau derivative of `defender` of the form
-    sum_i p_i nu_i with (mu_i, nu_i) in the closure for every matched class
-    and at most `lam` attacker mass unmatched.  Matched subsets are tried in
-    order of decreasing matched mass.  As in `_match_weak`, each LP has pair
-    columns and identity carriers only on the right rows the defender's
-    extreme tau moves debit; the columns for unmatched mass sit on those
-    rows too.  The positions of the pairs the first feasible split relies
-    on go into `used`.  With `proof` a list, each subset whose LP fails
-    appends (subset, its `Farkas` proof).
+    Searches for a weak tau derivative of `defender` that matches each
+    class i, of weight w_i, inside the closure but for a share u_i of it,
+    with sum_i u_i at most `lam + tol`: a class may be matched in part, in
+    proportion to mu_i, as the canonical walk and the saturated rule match
+    it.  One LP: class i has its closure columns on the rows tagged
+    ("L", i), whose target is w_i mu_i, and a column for its unmatched
+    share, that target plus w_i on a budget row ("B",) whose target is
+    `lam + tol`, filled by a slack column.  The defender spends its
+    ("D", d) rows on its extreme tau moves, and a free column on each right
+    row they debit takes the mass that meets no class, by mass balance the
+    unmatched mass.  Dropping a whole class is the solution whose share of
+    it is all of it.  As in `_match_weak`, pair columns and carriers sit
+    only on debited rows, the pairs a solution uses go into `used`, and a
+    failure appends the LP's `Farkas` proof to a `proof` list.
     """
-    classes = decomp.classes
     per_config = [(d, system.weak_extremes(d, TAU)) for d in defender.probs]
-    extreme_columns = _extreme_columns(per_config)
     debited = _debited(per_config)
-    # defender mass on unmatched classes
-    free_columns = [{key: 1.0} for key in
-                    sorted((("R", y.index) for y in debited), key=repr)]
-
-    def feasible(matched):
-        columns = []
-        origins = []
-        for i in matched:
-            block, block_origins = _closure_columns(rel, classes[i].dist, debited,
-                                                    row=("L", i))
-            columns += block
-            origins += block_origins
-        columns += extreme_columns
-        if len(matched) < len(classes):
-            columns += free_columns
-        target = {}
-        for i in matched:
-            cls = classes[i]
-            for c, p in cls.dist:
-                target[("L", i, c.index)] = cls.weight * p
-        target.update((("D", d.index), p) for d, p in defender)
-        farkas = None if proof is None else []
-        if _feasible(columns, origins, target, used, farkas):
-            return True
-        if proof is not None:
-            proof.extend((matched, f) for f in farkas)
-        return False
-
-    options = list(itertools.islice(_partial_matchings(classes, lam + tol), _SUBSET_CAP + 1))
-    if len(options) > _SUBSET_CAP:
-        raise BudgetExceededError("too many matched-class subsets", budget=_SUBSET_CAP)
-    options.sort(key=lambda ow: (ow[0], tuple(ow[1])))
-    return any(feasible(matched) for _, matched in options)
+    columns, origins, unmatched = [], [], []
+    target = {("B",): lam + tol}
+    for i, cls in enumerate(decomp.classes):
+        block, block_origins = _closure_columns(rel, cls.dist, debited, row=("L", i))
+        columns += block
+        origins += block_origins
+        mass = {("L", i, c.index): cls.weight * p for c, p in cls.dist}
+        target.update(mass)
+        unmatched.append({**mass, ("B",): cls.weight})
+    target.update((("D", d.index), p) for d, p in defender)
+    columns += _extreme_columns(per_config)
+    columns += [{key: 1.0} for key in sorted((("R", y.index) for y in debited), key=repr)]
+    columns += unmatched + [{("B",): 1.0}]
+    return _feasible(columns, origins, target, used, proof)
 
 
 def _strong_attacks(system: System, dist: ConfigDistribution, cache: dict) -> tuple:
@@ -1055,10 +1012,10 @@ def _violation(system: System, rel: _Relation, x: ConfigDistribution,
 
     Clause (ii): every extreme strong move of x has a weak match by y.
     Clause (iii): when x is not transition consistent, an internal split of
-    y matches its canonical classes with at most `lam` mass unmatched.
-    The positions in `rel` of the pairs the matches rely on go into `used`.
-    With `proof` a list, the evidence of the failed matches of the violated
-    obligation goes into it (`_match_weak`, `_match_decomposition`).
+    y matches its canonical classes, in whole or in part, with at most
+    `lam` mass unmatched (`_match_decomposition`).  The positions in `rel`
+    of the pairs the matches rely on go into `used`.  With `proof` a list,
+    the one failed match appends its evidence (`_match_weak`).
     """
     for label, attack in _strong_attacks(system, x, attack_cache):
         if not _match_weak(system, rel, attack, y, label, used, proof):
@@ -1070,8 +1027,6 @@ def _violation(system: System, rel: _Relation, x: ConfigDistribution,
             return dict(clause="iii", label=TAU,
                         detail="no internal split of the defending side matches the "
                                "transition-consistent classes within the allowed mass")
-        if proof is not None:
-            proof.clear()   # subsets that failed before one matched
     return None
 
 
@@ -1176,7 +1131,10 @@ def check_lambda_relation(relation, lam: float, context, tol: float = None,
     be weakly matched inside the convex closure of the family; and when the
     left side is not transition consistent, its canonical classes must be
     matched by an internal split of the right side with at most lambda mass
-    unmatched.  At lambda 0 this is the ground-bisimulation check.
+    unmatched.  Both rules let a class be matched in part, in proportion to
+    it, as the canonical walk does; the exhaustive rule asks it of one LP
+    per pair (`_match_decomposition`).  At lambda 0 this is the
+    ground-bisimulation check.
 
     One loop (`_check`) visits the pairs with either checking rule.
     `mode` picks the rule: "exhaustive" enumerates attacks literally
@@ -1426,13 +1384,13 @@ class _Entry(NamedTuple):
     check that names a refutation.
 
     `seq` orders entries; `pair` (a, b) and `direction` are as in
-    CheckReport, "left" meaning a attacked.  For clause (ii), `proof` holds
-    the one failed match of the strong `label` move `attack`: its Farkas
-    vector, or None when a defending configuration has no weak `label`
-    move.  For clause (iii) it holds (matched-class subset, Farkas vector)
-    for every subset the match tried.  In a log the vectors are `Farkas`
-    proofs, built when first read; in a `Certificate` they are dicts from
-    LP row to int (`_concrete`).
+    CheckReport, "left" meaning a attacked.  `proof` is the evidence of the
+    one failed match, for either clause: the Farkas vector of its LP (the
+    match of the strong `label` move `attack` for clause (ii), the split of
+    `_match_decomposition` for clause (iii)), or None when a defending
+    configuration has no weak `label` move.  In a log the vector is a
+    `Farkas` proof, built when first read; in a `Certificate` it is a dict
+    from LP row to int (`_concrete`).
     """
 
     seq: int
@@ -1441,7 +1399,7 @@ class _Entry(NamedTuple):
     clause: str
     label: Label
     attack: Optional[ConfigDistribution]
-    proof: tuple
+    proof: object
 
 
 class Certificate(NamedTuple):
@@ -1466,12 +1424,8 @@ class Certificate(NamedTuple):
 
 
 def _concrete(entry: _Entry) -> _Entry:
-    """`entry` with its Farkas proofs read out as dicts."""
-    if entry.clause == "iii":
-        proof = tuple((matched, f.by_key()) for matched, f in entry.proof)
-    else:
-        proof = tuple(None if f is None else f.by_key() for f in entry.proof)
-    return entry._replace(proof=proof)
+    """`entry` with its Farkas proof read out as a dict."""
+    return entry._replace(proof=None if entry.proof is None else entry.proof.by_key())
 
 
 def _pair_key(a: ConfigDistribution, b: ConfigDistribution) -> tuple:
@@ -1497,7 +1451,10 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
 
     Candidates are the pairs meeting clause (i) whose transition-consistent
     members agree on their weak visible sets (tc members related in any
-    ground bisimulation must).  Clause (i) reads only the held qubits and
+    ground bisimulation must).  Each pair walked for candidates spends one
+    work unit, charged for a whole group product (below) before its first
+    pair is built, so a family too large for the budget stops before it
+    fills memory.  Clause (i) reads only the held qubits and
     the environment matrix of each side, so members with the same held
     qubits and bitwise-equal environments form one environment class
     (`_env_class`), and clause (i) is decided once per pair of classes, on
@@ -1576,6 +1533,8 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
         for h in masks[k:]:
             if g & h:
                 continue
+            n = len(groups[g])
+            system._spend(n * (n - 1) // 2 if g == h else n * len(groups[h]))
             for i, j in (itertools.combinations(groups[g], 2) if g == h
                          else itertools.product(groups[g], groups[h])):
                 if (shapes[i] is not None and shapes[j] is not None
@@ -1634,8 +1593,10 @@ def _ground_fixpoint(system: System, members: list, tol: float, attack_cache: di
 
 
 def _entry(seq: int, pair: tuple, bad: dict, proof: list) -> _Entry:
+    """The entry of the failed check `bad`, with the one item of `proof`."""
+    (evidence,) = proof
     return _Entry(seq, pair, bad["direction"], bad["clause"], bad["label"],
-                  bad.get("attack"), tuple(proof))
+                  bad.get("attack"), evidence)
 
 
 def _survives(members: list, alive: set, mu, nu) -> bool:
@@ -2081,60 +2042,58 @@ class _EntryChecker:
 
     def blocks(self, entry: _Entry, name) -> Optional[set]:
         """The keys `name(m, n)` gives the pairs whose columns break the
-        entry's Farkas vectors (None drops a pair), or None when its
+        entry's Farkas vector (None drops a pair), or None when its
         evidence fails whatever pairs are dead."""
         system = self.system
         pair = [self.member(d) for d in entry.pair]
         if None in pair:
             return None
         x, y = pair if entry.direction == "left" else pair[::-1]
-        if entry.clause == "ii" and entry.attack is not None and len(entry.proof) == 1:
+        if entry.clause == "ii" and entry.attack is not None:
             attack = next((d for label, d in _strong_attacks(system, x, self.attacks)
                            if label == entry.label and d.digest == entry.attack.digest),
                           None)
-            extremes = [(d, system.weak_extremes(d, entry.label)) for d in y.support]
-            (farkas,) = entry.proof
             if attack is None:
                 return None
-            if farkas is None:
-                return set() if not all(es for _, es in extremes) else None
-            return self.lp_blocks(farkas, [(("L",), attack, 1)], y, extremes, False, name)
-        if entry.clause != "iii":
-            return None
-        classes = tc_decompose(x, system).classes
-        options = [matched for _, matched in _partial_matchings(classes, 0.0 + self.tol)]
-        proof = dict(entry.proof)
-        if len(classes) < 2 or set(proof) != set(options):
-            return None
-        extremes = [(d, system.weak_extremes(d, TAU)) for d in y.support]
-        found = set()
-        for matched in options:
-            parts = [(("L", i), classes[i].dist, classes[i].weight) for i in matched]
-            got = self.lp_blocks(proof[matched], parts, y, extremes,
-                                 len(matched) < len(classes), name)
-            if got is None:
+            label, parts, budget = entry.label, [(("L",), attack, 1)], None
+        elif entry.clause == "iii":
+            classes = tc_decompose(x, system).classes
+            if len(classes) < 2:
                 return None
-            found |= got
-        return found
+            label, budget = TAU, self.tol   # refinement checks at lambda 0
+            parts = [(("L", i), cls.dist, cls.weight) for i, cls in enumerate(classes)]
+        else:
+            return None
+        extremes = [(d, system.weak_extremes(d, label)) for d in y.support]
+        if entry.proof is None:
+            return set() if not all(es for _, es in extremes) else None
+        return self.lp_blocks(entry.proof, parts, y, extremes, budget, name)
 
-    def lp_blocks(self, y: dict, parts, defender, extremes, free: bool,
+    def lp_blocks(self, y: dict, parts, defender, extremes, budget,
                   name) -> Optional[set]:
         """`blocks` for one LP: the Farkas vector `y` against matching
         `parts`, each (row tag, distribution, weight), by weak moves of
-        `defender`, whose extreme moves are `extremes`; `free` adds the
-        columns for unmatched mass, as `_match_decomposition` does."""
+        `defender`, whose extreme moves are `extremes`.  `budget` is None
+        for clause (ii); for clause (iii) it is the unmatched mass allowed,
+        and the LP has the columns `_match_decomposition` adds for it: one
+        per part for its unmatched share, a slack column on the budget
+        row, and a free column on each row the defender's moves debit."""
         reached = {z for _, es in extremes for e in es for z in e.probs}
         target = [(("D", d.index), p) for d, p in defender]
         fixed = []  # the columns of moves, unmatched mass and identity carriers
         for d, es in extremes:
             fixed += [[(("D", d.index), 1)] + [(("R", z.index), -q) for z, q in e]
                       for e in es]
-        if free:
-            fixed += [[(("R", z.index), 1)] for z in reached]
         for tag, dist, weight in parts:
-            target += [((*tag, c.index), weight * p) for c, p in dist]
+            mass = [((*tag, c.index), weight * p) for c, p in dist]
+            target += mass
+            if budget is not None:
+                fixed.append(mass + [(("B",), weight)])
             fixed += [[((*tag, c.index), 1), (("R", c.index), 1)]
                       for c in dist.probs if c in reached]
+        if budget is not None:
+            target.append((("B",), budget))
+            fixed += [[(("B",), 1)]] + [[(("R", z.index), 1)] for z in reached]
         if _dot(y, target)[0] >= 0 or any(_dot(y, col)[0] < 0 for col in fixed):
             return None
         # a pair column's product is that of its left part plus its right part's

@@ -488,8 +488,9 @@ class System:
     was proved keeps what the proof found (`Configuration.facts`), so no
     walk repeats that proof.  `work` counts the units
     the current query spent against `budget` (see `query`): one per
-    combination of extreme weak moves built, and in the canonical walks of
-    `qbisim.bisim` the support sizes of each pair of saturations visited.
+    combination of extreme weak moves built, and in `qbisim.bisim` the
+    support sizes of each pair of saturations the canonical walk visits and
+    one per pair of members a refinement walks for candidates.
 
     A System also keeps what the bisimulation engines proved on it
     (`qbisim.bisim`): per tolerance, the point pairs some state-based

@@ -14,6 +14,14 @@ C(; q) := meas Mcomp[q; x] . nil
 D(; q) := apply Dephase[q] . nil
 """
 
+# every process construct and every action, for `parse`
+EVERY_CONSTRUCT = """\
+channels { c : {0, 1}; d : {0, 1} }
+P(n; q) := if n < 1 then ( tau . c?x . d!x . nil ) else ( #e?r . #f!r . nil )
+Q(; q) := ( P(0; q) || c!1 . nil ) \\ {c} [d -> c]
+  + pchoice { 1/2 -> meas Mcomp[q; y] . nil ; 1/2 -> apply H[q] . nil }
+"""
+
 
 @pytest.fixture
 def module_file(tmp_path):
@@ -57,6 +65,35 @@ class TestParse:
         code, out, _ = run(capsys, "parse", module_file)
         assert code == 0
         assert set(json.loads(out)["definitions"]) == {"C", "D"}
+
+    def test_every_construct_prints(self, capsys, tmp_path):
+        path = tmp_path / "every.qp"
+        path.write_text(EVERY_CONSTRUCT)
+        code, out, _ = run(capsys, "parse", str(path))
+        assert code == 0
+        module = json.loads(out)
+        nodes, actions = set(), set()
+        stack = [module]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, dict):
+                nodes.update([obj["node"]] if "node" in obj else ())
+                actions.update([obj["kind"]] if "kind" in obj else ())
+                stack += obj.values()
+            elif isinstance(obj, list):
+                stack += obj
+        assert nodes == {"nil", "call", "prefix", "sum", "par", "restrict", "relabel",
+                         "if", "pchoice"}
+        assert actions == {"tau", "input", "output", "qinput", "qoutput", "apply", "meas"}
+        relabel, pchoice = module["definitions"]["Q"]["body"]["parts"]
+        assert relabel["mapping"] == [["d", "c"]]
+        restrict = relabel["body"]
+        assert (restrict["node"], restrict["channels"]) == ("restrict", ["c"])
+        call, _ = restrict["body"]["parts"]
+        assert call == {"node": "call", "name": "P", "cargs": ["0"], "qargs": ["q"]}
+        assert [b["weight"] for b in pchoice["branches"]] == [0.5, 0.5]
+        guarded, _ = module["definitions"]["P"]["body"]["parts"]
+        assert (guarded["node"], guarded["cond"]) == ("if", "n < 1")
 
     def test_syntax_error_names_the_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.qp"
