@@ -135,7 +135,7 @@ from .errors import (
     QuantumInputFragmentError,
 )
 from .lp import combination_weights
-from .quantum import _matrix_digest, trace_distance
+from .quantum import _exact_bytes, _matrix_digest, trace_distance
 from .semantics import (
     TAU,
     ConfigDistribution,
@@ -232,10 +232,10 @@ def _clause_i(x: ConfigDistribution, y: ConfigDistribution, bound: float,
 
 
 def _env_class(dist: ConfigDistribution) -> tuple:
-    """All that clause (i) reads of `dist`: its held qubits and the bytes of
-    its environment matrix.  (Equal 10-decimal digests would not do: the
-    trace distance reads the exact matrices.)"""
-    return dist.held_qubits(), _environment(dist)[1].tobytes()
+    """All that clause (i) reads of `dist`: its held qubits and the exact
+    bytes of its environment matrix.  (Equal 10-decimal digests would not
+    do: the trace distance reads the exact matrices.)"""
+    return dist.held_qubits(), _exact_bytes(_environment(dist)[1])
 
 
 def _kept_clause_i(system: System, x: ConfigDistribution, y: ConfigDistribution,

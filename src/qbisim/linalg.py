@@ -1,23 +1,30 @@
-"""Hermitian eigenvalues by cyclic Jacobi rotations.
+"""The matrix type of the toolkit, and Hermitian eigenvalues by cyclic Jacobi
+rotations.
+
+A matrix is a tuple of row tuples of Python complex numbers: immutable, so
+an interned density matrix can be shared and named by its identity, and
+built by plain arithmetic, which costs less than numpy's dispatch at the
+dimensions a register has (2 to 8 rows, each a few hundred nanoseconds per
+entry) and keeps the package free of any compiled dependency.  `as_matrix`
+converts what a caller hands in, a nested sequence or anything with
+`tolist()` (a numpy array, say), once, where it enters the package;
+`_rows` lets a tuple, taken to be such a matrix already, pass as it is.
 
 All spectral quantities in the toolkit (trace distance, positivity checks)
 go through `jacobi_eigvalsh`.  The sweep runs on Python complex scalars, so
 its bits depend only on CPython's double arithmetic (with the C library's
-`hypot` behind `abs`), not on BLAS or on the SIMD loops numpy dispatches
-for the machine.  On an x86-64 machine with AVX-512, the sha256 of the
-eigenvalues of 300 random Hermitian matrices (d = 2, 4, 8) is 6faac88e...
-with numpy's X86_V3/X86_V4 dispatch on and off; the same sweep on numpy
-array slices gave 13288526... with it on, because numpy's array complex
-multiply rounds differently from its scalar one.  Matrices stay small
-(at most a few hundred rows), where Jacobi is both accurate and fast
-enough.
+`hypot` behind `abs`), not on BLAS or on SIMD loops.  On an x86-64 machine
+with AVX-512, the sha256 of the eigenvalues of 300 random Hermitian
+matrices (d = 2, 4, 8) is 6faac88e... with numpy's X86_V3/X86_V4 dispatch
+on and off; the same sweep on numpy array slices gave 13288526... with it
+on, because numpy's array complex multiply rounds differently from its
+scalar one.  Matrices stay small (at most a few hundred rows), where
+Jacobi is both accurate and fast enough.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import ConvergenceError
 
@@ -27,7 +34,30 @@ JACOBI_EPS = 1e-12
 _MAX_SWEEPS = 100
 
 
-def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
+def as_matrix(m) -> tuple:
+    """`m` as a square matrix: a tuple of row tuples of complex numbers.
+
+    `m` is a sequence of rows of numbers, or anything with `tolist()` that
+    gives one; ValueError on any other shape."""
+    if hasattr(m, "tolist"):
+        m = m.tolist()
+    try:
+        rows = tuple(tuple(map(complex, row)) for row in m)
+    except TypeError:
+        raise ValueError("expected a matrix: a sequence of rows of numbers") from None
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"expected a square matrix, got rows of lengths "
+                         f"{[len(row) for row in rows]}")
+    return rows
+
+
+def _rows(m) -> tuple:
+    """`m` itself if it is a tuple, else `as_matrix(m)`: the package passes
+    its own matrices unconverted, and a caller's array is converted."""
+    return m if m.__class__ is tuple else as_matrix(m)
+
+
+def jacobi_eigvalsh(matrix) -> list:
     """Ascending eigenvalues of a Hermitian matrix, by cyclic Jacobi sweeps.
 
     Each rotation zeroes a[p, q] and a[q, p]; it is unitary and equal to the
@@ -35,11 +65,8 @@ def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     off / n^2, and convergence is declared once the off-diagonal Frobenius
     norm `off` drops below `JACOBI_EPS`.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    a = a.tolist()
+    a = [list(row) for row in _rows(matrix)]
+    n = len(a)
     for _ in range(_MAX_SWEEPS):
         off = math.sqrt(math.fsum([h * h for i, row in enumerate(a)
                                    for h in map(abs, row[:i] + row[i + 1:])]))
@@ -85,4 +112,4 @@ def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
         raise ConvergenceError(
             f"Jacobi failed to reach off-norm {JACOBI_EPS} in {_MAX_SWEEPS} sweeps"
         )
-    return np.array(sorted(a[i][i].real for i in range(n)))
+    return sorted(a[i][i].real for i in range(n))

@@ -39,6 +39,7 @@ from .errors import (
 )
 # not called here: perfbench/spans.py traces the LP under this name too
 from .lp import combination_weights  # noqa: F401
+from .linalg import as_matrix
 from .quantum import (
     _DIGEST_DECIMALS,
     DEFAULT_TOL,
@@ -334,7 +335,11 @@ class ConfigDistribution:
             keep = tuple(q for q in c.register.names if q not in held)
             reduced = partial_trace(c.matrix, c.register, keep)
             p = _float(p)
-            acc = p * reduced if acc is None else acc + p * reduced
+            if acc is None:
+                acc = tuple(tuple(p * z for z in row) for row in reduced)
+            else:
+                acc = tuple(tuple(a + p * z for a, z in zip(ra, row))
+                            for ra, row in zip(acc, reduced))
         return keep, acc
 
     def __repr__(self):
@@ -516,6 +521,7 @@ class System:
         self._open_queries = 0
         self._n_configs = 0
         self._matrices = {}      # digest -> interned matrix
+        self._given = {}         # id of a caller's matrix -> (it, its conversion)
         self._configs = {}       # id of an interned matrix -> {component key: configuration}
         self._unfold_cache = {}
         # configuration index -> its point distribution; kept here, not on
@@ -523,6 +529,10 @@ class System:
         self._points = {}
         self._dists = {}         # `_distribution` key -> the one distribution
         self._component_steps = {}
+        # (action class, operation, qubits, id of an interned matrix) -> its
+        # interned image, or (value, probability, interned post-state) per
+        # outcome of a measurement (`_apply`)
+        self._applied = {}
         self._parts = {}         # composition key a part received -> the one such key
         self._inputs = {}
         self._extreme_sets = {}
@@ -537,18 +547,25 @@ class System:
         """Intern a root configuration; `state` is validated here, once per
         matrix object.
 
-        `term` may be source text or a term object; `state` a QuantumState
-        or a raw density matrix over the system register.  The term is put
-        in canonical form, which stepping then keeps, and interned under
-        its component (`_key`).
+        `term` may be source text or a term object; `state` a QuantumState,
+        an interned matrix, or a raw density matrix over the system register
+        (nested sequences or anything with `tolist()`), converted here.  The
+        term is put in canonical form, which stepping then keeps, and
+        interned under its component (`_key`).
         """
         term = ca.parse_term(term) if isinstance(term, str) else ca.alpha_canonical(term)
         if isinstance(state, QuantumState):
             if self.register is None:
                 self.register = state.register
             matrix = state.matrix
-        else:
+        elif id(state) in self._configs:
             matrix = state
+        else:
+            # converted once per object, which is kept so its id stays its own
+            given = self._given.get(id(state))
+            if given is None:
+                given = self._given[id(state)] = (state, as_matrix(state))
+            matrix = given[1]
         if self.register is None:
             raise ValueError("system has no register; pass a QuantumState first")
         if isinstance(state, QuantumState) and state.register != self.register:
@@ -556,7 +573,7 @@ class System:
         if id(matrix) not in self._configs:
             # an interned matrix was checked when it came in, or the engine made it
             check_density_matrix(matrix, self.tol)
-        if matrix.shape != (self.register.dim, self.register.dim):
+        if len(matrix) != self.register.dim:
             raise ValueError("state dimension does not match the register")
         missing = ca.qv(term) - set(self.register.names)
         if missing:
@@ -794,14 +811,11 @@ class System:
 
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.Apply):
-                op = resolve_operation(act.op, self.registry)
-                new_mat = self._share(op.apply(mat, self.register, act.qubits))
-                return [(TAU, ((1, _key(term.cont), new_mat),))], []
+                return [(TAU, ((1, _key(term.cont), self._apply(act, mat)),))], []
             if isinstance(act, ca.Meas):
-                op = resolve_operation(act.op, self.registry)
                 branches = tuple(
-                    (p, _key(ca.subst_values(term.cont, {act.var: v})), self._share(post))
-                    for v, p, post in op.apply(mat, self.register, act.qubits))
+                    (p, _key(ca.subst_values(term.cont, {act.var: v})), post)
+                    for v, p, post in self._apply(act, mat))
                 return [(TAU, branches)], []
             raise TypeError(f"unknown action {act!r}")
 
@@ -827,6 +841,24 @@ class System:
             return self._step_par(_key(term), mat, fuel)
 
         raise TypeError(f"cannot step {term!r}")
+
+    def _apply(self, act, mat):
+        """The interned image of `mat` under the operation of `act`, an
+        `Apply` or a `Meas`: for a measurement, (value, probability,
+        interned post-state) per outcome.
+
+        Computed once per System for each operation, its qubits and the
+        interned matrix: `mat` is always a configuration's, kept alive in
+        `_matrices`, so its identity stands for its value."""
+        key = (act.__class__, act.op, act.qubits, id(mat))
+        got = self._applied.get(key)
+        if got is None:
+            op = resolve_operation(act.op, self.registry)
+            out = op.apply(mat, self.register, act.qubits)
+            share = self._share
+            got = self._applied[key] = share(out) if isinstance(act, ca.Apply) else tuple(
+                (v, p, share(post)) for v, p, post in out)
+        return got
 
     def _step_component(self, part, mat, fuel: int, hidden: frozenset,
                         table: dict) -> _Component:
@@ -973,6 +1005,10 @@ class System:
         return fold((config, label), self._extremes, memo.get, memo.__setitem__)
 
     def _extremes(self, key):
+        """One work unit per combination built, and one per point move: a
+        point move's extremes are its target's (`combine` returns a lone
+        part of int weight 1 as itself), merged in without a product, so a
+        chain of internal point moves costs units linear in its length."""
         config, label = key
         found = {}
         if not label.visible:
@@ -980,8 +1016,7 @@ class System:
             found[halt.digest] = halt
         for trans in self.step(config):
             point = trans.target
-            probs = trans.dist.probs if point is None else {point: 1}
-            support = tuple(probs)
+            support = trans.targets
             if trans.label == label:
                 then = TAU
             elif trans.label.visible or not all(
@@ -989,6 +1024,12 @@ class System:
                 continue
             else:
                 then = label
+            if point is not None:
+                self._spend()
+                for e in (yield point, then):
+                    found.setdefault(e.digest, e)
+                continue
+            probs = trans.dist.probs
             choice_sets = []
             for s in support:
                 choice_sets.append((yield s, then))
@@ -1138,8 +1179,7 @@ class PLTS:
             node = {"id": i, "term": ca.pretty(c.term), "qv": sorted(c.qv),
                     "env_digest": self._env_digest(c)}
             if with_states:
-                node["state"] = [[[z.real, z.imag] for z in row]
-                                 for row in c.matrix.tolist()]
+                node["state"] = [[[z.real, z.imag] for z in row] for row in c.matrix]
             states.append(node)
         return {
             "register": list(self.system.register.names),

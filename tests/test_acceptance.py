@@ -141,7 +141,7 @@ def test_criterion_4():
             str(rng.integers(0, 2)) for _ in reg.names))[rng.integers(0, 3)]
         m = builtin(name)
         qubits = list(reg.names[:m.arity])
-        total = sum(float((op @ rho @ op.conj().T).trace().real)
+        total = sum(float((np.asarray(op) @ rho @ np.asarray(op).conj().T).trace().real)
                     for _, op in m.embedded(reg, qubits))
         assert abs(total - 1.0) <= 1e-9
 
@@ -155,7 +155,7 @@ def test_criterion_4():
             sup = random_superoperator(rng, reg.size)
             qubits = list(reg.names)
         out = sup.apply(rho, reg, qubits)
-        assert abs(float(out.trace().real) - 1.0) <= 1e-9
+        assert abs(float(np.asarray(out).trace().real) - 1.0) <= 1e-9
 
     for _ in range(500):
         dim = (2, 4)[rng.integers(0, 2)]

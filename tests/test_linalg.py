@@ -15,7 +15,7 @@ def random_hermitian(rng, dim):
 
 def test_diagonal_matrix_is_fixed_point():
     a = np.diag([3.0, -1.0, 2.0]).astype(complex)
-    assert jacobi_eigvalsh(a).tolist() == [-1.0, 2.0, 3.0]
+    assert np.asarray(jacobi_eigvalsh(a)).tolist() == [-1.0, 2.0, 3.0]
 
 
 def test_known_two_by_two():
@@ -32,8 +32,8 @@ def test_complex_hermitian_hand_value():
 
 def test_empty_and_single():
     w = jacobi_eigvalsh(np.zeros((0, 0)))
-    assert w.shape == (0,)
-    assert jacobi_eigvalsh(np.array([[5.0 + 0j]])).tolist() == [5.0]
+    assert np.asarray(w).shape == (0,)
+    assert np.asarray(jacobi_eigvalsh(np.array([[5.0 + 0j]]))).tolist() == [5.0]
 
 
 def test_rejects_non_square():

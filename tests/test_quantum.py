@@ -94,7 +94,7 @@ class TestStates:
 class TestEmbedding:
     def test_embed_on_full_register_is_identity_operation(self):
         reg = QubitRegister.of(["a", "b"])
-        op = np.kron(ket("0")[:, None] @ ket("0")[None, :], np.eye(2))
+        op = np.kron(np.asarray(ket("0"))[:, None] @ np.asarray(ket("0"))[None, :], np.eye(2))
         assert np.allclose(embed(op, reg, ["a", "b"]), op)
 
     def test_embed_acts_on_named_wire(self):
@@ -104,10 +104,10 @@ class TestEmbedding:
         full = embed(x, reg, ["b"])
         v = np.zeros(4, dtype=complex)
         v[0] = 1.0
-        assert np.allclose(full @ v, np.eye(4)[1])
+        assert np.allclose(np.asarray(full) @ v, np.eye(4)[1])
         # X on the first wire maps |00> to |10>
         full = embed(x, reg, ["a"])
-        assert np.allclose(full @ v, np.eye(4)[2])
+        assert np.allclose(np.asarray(full) @ v, np.eye(4)[2])
 
     def test_embed_respects_argument_order(self):
         # CNOT with control listed second
@@ -118,7 +118,7 @@ class TestEmbedding:
         full = embed(cnot, reg, ["b", "a"])  # control b, target a
         v = np.zeros(4, dtype=complex)
         v[1] = 1.0  # |01>: control is 1
-        assert np.allclose(full @ v, np.eye(4)[3])  # target flips: |11>
+        assert np.allclose(np.asarray(full) @ v, np.eye(4)[3])  # target flips: |11>
 
     def test_embed_shape_errors(self):
         reg = QubitRegister.of(["a", "b"])
@@ -155,7 +155,7 @@ class TestPartialTrace:
         reg = QubitRegister.of(["a", "b"])
         rho = product_state(reg)
         got = partial_trace(rho, reg, [])
-        assert got.shape == (1, 1)
+        assert np.asarray(got).shape == (1, 1)
         assert np.allclose(got, [[1.0]])
 
 
@@ -350,7 +350,7 @@ class TestRandomInstances:
         rng = np.random.default_rng(11)
         for _ in range(20):
             sop = random_superoperator(rng, 1, kraus_count=3)
-            total = sum(k.conj().T @ k for k in sop.kraus)
+            total = sum(np.asarray(k).conj().T @ np.asarray(k) for k in sop.kraus)
             assert np.allclose(total, np.eye(2), atol=1e-9)
 
     def test_random_density_is_valid(self):
