@@ -3,12 +3,13 @@ rotations.
 
 A matrix is a tuple of row tuples of Python complex numbers: immutable, so
 an interned density matrix can be shared and named by its identity, and
-built by plain arithmetic, which costs less than numpy's dispatch at the
-dimensions a register has (2 to 8 rows, each a few hundred nanoseconds per
-entry) and keeps the package free of any compiled dependency.  `as_matrix`
-converts what a caller hands in, a nested sequence or anything with
-`tolist()` (a numpy array, say), once, where it enters the package;
-`_rows` lets a tuple, taken to be such a matrix already, pass as it is.
+built by plain arithmetic.  At the dimensions the models use (d = 2 and
+4) that costs about what numpy's per-call overhead did, and it keeps the
+package free of a compiled dependency, whose import was most of a cold
+start.  `as_matrix` converts what a caller hands in, a nested sequence or
+anything with `tolist()` (a numpy array, say), once, where it enters the
+package; `_rows` lets a tuple, taken to be such a matrix already, pass as
+it is.
 
 All spectral quantities in the toolkit (trace distance, positivity checks)
 go through `jacobi_eigvalsh`.  The sweep runs on Python complex scalars, so
