@@ -124,13 +124,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field
 from math import inf, lcm
 from typing import NamedTuple, Optional
 
 from .errors import (
     BudgetExceededError,
+    ChannelDomainError,
     CyclicModelError,
     QuantumInputFragmentError,
 )
@@ -193,11 +193,11 @@ def _dist_json(dist: ConfigDistribution) -> list:
 
 
 def _environment(dist: ConfigDistribution) -> tuple:
-    """(kept qubits, environment matrix, its `_matrix_digest`), computed once
-    per distribution and kept on it."""
+    """(kept qubits, environment matrix, its `_matrix_digest`, its
+    `_exact_bytes`), computed once per distribution and kept on it."""
     if dist._env is None:
         keep, matrix = dist.environment()
-        dist._env = (keep, matrix, _matrix_digest(matrix))
+        dist._env = (keep, matrix, _matrix_digest(matrix), _exact_bytes(matrix))
     return dist._env
 
 
@@ -208,8 +208,8 @@ def _env_distance(a: ConfigDistribution, b: ConfigDistribution) -> float:
     result is bit-identical under swapping, which the bound-symmetry
     contract relies on.
     """
-    _, ma, da = _environment(a)
-    _, mb, db = _environment(b)
+    _, ma, da, _ = _environment(a)
+    _, mb, db, _ = _environment(b)
     if da == db:
         return 0.0
     if db < da:
@@ -235,7 +235,7 @@ def _env_class(dist: ConfigDistribution) -> tuple:
     """All that clause (i) reads of `dist`: its held qubits and the exact
     bytes of its environment matrix.  (Equal 10-decimal digests would not
     do: the trace distance reads the exact matrices.)"""
-    return dist.held_qubits(), _exact_bytes(_environment(dist)[1])
+    return dist.held_qubits(), _environment(dist)[3]
 
 
 def _kept_clause_i(system: System, x: ConfigDistribution, y: ConfigDistribution,
@@ -446,38 +446,22 @@ class DistanceBound:
 # confluent systems (`confluence_check`) every schedule agrees with this one.
 # Saturations, derivatives and behaviour forms are functions of exact values,
 # so each is computed once per System and kept on the object it is derived
-# from, by identity; computing or reading one spends no work units.
+# from, by identity; computing or reading one spends no work units.  A
+# configuration's saturation is set by the walk that proves its reach
+# (`_prepare`), after its successors', so no saturation walks again.
 
 
 def _config_sat(system: System, config: Configuration) -> ConfigDistribution:
     """The saturation of `config`: its point distribution when it has no
     internal move, else its first internal move's distribution with each
-    support configuration saturated, kept on `config` (`sat`).  A `fold`,
-    so an internal cycle raises; a first move that is a point move takes
-    its target's saturation itself, with no combination, so every link of a
-    point chain keeps the object its end saturates to."""
-    return fold(config, functools.partial(_sat_frame, system), _sat_of, _keep_sat)
-
-
-_sat_of = operator.attrgetter("sat")
-
-
-def _keep_sat(config: Configuration, sat: ConfigDistribution) -> None:
-    if next(iter(sat.probs)) is not config:  # else inert: sat refers back to it
-        config.sat = sat
-
-
-def _sat_frame(system: System, config: Configuration):
-    taus = system.tau_transitions(config)
-    if not taus:
-        return system.dirac(config)
-    first = taus[0]
-    if first.target is not None:
-        return (yield first.target)
-    parts = []
-    for d, q in first.dist.probs.items():
-        parts.append((q, (yield d)))
-    return system.combine(parts)
+    support configuration saturated.  `_prepare` keeps it on `config`
+    (`sat`) as it proves the reach, so this reads the slot; a configuration
+    outside a proved reach is prepared first, which raises on an internal
+    cycle or a visible quantum input in its reach."""
+    if not config.facts:
+        _prepare(system, (system.dirac(config),))
+    got = config.sat
+    return system.dirac(config) if got is None else got
 
 
 def _saturate(system: System, dist: ConfigDistribution) -> ConfigDistribution:
@@ -555,23 +539,35 @@ def _prepare(system: System, dists) -> tuple:
 
     One post-order walk (`System.post_order`) proves what no earlier walk
     did, and the fold over its finishing order keeps on each configuration
-    the facts of its reach (`Configuration.facts`): those of its successors
-    and its own.  A configuration with two moves under one label is checked
-    for local diamonds (`_confluent_at`) once its successors are finished,
-    unless one of them already diverges.  A walk that meets a cycle keeps
-    nothing, and one whose roots all have facts walks nothing.  Certified
-    means tau-normal (no visibly-enabled configuration has internal moves)
-    and confluent in the sense of `confluence_check`.
+    the facts of its reach (`Configuration.facts`), those of its successors
+    and its own, and its first-choice saturation (`Configuration.sat`), from
+    its successors': a first internal move that is a point move shares its
+    target's object, with no combination, so every link of a point chain
+    keeps the object its end saturates to, and any other is `combine` of
+    its branches' saturations.  A configuration with two moves under one
+    label is checked for local diamonds (`_confluent_at`) once its
+    successors are finished, unless one of them already diverges.  A walk
+    that meets a cycle keeps nothing, and one whose roots all have facts
+    walks nothing.  Certified means tau-normal (no visibly-enabled
+    configuration has internal moves) and confluent in the sense of
+    `confluence_check`.
     """
     roots = [c for d in dists for c in d.support]
     for c in system.post_order(roots):
         moves = c.moves
         facts = _PROVED
+        first = None
         for t in moves:
             if t.label.kind == Label.QIN:
                 _refuse_quantum_input(system, (c,))
+            if first is None and not t.label.visible:
+                first = t
             for s in t.targets:
                 facts |= s.facts
+        if first is not None:
+            c.sat = (_config_sat(system, first.target) if first.target is not None
+                     else system.combine((q, _config_sat(system, d))
+                                         for d, q in first.dist.probs.items()))
         if len(moves) > 1:
             if len({t.label.visible for t in moves}) > 1:
                 facts |= _MIXED
@@ -2120,13 +2116,14 @@ def _attack_exists(system: System, attacker: ConfigDistribution,
                 return True
     except BudgetExceededError:
         pass
-    # canonical evidence reports saturated derivatives of weak moves
+    # canonical evidence reports saturated derivatives of weak moves; a
+    # reach no query proved is proved here, and what that refuses is False
     try:
         if label == TAU:
             return _saturate(system, attacker).digest == attack.digest
         if all(label in system.weak_enabled(c) for c in attacker.support):
             sat = _saturate(system, attacker)
             return _derivative(system, sat, label).digest == attack.digest
-    except CyclicModelError:
+    except (CyclicModelError, QuantumInputFragmentError, ChannelDomainError):
         pass
     return False

@@ -43,6 +43,7 @@ from .linalg import as_matrix
 from .quantum import (
     _DIGEST_DECIMALS,
     DEFAULT_TOL,
+    Measurement,
     QuantumState,
     _matrix_digest,
     check_density_matrix,
@@ -212,12 +213,12 @@ class Configuration:
     alive in a reference cycle.  The
     System keeps its step memo here: `moves`, the step result, None until
     first asked for.
-    `sat` is its first-choice saturation (`qbisim.bisim`), None until its
-    `fold` returns and kept only if it has an internal move: an inert
-    configuration saturates to its point distribution, which refers back.
     `facts` is 0 until `qbisim.bisim` proves its reach acyclic and free of
     visible quantum input, folding over a walk (`System.post_order`), and
-    then the bits of what that fold found in the reach.
+    then the bits of what that fold found in the reach.  The same fold sets
+    `sat`, its first-choice saturation, from its successors'; it is kept
+    only if it has an internal move: an inert configuration saturates to
+    its point distribution, which refers back.
     """
 
     __slots__ = ("key", "owner", "matrix", "index", "moves", "sat", "facts", "_qv")
@@ -418,7 +419,7 @@ class _Component(NamedTuple):
 
     moves: tuple    # (Label, branches) the restriction keeps, as `_step_term` gives them
     caps: tuple     # _Cap the restriction keeps
-    outputs: tuple  # (label, sender component, sender matrix) of every output
+    outputs: tuple  # (label, sender component, sender post-state) of every output
     inputs: dict    # channel -> instantiate functions of every cap on it
 
 
@@ -469,11 +470,12 @@ class System:
     configuration (`dirac`), built when first asked for, and a point move's
     `dist` is that one.  Every other distribution the engines build is kept
     once per value (`combine`), with the facts derived from it, so equal
-    combinations in any query are one object.  The configurations hold the
-    register through a weak reference to the System (`owner`).  The
-    extreme points of weak moves are memoized per (configuration, label),
-    each weak-closure query is a `fold` on an explicit stack, and an
-    internal cycle raises `CyclicModelError` from every one.
+    combinations in any query are one object, each combined once from the
+    same parts.  The configurations hold the register through a weak
+    reference to the System (`owner`).  The extreme points of weak moves
+    are memoized per (configuration, label), each weak-closure query is a
+    `fold` on an explicit stack, and an internal cycle raises
+    `CyclicModelError` from every one.
 
     Configurations are interned per density matrix under the component of
     their term (`_key`), not under the term, and a configuration's term is
@@ -482,20 +484,23 @@ class System:
     stepped on one path: a leaf by its rule (`_step_term`), a key, with
     its restriction and relabelling, in one pass over its parts' entries
     (`_step_par`).  Every target is built once as a component, so stepping
-    conses no composed term.  A part is stepped once per (component,
-    state, restriction), and its entry is indexed for communication:
-    configurations that share a component and a density matrix share its
-    moves and input capabilities.  A restricted composition does not
-    build the moves and input capabilities its restriction hides.  An
-    input prefix is instantiated once per received value or qubit, and a
-    constant once per argument values.  One depth-first walk
-    (`post_order`) proves a reach acyclic, and a configuration whose reach
-    was proved keeps what the proof found (`Configuration.facts`), so no
-    walk repeats that proof.  `work` counts the units
-    the current query spent against `budget` (see `query`): one per
-    combination of extreme weak moves built, and in `qbisim.bisim` the
-    support sizes of each pair of saturations the canonical walk visits and
-    one per pair of members a refinement walks for candidates.
+    conses no composed term.  A branch carries a post-state only when an
+    `apply` or a `meas` made one.  A part is stepped once per (component,
+    restriction) when none of its moves carries one, and else once per
+    (component, state, restriction), and its entry is indexed for
+    communication: configurations that share a component, and a density
+    matrix where the part reads it, share its moves and input
+    capabilities.  A restricted composition does not build the moves and
+    input capabilities its restriction hides.  An input prefix is
+    instantiated once per received value or qubit, and a constant once per
+    argument values.  One depth-first walk (`post_order`) proves a reach
+    acyclic, and a configuration whose reach was proved keeps what the
+    proof found (`Configuration.facts`), so no walk repeats that proof.
+    `work` counts the units the current query spent against `budget` (see
+    `query`): one per combination of extreme weak moves built, and in
+    `qbisim.bisim` the support sizes of each pair of saturations the
+    canonical walk visits and one per pair of members a refinement walks
+    for candidates.
 
     A System also keeps what the bisimulation engines proved on it
     (`qbisim.bisim`): per tolerance, the point pairs some state-based
@@ -528,6 +533,7 @@ class System:
         # the configuration, so that the two do not form a reference cycle
         self._points = {}
         self._dists = {}         # `_distribution` key -> the one distribution
+        self._combined = {}      # `combine` key -> (its result, the parts it read)
         self._component_steps = {}
         # (action class, operation, qubits, id of an interned matrix) -> its
         # interned image, or (value, probability, interned post-state) per
@@ -622,7 +628,20 @@ class System:
 
         Parts of weight 0 are skipped.  When one part remains and its weight
         is 1, that distribution itself is returned: distributions are
-        immutable, so the callers share it and what is kept on it."""
+        immutable, so the callers share it and what is kept on it.  Kept
+        per (each weight by type and exact value, each part object); the
+        memo holds the parts, so their ids stay theirs."""
+        parts = tuple(parts)
+        key = []
+        for w, dist in parts:
+            key += w.__class__, w if w.__class__ is float else w.as_integer_ratio(), id(dist)
+        key = tuple(key)
+        got = self._combined.get(key)
+        if got is None:
+            got = self._combined[key] = self._mix(parts), parts
+        return got[0]
+
+    def _mix(self, parts) -> ConfigDistribution:
         acc = first = None
         for w, dist in parts:
             if not w:
@@ -741,11 +760,11 @@ class System:
             if len(branches) == 1:
                 ((p, t, s),) = branches
                 if p.__class__ is int and p == 1:
-                    out.append(PointMove(label, intern(t, s)))
+                    out.append(PointMove(label, intern(t, mat if s is None else s)))
                     continue
             probs = {}
             for p, t, s in branches:
-                c = intern(t, s)
+                c = intern(t, mat if s is None else s)
                 prev = probs.get(c)
                 probs[c] = p if prev is None else prev + p
             out.append(Transition(label, ConfigDistribution(probs)))
@@ -756,8 +775,10 @@ class System:
         """Transitions and input capabilities of a component or a term.
 
         Returns (moves, caps): moves are (Label, branches) with branches a
-        tuple of (prob, component, matrix); caps are pending input
-        prefixes, whose `instantiate` gives a component.  This is the one
+        tuple of (prob, component, post-state); caps are pending input
+        prefixes, whose `instantiate` gives a component.  A branch carries
+        a post-state only when an `apply` or a `meas` made one, even one
+        that is `mat` itself; None stands for `mat`.  This is the one
         dispatch: a composition key goes to `_step_par`, as does a
         composition term (a summand or an `if` body) under its key, and a
         leaf steps by its rule.  The lists returned are fresh.
@@ -777,11 +798,11 @@ class System:
         if isinstance(term, ca.Prefix):
             act = term.action
             if isinstance(act, ca.Tau):
-                return [(TAU, ((1, _key(term.cont), mat),))], []
+                return [(TAU, ((1, _key(term.cont), None),))], []
             if isinstance(act, ca.COut):
                 value = ca.eval_expr(act.expr)
                 return [(Label(Label.OUT, act.chan, value),
-                         ((1, _key(term.cont), mat),))], []
+                         ((1, _key(term.cont), None),))], []
             if isinstance(act, ca.CIn):
                 cont, var = term.cont, act.var
 
@@ -796,7 +817,7 @@ class System:
                 return [], [_Cap(act.chan, receive)]
             if isinstance(act, ca.QOut):
                 return [(Label(Label.QOUT, act.chan, act.qvar),
-                         ((1, _key(term.cont), mat),))], []
+                         ((1, _key(term.cont), None),))], []
             if isinstance(act, ca.QIn):
                 cont, qvar = term.cont, act.qvar
 
@@ -827,7 +848,7 @@ class System:
             return self._step_term(term.body, mat, fuel) if cond else ([], [])
 
         if isinstance(term, ca.PChoice):
-            return [(TAU, tuple((p, _key(t), mat) for p, t in term.branches))], []
+            return [(TAU, tuple((p, _key(t), None) for p, t in term.branches))], []
 
         if isinstance(term, ca.Sum):
             moves, caps = [], []
@@ -849,11 +870,16 @@ class System:
 
         Computed once per System for each operation, its qubits and the
         interned matrix: `mat` is always a configuration's, kept alive in
-        `_matrices`, so its identity stands for its value."""
+        `_matrices`, so its identity stands for its value.  An `apply` of a
+        measurement or a `meas` of a super-operator is not well formed."""
         key = (act.__class__, act.op, act.qubits, id(mat))
         got = self._applied.get(key)
         if got is None:
             op = resolve_operation(act.op, self.registry)
+            if isinstance(op, Measurement) is not isinstance(act, ca.Meas):
+                kind = "a measurement" if isinstance(op, Measurement) else "a super-operator"
+                raise WellFormednessError(f"{type(act).__name__.lower()} of {act.op}, "
+                                          f"which is {kind}")
             out = op.apply(mat, self.register, act.qubits)
             share = self._share
             got = self._applied[key] = share(out) if isinstance(act, ca.Apply) else tuple(
@@ -861,17 +887,20 @@ class System:
         return got
 
     def _step_component(self, part, mat, fuel: int, hidden: frozenset,
-                        table: dict) -> _Component:
+                        free: dict, table: dict) -> _Component:
         """`_step_term` of one part of a composition, indexed for a
-        composition restricted to `hidden`, and kept in `table`, which holds
-        the parts stepped at `mat` and `fuel` under that restriction.
+        composition restricted to `hidden`, and kept in `free`, the parts
+        stepped at `fuel` under that restriction, when none of its moves
+        carries a post-state before the restriction drops any: it reads no
+        matrix, and None stands for the stepping configuration's.  Else it
+        is kept in `table`, which holds those stepped at `mat` too.
 
         `mat` is always a configuration's matrix, interned in `_matrices`,
-        so its identity stands for its value, and looking a part up in its
-        table builds no key tuple.  The entry is built once: the moves and
-        input capabilities the restriction keeps, and for communication
-        every output, and every capability by channel.  Entries are shared
-        by every composition holding the part, and cap closures capture
+        so its identity stands for its value, and looking a part up builds
+        no key tuple.  The entry is built once: the moves and input
+        capabilities the restriction keeps, and for communication every
+        output, and every capability by channel.  Entries are shared by
+        every composition holding the part, and cap closures capture
         components and the input memo only.
         """
         moves, caps = self._step_term(part, mat, fuel)
@@ -886,7 +915,8 @@ class System:
         inputs = {}
         for cap in caps:
             inputs[cap.chan] = inputs.get(cap.chan, ()) + (cap.instantiate,)
-        got = table[part] = _Component(
+        stateless = all(s is None for _, branches in moves for _, _, s in branches)
+        got = (free if stateless else table)[part] = _Component(
             tuple(m for m in moves if m[0].chan not in hidden),  # tau has no channel
             tuple(cap for cap in caps if cap.chan not in hidden),
             tuple(outputs), inputs)
@@ -912,14 +942,17 @@ class System:
         """
         hidden, relabel = key[0], key[1]
         parts = key[2:]
-        # the table also holds `mat`, so its id is not reused while it lives
-        slot = (id(mat), fuel, hidden)
-        got = self._component_steps.get(slot)
+        steps = self._component_steps
+        free = steps.get((fuel, hidden))
+        if free is None:
+            free = steps[(fuel, hidden)] = {}
+        # a per-matrix table also holds `mat`, so its id is not reused while it lives
+        got = steps.get((id(mat), fuel, hidden))
         if got is None:
-            got = self._component_steps[slot] = ({}, mat)
+            got = steps[(id(mat), fuel, hidden)] = ({}, mat)
         table = got[0]
-        entries = [table.get(p) or self._step_component(p, mat, fuel, hidden, table)
-                   for p in parts]
+        entries = [free.get(p) or table.get(p)
+                   or self._step_component(p, mat, fuel, hidden, free, table) for p in parts]
         one = len(parts) == 1
 
         moves, caps = [], []

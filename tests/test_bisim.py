@@ -10,13 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbisim.calculus import parse_module
+from qbisim.calculus import Channel, parse_module
 from qbisim.errors import (BudgetExceededError, ChannelDomainError, CyclicModelError,
                            QuantumInputFragmentError)
 from qbisim.quantum import QubitRegister, QuantumState, _matrix_digest
 from qbisim import bisim
 from qbisim.lp import combination_weights
-from qbisim.semantics import PLTS, ConfigDistribution, System, TAU
+from qbisim.semantics import PLTS, ConfigDistribution, Label, System, TAU
 from qbisim.bisim import (
     CheckReport,
     DistanceBound,
@@ -467,6 +467,80 @@ class TestInternalChains:
             for _ in range(2):
                 with pytest.raises(ChannelDomainError):
                     ask(c)
+
+
+class TestSaturationFromTheWalk:
+    """The walk that proves a reach (`_prepare`) sets each configuration's
+    first-choice saturation from its successors', and `_config_sat` reads
+    it: every one is the saturation a plain recursion gives."""
+
+    @staticmethod
+    def first_choice(system, config, memo):
+        """The first-choice saturation of `config`, by recursion: index ->
+        probability."""
+        got = memo.get(config.index)
+        if got is None:
+            taus = [t for t in system.step(config) if not t.label.visible]
+            got = {config.index: 1.0}
+            if taus:
+                got = {}
+                for d, p in taus[0].dist:
+                    for i, q in TestSaturationFromTheWalk.first_choice(system, d, memo).items():
+                        got[i] = got.get(i, 0.0) + float(p) * q
+            memo[config.index] = got
+        return got
+
+    def assert_matches(self, system, roots):
+        memo = {}
+        configs = system.reachable(roots)
+        for c in configs:
+            want = tuple(sorted((i, round(p, 10))
+                                for i, p in self.first_choice(system, c, memo).items()))
+            assert _config_sat(system, c).digest == want, repr(c)
+        return len(configs)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bb84(self, n):
+        from qbisim.bb84 import build_bb84_security_test
+        instance = build_bb84_security_test(n)
+        roots = instance.root.support + instance.ideal.support
+        assert self.assert_matches(instance.system, roots) == {1: 285, 2: 6728}[n]
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_random_systems(self, seed):
+        rng = np.random.default_rng(seed)
+        system, rho = randsys.random_system(rng, randsys.REGISTER2)
+        roots = [system.config(randsys.random_term(rng, 4), rho),
+                 system.config(randsys.random_par_term(rng, 2), rho),
+                 system.config(randsys.random_nested_term(
+                     rng, randsys.NESTED_SHAPES[seed % len(randsys.NESTED_SHAPES)]), rho)]
+        assert self.assert_matches(system, roots) >= len(roots)
+
+    def test_a_point_chain_shares_its_end(self):
+        s = fresh()
+        c = s.config("tau . tau . pchoice { 1/2 -> a!0 . nil ; 1/2 -> tau . b!0 . nil }",
+                     ground())
+        mid = s.step(c)[0].target
+        assert _config_sat(s, c) is _config_sat(s, mid) is s.step(mid)[0].target.sat
+
+    @pytest.mark.parametrize("label", [TAU, Label(Label.OUT, Channel("a"), 0)])
+    def test_attack_evidence_on_a_cyclic_model_is_false(self, label):
+        s = System(parse_module("L := tau . M\nM := tau . L + a!0 . nil"), register=R1)
+        attacker = s.dirac(s.config("L(;)", ground()))
+        target = s.dirac(s.config("nil", ground()))
+        assert bisim._attack_exists(s, attacker, label, target) is False
+
+    def test_attack_evidence_on_a_quantum_input_is_false(self):
+        # the attack is no strong move of the attacker, so only canonical
+        # evidence could match it, and no engine gives that here
+        s = fresh(R2)
+        x = s.dirac(s.config("tau . tau . #c?r . nil", ground(R2)))
+        y = s.dirac(s.config("nil", ground(R2)))
+        attack = s.dirac(s.config("#c?r . nil", ground(R2)))
+        assert not bisim._attack_exists(s, x, TAU, attack)
+        report = CheckReport(holds=False, mode="exhaustive", clause="ii", pair=(x, y),
+                             direction="left", label=TAU, attack=attack, lam=0.0)
+        assert replay_refutation(report, s) is False
 
 
 class TestDuplicatedMeasurement:
@@ -1325,7 +1399,7 @@ class TestWorklistRefinement:
         half = np.eye(2) / 2
         members = [member(0, half), member(1, half - 1e-13 * z),
                    member(0, half + z / 4)]
-        (_, ea, _), (_, eb, _) = (bisim._environment(m) for m in members[:2])
+        (_, ea, *_), (_, eb, *_) = (bisim._environment(m) for m in members[:2])
         assert _matrix_digest(ea) == _matrix_digest(eb)
         assert np.asarray(ea).tobytes() != np.asarray(eb).tobytes()
         tol = bisim._env_distance(members[0], members[2])

@@ -152,6 +152,15 @@ class TestLts:
                          "--root", "C", "--rho", "q=+", "--max-configs", "1")
         assert code == 4
 
+    @pytest.mark.parametrize("root, words", [
+        ("apply Mcomp[q] . nil", "apply of Mcomp, which is a measurement"),
+        ("meas H[q; x] . nil", "meas of H, which is a super-operator"),
+    ])
+    def test_an_operation_of_the_wrong_kind(self, capsys, module_file, root, words):
+        code, out, err = run(capsys, "lts", module_file, "--root", root, "--rho", "q=+")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert words in err and "Traceback" not in err
+
     def test_dot_output(self, capsys, module_file):
         code, out, _ = run(capsys, "lts", module_file,
                            "--root", "C", "--rho", "q=+", "--format", "dot")

@@ -1216,6 +1216,128 @@ class TestSharedDistributions:
         assert s.tau_transitions(inert) is s.step(inert) == ()
 
 
+class TestCombineMemo:
+    """`System.combine` keeps its result per (each weight by its type and
+    exact value, each part object), and holds the parts, so equal requests
+    combine once and a part's id names it while the memo holds it."""
+
+    def test_equal_parts_combine_once(self, monkeypatch):
+        s = fresh()
+        x, y = s.config("a!0 . nil", state()), s.config("b!0 . nil", state())
+        d = ConfigDistribution({x: Fraction(1, 2), y: Fraction(1, 2)})  # not interned
+        mixed = []
+        mix = System._mix
+        monkeypatch.setattr(System, "_mix",
+                            lambda self, parts: mixed.append(parts) or mix(self, parts))
+        first = s.combine([(Fraction(1, 3), d), (Fraction(2, 3), s.dirac(y))])
+        again = s.combine(iter([(Fraction(1, 3), d), (Fraction(2, 3), s.dirac(y))]))
+        assert again is first and len(mixed) == 1
+        assert first.probs == {x: Fraction(1, 6), y: Fraction(5, 6)}
+
+    def test_weights_of_one_value_and_another_type_stay_apart(self):
+        s = fresh()
+        x, y = s.config("a!0 . nil", state()), s.config("b!0 . nil", state())
+        dx, dy = s.dirac(x), s.dirac(y)
+        for one in (1, 1.0, Fraction(1)):
+            assert s.combine([(one, dx)]) is dx
+        assert len(s._combined) == 3
+        exact = s.combine([(Fraction(1, 2), dx), (Fraction(1, 2), dy)])
+        floats = s.combine([(0.5, dx), (0.5, dy)])
+        assert exact is not floats
+        assert [p.__class__ for p in exact.probs.values()] == [Fraction, Fraction]
+        assert [p.__class__ for p in floats.probs.values()] == [float, float]
+        # the other order of first requests gives the same two objects
+        t = fresh()
+        tx, ty = t.config("a!0 . nil", state()), t.config("b!0 . nil", state())
+        floats = t.combine([(0.5, t.dirac(tx)), (0.5, t.dirac(ty))])
+        exact = t.combine([(Fraction(1, 2), t.dirac(tx)), (Fraction(1, 2), t.dirac(ty))])
+        assert [p.__class__ for p in exact.probs.values()] == [Fraction, Fraction]
+        assert [p.__class__ for p in floats.probs.values()] == [float, float]
+
+    def test_a_transient_part_stays_alive_while_the_memo_holds_it(self):
+        import gc
+        s = fresh()
+        x, y = s.config("a!0 . nil", state()), s.config("b!0 . nil", state())
+        fixed = s.dirac(y)
+        # each part is dropped by the caller at once; were its id freed, the
+        # next part could take it and read the memo's earlier result
+        for k in range(1, 60):
+            part = ConfigDistribution({x: Fraction(1, k + 1), y: Fraction(k, k + 1)})
+            held = id(part)
+            got = s.combine([(Fraction(1, 2), part), (Fraction(1, 2), fixed)])
+            del part
+            gc.collect()
+            assert got.probs == {x: Fraction(1, 2 * k + 2), y: 1 - Fraction(1, 2 * k + 2)}
+            assert any(id(d) == held for _, parts in s._combined.values() for _, d in parts)
+
+
+def entry_tables(system):
+    """The part entries `system` keeps, as two lists of tables: those kept
+    for any matrix, one per (fuel, restriction), and those kept for one
+    matrix, one per (matrix, fuel, restriction)."""
+    free, per_matrix = [], []
+    for slot, table in system._component_steps.items():
+        if len(slot) == 2:
+            free.append(table)
+        else:
+            per_matrix.append(table[0])
+    return free, per_matrix
+
+
+class TestStateFreeEntries:
+    """A branch carries a post-state only when an `apply` or a `meas` made
+    one, so a part with none is stepped once per (fuel, restriction), and a
+    part that applies or measures once per matrix as well."""
+
+    def test_an_apply_to_the_same_matrix_keeps_a_per_matrix_entry(self):
+        s = fresh()
+        term = "apply Set0[q1] . a!0 . nil || b!0 . nil"
+        c = s.config(term, state())
+        (move,) = [t for t in s.step(c) if not t.label.visible]
+        assert move.target.matrix is c.matrix  # Set0 at |0> gives the same matrix
+        d = s.config(term, state(assignment={"q1": "1"}))
+        s.step(d)
+        free, per_matrix = entry_tables(s)
+        applying, silent = c.key[2], c.key[3]
+        assert [silent in table for table in free] == [True]
+        assert [applying in table for table in free + per_matrix] == [False, True, True]
+
+    def test_a_nested_key_that_measures_is_per_matrix(self):
+        s = fresh(register=R2)
+        c = s.config("( meas Mcomp[q1; x] . c!x . nil || a!0 . nil ) || b!0 . nil",
+                     state(R2))
+        s.step(c)
+        free, per_matrix = entry_tables(s)
+        nested, silent = c.key[2], c.key[3]
+        assert [nested in table for table in free + per_matrix] == [False, True]
+        assert any(silent in table for table in free)
+        assert any(nested[3] in table for table in free)
+
+    def test_bb84_n2_entry_counts(self):
+        instance = build_bb84_security_test(2)
+        system = System(instance.system.module, register=instance.register)
+        roots = [system.config(c.term, c.matrix)
+                 for c in instance.root.support + instance.ideal.support]
+        assert len(system.reachable(roots)) == 6728
+        free, per_matrix = entry_tables(system)
+        assert (sum(map(len, per_matrix)), sum(map(len, free))) == (288, 849)
+
+
+class TestOperationKinds:
+    """An `apply` of a measurement or a `meas` of a super-operator is not
+    well formed, and stepping it says so."""
+
+    @pytest.mark.parametrize("term, words", [
+        ("apply Mcomp[q1] . nil", "apply of Mcomp, which is a measurement"),
+        ("meas H[q1; x] . nil", "meas of H, which is a super-operator"),
+    ])
+    def test_a_kind_mismatch_is_rejected(self, term, words):
+        s = fresh()
+        c = s.config(term, state(assignment={"q1": "+"}))
+        with pytest.raises(WellFormednessError, match=words):
+            s.step(c)
+
+
 class TestCompactSteps:
     """A move of weight exactly int 1 is a `PointMove`: it names its target
     configuration and builds no distribution.  Its `dist` is the System's
