@@ -130,7 +130,6 @@ from typing import NamedTuple, Optional
 
 from .errors import (
     BudgetExceededError,
-    ChannelDomainError,
     CyclicModelError,
     QuantumInputFragmentError,
 )
@@ -2116,14 +2115,14 @@ def _attack_exists(system: System, attacker: ConfigDistribution,
                 return True
     except BudgetExceededError:
         pass
-    # canonical evidence reports saturated derivatives of weak moves; a
-    # reach no query proved is proved here, and what that refuses is False
-    try:
-        if label == TAU:
-            return _saturate(system, attacker).digest == attack.digest
-        if all(label in system.weak_enabled(c) for c in attacker.support):
-            sat = _saturate(system, attacker)
-            return _derivative(system, sat, label).digest == attack.digest
-    except (CyclicModelError, QuantumInputFragmentError, ChannelDomainError):
-        pass
+    # canonical evidence reports saturated derivatives of weak moves, which
+    # an engine reads only on a reach `_prepare` proved acyclic, stepped and
+    # free of visible quantum input; elsewhere it is not confirmed
+    if not all(c.facts for c in attacker.support):
+        return False
+    if label == TAU:
+        return _saturate(system, attacker).digest == attack.digest
+    if all(label in system.weak_enabled(c) for c in attacker.support):
+        sat = _saturate(system, attacker)
+        return _derivative(system, sat, label).digest == attack.digest
     return False

@@ -534,7 +534,7 @@ class System:
         self._points = {}
         self._dists = {}         # `_distribution` key -> the one distribution
         self._combined = {}      # `combine` key -> (its result, the parts it read)
-        self._component_steps = {}
+        self._component_steps = {}  # (fuel, hidden) or (id(mat), fuel, hidden) -> entries
         # (action class, operation, qubits, id of an interned matrix) -> its
         # interned image, or (value, probability, interned post-state) per
         # outcome of a measurement (`_apply`)

@@ -524,9 +524,13 @@ class TestSaturationFromTheWalk:
         assert _config_sat(s, c) is _config_sat(s, mid) is s.step(mid)[0].target.sat
 
     @pytest.mark.parametrize("label", [TAU, Label(Label.OUT, Channel("a"), 0)])
-    def test_attack_evidence_on_a_cyclic_model_is_false(self, label):
-        s = System(parse_module("L := tau . M\nM := tau . L + a!0 . nil"), register=R1)
-        attacker = s.dirac(s.config("L(;)", ground()))
+    @pytest.mark.parametrize("source, root", [
+        ("L := tau . M\nM := tau . L + a!0 . nil", "L(;)"),          # a cycle
+        ("Grow(n;) := a!n . Grow(n + 1;)", "tau . Grow(0;)"),        # no end
+    ])
+    def test_attack_evidence_outside_a_proved_reach_is_false(self, label, source, root):
+        s = System(parse_module(source), register=R1)
+        attacker = s.dirac(s.config(root, ground()))
         target = s.dirac(s.config("nil", ground()))
         assert bisim._attack_exists(s, attacker, label, target) is False
 
