@@ -1404,6 +1404,7 @@ class TestWorklistRefinement:
         members = [member(0, half), member(1, half - 1e-13 * z),
                    member(0, half + z / 4)]
         (_, ea, *_), (_, eb, *_) = (bisim._environment(m) for m in members[:2])
+        assert bisim._env_class(members[0])[1] is bisim._env_class(members[0])[1]  # kept
         assert _matrix_digest(ea) == _matrix_digest(eb)
         assert np.asarray(ea).tobytes() != np.asarray(eb).tobytes()
         tol = bisim._env_distance(members[0], members[2])
